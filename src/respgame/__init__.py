@@ -27,6 +27,6 @@ from .refinement import (BspWitness, HeuristicsConfig, Partition,
 from .shapley import (PayoffGame, PlayerSet, ResponsibilityReport,
                       is_switching_pair, oracle_minimal_winning,
                       oracle_shapley, prune_dummies, shapley_exact,
-                      state_payoff_game, threshold)
+                      threshold)
 
 __version__ = "0.1.0"

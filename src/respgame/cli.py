@@ -62,8 +62,6 @@ def _add_model_flags(sub):
                      help="program expansion state-space cap")
     sub.add_argument("--preorder-literal", action="store_true",
                      help="use the unmodified graph for the run preorder")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="worker hint; never changes results")
     sub.add_argument("--timeout-s", type=float, default=None)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", choices=("table", "records", "dot"),
@@ -263,7 +261,7 @@ def _cmd_analyze(args) -> int:
     pg = PayoffGame(model.ts, model.objective, model.run, args.mode,
                     model.players)
     note = None
-    report = shapley_exact(pg, cap=args.player_cap, threads=args.threads,
+    report = shapley_exact(pg, cap=args.player_cap,
                            deadline=_Deadline(args.timeout_s))
     if pg.gamma(pg.full_mask()) == 0:
         note = "objective unsatisfiable; all responsibilities 0"
@@ -389,8 +387,6 @@ _COMMANDS = {
 def run_cli(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be >= 1")
     try:
         return _COMMANDS[args.command](args)
     except NoViolation as exc:

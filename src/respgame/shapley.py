@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -144,15 +143,101 @@ def _shapley_weights(n: int) -> List[Fraction]:
     return [Fraction(1, n * math.comb(n - 1, k)) for k in range(n)]
 
 
-def shapley_exact(pg: PayoffGame, cap: int = DEFAULT_SHAPLEY_CAP,
-                  threads: int = 1, deadline=None) -> ResponsibilityReport:
-    """Exact Shapley values by one pass over all coalitions.
+def _subsets(mask: int) -> int:
+    """Bitset (bit s for coalition mask s) of every subset of `mask`."""
+    bits = 1
+    while mask:
+        low = mask & -mask
+        bits |= bits << low
+        mask ^= low
+    return bits
 
-    Evaluates gamma once per coalition into a bit table, then counts
-    switching pairs per (player, coalition size).  Exact big-rational
-    arithmetic throughout; the result does not depend on enumeration order
-    or on `threads`.  `deadline`, when given, is called periodically and
-    may abort the run by raising.
+
+def _without(p: int, n: int) -> int:
+    """Bitset of the coalitions of n players that do not contain p."""
+    bits = (1 << (1 << p)) - 1
+    width = 2 << p
+    while width < 1 << n:
+        bits |= bits << width
+        width <<= 1
+    return bits
+
+
+def _layers(n: int) -> List[int]:
+    """layers[k] is the bitset of the coalitions of n players of size k."""
+    layers = [1]
+    for i in range(n):
+        half = 1 << i
+        layers = [(layers[k] if k <= i else 0)
+                  | (layers[k - 1] << half if k else 0)
+                  for k in range(i + 2)]
+    return layers
+
+
+def _winning_table(pg: PayoffGame, deadline) -> int:
+    """Bitset of the winning coalitions, by a monotone boundary fill.
+
+    `win` is kept up-closed and `lose` down-closed.  Each round queries a
+    coalition still unknown (the grand coalition first, then the lowest
+    unknown mask), then shrinks a winning one to a minimal winning
+    coalition, or grows a losing one to a maximal losing coalition, one
+    player at a time.  Only unknown coalitions are ever queried and every
+    answer is propagated to its whole up-set or down-set, so each round
+    finds a boundary coalition not known before: at most (n+1) * (|minimal
+    winning| + |maximal losing|) games are solved, and never more than 2^n.
+    """
+    n = len(pg.players)
+    full = pg.full_mask()
+    everything = (1 << (1 << n)) - 1
+    win = lose = 0
+
+    def query(mask: int) -> bool:
+        nonlocal win, lose
+        if deadline is not None:
+            deadline()
+        if pg.gamma(mask):
+            win |= _subsets(full ^ mask) << mask
+            return True
+        lose |= _subsets(mask)
+        return False
+
+    mask = full
+    while True:
+        if query(mask):
+            for p in range(n):
+                smaller = mask & ~(1 << p)
+                if smaller == mask or lose >> smaller & 1:
+                    continue
+                if win >> smaller & 1 or query(smaller):
+                    mask = smaller
+        else:
+            for p in range(n):
+                larger = mask | 1 << p
+                if larger == mask or win >> larger & 1:
+                    continue
+                if lose >> larger & 1 or not query(larger):
+                    mask = larger
+        unknown = everything & ~(win | lose)
+        if not unknown:
+            return win
+        mask = (unknown & -unknown).bit_length() - 1
+
+
+def shapley_exact(pg: PayoffGame, cap: int = DEFAULT_SHAPLEY_CAP,
+                  deadline=None) -> ResponsibilityReport:
+    """Exact Shapley values from the boundary of the monotone game gamma.
+
+    Exactness rests on gamma being monotone: a winning coalition never
+    loses by growing.  That holds in all three modes, because a state
+    joining the coalition becomes Sat-owned and keeps its run edge among
+    its now unrestricted successors, so Sat can still play every strategy
+    it had.  The bit table of winning coalitions is therefore determined
+    by its minimal winning and maximal losing coalitions, which
+    `_winning_table` learns with far fewer than 2^n games.  Switching pairs
+    per (player, coalition size) are then counted with big-integer bit
+    operations.  Exact rational arithmetic throughout.  `deadline`, when
+    given, is called before every game query and may abort the run by
+    raising.
     """
     n = len(pg.players)
     if n > cap:
@@ -163,43 +248,17 @@ def shapley_exact(pg: PayoffGame, cap: int = DEFAULT_SHAPLEY_CAP,
     if n == 0:
         return ResponsibilityReport(pg.players.kind, pg.mode, (), (),
                                     pg.games_solved, pg.memo_hits)
-    total = 1 << n
-    table = bytearray(total)
-    if threads > 1:
-        chunk = max(1, total // (threads * 8))
-        ranges = [(lo, min(lo + chunk, total))
-                  for lo in range(0, total, chunk)]
-
-        def fill(rng):
-            lo, hi = rng
-            if deadline is not None:
-                deadline()
-            for mask in range(lo, hi):
-                table[mask] = pg.gamma(mask)
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, ranges))
-    else:
-        for mask in range(total):
-            if deadline is not None and mask % 1024 == 0:
-                deadline()
-            table[mask] = pg.gamma(mask)
-    counts = [[0] * n for _ in range(n)]  # player -> |C| -> switching pairs
-    for mask in range(total):
-        if table[mask]:
-            continue
-        k = mask.bit_count()
-        for p in range(n):
-            bit = 1 << p
-            if mask & bit:
-                continue
-            if table[mask | bit]:
-                counts[p][k] += 1
+    win = _winning_table(pg, deadline)
+    layers = _layers(n)
     weights = _shapley_weights(n)
-    values = tuple(sum((weights[k] * c for k, c in enumerate(counts[p]) if c),
-                       Fraction(0)) for p in range(n))
+    values = []
+    for p in range(n):
+        # bit m set iff m lacks p, gamma(m) = 0 and gamma(m + p) = 1
+        swings = (win >> (1 << p)) & ~win & _without(p, n)
+        values.append(sum((weights[k] * (swings & layers[k]).bit_count()
+                           for k in range(n)), Fraction(0)))
     return ResponsibilityReport(pg.players.kind, pg.mode, pg.players.names,
-                                values, pg.games_solved, pg.memo_hits)
+                                tuple(values), pg.games_solved, pg.memo_hits)
 
 
 def prune_dummies(ts: TransitionSystem, obj: Objective, run: Optional[LassoRun],
@@ -224,15 +283,29 @@ def prune_dummies(ts: TransitionSystem, obj: Objective, run: Optional[LassoRun],
     return PlayerSet.of_states(ts, sorted(candidates))
 
 
-def state_payoff_game(ts: TransitionSystem, obj: Objective,
-                      run: Optional[LassoRun], mode: str,
-                      prune: bool = True) -> PayoffGame:
-    """Convenience constructor for the state-player coalition game."""
-    if prune:
-        players = prune_dummies(ts, obj, run, mode)
-    else:
-        players = PlayerSet.of_states(ts, range(len(ts)))
-    return PayoffGame(ts, obj, run, mode, players)
+def _naive_gamma_table(ts: TransitionSystem, obj: Objective,
+                       run: Optional[LassoRun], mode: str,
+                       player_indices: Optional[Sequence[int]],
+                       cap: int) -> Tuple[PlayerSet, List[int]]:
+    """Solve every coalition game, with no memo and no inference.
+
+    The oracle's gamma table: independent of `PayoffGame` and of the
+    monotone fill in `shapley_exact`, which it is the reference for.
+    """
+    if player_indices is None:
+        player_indices = range(len(ts))
+    players = PlayerSet.of_states(ts, player_indices)
+    n = len(players)
+    if n > cap:
+        raise PlayerCapExceeded(f"{n} players exceed the oracle cap of {cap}")
+    table = []
+    for mask in range(1 << n):
+        states = set()
+        for i in range(n):
+            if mask >> i & 1:
+                states |= players.members[i]
+        table.append(game_value(build_game(ts, obj, run, states, mode)))
+    return players, table
 
 
 def oracle_shapley(ts: TransitionSystem, obj: Objective,
@@ -241,25 +314,16 @@ def oracle_shapley(ts: TransitionSystem, obj: Objective,
                    cap: int = DEFAULT_ORACLE_CAP) -> ResponsibilityReport:
     """Reference implementation: direct evaluation of the defining sum.
 
-    Deliberately naive and independent of the production path: it keeps its
-    own per-call gamma table (no memo sharing) and applies the factorial
-    formula term by term.  Intended for tests and the `oracle` CLI command.
+    Deliberately naive and independent of the production path: it solves
+    every coalition into its own table (no memo sharing) and applies the
+    factorial formula term by term.  Intended for tests and the `oracle`
+    CLI command.
     """
-    if player_indices is None:
-        player_indices = range(len(ts))
-    players = PlayerSet.of_states(ts, player_indices)
+    players, gamma = _naive_gamma_table(ts, obj, run, mode, player_indices,
+                                        cap)
     n = len(players)
-    if n > cap:
-        raise PlayerCapExceeded(f"{n} players exceed the oracle cap of {cap}")
     if n == 0:
         return ResponsibilityReport(players.kind, mode, (), ())
-    gamma = {}
-    for mask in range(1 << n):
-        states = set()
-        for i in range(n):
-            if mask >> i & 1:
-                states |= players.members[i]
-        gamma[mask] = game_value(build_game(ts, obj, run, states, mode))
     fact = math.factorial
     values = []
     for p in range(n):
@@ -281,19 +345,9 @@ def oracle_minimal_winning(ts: TransitionSystem, obj: Objective,
                            player_indices: Optional[Sequence[int]] = None,
                            cap: int = DEFAULT_ORACLE_CAP) -> List[frozenset]:
     """All minimal winning coalitions, as sets of player names."""
-    if player_indices is None:
-        player_indices = range(len(ts))
-    players = PlayerSet.of_states(ts, player_indices)
+    players, gamma = _naive_gamma_table(ts, obj, run, mode, player_indices,
+                                        cap)
     n = len(players)
-    if n > cap:
-        raise PlayerCapExceeded(f"{n} players exceed the oracle cap of {cap}")
-    gamma = {}
-    for mask in range(1 << n):
-        states = set()
-        for i in range(n):
-            if mask >> i & 1:
-                states |= players.members[i]
-        gamma[mask] = game_value(build_game(ts, obj, run, states, mode))
     minimal = []
     for mask in range(1 << n):
         if not gamma[mask]:

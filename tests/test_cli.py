@@ -162,6 +162,14 @@ def test_timeout_refusal(capsys):
     assert code == 1 and "timeout" in err
 
 
+def test_analyze_timeout_refusal(capsys, tmp_path):
+    model = tmp_path / "exp.json"
+    run(capsys, "generate", "--family", "exp-coalitions", "--size", "4",
+        "-o", str(model))
+    code, _, err = run(capsys, "analyze", str(model), "--timeout-s", "0")
+    assert code == 1 and "timeout" in err
+
+
 def test_input_error_exit_two(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
@@ -192,15 +200,6 @@ def test_group_by_module_pipeline(capsys):
                        "--group-by-module")
     assert code == 0
     assert "left" in out and "right" in out
-
-
-def test_threads_flag_stable_output(capsys):
-    base = ("analyze", str(MODELS / "recurrence_demo.json"), "--mode", "optimistic",
-            "--format", "records")
-    _, out1, _ = run(capsys, *base)
-    _, out4, _ = run(capsys, *base, "--threads", "4")
-    doc1, doc4 = json.loads(out1), json.loads(out4)
-    assert doc1["players"] == doc4["players"]
 
 
 def test_state_cap_flag(capsys):

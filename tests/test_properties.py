@@ -1,11 +1,16 @@
 """Property-based checks over generated systems."""
 
-import hypothesis.strategies as st
-from hypothesis import given, settings
+import math
+from fractions import Fraction
 
-from respgame import (REACHABILITY, SAFETY, Game, GameArena, NoViolation,
-                      Objective, TransitionSystem, attractor, engrave,
-                      find_violating_run, solve, validate_run, violates)
+import hypothesis.strategies as st
+from hypothesis import assume, given, settings
+
+from respgame import (BUECHI, MODES, PARITY, REACHABILITY, SAFETY, Game,
+                      GameArena, NoViolation, Objective, PayoffGame,
+                      PlayerSet, TransitionSystem, attractor, build_game,
+                      engrave, find_violating_run, game_value, shapley_exact,
+                      solve, validate_run, violates)
 
 
 @st.composite
@@ -85,3 +90,57 @@ def test_safety_region_shrinks_with_larger_avoid_set(ts, bits_a, bits_b):
     win_small = solve(Game(arena, Objective(SAFETY, target=small)))
     win_big = solve(Game(arena, Objective(SAFETY, target=big)))
     assert win_big.sat_wins <= win_small.sat_wins
+
+
+def _naive_shapley(pg):
+    """The defining sum over a table of every coalition game."""
+    n = len(pg.players)
+    table = [game_value(build_game(pg.ts, pg.objective, pg.run,
+                                   pg.flatten(mask), pg.mode))
+             for mask in range(1 << n)]
+    fact = math.factorial
+    values = []
+    for p in range(n):
+        bit = 1 << p
+        values.append(sum(
+            (Fraction(fact(mask.bit_count()) * fact(n - mask.bit_count() - 1),
+                      fact(n)) * (table[mask | bit] - table[mask])
+             for mask in range(1 << n) if not mask & bit), Fraction(0)))
+    return tuple(values)
+
+
+@st.composite
+def coalition_games(draw):
+    ts = draw(total_systems())
+    n = len(ts)
+    kind = draw(st.sampled_from((SAFETY, REACHABILITY, BUECHI, PARITY)))
+    if kind == PARITY:
+        obj = Objective(PARITY, colours=tuple(
+            draw(st.lists(st.integers(min_value=0, max_value=3),
+                          min_size=n, max_size=n))))
+    else:
+        obj = Objective(kind, target=frozenset(draw(st.sets(
+            st.integers(min_value=0, max_value=n - 1), max_size=n))))
+    try:
+        run = find_violating_run(ts, obj)
+    except NoViolation:
+        run = None
+    assume(run is not None)
+    mode = draw(st.sampled_from(MODES))
+    blocks = draw(st.integers(min_value=2, max_value=3))
+    owner = draw(st.lists(st.integers(min_value=0, max_value=blocks - 1),
+                          min_size=n, max_size=n))
+    members = [frozenset(s for s in range(n) if owner[s] == b)
+               for b in range(blocks)]
+    names = [f"b{b}" for b in range(blocks) if members[b]]
+    members = [m for m in members if m]
+    return ts, obj, run, mode, PlayerSet.of_blocks(names, members)
+
+
+@given(coalition_games())
+@settings(max_examples=150, deadline=None)
+def test_shapley_exact_equals_defining_sum(inst):
+    ts, obj, run, mode, blocks = inst
+    for players in (PlayerSet.of_states(ts, range(len(ts))), blocks):
+        pg = PayoffGame(ts, obj, run, mode, players)
+        assert shapley_exact(pg).values == _naive_shapley(pg)

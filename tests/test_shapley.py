@@ -12,6 +12,7 @@ from respgame import (FORWARD, OPTIMISTIC, PESSIMISTIC, REACHABILITY,
                       oracle_minimal_winning, oracle_shapley, prune_dummies,
                       shapley_exact, threshold)
 from respgame.explicit import build_system
+from respgame.games import build_game, game_value
 from respgame.shapley import PayoffGame
 
 
@@ -71,11 +72,56 @@ def test_shapley_cap_refusal():
         shapley_exact(_pg(ts, obj, run, OPTIMISTIC), cap=3)
 
 
-def test_shapley_threads_equivalent():
-    ts, obj, run = recurrence_example()
-    seq = shapley_exact(_pg(ts, obj, run, PESSIMISTIC))
-    par = shapley_exact(_pg(ts, obj, run, PESSIMISTIC), threads=4)
-    assert seq.values == par.values
+def _boundary_sizes(ts, obj, run, mode, players):
+    """(|minimal winning|, |maximal losing|) from a table of every game."""
+    n = len(players)
+    table = [game_value(build_game(
+        ts, obj, run, set().union(*(players.members[i] for i in range(n)
+                                    if mask >> i & 1)), mode))
+        for mask in range(1 << n)]
+    bits = [1 << p for p in range(n)]
+    minimal = sum(1 for mask in range(1 << n) if table[mask]
+                  and not any(table[mask ^ b] for b in bits if mask & b))
+    maximal = sum(1 for mask in range(1 << n) if not table[mask]
+                  and all(table[mask | b] for b in bits if not mask & b))
+    return minimal, maximal
+
+
+@pytest.mark.parametrize("mode", (PESSIMISTIC, OPTIMISTIC))
+@pytest.mark.parametrize("size", (3, 4, 5, 6))
+def test_monotone_fill_matches_oracle_within_boundary_bound(size, mode):
+    ts, obj, run = build_system(generate("exp-coalitions", size))
+    players = prune_dummies(ts, obj, run, mode)
+    pg = PayoffGame(ts, obj, run, mode, players)
+    rep = shapley_exact(pg)
+    indices = [ts.names.index(name) for name in players.names]
+    assert rep.values == oracle_shapley(ts, obj, run, mode, indices).values
+    n = len(players)
+    minimal, maximal = _boundary_sizes(ts, obj, run, mode, players)
+    assert pg.games_solved <= (n + 1) * (minimal + maximal)
+    assert pg.games_solved < 1 << n
+
+
+def test_unwinnable_grand_coalition_solves_one_game():
+    ts = TransitionSystem(["a", "b", "island"], 0,
+                          [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)])
+    obj = Objective(REACHABILITY, target=frozenset({2}))
+    for mode in (OPTIMISTIC, PESSIMISTIC, FORWARD):
+        pg = _pg(ts, obj, LassoRun((), (0,)), mode)
+        rep = shapley_exact(pg)
+        assert pg.games_solved == 1
+        assert rep.values == (0, 0, 0)
+
+
+def test_empty_coalition_winning_gives_zero_values():
+    # every path reaches b, so Sat wins while controlling nothing
+    ts = TransitionSystem(["a", "b", "c"], 0,
+                          [(0, 1), (0, 2), (1, 0), (1, 1), (2, 1)])
+    obj = Objective(REACHABILITY, target=frozenset({1}))
+    pg = _pg(ts, obj, None, FORWARD)
+    assert pg.gamma(0) == 1
+    rep = shapley_exact(pg)
+    assert rep.values == (0, 0, 0)
 
 
 def test_diamond_example_true_values_and_blocks():
