@@ -16,7 +16,7 @@ from .grouping import (BY_LABEL, BY_MODULE, EXPLICIT_LIST, GroupingSpec,
                        load_grouping_file, resolve_grouping)
 from .model import (BUECHI, OBJECTIVE_KINDS, PARITY, REACHABILITY,
                     LassoRun, NoViolation, Objective, find_violating_run,
-                    validate_run, violates)
+                    require_valid_run, violates)
 from .modlang import DEFAULT_STATE_CAP, expand_program, load_program
 from .positivity import positivity_buechi_opt_all, positivity_reach_opt
 from .refinement import (DEFAULT_BLOCK_CAP, HeuristicsConfig,
@@ -60,8 +60,6 @@ def _add_model_flags(sub):
     sub.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
     sub.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
                      help="program expansion state-space cap")
-    sub.add_argument("--preorder-literal", action="store_true",
-                     help="use the unmodified graph for the run preorder")
     sub.add_argument("--timeout-s", type=float, default=None)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", choices=("table", "records", "dot"),
@@ -209,9 +207,7 @@ def _run_from_flags(args, ts, objective, doc_run):
         if args.mode == FORWARD:
             return None
         return find_violating_run(ts, objective)
-    issue = validate_run(ts, run)
-    if issue is not None:
-        raise InputError(f"invalid run: {issue.message} (position {issue.position})")
+    require_valid_run(ts, run)
     if not violates(ts, objective, run):
         raise InputError("the given run does not violate the objective")
     return run
@@ -284,8 +280,7 @@ def _cmd_positivity(args) -> int:
     elif args.mode == OPTIMISTIC and model.objective.kind == BUECHI \
             and model.players.kind == "states":
         positive = positivity_buechi_opt_all(
-            model.ts, model.objective.target, model.run,
-            preorder_literal=args.preorder_literal)
+            model.ts, model.objective.target, model.run)
     else:
         pg = PayoffGame(model.ts, model.objective, model.run, args.mode,
                         model.players)

@@ -8,7 +8,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError
 from .model import (OBJECTIVE_KINDS, PARITY, LassoRun, Objective,
-                    TransitionSystem)
+                    TransitionSystem, require_valid_run)
 
 _TOP_FIELDS = {"states", "initial", "transitions", "objective", "run", "groups"}
 _OBJECTIVE_FIELDS = {"kind", "target", "colours"}
@@ -184,6 +184,7 @@ def build_system(doc: ExplicitModelDoc):
     if doc.has_run():
         run = LassoRun(tuple(idx[s] for s in doc.run_prefix or ()),
                        tuple(idx[s] for s in doc.run_loop))
+        require_valid_run(ts, run)
     return ts, obj, run
 
 

@@ -63,20 +63,20 @@ class WinningRegion:
     strategy: Dict[int, int]
 
 
-def engrave(ts: TransitionSystem, run: LassoRun, coalition) -> TransitionSystem:
-    """Remove, for every run state outside the coalition, all transitions
-    except the one the run takes."""
-    coalition = set(coalition)
-    seq = run.sequence()
-    run_next = {s: (seq[i + 1] if i + 1 < len(seq) else run.loop[0])
-                for i, s in enumerate(seq)}
-    edges = []
-    for s, ts_ in enumerate(ts.succ):
-        if s in run_next and s not in coalition:
-            edges.append((s, run_next[s]))
-        else:
-            edges.extend((s, t) for t in ts_)
-    return TransitionSystem(ts.names, ts.initial, edges)
+def engrave(succ, run: LassoRun, coalition) -> tuple:
+    """Successor lists of the engraved graph: every run state outside the
+    coalition keeps only the transition the run takes.
+
+    The forced entries become `(t,)`; every other entry is the very tuple
+    from `succ`, shared rather than copied, so all lists stay sorted and
+    duplicate-free without a re-check.  `run` must be a valid run of the
+    graph (see `validate_run`).
+    """
+    out = list(succ)
+    for s, t in run.edges():
+        if s not in coalition:
+            out[s] = (t,)
+    return tuple(out)
 
 
 def build_game(ts: TransitionSystem, obj: Objective, run: Optional[LassoRun],
@@ -95,26 +95,28 @@ def build_game(ts: TransitionSystem, obj: Objective, run: Optional[LassoRun],
         return Game(arena, obj)
     if run is None:
         raise InputError(f"{mode} mode requires a counterexample run")
-    engraved = engrave(ts, run, coalition)
     sat = coalition
     if mode == OPTIMISTIC:
         off_run = frozenset(range(len(ts))) - run.states()
         sat = coalition | off_run
-    arena = GameArena(engraved.names, engraved.initial, engraved.succ, sat)
+    arena = GameArena(ts.names, ts.initial, engrave(ts.succ, run, coalition),
+                      sat)
     return Game(arena, obj)
 
 
-def attractor(arena: GameArena, target, for_sat: bool):
+def attractor(arena: GameArena, target, for_sat: bool, alive=None):
     """Least set containing `target` closed under forced one-step moves.
 
     A state owned by the attracting player joins as soon as one successor
     is inside; an opponent state joins once all its successors are.
     Returns (attractor set, level map); levels are the synchronous round at
     which a state joined (targets at level 0), so they are canonical.
+    With `alive`, the game is the subgame on those states: no other state
+    joins or counts as a successor, and `target` must lie inside it.
     """
     succ = arena.succ
     preds = arena.preds()
-    owned = arena.sat if for_sat else frozenset(range(len(arena))) - arena.sat
+    sat = arena.sat
     attr = set(target)
     level = {s: 0 for s in attr}
     count = {}
@@ -125,16 +127,17 @@ def attractor(arena: GameArena, target, for_sat: bool):
         joined = []
         for q in frontier:
             for p in preds[q]:
-                if p in attr:
+                if p in attr or (alive is not None and p not in alive):
                     continue
-                if p in owned:
+                if (p in sat) == for_sat:
                     attr.add(p)
                     level[p] = round_no
                     joined.append(p)
                 else:
                     c = count.get(p)
                     if c is None:
-                        c = len(succ[p])
+                        c = (len(succ[p]) if alive is None
+                             else sum(1 for t in succ[p] if t in alive))
                     c -= 1
                     count[p] = c
                     if c == 0:
@@ -147,10 +150,9 @@ def attractor(arena: GameArena, target, for_sat: bool):
 
 def _attractor_strategy(arena: GameArena, attr, level, for_sat: bool):
     """Rank-decreasing positional strategy for the attracting player."""
-    owned = arena.sat if for_sat else frozenset(range(len(arena))) - arena.sat
     strategy = {}
     for s in attr:
-        if s not in owned or level[s] == 0:
+        if (s in arena.sat) != for_sat or level[s] == 0:
             continue
         pick = min(t for t in arena.succ[s]
                    if t in attr and level[t] < level[s])
@@ -205,51 +207,7 @@ def _solve_buechi(arena: GameArena, target) -> WinningRegion:
     return WinningRegion(frozenset(attr), strategy)
 
 
-def _sub_attractor(succ, preds, sat, alive, target, for_sat):
-    """Attractor restricted to the `alive` subgame (same contract as above)."""
-    owned_sat = for_sat
-    attr = set(target)
-    level = {s: 0 for s in attr}
-    count = {}
-    frontier = sorted(attr)
-    round_no = 0
-    while frontier:
-        round_no += 1
-        joined = []
-        for q in frontier:
-            for p in preds[q]:
-                if p not in alive or p in attr:
-                    continue
-                p_is_sat = p in sat
-                if p_is_sat == owned_sat:
-                    attr.add(p)
-                    level[p] = round_no
-                    joined.append(p)
-                else:
-                    c = count.get(p)
-                    if c is None:
-                        c = sum(1 for t in succ[p] if t in alive)
-                    c -= 1
-                    count[p] = c
-                    if c == 0:
-                        attr.add(p)
-                        level[p] = round_no
-                        joined.append(p)
-        frontier = sorted(set(joined))
-    return attr, level
-
-
-def _sub_strategy(succ, sat, alive, attr, level, for_sat):
-    strategy = {}
-    for s in attr:
-        if ((s in sat) != for_sat) or level[s] == 0:
-            continue
-        strategy[s] = min(t for t in succ[s]
-                          if t in alive and t in attr and level[t] < level[s])
-    return strategy
-
-
-def _zielonka(succ, preds, sat, colours, alive):
+def _zielonka(arena: GameArena, colours, alive):
     """Recursive parity solver; returns (win_even, win_odd, strat_even, strat_odd).
 
     Recursion removes the highest colour's attractor first; successor picks
@@ -257,6 +215,7 @@ def _zielonka(succ, preds, sat, colours, alive):
     """
     if not alive:
         return set(), set(), {}, {}
+    succ, sat = arena.succ, arena.sat
     d = max(colours[s] for s in alive)
     if d == 0:
         # everything is winning for the even player; any surviving move does
@@ -268,9 +227,9 @@ def _zielonka(succ, preds, sat, colours, alive):
         return win, set(), strat, {}
     player_even = (d % 2 == 0)
     head = {s for s in alive if colours[s] == d}
-    attr, level = _sub_attractor(succ, preds, sat, alive, head, player_even)
+    attr, level = attractor(arena, head, player_even, alive)
     rest = alive - attr
-    w_even, w_odd, s_even, s_odd = _zielonka(succ, preds, sat, colours, rest)
+    w_even, w_odd, s_even, s_odd = _zielonka(arena, colours, rest)
     if player_even:
         w_self, w_opp, s_self, s_opp = w_even, w_odd, s_even, s_odd
     else:
@@ -279,21 +238,19 @@ def _zielonka(succ, preds, sat, colours, alive):
         # the favoured player wins the whole subgame
         win = set(alive)
         strat = dict(s_self)
-        strat.update(_sub_strategy(succ, sat, alive, attr, level, player_even))
+        strat.update(_attractor_strategy(arena, attr, level, player_even))
         for s in sorted(head):
             if (s in sat) == player_even:
                 strat[s] = min(t for t in succ[s] if t in alive)
         if player_even:
             return win, set(), strat, {}
         return set(), win, {}, strat
-    opp_attr, opp_level = _sub_attractor(succ, preds, sat, alive, w_opp,
-                                         not player_even)
+    opp_attr, opp_level = attractor(arena, w_opp, not player_even, alive)
     remaining = alive - opp_attr
-    w_even2, w_odd2, s_even2, s_odd2 = _zielonka(succ, preds, sat, colours,
-                                                 remaining)
+    w_even2, w_odd2, s_even2, s_odd2 = _zielonka(arena, colours, remaining)
     opp_strat = dict(s_opp)
-    opp_strat.update(_sub_strategy(succ, sat, alive, opp_attr, opp_level,
-                                   not player_even))
+    opp_strat.update(_attractor_strategy(arena, opp_attr, opp_level,
+                                         not player_even))
     if player_even:
         win_even, strat_even = w_even2, s_even2
         win_odd = w_odd2 | opp_attr
@@ -308,9 +265,8 @@ def _zielonka(succ, preds, sat, colours, alive):
 
 
 def _solve_parity(arena: GameArena, colours) -> WinningRegion:
-    alive = set(range(len(arena)))
-    w_even, _w_odd, s_even, _ = _zielonka(arena.succ, arena.preds(), arena.sat,
-                                          colours, alive)
+    w_even, _w_odd, s_even, _ = _zielonka(arena, colours,
+                                          set(range(len(arena))))
     strategy = {s: t for s, t in s_even.items()
                 if s in w_even and s in arena.sat}
     return WinningRegion(frozenset(w_even), strategy)
@@ -370,12 +326,7 @@ def arena_to_dot(game: Game, run: Optional[LassoRun] = None,
     """DOT rendering of an arena; see docs/dot.md for the attribute contract."""
     arena = game.arena
     positives = set(positives or ())
-    run_edges = set()
-    if run is not None:
-        seq = run.sequence()
-        for i, s in enumerate(seq):
-            t = seq[i + 1] if i + 1 < len(seq) else run.loop[0]
-            run_edges.add((s, t))
+    run_edges = set(run.edges()) if run is not None else set()
     lines = ["digraph arena {"]
     lines.append('  rankdir=LR;')
     for s in range(len(arena)):

@@ -70,12 +70,6 @@ class TransitionSystem:
     def num_edges(self) -> int:
         return sum(len(ts) for ts in self.succ)
 
-    def preds(self):
-        pred = [[] for _ in range(len(self.names))]
-        for s, t in self.edges():
-            pred[t].append(s)
-        return pred
-
     def __repr__(self):
         return (f"TransitionSystem({len(self.names)} states, "
                 f"{self.num_edges()} transitions, initial={self.names[self.initial]})")
@@ -136,20 +130,10 @@ class LassoRun:
     def sequence(self) -> Tuple[int, ...]:
         return self.prefix + self.loop
 
-    def position(self, state: int) -> int:
-        """Index of `state` along the run; prefix first, then loop order."""
+    def edges(self):
+        """(state, run successor) pairs in run order; the last closes the loop."""
         seq = self.sequence()
-        return seq.index(state)
-
-    def run_successor(self, state: int) -> int:
-        """The unique successor of a run state along the run."""
-        if state in self.prefix:
-            i = self.prefix.index(state)
-            if i + 1 < len(self.prefix):
-                return self.prefix[i + 1]
-            return self.loop[0]
-        j = self.loop.index(state)
-        return self.loop[(j + 1) % len(self.loop)]
+        return zip(seq, seq[1:] + self.loop[:1])
 
 
 @dataclass(frozen=True)
@@ -190,14 +174,20 @@ def validate_run(ts: TransitionSystem, run: LassoRun) -> Optional[RunIssue]:
         if s in pseen:
             return RunIssue("prefix-repeat", f"prefix repeats {name(s)}", i)
         pseen[s] = i
-    for pos in range(len(seq)):
-        s = seq[pos]
-        t = seq[pos + 1] if pos + 1 < len(seq) else run.loop[0]
+    for pos, (s, t) in enumerate(run.edges()):
         if t not in ts.succ[s]:
             return RunIssue(
                 "not-a-transition",
                 f"{name(s)} -> {name(t)} is not a transition", pos)
     return None
+
+
+def require_valid_run(ts: TransitionSystem, run: LassoRun) -> None:
+    """Raise InputError naming the first violated run invariant, if any."""
+    issue = validate_run(ts, run)
+    if issue is not None:
+        raise InputError(
+            f"invalid run: {issue.message} (position {issue.position})")
 
 
 def violates(ts: TransitionSystem, obj: Objective, run: LassoRun) -> bool:

@@ -78,39 +78,34 @@ class RhoOrder:
         return min(states, key=self.pos.__getitem__)
 
 
-def rho_order(ts: TransitionSystem, run: LassoRun, target=(),
-              preorder_literal: bool = False) -> RhoOrder:
+def rho_order(ts: TransitionSystem, run: LassoRun, target=()) -> RhoOrder:
     """Compute the run preorder and the downward jump targets.
 
     The preorder lives on the fully engraved system, where every run state
-    is forced along the run; with `preorder_literal` it is taken on the
-    unmodified graph instead (kept for comparison).  Jump targets use the
-    engraved system with the probed state freed: the opponent has no
-    choices there, so player reachability is plain graph reachability.
+    is forced along the run.  Jump targets use the engraved system with the
+    probed state freed: the opponent has no choices there, so player
+    reachability is plain graph reachability.
     """
     seq = run.sequence()
     pos = {s: i for i, s in enumerate(seq)}
     run_states = run.states()
-    if preorder_literal:
-        base = ts
-    else:
-        base = engrave(ts, run, frozenset())
+    base = engrave(ts.succ, run, frozenset())
     leq = {}
     for s in run_states:
-        reach = _reachable(base.succ, s)
+        reach = _reachable(base, s)
         leq[s] = frozenset(reach & run_states)
     target = frozenset(target)
     down: Dict[int, int] = {}
     down_f: Dict[int, Optional[int]] = {}
     for s in run_states:
-        freed = engrave(ts, run, frozenset([s]))
-        reach = _reachable(freed.succ, s)
+        freed = engrave(ts.succ, run, frozenset([s]))
+        reach = _reachable(freed, s)
         down[s] = min(reach & run_states, key=pos.__getitem__)
         via = reach & target
         if via:
             after = set()
             for f in sorted(via):
-                after |= _reachable(freed.succ, f)
+                after |= _reachable(freed, f)
             after &= run_states
             down_f[s] = (min(after, key=pos.__getitem__) if after else None)
         else:
@@ -118,28 +113,10 @@ def rho_order(ts: TransitionSystem, run: LassoRun, target=(),
     return RhoOrder(run, pos, leq, down, down_f)
 
 
-def _is_winning_cache(pg: PayoffGame):
-    cache: Dict[frozenset, int] = {}
-
-    def is_winning(states) -> bool:
-        key = frozenset(states)
-        hit = cache.get(key)
-        if hit is None:
-            mask = 0
-            for s in key:
-                mask |= 1 << s
-            hit = pg.gamma(mask)
-            cache[key] = hit
-        return hit == 1
-
-    return is_winning
-
-
 def positivity_buechi_opt(ts: TransitionSystem, target, run: LassoRun,
                           state: int,
                           order: Optional[RhoOrder] = None,
-                          pg: Optional[PayoffGame] = None,
-                          preorder_literal: bool = False) -> bool:
+                          pg: Optional[PayoffGame] = None) -> bool:
     """Decide positive optimistic responsibility under a Buechi objective.
 
     Polynomial search over the shapes a minimal winning coalition can take:
@@ -155,10 +132,16 @@ def positivity_buechi_opt(ts: TransitionSystem, target, run: LassoRun,
     elif len(pg.players) != len(ts):
         raise InputError("positivity search needs the full state player set")
     if order is None:
-        order = rho_order(ts, run, target, preorder_literal=preorder_literal)
+        order = rho_order(ts, run, target)
     if state not in order.pos:
         return False
-    is_winning = _is_winning_cache(pg)
+
+    def is_winning(states) -> bool:
+        mask = 0
+        for s in states:
+            mask |= 1 << s
+        return pg.gamma(mask) == 1
+
     if is_winning([state]):
         return True
     rho_states = sorted(order.pos, key=order.pos.__getitem__)
@@ -226,13 +209,13 @@ def positivity_buechi_opt(ts: TransitionSystem, target, run: LassoRun,
     return False
 
 
-def positivity_buechi_opt_all(ts: TransitionSystem, target, run: LassoRun,
-                              preorder_literal: bool = False) -> frozenset:
+def positivity_buechi_opt_all(ts: TransitionSystem, target,
+                              run: LassoRun) -> frozenset:
     """Positivity set for the whole system (names), sharing one gamma memo."""
     obj = Objective(BUECHI, target=frozenset(target))
     pg = PayoffGame(ts, obj, run, OPTIMISTIC,
                     PlayerSet.of_states(ts, range(len(ts))))
-    order = rho_order(ts, run, target, preorder_literal=preorder_literal)
+    order = rho_order(ts, run, target)
     out = set()
     for s in range(len(ts)):
         if positivity_buechi_opt(ts, target, run, s, order=order, pg=pg):

@@ -1,11 +1,14 @@
 """Explicit model documents: parsing, diagnostics, round-tripping."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from respgame import (BUECHI, InputError, parse_explicit, serialize_explicit)
+from respgame import (BUECHI, ExplicitModelDoc, InputError, parse_explicit,
+                      serialize_explicit)
+from respgame.cli import run_cli
 from respgame.explicit import build_system, load_explicit
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -103,3 +106,24 @@ def test_roundtrip_is_fixpoint(name):
     twice = serialize_explicit(parse_explicit(once))
     assert once == twice
     assert parse_explicit(once) == parse_explicit(twice)
+
+
+def test_run_off_the_graph_rejected(capsys, tmp_path):
+    # a -> c is not a transition, so engraving this run would invent it
+    raw = {"states": ["a", "b", "c"], "initial": "a",
+           "transitions": [["a", "b"], ["b", "c"], ["c", "c"], ["b", "a"]],
+           "objective": {"kind": "safety", "target": ["c"]},
+           "run": {"prefix": ["a"], "loop": ["c"]}}
+    message = "invalid run: a -> c is not a transition (position 0)"
+    with pytest.raises(InputError, match=re.escape(message)):
+        parse_explicit(json.dumps(raw))
+    doc = ExplicitModelDoc(states=raw["states"], initial="a",
+                           transitions=[tuple(p) for p in raw["transitions"]],
+                           objective_kind="safety", target=["c"],
+                           run_prefix=["a"], run_loop=["c"])
+    with pytest.raises(InputError, match=re.escape(message)):
+        build_system(doc)
+    model = tmp_path / "off_graph.json"
+    model.write_text(json.dumps(raw))
+    assert run_cli(["analyze", str(model)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -165,7 +165,8 @@ def test_violates_invariant_under_loop_rotation():
 
 def test_run_positions_unique_successor():
     ts, _obj, run = recurrence_example()
-    seq = run.sequence()
-    for s in seq:
-        assert run.run_successor(s) in ts.succ[s]
-    assert run.run_successor(run.loop[-1]) == run.loop[0]
+    pairs = list(run.edges())
+    assert len(pairs) == len(run.sequence())
+    for s, t in pairs:
+        assert t in ts.succ[s]
+    assert pairs[-1] == (run.loop[-1], run.loop[0])

@@ -83,16 +83,6 @@ def test_rho_order_jump_targets():
     assert order.down[3] == 3 and order.down_f[3] is None
 
 
-def test_rho_order_literal_flag_differs_when_graph_allows():
-    # in the unmodified graph the loop state s3 stays reachable from s2
-    # only, while run states can reach each other through off-run detours
-    ts, obj, run = recurrence_example()
-    lazy = rho_order(ts, run, obj.target, preorder_literal=False)
-    literal = rho_order(ts, run, obj.target, preorder_literal=True)
-    assert literal.le(1, 0)  # s1 -> s4 -> s0 exists in the raw graph
-    assert not lazy.le(1, 0)
-
-
 def test_buechi_positivity_examples():
     ts, obj, run = recurrence_example()
     assert positivity_buechi_opt(ts, obj.target, run, 1)
@@ -120,11 +110,3 @@ def test_buechi_positivity_ignores_self_winning_top_states():
     slow = oracle_shapley(ts, Objective(BUECHI, target=target), run,
                           OPTIMISTIC).positivity()
     assert fast == slow == {"t"}
-
-
-def test_buechi_positivity_literal_preorder_still_exact():
-    for ts, obj, run, _mode in instances(53, 30, max_states=7, kind=BUECHI):
-        fast = positivity_buechi_opt_all(ts, obj.target, run,
-                                         preorder_literal=True)
-        slow = oracle_shapley(ts, obj, run, OPTIMISTIC).positivity()
-        assert fast == slow

@@ -56,12 +56,16 @@ def test_engrave_idempotent_and_total(inst, seed):
         return
     ts, _obj, run = inst
     coalition = {s for s in range(len(ts)) if (seed >> s) & 1}
-    once = engrave(ts, run, coalition)
+    once = engrave(ts.succ, run, coalition)
     twice = engrave(once, run, coalition)
-    assert once.succ == twice.succ
-    assert all(once.succ[s] for s in range(len(ts)))
-    for s in run.states() - coalition:
-        assert once.succ[s] == (run.run_successor(s),)
+    assert once == twice
+    assert all(once[s] for s in range(len(ts)))
+    forced = {s: t for s, t in run.edges() if s not in coalition}
+    for s in range(len(ts)):
+        if s in forced:
+            assert once[s] == (forced[s],)
+        else:
+            assert once[s] is ts.succ[s]
 
 
 @given(total_systems(), st.integers(min_value=0, max_value=2 ** 16),
