@@ -285,7 +285,8 @@ def _cmd_positivity(args) -> int:
         pg = PayoffGame(model.ts, model.objective, model.run, args.mode,
                         model.players)
         config = HeuristicsConfig(rng_seed=args.seed)
-        result = refine_loop(pg, config, cap=args.block_cap)
+        result = refine_loop(pg, config, cap=args.block_cap,
+                             deadline=_Deadline(args.timeout_s))
         positive = frozenset(pg.players.names[p] for p in result.responsible)
     lines = [f"positive responsibility: "
              f"{{{', '.join(sorted(positive)) if positive else ''}}}"]
@@ -334,8 +335,9 @@ def _cmd_oracle(args) -> int:
     if model.players.kind != "states":
         raise InputError("the oracle works on state players")
     indices = [model.ts.index_of(n) for n in model.players.names]
+    deadline = _Deadline(args.timeout_s)
     report = oracle_shapley(model.ts, model.objective, model.run, args.mode,
-                            indices, cap=args.oracle_cap)
+                            indices, cap=args.oracle_cap, deadline=deadline)
     report = _full_report(
         PayoffGame(model.ts, model.objective, model.run, args.mode,
                    model.players), report)
@@ -343,7 +345,8 @@ def _cmd_oracle(args) -> int:
     if args.minimal_coalitions:
         minimal = oracle_minimal_winning(model.ts, model.objective, model.run,
                                          args.mode, indices,
-                                         cap=args.oracle_cap)
+                                         cap=args.oracle_cap,
+                                         deadline=deadline)
         text += f"minimal winning coalitions: {len(minimal)}\n"
     _emit(args, text)
     return 0

@@ -95,7 +95,7 @@ def parse_explicit(text: str) -> ExplicitModelDoc:
             raise InputError("parity objectives need a colours map")
         for name, c in colours.items():
             resolve(name, "colours")
-            if not isinstance(c, int) or c < 0:
+            if isinstance(c, bool) or not isinstance(c, int) or c < 0:
                 raise InputError(f"colour of {name!r} must be a non-negative integer")
         missing = known - set(colours)
         if missing:
@@ -115,8 +115,11 @@ def parse_explicit(text: str) -> ExplicitModelDoc:
         run = raw["run"]
         if not isinstance(run, dict) or set(run) - _RUN_FIELDS:
             raise InputError("run must be an object with prefix and loop")
-        run_prefix = [resolve(s, "run prefix") for s in run.get("prefix", [])]
-        run_loop = [resolve(s, "run loop") for s in run.get("loop", [])]
+        prefix, loop = run.get("prefix", []), run.get("loop", [])
+        if not (isinstance(prefix, list) and isinstance(loop, list)):
+            raise InputError("run prefix and loop must be lists of state names")
+        run_prefix = [resolve(s, "run prefix") for s in prefix]
+        run_loop = [resolve(s, "run loop") for s in loop]
         if not run_loop:
             raise InputError("run loop must be non-empty")
     groups = None

@@ -300,30 +300,30 @@ def _sccs(succ, allowed):
     return comp
 
 
-def _cycle_through(succ, state: int, allowed) -> Optional[list]:
-    """Shortest cycle through `state` inside `allowed`, as [state, ..., last]."""
-    allowed = set(allowed)
-    starts = [t for t in succ[state] if t in allowed]
-    if state in starts:
-        return [state]
+def _cycle_finder(succ, allowed):
+    """Shortest cycles inside `allowed`, from one Tarjan pass over it.
+
+    Returns `cycle(state)` for states in `allowed`: the shortest cycle
+    through `state` within its SCC as [state, ..., last], or None when
+    `state` lies on no cycle.  Ties go to the lowest first successor.
+    """
     comp = _sccs(succ, allowed)
-    cid = comp.get(state)
-    if cid is None:
-        return None
-    members = {s for s, c in comp.items() if c == cid}
-    if len(members) == 1:
-        return None
-    # shortest path from a successor of `state` back to `state` within the SCC
-    best = None
-    for t in sorted(starts):
-        if t not in members:
-            continue
-        back = _bfs_path(succ, t, {state}, allowed=members | {state})
-        if back is not None and (best is None or len(back) < len(best)):
-            best = back
-    if best is None:
-        return None
-    return [state] + best[:-1]
+    members = {}
+    for s, c in comp.items():
+        members.setdefault(c, set()).add(s)
+
+    def cycle(state):
+        if state in succ[state]:
+            return [state]
+        scc = members[comp[state]]
+        if len(scc) == 1:
+            return None
+        # every successor inside the SCC has a path back within it
+        back = min((_bfs_path(succ, t, {state}, allowed=scc)
+                    for t in succ[state] if t in scc), key=len)
+        return [state] + back[:-1]
+
+    return cycle
 
 
 def _canonical_lasso(seq_prefix, cycle) -> LassoRun:
@@ -379,8 +379,9 @@ def find_violating_run(ts: TransitionSystem, obj: Objective) -> LassoRun:
             raise NoViolation("the initial state is already in the target")
         allowed = set(range(n)) - set(obj.target)
         reach = _reachable(succ, ts.initial, allowed=allowed)
+        find_cycle = _cycle_finder(succ, reach)
         for w in sorted(reach):
-            cycle = _cycle_through(succ, w, reach)
+            cycle = find_cycle(w)
             if cycle is not None:
                 path = _bfs_path(succ, ts.initial, {w}, allowed=reach)
                 return _canonical_lasso(path[:-1], cycle)
@@ -390,21 +391,26 @@ def find_violating_run(ts: TransitionSystem, obj: Objective) -> LassoRun:
         # loop avoiding the target, reachable through anything
         allowed = set(range(n)) - set(obj.target)
         reach = _reachable(succ, ts.initial)
+        find_cycle = _cycle_finder(succ, allowed)
         for w in sorted(reach & allowed):
-            cycle = _cycle_through(succ, w, allowed)
+            cycle = find_cycle(w)
             if cycle is not None:
                 path = _bfs_path(succ, ts.initial, {w})
                 return _canonical_lasso(path[:-1], cycle)
         raise NoViolation("every reachable cycle meets the target set")
 
-    # parity: a reachable cycle whose maximal colour is odd
+    # parity: a reachable cycle whose maximal colour is odd, one finder per
+    # odd colour met among the candidates
     reach = _reachable(succ, ts.initial)
+    finders = {}
     for w in sorted(reach):
         c = obj.colours[w]
         if c % 2 == 0:
             continue
-        allowed = {s for s in range(n) if obj.colours[s] <= c}
-        cycle = _cycle_through(succ, w, allowed)
+        if c not in finders:
+            finders[c] = _cycle_finder(
+                succ, {s for s in range(n) if obj.colours[s] <= c})
+        cycle = finders[c](w)
         if cycle is not None:
             path = _bfs_path(succ, ts.initial, {w})
             return _canonical_lasso(path[:-1], cycle)

@@ -9,6 +9,7 @@ grammar is documented in docs/lang.md.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -176,7 +177,11 @@ class _Parser:
     def _parse_atom(self):
         tok = self.take()
         if tok.kind == "int":
-            return ("int", int(tok.text))
+            try:
+                return ("int", int(tok.text))
+            except ValueError:  # beyond the interpreter's digit limit
+                raise InputError(f"line {tok.line}, column {tok.col}: "
+                                 "integer literal too long") from None
         if tok.text == "true":
             return ("bool", True)
         if tok.text == "false":
@@ -237,53 +242,142 @@ class ModuleLangProgram:
         return out
 
 
-def _eval(expr, env, formulas, visiting=None):
-    tag = expr[0]
-    if tag in ("int", "bool"):
-        return expr[1]
-    if tag == "var":
-        name = expr[1]
-        if name in env:
-            return env[name]
-        if name in formulas:
-            visiting = visiting or set()
-            if name in visiting:
-                raise InputError(f"formula {name!r} is defined in terms of itself")
-            return _eval(formulas[name], env, formulas, visiting | {name})
-        raise InputError(f"unknown identifier {name!r}")
-    if tag == "unop":
-        v = _eval(expr[2], env, formulas, visiting)
-        if expr[1] == "!":
-            _want(bool, v, "!")
-            return not v
-        _want(int, v, "-")
-        return -v
-    op, a, b = expr[1], expr[2], expr[3]
-    va = _eval(a, env, formulas, visiting)
-    vb = _eval(b, env, formulas, visiting)
-    if op in ("+", "-", "*"):
-        _want(int, va, op)
-        _want(int, vb, op)
-        return {"+": va + vb, "-": va - vb, "*": va * vb}[op]
-    if op in ("&", "|"):
-        _want(bool, va, op)
-        _want(bool, vb, op)
-        return (va and vb) if op == "&" else (va or vb)
-    if op in ("=", "!="):
-        if isinstance(va, bool) != isinstance(vb, bool):
-            raise InputError(f"comparison {op} mixes boolean and integer")
-        return (va == vb) if op == "=" else (va != vb)
-    _want(int, va, op)
-    _want(int, vb, op)
-    return {"<": va < vb, "<=": va <= vb, ">": va > vb, ">=": va >= vb}[op]
+# Expressions compile once to closures over the valuation tuple (one slot
+# per declared variable).  Kinds are static: a variable always holds a
+# value of its declared kind (initial and updated values are checked), a
+# constant has the kind of its value and every operator has a fixed result
+# kind.  So each operand check is decided at compile time, and a failing
+# one compiles to a closure that evaluates the operands in order (their own
+# errors come first) and then raises.  Compiling never raises: every error
+# is raised when the expression is evaluated, as a tree walk would.
+
+_DYNAMIC = object()  # the value of a compiled expression that is not constant
+
+# operator -> (operand kind, or None for "both alike"; result kind; function)
+_UNARY = {"!": ("bool", "bool", operator.not_),
+          "-": ("int", "int", operator.neg)}
+_BINARY = {"+": ("int", "int", operator.add),
+           "-": ("int", "int", operator.sub),
+           "*": ("int", "int", operator.mul),
+           "&": ("bool", "bool", operator.and_),
+           "|": ("bool", "bool", operator.or_),
+           "=": (None, "bool", operator.eq),
+           "!=": (None, "bool", operator.ne),
+           "<": ("int", "bool", operator.lt),
+           "<=": ("int", "bool", operator.le),
+           ">": ("int", "bool", operator.gt),
+           ">=": ("int", "bool", operator.ge)}
+
+
+def _kind_of(value) -> str:
+    return "bool" if isinstance(value, bool) else "int"
+
+
+def _needs(kind, op) -> str:
+    want = "boolean" if kind == "bool" else "integer"
+    return f"operator {op!r} needs {want} operands"
 
 
 def _want(kind, value, op):
-    ok = isinstance(value, bool) if kind is bool else (
-        isinstance(value, int) and not isinstance(value, bool))
-    if not ok:
-        want = "boolean" if kind is bool else "integer"
-        raise InputError(f"operator {op!r} needs {want} operands")
+    if _kind_of(value) != kind:
+        raise InputError(_needs(kind, op))
+
+
+def _constant(value):
+    return value, lambda v: value, _kind_of(value)
+
+
+def _failing(message, *operands):
+    """A node that evaluates `operands` in order, then raises `message`."""
+    def fail(v):
+        for fn in operands:
+            fn(v)
+        raise InputError(message)
+    return _DYNAMIC, fail, None
+
+
+def _apply(op, operands, where):
+    """Node for `op` over compiled (value, fn, kind) operands."""
+    want, result, f = (_UNARY if len(operands) == 1 else _BINARY)[op]
+    values, fns, kinds = zip(*operands)
+    known = {k for k in kinds if k is not None}
+    if want is None and len(known) > 1:
+        return _failing(f"comparison {op} mixes boolean and integer{where}",
+                        *fns)
+    if want is not None and known - {want}:
+        return _failing(_needs(want, op) + where, *fns)
+    if _DYNAMIC not in values:
+        return _constant(f(*values))
+    if len(fns) == 1:
+        g, = fns
+        return _DYNAMIC, lambda v: f(g(v)), result
+    (a, b), (ga, gb) = values, fns
+    if b is not _DYNAMIC:
+        return _DYNAMIC, lambda v: f(ga(v), b), result
+    if a is not _DYNAMIC:
+        return _DYNAMIC, lambda v: f(a, gb(v)), result
+    return _DYNAMIC, lambda v: f(ga(v), gb(v)), result
+
+
+class _Compiler:
+    """Expressions to closures over a valuation of `variables`.
+
+    Identifiers resolve to a variable's slot first, then to a constant
+    (folded), then to a formula (inlined, so a formula met again on its
+    own expansion path is a cycle).  An inlined formula is compiled once
+    per context and its node shared, so a formula used twice in a body
+    does not double the work.
+    """
+
+    def __init__(self, constants, formulas=None, variables=()):
+        self.constants = constants
+        self.formulas = formulas or {}
+        self.slots = {v.name: (i, v.kind) for i, v in enumerate(variables)}
+        self.inlined = {}
+
+    def node(self, expr, where="", visiting=frozenset()):
+        """(value, fn, kind); `where` is appended to the node's errors."""
+        tag = expr[0]
+        if tag in ("int", "bool"):
+            return _constant(expr[1])
+        if tag == "unop":
+            return _apply(expr[1], [self.node(expr[2], where, visiting)], where)
+        if tag == "binop":
+            return _apply(expr[1], [self.node(expr[2], where, visiting),
+                                    self.node(expr[3], where, visiting)], where)
+        name = expr[1]
+        if name in self.slots:
+            slot, kind = self.slots[name]
+            return _DYNAMIC, operator.itemgetter(slot), kind
+        if name in self.constants:
+            return _constant(self.constants[name])
+        if name not in self.formulas:
+            return _failing(f"unknown identifier {name!r}{where}")
+        if name in visiting:
+            return _failing(
+                f"formula {name!r} is defined in terms of itself{where}")
+        key = (name, where, visiting)
+        if key not in self.inlined:
+            self.inlined[key] = self.node(self.formulas[name], where,
+                                          visiting | {name})
+        return self.inlined[key]
+
+    def closure(self, expr, kind, op, where=""):
+        """fn(valuation) for an expression whose value must have `kind`.
+
+        A value of the other kind is reported as a wrong operand of `op`,
+        without `where`.
+        """
+        _, fn, got = self.node(expr, where)
+        if got is not None and got != kind:
+            return _failing(_needs(kind, op), fn)[1]
+        return fn
+
+
+def _constant_value(expr, constants):
+    """Parse-time value of `expr` over the constants declared so far."""
+    value, fn, _ = _Compiler(constants).node(expr)
+    return fn(()) if value is _DYNAMIC else value
 
 
 def parse_program(text: str) -> ModuleLangProgram:
@@ -306,11 +400,8 @@ def parse_program(text: str) -> ModuleLangProgram:
             p.expect("=")
             expr = p.parse_expr()
             p.expect(";")
-            value = _eval(expr, constants, {})
-            if kind_tok.text == "int":
-                _want(int, value, "const")
-            else:
-                _want(bool, value, "const")
+            value = _constant_value(expr, constants)
+            _want(kind_tok.text, value, "const")
             constants[name] = value
         elif tok.text == "formula":
             p.take()
@@ -375,22 +466,22 @@ def _parse_decl(p: _Parser, constants, module_name) -> VarDecl:
     if tok.text == "bool":
         p.take()
         p.expect("init")
-        init = _eval(p.parse_expr(), constants, {})
-        _want(bool, init, "init")
+        init = _constant_value(p.parse_expr(), constants)
+        _want("bool", init, "init")
         p.expect(";")
         return VarDecl(name, "bool", 0, 1, init, module_name)
     p.expect("[")
-    lo = _eval(p.parse_expr(), constants, {})
+    lo = _constant_value(p.parse_expr(), constants)
     p.expect("..")
-    hi = _eval(p.parse_expr(), constants, {})
+    hi = _constant_value(p.parse_expr(), constants)
     p.expect("]")
-    _want(int, lo, "range")
-    _want(int, hi, "range")
+    _want("int", lo, "range")
+    _want("int", hi, "range")
     if hi < lo:
         raise InputError(f"variable {name!r} has an empty range [{lo}..{hi}]")
     p.expect("init")
-    init = _eval(p.parse_expr(), constants, {})
-    _want(int, init, "init")
+    init = _constant_value(p.parse_expr(), constants)
+    _want("int", init, "init")
     if not lo <= init <= hi:
         raise InputError(f"initial value {init} of {name!r} outside [{lo}..{hi}]")
     p.expect(";")
@@ -465,57 +556,60 @@ def expand_program(prog: ModuleLangProgram,
                 if mod.name not in mods:
                     mods.append(mod.name)
 
-    def env_of(valuation):
-        env = dict(prog.constants)
-        for v, value in zip(variables, valuation):
-            env[v.name] = value
-        return env
-
-    def apply_updates(valuation, env, commands):
-        new = list(valuation)
-        for cmd in commands:
+    compiler = _Compiler(prog.constants, prog.formulas, variables)
+    # per module: (command, guard, updates), an update being (slot,
+    # value_of, lo, hi); a boolean's [0..1] range holds for True and False
+    compiled = []
+    for mod in prog.modules:
+        rows = []
+        for cmd in mod.commands:
+            guard = compiler.closure(cmd.guard, "bool", "guard",
+                                     where=f" in {cmd.describe()}")
+            updates = []
             for var, expr in cmd.updates:
-                value = _eval(expr, env, prog.formulas)
-                decl = variables[var_index[var]]
-                if decl.kind == "bool":
-                    _want(bool, value, "update")
-                else:
-                    _want(int, value, "update")
-                    if not decl.lo <= value <= decl.hi:
-                        raise InputError(
-                            f"update drives {var!r} to {value}, outside "
-                            f"[{decl.lo}..{decl.hi}], in {cmd.describe()}")
-                new[var_index[var]] = value
+                slot = var_index[var]
+                decl = variables[slot]
+                updates.append((slot, compiler.closure(expr, decl.kind,
+                                                       "update"),
+                                decl.lo, decl.hi))
+            rows.append((cmd, guard, updates))
+        compiled.append((mod.name, rows))
+
+    def apply_updates(valuation, chosen):
+        new = list(valuation)
+        for cmd, _, updates in chosen:
+            for slot, value_of, lo, hi in updates:
+                value = value_of(valuation)
+                if not lo <= value <= hi:
+                    raise InputError(
+                        f"update drives {variables[slot].name!r} to {value}, "
+                        f"outside [{lo}..{hi}], in {cmd.describe()}")
+                new[slot] = value
         return tuple(new)
 
     def successors(valuation):
-        env = env_of(valuation)
         out = []
-        enabled_by_action: Dict[str, Dict[str, List[Command]]] = {}
-        for mod in prog.modules:
-            for cmd in mod.commands:
-                try:
-                    guard = _eval(cmd.guard, env, prog.formulas)
-                except InputError as exc:
-                    raise InputError(f"{exc} in {cmd.describe()}") from None
-                _want(bool, guard, "guard")
-                if not guard:
+        enabled_by_action: Dict[str, Dict[str, list]] = {}
+        for mod_name, rows in compiled:
+            for row in rows:
+                cmd, guard, _ = row
+                if not guard(valuation):
                     continue
                 if cmd.action is None:
-                    out.append(apply_updates(valuation, env, [cmd]))
+                    out.append(apply_updates(valuation, (row,)))
                 else:
-                    slot = enabled_by_action.setdefault(cmd.action, {})
-                    slot.setdefault(mod.name, []).append(cmd)
+                    enabled = enabled_by_action.setdefault(cmd.action, {})
+                    enabled.setdefault(mod_name, []).append(row)
         for action, owners_ in sorted(owning.items()):
-            slot = enabled_by_action.get(action, {})
-            if set(slot) != set(owners_):
+            enabled = enabled_by_action.get(action, {})
+            if set(enabled) != set(owners_):
                 continue  # some owning module blocks the action
-            combos = [slot[m] for m in owners_]
+            combos = [enabled[m] for m in owners_]
             picks = [[]]
-            for cmds in combos:
-                picks = [chosen + [c] for chosen in picks for c in cmds]
+            for options in combos:
+                picks = [chosen + [r] for chosen in picks for r in options]
             for chosen in picks:
-                out.append(apply_updates(valuation, env, chosen))
+                out.append(apply_updates(valuation, chosen))
         return out
 
     def name_of(valuation):
@@ -554,22 +648,12 @@ def expand_program(prog: ModuleLangProgram,
     ts = TransitionSystem(names, 0, edges)
     labels = {}
     for label, expr in prog.labels.items():
-        members = set()
-        for i, valuation in enumerate(order):
-            value = _eval(expr, env_of(valuation), prog.formulas)
-            _want(bool, value, f"label {label!r}")
-            if value:
-                members.add(i)
-        labels[label] = frozenset(members)
+        holds = compiler.closure(expr, "bool", f"label {label!r}")
+        labels[label] = frozenset(i for i, v in enumerate(order) if holds(v))
     owners = {}
     for mod_name, expr in prog.owners.items():
-        members = set()
-        for i, valuation in enumerate(order):
-            value = _eval(expr, env_of(valuation), prog.formulas)
-            _want(bool, value, f"owner {mod_name!r}")
-            if value:
-                members.add(i)
-        owners[mod_name] = frozenset(members)
+        holds = compiler.closure(expr, "bool", f"owner {mod_name!r}")
+        owners[mod_name] = frozenset(i for i, v in enumerate(order) if holds(v))
     return ExpandedModel(ts, variables, order, labels, owners)
 
 

@@ -286,11 +286,13 @@ def prune_dummies(ts: TransitionSystem, obj: Objective, run: Optional[LassoRun],
 def _naive_gamma_table(ts: TransitionSystem, obj: Objective,
                        run: Optional[LassoRun], mode: str,
                        player_indices: Optional[Sequence[int]],
-                       cap: int) -> Tuple[PlayerSet, List[int]]:
+                       cap: int, deadline=None) -> Tuple[PlayerSet, List[int]]:
     """Solve every coalition game, with no memo and no inference.
 
     The oracle's gamma table: independent of `PayoffGame` and of the
     monotone fill in `shapley_exact`, which it is the reference for.
+    `deadline`, when given, is called before each game and may abort the
+    table by raising.
     """
     if player_indices is None:
         player_indices = range(len(ts))
@@ -300,6 +302,8 @@ def _naive_gamma_table(ts: TransitionSystem, obj: Objective,
         raise PlayerCapExceeded(f"{n} players exceed the oracle cap of {cap}")
     table = []
     for mask in range(1 << n):
+        if deadline is not None:
+            deadline()
         states = set()
         for i in range(n):
             if mask >> i & 1:
@@ -311,7 +315,8 @@ def _naive_gamma_table(ts: TransitionSystem, obj: Objective,
 def oracle_shapley(ts: TransitionSystem, obj: Objective,
                    run: Optional[LassoRun], mode: str,
                    player_indices: Optional[Sequence[int]] = None,
-                   cap: int = DEFAULT_ORACLE_CAP) -> ResponsibilityReport:
+                   cap: int = DEFAULT_ORACLE_CAP,
+                   deadline=None) -> ResponsibilityReport:
     """Reference implementation: direct evaluation of the defining sum.
 
     Deliberately naive and independent of the production path: it solves
@@ -320,7 +325,7 @@ def oracle_shapley(ts: TransitionSystem, obj: Objective,
     CLI command.
     """
     players, gamma = _naive_gamma_table(ts, obj, run, mode, player_indices,
-                                        cap)
+                                        cap, deadline)
     n = len(players)
     if n == 0:
         return ResponsibilityReport(players.kind, mode, (), ())
@@ -343,10 +348,11 @@ def oracle_shapley(ts: TransitionSystem, obj: Objective,
 def oracle_minimal_winning(ts: TransitionSystem, obj: Objective,
                            run: Optional[LassoRun], mode: str,
                            player_indices: Optional[Sequence[int]] = None,
-                           cap: int = DEFAULT_ORACLE_CAP) -> List[frozenset]:
+                           cap: int = DEFAULT_ORACLE_CAP,
+                           deadline=None) -> List[frozenset]:
     """All minimal winning coalitions, as sets of player names."""
     players, gamma = _naive_gamma_table(ts, obj, run, mode, player_indices,
-                                        cap)
+                                        cap, deadline)
     n = len(players)
     minimal = []
     for mask in range(1 << n):

@@ -170,6 +170,15 @@ def test_analyze_timeout_refusal(capsys, tmp_path):
     assert code == 1 and "timeout" in err
 
 
+def test_positivity_and_oracle_timeout_refusal(capsys):
+    # pessimistic positivity runs the refinement loop; the optimistic
+    # polynomial branches take no deadline
+    model = str(MODELS / "engraving_demo.json")
+    for command in ("positivity", "oracle"):
+        code, out, err = run(capsys, command, model, "--timeout-s", "0")
+        assert code == 1 and "timeout" in err and not out
+
+
 def test_input_error_exit_two(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

@@ -90,10 +90,29 @@ def test_parse_parity_missing_colour():
         parse_explicit(text)
 
 
+@pytest.mark.parametrize("colour", [True, -1, 1.5, "2"])
+def test_parse_parity_colour_must_be_a_non_negative_integer(colour):
+    text = json.dumps({
+        "states": ["a", "b"], "initial": "a",
+        "transitions": [["a", "b"], ["b", "a"]],
+        "objective": {"kind": "parity", "colours": {"a": 1, "b": colour}}})
+    with pytest.raises(InputError, match="colour of 'b' must be"):
+        parse_explicit(text)
+
+
 def test_parse_rejects_bad_run():
     raw = json.loads((MODELS / "recurrence_demo.json").read_text())
     raw["run"] = {"prefix": ["s0"], "loop": []}
     with pytest.raises(InputError, match="loop must be non-empty"):
+        parse_explicit(json.dumps(raw))
+
+
+@pytest.mark.parametrize("run", [{"prefix": 3, "loop": ["s3"]},
+                                 {"loop": None}, {"loop": "s3"}])
+def test_parse_rejects_run_fields_that_are_not_lists(run):
+    raw = json.loads((MODELS / "recurrence_demo.json").read_text())
+    raw["run"] = run
+    with pytest.raises(InputError, match="must be lists of state names"):
         parse_explicit(json.dumps(raw))
 
 

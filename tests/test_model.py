@@ -170,3 +170,29 @@ def test_run_positions_unique_successor():
     for s, t in pairs:
         assert t in ts.succ[s]
     assert pairs[-1] == (run.loop[-1], run.loop[0])
+
+
+def test_found_cycle_stays_inside_the_allowed_set():
+    # the shortest cycle through q0 in the whole graph runs through the
+    # target q3; the loop must keep to the states that avoid it
+    ts = TransitionSystem([f"q{i}" for i in range(5)], 0,
+                          [(0, 1), (1, 2), (1, 3), (2, 4), (4, 0), (3, 0)])
+    for kind in (REACHABILITY, BUECHI):
+        run = find_violating_run(ts, Objective(kind, target=frozenset({3})))
+        assert run == LassoRun((), (0, 1, 2, 4))
+
+
+def test_run_search_makes_one_scc_pass_on_the_lab_program(monkeypatch):
+    from respgame import expand_program, model, parse_program
+    from respgame.generators import lab_program_text
+
+    expanded = expand_program(parse_program(lab_program_text(4, bug=True)))
+    calls = []
+    sccs = model._sccs
+    monkeypatch.setattr(model, "_sccs",
+                        lambda *args: calls.append(args) or sccs(*args))
+    obj = Objective(REACHABILITY, target=expanded.labels["success"])
+    run = find_violating_run(expanded.ts, obj)
+    assert len(calls) == 1
+    # the lasso of the per-candidate search, which made 236 SCC passes here
+    assert run == LassoRun((0, 3, 23, 86), (236,))

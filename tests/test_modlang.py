@@ -251,6 +251,11 @@ def test_parse_error_positions():
         parse_program("module m\n  x : [0..1] init 0;\n  [] true (x' = 1);\nendmodule")
 
 
+def test_overlong_integer_literal_is_an_input_error():
+    with pytest.raises(InputError, match="line 2, column 15: integer literal too long"):
+        parse_program("\nconst int N = " + "1" * 5000 + ";")
+
+
 def test_program_roundtrip_is_fixpoint():
     from respgame import serialize_program
     for path in (MODELS / "clouds.prism", MODELS / "toggle.prism"):
@@ -280,3 +285,132 @@ label "top" = x = N;
     a = expand_program(parse_program(text))
     b = expand_program(parse_program(once))
     assert a.ts.succ == b.ts.succ and a.labels == b.labels
+
+
+# Exact error texts of expression evaluation.  Each is raised when the
+# expression is evaluated, not when it is parsed or compiled; errors inside
+# a guard carry the command's description.
+
+TWO_VARS = """
+module m
+  x : [0..2] init 0;
+  b : bool init false;
+{commands}endmodule
+{extra}"""
+
+
+def _expansion_error(commands, extra="", prefix=""):
+    text = prefix + TWO_VARS.format(commands=commands, extra=extra)
+    with pytest.raises(InputError) as info:
+        expand_program(parse_program(text))
+    return str(info.value)
+
+
+GUARD = " in [] command of module m (line 5)"
+
+
+@pytest.mark.parametrize("guard, message", [
+    ("y = 0", "unknown identifier 'y'"),
+    ("!x", "operator '!' needs boolean operands"),
+    ("-b = 0", "operator '-' needs integer operands"),
+    ("x + b = 0", "operator '+' needs integer operands"),
+    ("b < 1", "operator '<' needs integer operands"),
+    ("x & true", "operator '&' needs boolean operands"),
+    ("x = b", "comparison = mixes boolean and integer"),
+    ("true != 1", "comparison != mixes boolean and integer"),
+    # no short circuit: the right operand of & and | is always evaluated
+    ("false & (1 + true)", "operator '+' needs integer operands"),
+    ("true | (y = 0)", "unknown identifier 'y'"),
+    # operands are evaluated left to right, before the operator's check
+    ("(b + 1) = (y & 2)", "operator '+' needs integer operands"),
+    ("y & (x + b)", "unknown identifier 'y'"),
+])
+def test_guard_error_text(guard, message):
+    commands = f"  [] {guard} -> true;\n  [] true -> true;\n"
+    assert _expansion_error(commands) == message + GUARD
+
+
+def test_non_boolean_guard_error_has_no_command_suffix():
+    commands = "  [] x + 1 -> true;\n"
+    assert _expansion_error(commands) == "operator 'guard' needs boolean operands"
+
+
+def test_update_error_texts():
+    assert _expansion_error("  [] true -> (x' = x + 1);\n") == (
+        "update drives 'x' to 3, outside [0..2], "
+        "in [] command of module m (line 5)")
+    assert _expansion_error("  [] true -> (x' = true);\n") == (
+        "operator 'update' needs integer operands")
+    assert _expansion_error("  [] true -> (b' = 1);\n") == (
+        "operator 'update' needs boolean operands")
+    # update expressions carry no command suffix
+    assert _expansion_error("  [] true -> (x' = y);\n") == (
+        "unknown identifier 'y'")
+
+
+def test_non_boolean_label_and_owner_error_texts():
+    idle = "  [] true -> true;\n"
+    assert _expansion_error(idle, extra='label "l" = x + 1;\n') == (
+        "operator \"label 'l'\" needs boolean operands")
+    assert _expansion_error(idle, extra="owner m = 3;\n") == (
+        "operator \"owner 'm'\" needs boolean operands")
+    assert _expansion_error(idle, extra='label "l" = y;\n') == (
+        "unknown identifier 'y'")
+
+
+def test_formula_cycle_error_text_names_first_repeat():
+    commands = "  [] f -> true;\n  [] true -> true;\n"
+    prefix = "formula f = g;\nformula g = h;\nformula h = g;\n"
+    assert _expansion_error(commands, prefix=prefix) == (
+        "formula 'g' is defined in terms of itself"
+        " in [] command of module m (line 8)")
+
+
+def test_formula_errors_carry_the_guard_suffix():
+    commands = "  [] f = 1 -> true;\n  [] true -> true;\n"
+    assert _expansion_error(commands, prefix="formula f = x + true;\n") == (
+        "operator '+' needs integer operands"
+        " in [] command of module m (line 6)")
+
+
+def test_unevaluated_errors_stay_silent():
+    # an update of a never-enabled command and an unused cyclic formula are
+    # never evaluated, so neither is reported
+    text = "formula loop = loop;\n" + TWO_VARS.format(
+        commands="  [] false -> (x' = zz) & (b' = loop);\n"
+                 "  [] true -> true;\n", extra="")
+    expanded = expand_program(parse_program(text))
+    assert expanded.ts.names == ("x=0,b=false",)
+
+
+def test_formula_used_twice_per_level_compiles_in_linear_time():
+    # f60 stands for 2^60 copies of x; inlined as a tree it would never
+    # finish compiling, though the update using it is never evaluated
+    chain = "".join(f"formula f{k} = f{k - 1} + f{k - 1};\n"
+                    for k in range(1, 61))
+    text = "formula f0 = x;\n" + chain + TWO_VARS.format(
+        commands="  [] false -> (x' = f60);\n  [] true -> true;\n", extra="")
+    assert len(expand_program(parse_program(text)).ts) == 1
+
+
+def test_variable_shadows_constant_and_formula():
+    text = "const int x = 5;\nformula b = zz;\n" + TWO_VARS.format(
+        commands="  [] x = 0 & !b -> (x' = 1);\n  [] true -> true;\n",
+        extra='label "one" = x = 1;\n')
+    expanded = expand_program(parse_program(text))
+    assert expanded.labels["one"] == {expanded.ts.index_of("x=1,b=false")}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("const int N = 1 + true;", "operator '+' needs integer operands"),
+    ("const bool N = 3;", "operator 'const' needs boolean operands"),
+    ("formula f = 1;\nconst int N = f;", "unknown identifier 'f'"),
+    ("module m\n  x : [0..true] init 0;", "operator 'range' needs integer operands"),
+    ("module m\n  x : [0..2] init false;", "operator 'init' needs integer operands"),
+    ("module m\n  x : bool init 1;", "operator 'init' needs boolean operands"),
+    ("module m\n  x : [0..2] init q;", "unknown identifier 'q'"),
+])
+def test_parse_time_evaluation_error_text(text, message):
+    with pytest.raises(InputError) as info:
+        parse_program(text + "\n  [] true -> true;\nendmodule\n")
+    assert str(info.value) == message

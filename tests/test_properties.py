@@ -2,10 +2,12 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import hypothesis.strategies as st
 from hypothesis import assume, given, settings
 
+from respgame import model
 from respgame import (BUECHI, MODES, PARITY, REACHABILITY, SAFETY, Game,
                       GameArena, NoViolation, Objective, PayoffGame,
                       PlayerSet, TransitionSystem, attractor, build_game,
@@ -114,17 +116,21 @@ def _naive_shapley(pg):
 
 
 @st.composite
-def coalition_games(draw):
-    ts = draw(total_systems())
+def objectives_for(draw, ts):
     n = len(ts)
     kind = draw(st.sampled_from((SAFETY, REACHABILITY, BUECHI, PARITY)))
     if kind == PARITY:
-        obj = Objective(PARITY, colours=tuple(
-            draw(st.lists(st.integers(min_value=0, max_value=3),
-                          min_size=n, max_size=n))))
-    else:
-        obj = Objective(kind, target=frozenset(draw(st.sets(
-            st.integers(min_value=0, max_value=n - 1), max_size=n))))
+        return Objective(PARITY, colours=tuple(draw(st.lists(
+            st.integers(min_value=0, max_value=3), min_size=n, max_size=n))))
+    return Objective(kind, target=frozenset(draw(st.sets(
+        st.integers(min_value=0, max_value=n - 1), max_size=n))))
+
+
+@st.composite
+def coalition_games(draw):
+    ts = draw(total_systems())
+    n = len(ts)
+    obj = draw(objectives_for(ts))
     try:
         run = find_violating_run(ts, obj)
     except NoViolation:
@@ -148,3 +154,104 @@ def test_shapley_exact_equals_defining_sum(inst):
     for players in (PlayerSet.of_states(ts, range(len(ts))), blocks):
         pg = PayoffGame(ts, obj, run, mode, players)
         assert shapley_exact(pg).values == _naive_shapley(pg)
+
+
+def _reference_cycle_through(succ, state, allowed):
+    """The per-candidate cycle search: one SCC pass for every call."""
+    allowed = set(allowed)
+    starts = [t for t in succ[state] if t in allowed]
+    if state in starts:
+        return [state]
+    comp = model._sccs(succ, allowed)
+    cid = comp.get(state)
+    if cid is None:
+        return None
+    members = {s for s, c in comp.items() if c == cid}
+    if len(members) == 1:
+        return None
+    best = None
+    for t in sorted(starts):
+        if t not in members:
+            continue
+        back = model._bfs_path(succ, t, {state}, allowed=members | {state})
+        if back is not None and (best is None or len(back) < len(best)):
+            best = back
+    if best is None:
+        return None
+    return [state] + best[:-1]
+
+
+def _reference_violating_run(ts, obj):
+    """`find_violating_run` as it was with one SCC pass per candidate."""
+    succ, n = ts.succ, len(ts)
+    bfs, lasso = model._bfs_path, model._canonical_lasso
+    if obj.kind == SAFETY:
+        path = bfs(succ, ts.initial, obj.target)
+        if path is None:
+            raise NoViolation("the target set is unreachable")
+        seq = list(path)
+        seen = {s: i for i, s in enumerate(seq)}
+        cur = seq[-1]
+        while True:
+            nxt = succ[cur][0]
+            if nxt in seen:
+                k = seen[nxt]
+                return model.LassoRun(tuple(seq[:k]), tuple(seq[k:]))
+            seen[nxt] = len(seq)
+            seq.append(nxt)
+            cur = nxt
+    if obj.kind == REACHABILITY:
+        if ts.initial in obj.target:
+            raise NoViolation("the initial state is already in the target")
+        allowed = set(range(n)) - set(obj.target)
+        reach = model._reachable(succ, ts.initial, allowed=allowed)
+        for w in sorted(reach):
+            cycle = _reference_cycle_through(succ, w, reach)
+            if cycle is not None:
+                path = bfs(succ, ts.initial, {w}, allowed=reach)
+                return lasso(path[:-1], cycle)
+        raise NoViolation("every run eventually reaches the target")
+    if obj.kind == BUECHI:
+        allowed = set(range(n)) - set(obj.target)
+        reach = model._reachable(succ, ts.initial)
+        for w in sorted(reach & allowed):
+            cycle = _reference_cycle_through(succ, w, allowed)
+            if cycle is not None:
+                return lasso(bfs(succ, ts.initial, {w})[:-1], cycle)
+        raise NoViolation("every reachable cycle meets the target set")
+    reach = model._reachable(succ, ts.initial)
+    for w in sorted(reach):
+        c = obj.colours[w]
+        if c % 2 == 0:
+            continue
+        allowed = {s for s in range(n) if obj.colours[s] <= c}
+        cycle = _reference_cycle_through(succ, w, allowed)
+        if cycle is not None:
+            return lasso(bfs(succ, ts.initial, {w})[:-1], cycle)
+    raise NoViolation("no reachable odd-dominated cycle exists")
+
+
+def _outcome(search, ts, obj):
+    try:
+        return search(ts, obj)
+    except NoViolation as exc:
+        return f"no violation: {exc}"
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_run_search_matches_per_candidate_reference(data):
+    ts = data.draw(total_systems(max_states=12))
+    obj = data.draw(objectives_for(ts))
+    with mock.patch.object(model, "_sccs", wraps=model._sccs) as sccs:
+        found = _outcome(find_violating_run, ts, obj)
+    assert found == _outcome(_reference_violating_run, ts, obj)
+    # one SCC pass per allowed set: parity has one per odd colour met
+    if obj.kind == PARITY:
+        reach = model._reachable(ts.succ, ts.initial)
+        odd = {obj.colours[s] for s in reach if obj.colours[s] % 2}
+        assert sccs.call_count <= len(odd)
+    else:
+        passes = {SAFETY: 0, BUECHI: 1,
+                  REACHABILITY: int(ts.initial not in obj.target)}
+        assert sccs.call_count == passes[obj.kind]
