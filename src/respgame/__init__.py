@@ -26,7 +26,7 @@ from .refinement import (BspWitness, HeuristicsConfig, Partition,
                          responsibility_via_refinement, select_blocks)
 from .shapley import (PayoffGame, PlayerSet, ResponsibilityReport,
                       is_switching_pair, oracle_minimal_winning,
-                      oracle_shapley, prune_dummies, shapley_exact,
-                      threshold)
+                      oracle_shapley, oracle_shapley_and_minimal,
+                      prune_dummies, shapley_exact, threshold)
 
 __version__ = "0.1.0"

@@ -23,8 +23,9 @@ from .refinement import (DEFAULT_BLOCK_CAP, HeuristicsConfig,
                          REFINE_HEURISTICS, SELECT_HEURISTICS, refine_loop,
                          responsibility_via_refinement)
 from .shapley import (DEFAULT_ORACLE_CAP, DEFAULT_SHAPLEY_CAP, PayoffGame,
-                      PlayerSet, ResponsibilityReport, oracle_minimal_winning,
-                      oracle_shapley, prune_dummies, shapley_exact)
+                      PlayerSet, ResponsibilityReport, oracle_shapley,
+                      oracle_shapley_and_minimal, prune_dummies,
+                      shapley_exact)
 
 
 def _add_model_flags(sub):
@@ -239,11 +240,10 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
-def _full_report(pg, report) -> ResponsibilityReport:
-    """Extend a player-set report with zero rows for pruned states."""
-    if pg.players.kind != "states":
+def _full_report(ts, report) -> ResponsibilityReport:
+    """Extend a state-player report with zero rows for pruned states."""
+    if report.player_kind != "states":
         return report
-    ts = pg.ts
     values = []
     have = dict(zip(report.names, report.values))
     for name in ts.names:
@@ -261,7 +261,7 @@ def _cmd_analyze(args) -> int:
                            deadline=_Deadline(args.timeout_s))
     if pg.gamma(pg.full_mask()) == 0:
         note = "objective unsatisfiable; all responsibilities 0"
-    report = _full_report(pg, report)
+    report = _full_report(pg.ts, report)
     if args.format == "table":
         _emit(args, exports.render_table(report, note=note))
     elif args.format == "records":
@@ -316,7 +316,7 @@ def _cmd_refine(args) -> int:
     report, result = responsibility_via_refinement(
         pg, config, block_cap=args.block_cap, shapley_cap=args.player_cap,
         deadline=deadline)
-    report = _full_report(pg, report)
+    report = _full_report(pg.ts, report)
     if args.format == "records":
         _emit(args, exports.records_document(report, refinement=result))
     elif args.format == "dot":
@@ -335,18 +335,16 @@ def _cmd_oracle(args) -> int:
     if model.players.kind != "states":
         raise InputError("the oracle works on state players")
     indices = [model.ts.index_of(n) for n in model.players.names]
+    problem = (model.ts, model.objective, model.run, args.mode, indices)
     deadline = _Deadline(args.timeout_s)
-    report = oracle_shapley(model.ts, model.objective, model.run, args.mode,
-                            indices, cap=args.oracle_cap, deadline=deadline)
-    report = _full_report(
-        PayoffGame(model.ts, model.objective, model.run, args.mode,
-                   model.players), report)
-    text = exports.render_table(report)
     if args.minimal_coalitions:
-        minimal = oracle_minimal_winning(model.ts, model.objective, model.run,
-                                         args.mode, indices,
-                                         cap=args.oracle_cap,
-                                         deadline=deadline)
+        report, minimal = oracle_shapley_and_minimal(
+            *problem, cap=args.oracle_cap, deadline=deadline)
+    else:
+        report = oracle_shapley(*problem, cap=args.oracle_cap,
+                                deadline=deadline)
+    text = exports.render_table(_full_report(model.ts, report))
+    if args.minimal_coalitions:
         text += f"minimal winning coalitions: {len(minimal)}\n"
     _emit(args, text)
     return 0

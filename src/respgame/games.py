@@ -200,7 +200,6 @@ def _solve_buechi(arena: GameArena, target) -> WinningRegion:
         recur = kept
     if not recur:
         return WinningRegion(frozenset(), {})
-    attr, level = attractor(arena, recur, for_sat=True)
     strategy = _attractor_strategy(arena, attr, level, for_sat=True)
     for f in sorted(recur & arena.sat):
         strategy[f] = min(t for t in succ[f] if t in attr)

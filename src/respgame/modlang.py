@@ -374,6 +374,26 @@ class _Compiler:
         return fn
 
 
+_TOO_LONG = "a value with too many digits to print"
+
+
+def _shown(value) -> str:
+    """Decimal text of `value`, or _TOO_LONG past the interpreter's
+    int-to-str digit limit."""
+    try:
+        return str(value)
+    except ValueError:
+        return _TOO_LONG
+
+
+def _printable(value, what):
+    """`value`, refused when it is too long to print: every constant,
+    bound and initial value may end up in a state name or a message."""
+    if _shown(value) is _TOO_LONG:
+        raise InputError(f"{what} is {_TOO_LONG}")
+    return value
+
+
 def _constant_value(expr, constants):
     """Parse-time value of `expr` over the constants declared so far."""
     value, fn, _ = _Compiler(constants).node(expr)
@@ -400,7 +420,8 @@ def parse_program(text: str) -> ModuleLangProgram:
             p.expect("=")
             expr = p.parse_expr()
             p.expect(";")
-            value = _constant_value(expr, constants)
+            value = _printable(_constant_value(expr, constants),
+                               f"line {kind_tok.line}: const {name!r}")
             _want(kind_tok.text, value, "const")
             constants[name] = value
         elif tok.text == "formula":
@@ -471,16 +492,20 @@ def _parse_decl(p: _Parser, constants, module_name) -> VarDecl:
         p.expect(";")
         return VarDecl(name, "bool", 0, 1, init, module_name)
     p.expect("[")
-    lo = _constant_value(p.parse_expr(), constants)
+    where = f"line {tok.line}: {name!r}"
+    lo = _printable(_constant_value(p.parse_expr(), constants),
+                    f"{where} lower bound")
     p.expect("..")
-    hi = _constant_value(p.parse_expr(), constants)
+    hi = _printable(_constant_value(p.parse_expr(), constants),
+                    f"{where} upper bound")
     p.expect("]")
     _want("int", lo, "range")
     _want("int", hi, "range")
     if hi < lo:
         raise InputError(f"variable {name!r} has an empty range [{lo}..{hi}]")
     p.expect("init")
-    init = _constant_value(p.parse_expr(), constants)
+    init = _printable(_constant_value(p.parse_expr(), constants),
+                      f"{where} initial value")
     _want("int", init, "init")
     if not lo <= init <= hi:
         raise InputError(f"initial value {init} of {name!r} outside [{lo}..{hi}]")
@@ -582,7 +607,8 @@ def expand_program(prog: ModuleLangProgram,
                 value = value_of(valuation)
                 if not lo <= value <= hi:
                     raise InputError(
-                        f"update drives {variables[slot].name!r} to {value}, "
+                        f"update drives {variables[slot].name!r} to "
+                        f"{_shown(value)}, "
                         f"outside [{lo}..{hi}], in {cmd.describe()}")
                 new[slot] = value
         return tuple(new)

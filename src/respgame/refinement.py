@@ -73,110 +73,117 @@ class Partition:
     def sorted_ids(self) -> List[int]:
         return sorted(self.blocks)
 
-    def players_of(self, ids) -> frozenset:
-        players = set()
+    def mask_of(self, ids) -> int:
+        """Player bitmask of the union of the blocks `ids`."""
+        mask = 0
         for bid in ids:
-            players |= self.blocks[bid]
-        return frozenset(players)
+            for p in self.blocks[bid]:
+                mask |= 1 << p
+        return mask
+
+    def ids_within(self, mask: int) -> Tuple[int, ...]:
+        """Sorted ids of the blocks inside `mask`; for a union of blocks,
+        exactly the blocks it is made of."""
+        return tuple(bid for bid in self.sorted_ids()
+                     if not self.mask_of((bid,)) & ~mask)
 
     def snapshot(self) -> Dict[int, Tuple[int, ...]]:
         return {bid: tuple(sorted(b)) for bid, b in sorted(self.blocks.items())}
 
 
-@dataclass
+@dataclass(frozen=True)
 class BspWitness:
     """Concrete block-switching pair with both winning regions.
 
-    gamma of `coalition_ids` is 0 and flips to 1 once `block_id` joins.
-    The winning regions hold state indices; `delta` is their difference,
-    which meets the block's states for all four objective classes.
+    gamma of the player mask `coalition` is 0 and flips to 1 once
+    `block_id` joins.  The winning regions hold state indices; `delta` is
+    their difference, which meets the block's states for all four
+    objective classes.  `frontier_counts` maps each frontier state to its
+    successors in the smaller winning region and in the larger game's
+    losing region.
     """
 
     block_id: int
-    coalition_ids: Tuple[int, ...]
+    coalition: int
     win_with: frozenset
     win_without: frozenset
+    frontier_counts: Dict[int, Tuple[int, int]]
 
     @property
     def delta(self) -> frozenset:
         return self.win_with - self.win_without
 
 
-def _mask_of(players) -> int:
-    mask = 0
-    for p in players:
-        mask |= 1 << p
-    return mask
+def _witness(pg: PayoffGame, partition: Partition, block_id: int,
+             coalition: int) -> BspWitness:
+    """Solve both games of the pair; the frontier is read off the engraved
+    graph of the larger-coalition game, solved second so that only one
+    arena is alive at a time."""
+    block_states = pg.flatten(partition.mask_of((block_id,)))
+    win_without = solve(build_game(pg.ts, pg.objective, pg.run,
+                                   pg.flatten(coalition), pg.mode)).sat_wins
+    game = build_game(pg.ts, pg.objective, pg.run,
+                      pg.flatten(coalition) | block_states, pg.mode)
+    win_with = solve(game).sat_wins
+    delta = win_with - win_without
+    counts = {}
+    for s in sorted(delta & block_states):
+        succ = game.arena.succ[s]
+        if any(t not in delta for t in succ):
+            counts[s] = (sum(1 for t in succ if t in win_without),
+                         sum(1 for t in succ if t not in win_with))
+    return BspWitness(block_id, coalition, win_with, win_without, counts)
 
 
-def _flatten(pg: PayoffGame, players) -> frozenset:
-    states = set()
-    for p in players:
-        states |= pg.players.members[p]
-    return frozenset(states)
-
-
-def _gamma_players(pg: PayoffGame, players) -> int:
-    return pg.gamma(_mask_of(players))
-
-
-def _win_region(pg: PayoffGame, players) -> frozenset:
-    game = build_game(pg.ts, pg.objective, pg.run, _flatten(pg, players),
-                      pg.mode)
-    return solve(game).sat_wins
-
-
-def find_witness(pg: PayoffGame, partition: Partition,
-                 block_id: int) -> Optional[BspWitness]:
+def find_witness(pg: PayoffGame, partition: Partition, block_id: int,
+                 deadline=None) -> Optional[BspWitness]:
     """Search one block for a block-switching pair.
 
     Coalitions of the other blocks are enumerated by ascending popcount
     with monotone pruning (supersets of a winning coalition cannot be the
     losing half).  The full complement is probed first as a cheap hit, and
     a losing grand coalition settles the answer immediately.  Exact: None
-    means no witness exists under the current partition.
+    means no witness exists under the current partition.  `deadline`, when
+    given, is called before every gamma query and may abort by raising.
     """
-    others = [bid for bid in partition.sorted_ids() if bid != block_id]
-    n = len(others)
-    block_players = partition.blocks[block_id]
+    masks = [partition.mask_of((bid,)) for bid in partition.sorted_ids()
+             if bid != block_id]
+    block = partition.mask_of((block_id,))
+    rest = sum(masks)
 
-    def g(ids) -> int:
-        return _gamma_players(pg, partition.players_of(ids))
+    def g(mask: int) -> int:
+        if deadline is not None:
+            deadline()
+        return pg.gamma(mask)
 
-    def witness(ids) -> BspWitness:
-        base = partition.players_of(ids)
-        return BspWitness(block_id, tuple(ids),
-                          win_with=_win_region(pg, base | block_players),
-                          win_without=_win_region(pg, base))
-
-    if g(others + [block_id]) == 0:
+    if g(rest | block) == 0:
         return None  # even the grand coalition loses; nothing can switch
-    if g(others) == 0:
-        return witness(tuple(others))
-    winning: List[frozenset] = [frozenset(others)]
-    for k in range(n):
-        for combo in combinations(range(n), k):
-            chosen = frozenset(combo)
-            if any(w <= chosen for w in winning):
+    if g(rest) == 0:
+        return _witness(pg, partition, block_id, rest)
+    winning = [rest]
+    for k in range(len(masks)):
+        for combo in combinations(masks, k):
+            mask = sum(combo)
+            if any(not w & ~mask for w in winning):
                 continue
-            ids = [others[i] for i in combo]
-            if g(ids) == 1:
-                winning.append(chosen)
+            if g(mask) == 1:
+                winning.append(mask)
                 continue
-            if g(ids + [block_id]) == 1:
-                return witness(tuple(ids))
+            if g(mask | block) == 1:
+                return _witness(pg, partition, block_id, mask)
     return None
 
 
 def compute_has_bsp(pg: PayoffGame, partition: Partition,
                     skip: Sequence[int] = (),
                     known: Optional[Dict[int, BspWitness]] = None,
-                    cap: int = DEFAULT_BLOCK_CAP) -> Dict[int, Optional[BspWitness]]:
+                    cap: int = DEFAULT_BLOCK_CAP,
+                    deadline=None) -> Dict[int, Optional[BspWitness]]:
     """Witness (or None) per block id, excluding the ids in `skip`.
 
     `known` carries witnesses from earlier rounds: refining other blocks
-    keeps a recorded coalition a valid union of blocks, so those witnesses
-    are reused rather than re-searched.
+    keeps a recorded coalition a union of blocks, so those witnesses are
+    reused rather than re-searched.  `deadline` is passed to every search.
     """
     nblocks = len(partition.blocks)
     if nblocks > cap:
@@ -193,7 +200,7 @@ def compute_has_bsp(pg: PayoffGame, partition: Partition,
         if bid in known:
             out[bid] = known[bid]
             continue
-        out[bid] = find_witness(pg, partition, bid)
+        out[bid] = find_witness(pg, partition, bid, deadline)
     return out
 
 
@@ -202,42 +209,12 @@ def frontier(pg: PayoffGame, partition: Partition,
     """Block states inside the region difference with an edge leaving it,
     evaluated in the engraved graph of the larger-coalition game.  May be
     empty for Buechi and parity objectives."""
-    fr, _counts = _frontier_with_counts(pg, partition, witness)
-    return fr
-
-
-def _frontier_with_counts(pg: PayoffGame, partition: Partition,
-                          witness: BspWitness):
-    delta = witness.delta
-    block_players = partition.blocks[witness.block_id]
-    block_states = _flatten(pg, block_players)
-    coalition_players = partition.players_of(witness.coalition_ids)
-    coalition_states = _flatten(pg, coalition_players) | block_states
-    game = build_game(pg.ts, pg.objective, pg.run, coalition_states, pg.mode)
-    succ = game.arena.succ
-    losing = frozenset(range(len(pg.ts))) - witness.win_with
-    fr = set()
-    counts = {}
-    for s in sorted(delta & block_states):
-        if any(t not in delta for t in succ[s]):
-            fr.add(s)
-            to_win = sum(1 for t in succ[s] if t in witness.win_without)
-            to_lose = sum(1 for t in succ[s] if t in losing)
-            counts[s] = (to_win, to_lose)
-    return frozenset(fr), counts
+    return frozenset(witness.frontier_counts)
 
 
 def _rng_for(seed: int, iteration: int, purpose: int) -> random.Random:
     # integer mixing only: string seeds would depend on per-process hashing
     return random.Random((seed * 1_000_003 + iteration) * 31 + purpose)
-
-
-def _player_of_state(pg: PayoffGame, partition: Partition, block_id: int,
-                     state: int) -> int:
-    for p in sorted(partition.blocks[block_id]):
-        if state in pg.players.members[p]:
-            return p
-    raise AssertionError("state not in the block")
 
 
 def refine_block(pg: PayoffGame, partition: Partition, witness: BspWitness,
@@ -249,11 +226,11 @@ def refine_block(pg: PayoffGame, partition: Partition, witness: BspWitness,
     never empty); the player owning the chosen state is split off.
     Returns (chosen state, frontier states, new singleton id, rest id).
     """
-    block_players = partition.blocks[witness.block_id]
-    block_states = _flatten(pg, block_players)
+    block_states = pg.flatten(partition.mask_of((witness.block_id,)))
     delta_in_block = witness.delta & block_states
     assert delta_in_block, "region difference misses the block"
-    fr, counts = _frontier_with_counts(pg, partition, witness)
+    counts = witness.frontier_counts
+    fr = frontier(pg, partition, witness)
     how = config.refine
     if how == "random":
         chosen = _rng_for(config.rng_seed, iteration, 1).choice(
@@ -275,7 +252,8 @@ def refine_block(pg: PayoffGame, partition: Partition, witness: BspWitness,
         chosen = max(sorted(fr), key=lambda s: (counts[s][1], -s))
     else:  # frontier-winning
         chosen = max(sorted(fr), key=lambda s: (counts[s][0], -s))
-    player = _player_of_state(pg, partition, witness.block_id, chosen)
+    player = next(p for p in sorted(partition.blocks[witness.block_id])
+                  if chosen in pg.players.members[p])
     single_id, rest_id = partition.split(witness.block_id,
                                          frozenset([player]))
     return chosen, fr, single_id, rest_id
@@ -296,8 +274,7 @@ def select_blocks(pg: PayoffGame, partition: Partition,
     if how == "min-delta":
         return [min(ids, key=lambda b: (len(candidates[b].delta), b))]
     # min-frontier
-    return [min(ids, key=lambda b: (len(frontier(pg, partition,
-                                                 candidates[b])), b))]
+    return [min(ids, key=lambda b: (len(candidates[b].frontier_counts), b))]
 
 
 @dataclass
@@ -326,17 +303,6 @@ class RefinementResult:
         return sum(1 for r in self.trace if r.split_state is not None)
 
 
-def _remap_known(known: Dict[int, BspWitness], retired: int,
-                 replacement: Tuple[int, int]):
-    """Keep stored witnesses valid after a split: a coalition naming the
-    retired block now names its two children (same player set)."""
-    for w in known.values():
-        if retired in w.coalition_ids:
-            ids = [b for b in w.coalition_ids if b != retired]
-            ids.extend(replacement)
-            w.coalition_ids = tuple(sorted(ids))
-
-
 def refine_loop(pg: PayoffGame, config: HeuristicsConfig,
                 cap: int = DEFAULT_BLOCK_CAP, deadline=None) -> RefinementResult:
     """Refine a seeded random initial partition until every witness block
@@ -345,8 +311,8 @@ def refine_loop(pg: PayoffGame, config: HeuristicsConfig,
 
     Singleton blocks are skipped while the loop runs and settled in one
     final pass; witnesses found earlier are carried across iterations.
-    `deadline`, when given, is called once per iteration and may abort the
-    run by raising.
+    `deadline`, when given, is called once per iteration and before every
+    gamma query of the witness search, and may abort the run by raising.
     """
     players = list(range(len(pg.players)))
     if not players:
@@ -367,7 +333,7 @@ def refine_loop(pg: PayoffGame, config: HeuristicsConfig,
             deadline()
         singles = [bid for bid, b in partition.blocks.items() if len(b) == 1]
         found = compute_has_bsp(pg, partition, skip=singles, known=known,
-                                cap=cap)
+                                cap=cap, deadline=deadline)
         for bid, w in found.items():
             if w is not None:
                 known[bid] = w
@@ -375,7 +341,7 @@ def refine_loop(pg: PayoffGame, config: HeuristicsConfig,
             index=iteration,
             partition={bid: tuple(names[p] for p in members)
                        for bid, members in partition.snapshot().items()},
-            witnesses={bid: w.coalition_ids
+            witnesses={bid: partition.ids_within(w.coalition)
                        for bid, w in sorted(known.items())})
         candidates = {bid: w for bid, w in known.items()
                       if len(partition.blocks[bid]) > 1}
@@ -385,7 +351,7 @@ def refine_loop(pg: PayoffGame, config: HeuristicsConfig,
         selected = select_blocks(pg, partition, candidates, config,
                                  iteration)[0]
         witness = candidates[selected]
-        chosen, fr, single_id, rest_id = refine_block(
+        chosen, fr, _, _ = refine_block(
             pg, partition, witness, config, iteration)
         record.selected = selected
         record.delta = tuple(state_names[s] for s in sorted(witness.delta))
@@ -393,8 +359,8 @@ def refine_loop(pg: PayoffGame, config: HeuristicsConfig,
         record.split_state = state_names[chosen]
         trace.append(record)
         known.pop(selected, None)
-        _remap_known(known, selected, (single_id, rest_id))
-    final = compute_has_bsp(pg, partition, known=known, cap=cap)
+    final = compute_has_bsp(pg, partition, known=known, cap=cap,
+                            deadline=deadline)
     witnesses = {bid: w for bid, w in final.items() if w is not None}
     responsible = set()
     for bid in witnesses:

@@ -312,20 +312,9 @@ def _naive_gamma_table(ts: TransitionSystem, obj: Objective,
     return players, table
 
 
-def oracle_shapley(ts: TransitionSystem, obj: Objective,
-                   run: Optional[LassoRun], mode: str,
-                   player_indices: Optional[Sequence[int]] = None,
-                   cap: int = DEFAULT_ORACLE_CAP,
-                   deadline=None) -> ResponsibilityReport:
-    """Reference implementation: direct evaluation of the defining sum.
-
-    Deliberately naive and independent of the production path: it solves
-    every coalition into its own table (no memo sharing) and applies the
-    factorial formula term by term.  Intended for tests and the `oracle`
-    CLI command.
-    """
-    players, gamma = _naive_gamma_table(ts, obj, run, mode, player_indices,
-                                        cap, deadline)
+def _oracle_values(players: PlayerSet, mode: str,
+                   gamma: List[int]) -> ResponsibilityReport:
+    """The defining sum applied term by term to a naive table."""
     n = len(players)
     if n == 0:
         return ResponsibilityReport(players.kind, mode, (), ())
@@ -345,14 +334,7 @@ def oracle_shapley(ts: TransitionSystem, obj: Objective,
                                 tuple(values), games_solved=1 << n)
 
 
-def oracle_minimal_winning(ts: TransitionSystem, obj: Objective,
-                           run: Optional[LassoRun], mode: str,
-                           player_indices: Optional[Sequence[int]] = None,
-                           cap: int = DEFAULT_ORACLE_CAP,
-                           deadline=None) -> List[frozenset]:
-    """All minimal winning coalitions, as sets of player names."""
-    players, gamma = _naive_gamma_table(ts, obj, run, mode, player_indices,
-                                        cap, deadline)
+def _minimal_winning(players: PlayerSet, gamma: List[int]) -> List[frozenset]:
     n = len(players)
     minimal = []
     for mask in range(1 << n):
@@ -363,3 +345,43 @@ def oracle_minimal_winning(ts: TransitionSystem, obj: Objective,
             minimal.append(frozenset(players.names[p]
                                      for p in range(n) if mask >> p & 1))
     return minimal
+
+
+def oracle_shapley(ts: TransitionSystem, obj: Objective,
+                   run: Optional[LassoRun], mode: str,
+                   player_indices: Optional[Sequence[int]] = None,
+                   cap: int = DEFAULT_ORACLE_CAP,
+                   deadline=None) -> ResponsibilityReport:
+    """Reference implementation: direct evaluation of the defining sum.
+
+    Deliberately naive and independent of the production path: it solves
+    every coalition into its own table (no memo sharing) and applies the
+    factorial formula term by term.  Intended for tests and the `oracle`
+    CLI command.
+    """
+    players, gamma = _naive_gamma_table(ts, obj, run, mode, player_indices,
+                                        cap, deadline)
+    return _oracle_values(players, mode, gamma)
+
+
+def oracle_minimal_winning(ts: TransitionSystem, obj: Objective,
+                           run: Optional[LassoRun], mode: str,
+                           player_indices: Optional[Sequence[int]] = None,
+                           cap: int = DEFAULT_ORACLE_CAP,
+                           deadline=None) -> List[frozenset]:
+    """All minimal winning coalitions, as sets of player names."""
+    players, gamma = _naive_gamma_table(ts, obj, run, mode, player_indices,
+                                        cap, deadline)
+    return _minimal_winning(players, gamma)
+
+
+def oracle_shapley_and_minimal(ts: TransitionSystem, obj: Objective,
+                               run: Optional[LassoRun], mode: str,
+                               player_indices: Optional[Sequence[int]] = None,
+                               cap: int = DEFAULT_ORACLE_CAP, deadline=None,
+                               ) -> Tuple[ResponsibilityReport, List[frozenset]]:
+    """`oracle_shapley` and `oracle_minimal_winning` from one naive table."""
+    players, gamma = _naive_gamma_table(ts, obj, run, mode, player_indices,
+                                        cap, deadline)
+    return _oracle_values(players, mode, gamma), _minimal_winning(players,
+                                                                  gamma)

@@ -1,8 +1,10 @@
 """End-to-end command-line behaviour, exit codes and file outputs."""
 
 import json
+import time
 from pathlib import Path
 
+import respgame.shapley
 from respgame.cli import run_cli
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -87,6 +89,18 @@ def test_oracle_minimal_coalitions(capsys, tmp_path):
     assert "minimal winning coalitions: 4" in out
 
 
+def test_oracle_minimal_coalitions_solve_one_table(capsys, monkeypatch):
+    # two pruning games, then one game per coalition of the four players
+    builds = []
+    real = respgame.shapley.build_game
+    monkeypatch.setattr(respgame.shapley, "build_game",
+                        lambda *a: builds.append(a) or real(*a))
+    code, out, _ = run(capsys, "oracle", str(MODELS / "recurrence_demo.json"),
+                       "--minimal-coalitions")
+    assert code == 0 and "minimal winning coalitions:" in out
+    assert len(builds) == 2 + 2 ** 4
+
+
 def test_export_records_file(capsys, tmp_path):
     out_file = tmp_path / "report.json"
     code, _, _ = run(capsys, "export", str(MODELS / "recurrence_demo.json"),
@@ -168,6 +182,18 @@ def test_analyze_timeout_refusal(capsys, tmp_path):
         "-o", str(model))
     code, _, err = run(capsys, "analyze", str(model), "--timeout-s", "0")
     assert code == 1 and "timeout" in err
+
+
+def test_refine_timeout_inside_witness_search(capsys, tmp_path):
+    # one iteration's witness search over 17 blocks runs for seconds
+    model = tmp_path / "exp8.json"
+    run(capsys, "generate", "--family", "exp-coalitions", "--size", "8",
+        "-o", str(model))
+    start = time.monotonic()
+    code, _, err = run(capsys, "refine", str(model), "--initial-blocks", "17",
+                       "--no-values", "--timeout-s", "0.2")
+    assert code == 1 and "timeout" in err
+    assert time.monotonic() - start < 5
 
 
 def test_positivity_and_oracle_timeout_refusal(capsys):

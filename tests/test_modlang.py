@@ -414,3 +414,23 @@ def test_parse_time_evaluation_error_text(text, message):
     with pytest.raises(InputError) as info:
         parse_program(text + "\n  [] true -> true;\nendmodule\n")
     assert str(info.value) == message
+
+
+def test_constant_too_long_to_print_is_an_input_error():
+    # 500 factors of 10^9 pass the literal check but not int-to-str
+    text = ("const int N = 1000000000;\n"
+            "const int M = " + "*".join(["N"] * 500) + ";\n"
+            "module m\n  x : [0..M] init M;\n  [] true -> (x' = x);\nendmodule\n")
+    with pytest.raises(InputError, match="line 2: const 'M' is a value with "
+                                         "too many digits"):
+        expand_program(parse_program(text))
+
+
+def test_update_too_long_to_print_names_the_command():
+    prog = parse_program("const int N = 1000000000;\n"
+                         "module big\n  x : [0..1] init 0;\n"
+                         "  [] true -> (x' = " + "*".join(["N"] * 500) + ");\n"
+                         "endmodule\n")
+    with pytest.raises(InputError, match="drives 'x' to a value with too many "
+                                         "digits to print.*module big"):
+        expand_program(prog)

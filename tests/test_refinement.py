@@ -24,7 +24,7 @@ def test_witness_on_single_block_partition():
     part = Partition([frozenset(range(11))])
     found = compute_has_bsp(pg, part)
     w = found[0]
-    assert w is not None and w.coalition_ids == ()
+    assert w is not None and w.coalition == 0
     assert w.win_without == frozenset({4, 7})
     assert w.win_with == frozenset(range(9))
 
@@ -44,9 +44,7 @@ def test_final_partition_witness_pairs():
     as_names = {}
     for bid, w in with_witness.items():
         members = frozenset(ts.names[s] for s in part.blocks[bid])
-        coalition = frozenset(ts.names[s]
-                              for cb in w.coalition_ids
-                              for s in part.blocks[cb])
+        coalition = frozenset(ts.names[s] for s in pg.flatten(w.coalition))
         as_names[members] = coalition
     assert as_names == {
         frozenset({"s3"}): frozenset(),
@@ -89,7 +87,7 @@ def test_frontier_worked_example_step_three():
     part = Partition([frozenset(range(11)) - {3, 6}, frozenset({3}),
                       frozenset({6})])
     w = find_witness(pg, part, 0)
-    assert w is not None and w.coalition_ids == ()
+    assert w is not None and w.coalition == 0
     assert w.win_with == frozenset({0, 1, 2, 4, 7, 8})
     assert w.win_without == frozenset({4, 7})
     assert frontier(pg, part, w) == frozenset({2, 8})
@@ -184,6 +182,19 @@ def test_refine_loop_worked_example():
     assert len(result.trace) == 5
 
 
+def test_trace_names_the_children_of_a_split_coalition_block():
+    # block 1's witness coalition is block 0; once block 0 is split into
+    # 3 and 4 the carried witness is listed under the two children
+    ts, obj, run = refinement_example()
+    pg = _full_pg(ts, obj, run, PESSIMISTIC)
+    cfg = HeuristicsConfig(initial_blocks=3, rng_seed=14,
+                           refine="frontier-first")
+    first, second = refine_loop(pg, cfg).trace[:2]
+    assert first.witnesses[1] == (0,) and first.selected == 0
+    assert set(second.partition) == {1, 2, 3, 4}
+    assert second.witnesses[1] == (3, 4)
+
+
 def test_refine_loop_empty_universe():
     ts = TransitionSystem(["a", "island"], 0, [(0, 0), (1, 1)])
     obj = Objective(REACHABILITY, target=frozenset({1}))
@@ -253,12 +264,11 @@ def _assert_final_witnesses(pg, result):
         block = blocks[bid]
         if len(block) != 1:
             continue
-        player = next(iter(block))
-        coalition_mask = 0
-        for cb in w.coalition_ids:
-            for p in blocks[cb]:
-                coalition_mask |= 1 << p
-        assert is_switching_pair(pg, coalition_mask, player)
+        if bid in last.witnesses:
+            # the recorded block ids make up exactly the witness mask
+            assert w.coalition == sum(1 << p for cb in last.witnesses[bid]
+                                      for p in blocks[cb])
+        assert is_switching_pair(pg, w.coalition, next(iter(block)))
 
 
 def test_safety_reach_witness_frontiers_nonempty():
