@@ -56,17 +56,30 @@ def _add_model_flags(sub):
                      metavar="LABEL", help="group by label truth (repeat)")
     sub.add_argument("--no-prune", action="store_true",
                      help="keep provably-null states as players")
-    sub.add_argument("--player-cap", type=int, default=DEFAULT_SHAPLEY_CAP)
-    sub.add_argument("--block-cap", type=int, default=DEFAULT_BLOCK_CAP)
-    sub.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
     sub.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
                      help="program expansion state-space cap")
     sub.add_argument("--timeout-s", type=float, default=None)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--format", choices=("table", "records", "dot"),
-                     default="table")
     sub.add_argument("-o", "--output", metavar="FILE",
                      help="write the result here instead of stdout")
+
+
+# flags beyond the model flags; each command gets only those it reads
+_OWN_FLAGS = {
+    "--player-cap": dict(type=int, default=DEFAULT_SHAPLEY_CAP),
+    "--block-cap": dict(type=int, default=DEFAULT_BLOCK_CAP),
+    "--oracle-cap": dict(type=int, default=DEFAULT_ORACLE_CAP),
+    "--seed": dict(type=int, default=0),
+    "--format": dict(choices=("table", "records", "dot"), default="table"),
+    "--initial-blocks": dict(type=int, default=1),
+    "--select": dict(choices=SELECT_HEURISTICS, default="random"),
+    "--refine": dict(choices=REFINE_HEURISTICS, default="frontier-random"),
+    "--explain": dict(action="store_true",
+                      help="print the refinement trace (table format)"),
+    "--no-values": dict(action="store_true",
+                        help="stop after the positivity set (table format)"),
+    "--minimal-coalitions": dict(
+        action="store_true", help="also count minimal winning coalitions"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,35 +88,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Backward responsibility values for lasso counterexamples "
                     "in finite transition systems.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-            ("analyze", "exact Shapley responsibility for every player"),
-            ("positivity", "the set of players with positive responsibility"),
-            ("refine", "positivity (and values) via partition refinement"),
-            ("oracle", "brute-force reference computation"),
-            ("export", "run an analysis and write records or DOT")):
+    for name, helptext, own in (
+            ("analyze", "exact Shapley responsibility for every player",
+             ("--player-cap", "--format")),
+            ("positivity", "the set of players with positive responsibility",
+             ("--block-cap", "--seed")),
+            ("refine", "positivity (and values) via partition refinement",
+             ("--player-cap", "--block-cap", "--seed", "--format",
+              "--initial-blocks", "--select", "--refine", "--explain",
+              "--no-values")),
+            ("oracle", "brute-force reference computation",
+             ("--oracle-cap", "--minimal-coalitions"))):
         sub = subs.add_parser(name, help=helptext)
         _add_model_flags(sub)
-        if name == "refine":
-            sub.add_argument("--initial-blocks", type=int, default=1)
-            sub.add_argument("--select", choices=SELECT_HEURISTICS,
-                             default="random")
-            sub.add_argument("--refine", choices=REFINE_HEURISTICS,
-                             default="frontier-random")
-            sub.add_argument("--explain", action="store_true",
-                             help="print the refinement trace")
-            sub.add_argument("--no-values", action="store_true",
-                             help="stop after the positivity set")
-        if name == "oracle":
-            sub.add_argument("--minimal-coalitions", action="store_true",
-                             help="also count minimal winning coalitions")
-        if name == "export":
-            sub.add_argument("--using", choices=("analyze", "refine"),
-                             default="analyze")
-            sub.add_argument("--initial-blocks", type=int, default=1)
-            sub.add_argument("--select", choices=SELECT_HEURISTICS,
-                             default="random")
-            sub.add_argument("--refine", choices=REFINE_HEURISTICS,
-                             default="frontier-random")
+        for flag in own:
+            sub.add_argument(flag, **_OWN_FLAGS[flag])
     gen = subs.add_parser("generate", help="emit a benchmark model document")
     gen.add_argument("--family", choices=FAMILIES, required=True)
     gen.add_argument("--size", type=int, default=0)
@@ -127,17 +126,7 @@ def _split_names(text):
     return [part for part in (text or "").split(",") if part]
 
 
-class LoadedModel:
-    def __init__(self, ts, objective, run, labels, owners, players):
-        self.ts = ts
-        self.objective = objective
-        self.run = run
-        self.labels = labels
-        self.owners = owners
-        self.players = players
-
-
-def _load_model(args) -> LoadedModel:
+def _load_model(args) -> PayoffGame:
     lang = args.lang
     if lang == "auto":
         with open(args.model, "r", encoding="utf-8") as fh:
@@ -164,7 +153,7 @@ def _load_model(args) -> LoadedModel:
     run = _run_from_flags(args, ts, objective, doc_run)
     players = _players_from_flags(args, ts, objective, run, labels, owners,
                                   group_doc)
-    return LoadedModel(ts, objective, run, labels, owners, players)
+    return PayoffGame(ts, objective, run, args.mode, players)
 
 
 def _objective_from_flags(args, ts, labels, fallback):
@@ -182,8 +171,15 @@ def _objective_from_flags(args, ts, labels, fallback):
             label, _, num = item.partition("=")
             if label not in labels:
                 raise InputError(f"unknown label {label!r}")
+            try:
+                colour = int(num)
+            except ValueError:
+                colour = -1
+            if colour < 0:
+                raise InputError(f"bad --colour {item!r}; "
+                                 f"N must be a non-negative integer")
             for s in labels[label]:
-                colours[s] = max(colours[s], int(num))
+                colours[s] = max(colours[s], colour)
         return Objective(PARITY, colours=tuple(colours))
     target = set()
     for name in args.target or []:
@@ -253,9 +249,7 @@ def _full_report(ts, report) -> ResponsibilityReport:
 
 
 def _cmd_analyze(args) -> int:
-    model = _load_model(args)
-    pg = PayoffGame(model.ts, model.objective, model.run, args.mode,
-                    model.players)
+    pg = _load_model(args)
     note = None
     report = shapley_exact(pg, cap=args.player_cap,
                            deadline=_Deadline(args.timeout_s))
@@ -272,32 +266,27 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_positivity(args) -> int:
-    model = _load_model(args)
-    if args.mode == OPTIMISTIC and model.objective.kind == REACHABILITY \
-            and model.players.kind == "states":
-        positive = positivity_reach_opt(model.ts, model.objective.target,
-                                        model.run)
-    elif args.mode == OPTIMISTIC and model.objective.kind == BUECHI \
-            and model.players.kind == "states":
-        positive = positivity_buechi_opt_all(
-            model.ts, model.objective.target, model.run)
+    pg = _load_model(args)
+    deadline = _Deadline(args.timeout_s)
+    polynomial = {REACHABILITY: positivity_reach_opt,
+                  BUECHI: positivity_buechi_opt_all}.get(pg.objective.kind)
+    if args.mode == OPTIMISTIC and pg.players.kind == "states" and polynomial:
+        positive = polynomial(pg.ts, pg.objective.target, pg.run,
+                              deadline=deadline)
     else:
-        pg = PayoffGame(model.ts, model.objective, model.run, args.mode,
-                        model.players)
         config = HeuristicsConfig(rng_seed=args.seed)
         result = refine_loop(pg, config, cap=args.block_cap,
-                             deadline=_Deadline(args.timeout_s))
+                             deadline=deadline)
         positive = frozenset(pg.players.names[p] for p in result.responsible)
-    lines = [f"positive responsibility: "
-             f"{{{', '.join(sorted(positive)) if positive else ''}}}"]
-    _emit(args, "\n".join(lines) + "\n")
+    names = ", ".join(sorted(positive))
+    _emit(args, f"positive responsibility: {{{names}}}\n")
     return 0
 
 
 def _cmd_refine(args) -> int:
-    model = _load_model(args)
-    pg = PayoffGame(model.ts, model.objective, model.run, args.mode,
-                    model.players)
+    if (args.no_values or args.explain) and args.format != "table":
+        raise InputError("--no-values and --explain need --format table")
+    pg = _load_model(args)
     config = HeuristicsConfig(initial_blocks=args.initial_blocks,
                               select=args.select, refine=args.refine,
                               rng_seed=args.seed)
@@ -331,11 +320,11 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    model = _load_model(args)
-    if model.players.kind != "states":
+    pg = _load_model(args)
+    if pg.players.kind != "states":
         raise InputError("the oracle works on state players")
-    indices = [model.ts.index_of(n) for n in model.players.names]
-    problem = (model.ts, model.objective, model.run, args.mode, indices)
+    indices = [pg.ts.index_of(n) for n in pg.players.names]
+    problem = (pg.ts, pg.objective, pg.run, args.mode, indices)
     deadline = _Deadline(args.timeout_s)
     if args.minimal_coalitions:
         report, minimal = oracle_shapley_and_minimal(
@@ -343,30 +332,16 @@ def _cmd_oracle(args) -> int:
     else:
         report = oracle_shapley(*problem, cap=args.oracle_cap,
                                 deadline=deadline)
-    text = exports.render_table(_full_report(model.ts, report))
+    text = exports.render_table(_full_report(pg.ts, report))
     if args.minimal_coalitions:
         text += f"minimal winning coalitions: {len(minimal)}\n"
     _emit(args, text)
     return 0
 
 
-def _cmd_export(args) -> int:
-    args.format = "records" if args.format == "table" else args.format
-    if args.using == "refine":
-        args.explain = False
-        args.no_values = False
-        return _cmd_refine(args)
-    return _cmd_analyze(args)
-
-
 def _cmd_generate(args) -> int:
     doc = generate(args.family, args.size, bug=not args.clean)
-    text = serialize_explicit(doc)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, serialize_explicit(doc))
     return 0
 
 
@@ -375,7 +350,6 @@ _COMMANDS = {
     "positivity": _cmd_positivity,
     "refine": _cmd_refine,
     "oracle": _cmd_oracle,
-    "export": _cmd_export,
     "generate": _cmd_generate,
 }
 
@@ -393,10 +367,7 @@ def run_cli(argv=None) -> int:
         if exc.guidance:
             sys.stderr.write(f"hint: {exc.guidance}\n")
         return 1
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except FileNotFoundError as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -326,7 +326,8 @@ class _Compiler:
     (folded), then to a formula (inlined, so a formula met again on its
     own expansion path is a cycle).  An inlined formula is compiled once
     per context and its node shared, so a formula used twice in a body
-    does not double the work.
+    does not double the work.  A formula whose folded value is too long to
+    print compiles to a failing node.
     """
 
     def __init__(self, constants, formulas=None, variables=()):
@@ -358,8 +359,12 @@ class _Compiler:
                 f"formula {name!r} is defined in terms of itself{where}")
         key = (name, where, visiting)
         if key not in self.inlined:
-            self.inlined[key] = self.node(self.formulas[name], where,
-                                          visiting | {name})
+            node = self.node(self.formulas[name], where, visiting | {name})
+            if node[0] is not _DYNAMIC and _shown(node[0]) is _TOO_LONG:
+                # refused like a constant; folding on would square the
+                # digits per level of a chain like `f(i) = f(i-1)*f(i-1)`
+                node = _failing(f"formula {name!r} is {_TOO_LONG}{where}")
+            self.inlined[key] = node
         return self.inlined[key]
 
     def closure(self, expr, kind, op, where=""):

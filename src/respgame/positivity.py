@@ -13,21 +13,27 @@ from .model import (BUECHI, REACHABILITY, LassoRun, Objective,
 from .shapley import PayoffGame, PlayerSet, ResponsibilityReport
 
 
-def positivity_reach_opt(ts: TransitionSystem, target,
-                         run: LassoRun) -> frozenset:
+def positivity_reach_opt(ts: TransitionSystem, target, run: LassoRun,
+                         deadline=None) -> frozenset:
     """States with positive optimistic responsibility for a reachability
     objective, in polynomial time.
 
     When the empty coalition already wins there are no switching pairs at
     all; otherwise a state is responsible exactly when it wins on its own.
+    `deadline()`, when given, runs before the first probe and once per
+    state.
     """
     obj = Objective(REACHABILITY, target=frozenset(target))
     pg = PayoffGame(ts, obj, run, OPTIMISTIC,
                     PlayerSet.of_states(ts, range(len(ts))))
+    if deadline is not None:
+        deadline()
     if pg.gamma(0) == 1:
         return frozenset()
     out = set()
     for s in sorted(run.states()):
+        if deadline is not None:
+            deadline()
         if pg.gamma(1 << s) == 1:
             out.add(ts.names[s])
     return frozenset(out)
@@ -209,15 +215,21 @@ def positivity_buechi_opt(ts: TransitionSystem, target, run: LassoRun,
     return False
 
 
-def positivity_buechi_opt_all(ts: TransitionSystem, target,
-                              run: LassoRun) -> frozenset:
-    """Positivity set for the whole system (names), sharing one gamma memo."""
+def positivity_buechi_opt_all(ts: TransitionSystem, target, run: LassoRun,
+                              deadline=None) -> frozenset:
+    """Positivity set for the whole system (names), sharing one gamma memo.
+
+    `deadline()`, when given, runs before the first probe and once per
+    state.
+    """
     obj = Objective(BUECHI, target=frozenset(target))
     pg = PayoffGame(ts, obj, run, OPTIMISTIC,
                     PlayerSet.of_states(ts, range(len(ts))))
     order = rho_order(ts, run, target)
     out = set()
     for s in range(len(ts)):
+        if deadline is not None:
+            deadline()
         if positivity_buechi_opt(ts, target, run, s, order=order, pg=pg):
             out.add(ts.names[s])
     return frozenset(out)

@@ -1,13 +1,17 @@
 """End-to-end command-line behaviour, exit codes and file outputs."""
 
 import json
+import re
 import time
 from pathlib import Path
 
+import pytest
+
 import respgame.shapley
-from respgame.cli import run_cli
+from respgame.cli import build_parser, run_cli
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+DOCS = Path(__file__).resolve().parent.parent / "docs"
 
 
 def run(capsys, *argv):
@@ -101,10 +105,11 @@ def test_oracle_minimal_coalitions_solve_one_table(capsys, monkeypatch):
     assert len(builds) == 2 + 2 ** 4
 
 
-def test_export_records_file(capsys, tmp_path):
+def test_analyze_records_file(capsys, tmp_path):
     out_file = tmp_path / "report.json"
-    code, _, _ = run(capsys, "export", str(MODELS / "recurrence_demo.json"),
-                     "--mode", "optimistic", "-o", str(out_file))
+    code, _, _ = run(capsys, "analyze", str(MODELS / "recurrence_demo.json"),
+                     "--mode", "optimistic", "--format", "records",
+                     "-o", str(out_file))
     assert code == 0
     doc = json.loads(out_file.read_text())
     assert len(doc["players"]) == 6
@@ -113,7 +118,7 @@ def test_export_records_file(capsys, tmp_path):
     assert (top["numerator"], top["denominator"]) == (2, 3)
 
 
-def test_export_records_empty_player_set(capsys, tmp_path):
+def test_analyze_records_empty_player_set(capsys, tmp_path):
     model = tmp_path / "det.json"
     model.write_text(json.dumps({
         "states": ["a", "b"], "initial": "a",
@@ -121,18 +126,18 @@ def test_export_records_empty_player_set(capsys, tmp_path):
         "objective": {"kind": "reachability", "target": []},
         "run": {"prefix": [], "loop": ["a", "b"]}}))
     out_file = tmp_path / "report.json"
-    code, _, _ = run(capsys, "export", str(model), "-o", str(out_file))
+    code, _, _ = run(capsys, "analyze", str(model), "--format", "records",
+                     "-o", str(out_file))
     assert code == 0
     doc = json.loads(out_file.read_text())
     assert doc["schema"] == "respgame-report-v1"
     assert all(not p["positive"] for p in doc["players"])
 
 
-def test_export_dot_highlights_responsible(capsys, tmp_path):
+def test_refine_dot_highlights_responsible(capsys, tmp_path):
     out_file = tmp_path / "arena.dot"
-    code, _, _ = run(capsys, "export", str(MODELS / "refinement_demo.json"),
-                     "--using", "refine", "--format", "dot",
-                     "-o", str(out_file))
+    code, _, _ = run(capsys, "refine", str(MODELS / "refinement_demo.json"),
+                     "--format", "dot", "-o", str(out_file))
     assert code == 0
     dot = out_file.read_text()
     highlighted = {line.split()[0] for line in dot.splitlines()
@@ -197,11 +202,19 @@ def test_refine_timeout_inside_witness_search(capsys, tmp_path):
 
 
 def test_positivity_and_oracle_timeout_refusal(capsys):
-    # pessimistic positivity runs the refinement loop; the optimistic
-    # polynomial branches take no deadline
+    # pessimistic positivity runs the refinement loop
     model = str(MODELS / "engraving_demo.json")
     for command in ("positivity", "oracle"):
         code, out, err = run(capsys, command, model, "--timeout-s", "0")
+        assert code == 1 and "timeout" in err and not out
+
+
+def test_polynomial_positivity_timeout_refusal(capsys):
+    # optimistic Buechi and optimistic reachability on state players take
+    # the polynomial searches, which check the deadline once per state
+    for name in ("recurrence_demo.json", "unwinnable.json"):
+        code, out, err = run(capsys, "positivity", str(MODELS / name),
+                             "--mode", "optimistic", "--timeout-s", "0")
         assert code == 1 and "timeout" in err and not out
 
 
@@ -242,3 +255,100 @@ def test_state_cap_flag(capsys):
                        "--objective", "reachability", "--target-label",
                        "plus", "--state-cap", "5")
     assert code == 2 and "cap" in err
+
+
+def test_bad_parity_colour_is_an_input_error(capsys):
+    for colour in ("both=abc", "both=-1", "both="):
+        code, out, err = run(capsys, "analyze", str(MODELS / "toggle.prism"),
+                             "--objective", "parity", "--colour", colour)
+        assert code == 2 and not out
+        assert err == (f"error: bad --colour {colour!r}; "
+                       f"N must be a non-negative integer\n")
+
+
+def test_unreadable_input_is_an_input_error(capsys, tmp_path):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe")
+    model = str(MODELS / "groups_demo.json")
+    for argv in (("analyze", str(tmp_path)),
+                 ("analyze", str(binary)),
+                 ("analyze", str(binary), "--lang", "program"),
+                 ("analyze", model, "--groups", str(binary))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out and err.startswith("error: ")
+
+
+def _exit_code(argv):
+    try:
+        return run_cli(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ("export",),
+    ("analyze", "--seed", "1"),
+    ("analyze", "--block-cap", "3"),
+    ("analyze", "--oracle-cap", "3"),
+    ("positivity", "--format", "records"),
+    ("positivity", "--player-cap", "3"),
+    ("oracle", "--seed", "1"),
+    ("oracle", "--player-cap", "3"),
+    ("oracle", "--block-cap", "3"),
+    ("oracle", "--format", "records"),
+    ("refine", "--oracle-cap", "3"),
+    ("refine", "--minimal-coalitions"),
+])
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
+    argv = [argv[0], str(MODELS / "recurrence_demo.json"), *argv[1:]]
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err and not captured.out
+
+
+def test_refine_text_only_flags_need_the_table_format(capsys):
+    model = str(MODELS / "refinement_demo.json")
+    for flag, form in (("--no-values", "records"), ("--explain", "dot"),
+                       ("--no-values", "dot"), ("--explain", "records")):
+        code, out, err = run(capsys, "refine", model, flag, "--format", form)
+        assert code == 2 and not out
+        assert err == "error: --no-values and --explain need --format table\n"
+
+
+def _documented_flags():
+    """command -> flags named in the first column of its docs/cli.md tables;
+    a table under a heading naming several commands belongs to each."""
+    flags = {}
+    commands = ()
+    for line in (DOCS / "cli.md").read_text().splitlines():
+        if line.startswith("#"):
+            commands = re.findall(r"`([a-z]+)`", line)
+            for command in commands:
+                flags.setdefault(command, set())
+        elif line.startswith("| `") and commands:
+            cell = re.split(r"(?<!\\)\|", line)[1]
+            for span in re.findall(r"`([^`]+)`", cell):
+                for command in commands:
+                    flags[command].add(span.split()[0])
+    return flags
+
+
+def _parser_flags():
+    subs = next(a for a in build_parser()._actions if a.choices)
+    out = {}
+    for command, sub in subs.choices.items():
+        names = set()
+        for action in sub._actions:
+            if action.dest == "help":
+                continue
+            names.update(action.option_strings or [action.dest.upper()])
+        out[command] = names
+    return out
+
+
+def test_cli_docs_list_exactly_the_flags_each_command_accepts():
+    documented = _documented_flags()
+    parsed = _parser_flags()
+    assert sorted(documented) == sorted(parsed)
+    for command, names in parsed.items():
+        assert documented[command] == names, command

@@ -1,10 +1,12 @@
 """Guarded-command language: parsing, expansion, semantics corner cases."""
 
+import time
 from pathlib import Path
 
 import pytest
 
 from respgame import InputError, expand_program, parse_program
+from respgame.cli import run_cli
 from respgame.explicit import build_system
 from respgame.generators import generate_clouds
 
@@ -373,12 +375,17 @@ def test_formula_errors_carry_the_guard_suffix():
         " in [] command of module m (line 6)")
 
 
+# f(k) is (10^9)^(2^k): f9 is the first past the int-to-str digit limit
+SQUARING_CHAIN = "const int N = 1000000000;\nformula f0 = N;\n" + "".join(
+    f"formula f{k} = f{k - 1}*f{k - 1};\n" for k in range(1, 25))
+
+
 def test_unevaluated_errors_stay_silent():
-    # an update of a never-enabled command and an unused cyclic formula are
-    # never evaluated, so neither is reported
-    text = "formula loop = loop;\n" + TWO_VARS.format(
+    # an update of a never-enabled command, an unused cyclic formula and a
+    # formula too long to print are never evaluated, so none is reported
+    text = "formula loop = loop;\n" + SQUARING_CHAIN + TWO_VARS.format(
         commands="  [] false -> (x' = zz) & (b' = loop);\n"
-                 "  [] true -> true;\n", extra="")
+                 "  [] false -> (x' = f24);\n  [] true -> true;\n", extra="")
     expanded = expand_program(parse_program(text))
     assert expanded.ts.names == ("x=0,b=false",)
 
@@ -424,6 +431,23 @@ def test_constant_too_long_to_print_is_an_input_error():
     with pytest.raises(InputError, match="line 2: const 'M' is a value with "
                                          "too many digits"):
         expand_program(parse_program(text))
+
+
+def test_formula_chain_too_long_to_print_is_refused_promptly(capsys,
+                                                             tmp_path):
+    # each level squares 10^9; folding on would take minutes at 24 levels,
+    # but f9 is the first past the digit limit and refuses on evaluation
+    model = tmp_path / "chain.prism"
+    model.write_text(SQUARING_CHAIN + "module m\n  x : [0..1] init 0;\n"
+                                      "  [] x < f24 -> (x' = 0);\nendmodule\n")
+    start = time.monotonic()
+    code = run_cli(["analyze", str(model), "--objective", "reachability",
+                    "--target", "x=1"])
+    assert time.monotonic() - start < 1
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: formula 'f9' is a value with too many "
+                          "digits to print in [] command of module m")
 
 
 def test_update_too_long_to_print_names_the_command():
