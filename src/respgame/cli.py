@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 
 from . import exports
-from .errors import AnalysisTimeout, InputError, RefusalError
+from .errors import AnalysisTimeout, InputError, RefusalError, read_text
 from .explicit import build_system, load_explicit, serialize_explicit
 from .games import FORWARD, MODES, OPTIMISTIC, PESSIMISTIC
 from .generators import FAMILIES, generate
@@ -126,11 +126,10 @@ def _split_names(text):
     return [part for part in (text or "").split(",") if part]
 
 
-def _load_model(args) -> PayoffGame:
+def _load_model(args, deadline) -> PayoffGame:
     lang = args.lang
     if lang == "auto":
-        with open(args.model, "r", encoding="utf-8") as fh:
-            head = fh.read(4096).lstrip()
+        head = read_text(args.model, 4096).lstrip()
         lang = "explicit" if head.startswith("{") else "program"
     labels = {}
     owners = {}
@@ -152,7 +151,7 @@ def _load_model(args) -> PayoffGame:
         raise InputError("no objective: pass --objective/--target flags")
     run = _run_from_flags(args, ts, objective, doc_run)
     players = _players_from_flags(args, ts, objective, run, labels, owners,
-                                  group_doc)
+                                  group_doc, deadline)
     return PayoffGame(ts, objective, run, args.mode, players)
 
 
@@ -210,7 +209,8 @@ def _run_from_flags(args, ts, objective, doc_run):
     return run
 
 
-def _players_from_flags(args, ts, objective, run, labels, owners, group_doc):
+def _players_from_flags(args, ts, objective, run, labels, owners, group_doc,
+                        deadline):
     grouping = None
     if args.groups:
         grouping = load_grouping_file(args.groups)
@@ -225,7 +225,7 @@ def _players_from_flags(args, ts, objective, run, labels, owners, group_doc):
         return resolve_grouping(grouping, ts, labels=labels, owners=owners)
     if args.no_prune:
         return PlayerSet.of_states(ts, range(len(ts)))
-    return prune_dummies(ts, objective, run, args.mode)
+    return prune_dummies(ts, objective, run, args.mode, deadline)
 
 
 def _emit(args, text):
@@ -249,10 +249,10 @@ def _full_report(ts, report) -> ResponsibilityReport:
 
 
 def _cmd_analyze(args) -> int:
-    pg = _load_model(args)
+    deadline = _Deadline(args.timeout_s)
+    pg = _load_model(args, deadline)
     note = None
-    report = shapley_exact(pg, cap=args.player_cap,
-                           deadline=_Deadline(args.timeout_s))
+    report = shapley_exact(pg, cap=args.player_cap, deadline=deadline)
     if pg.gamma(pg.full_mask()) == 0:
         note = "objective unsatisfiable; all responsibilities 0"
     report = _full_report(pg.ts, report)
@@ -266,8 +266,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_positivity(args) -> int:
-    pg = _load_model(args)
     deadline = _Deadline(args.timeout_s)
+    pg = _load_model(args, deadline)
     polynomial = {REACHABILITY: positivity_reach_opt,
                   BUECHI: positivity_buechi_opt_all}.get(pg.objective.kind)
     if args.mode == OPTIMISTIC and pg.players.kind == "states" and polynomial:
@@ -286,11 +286,11 @@ def _cmd_positivity(args) -> int:
 def _cmd_refine(args) -> int:
     if (args.no_values or args.explain) and args.format != "table":
         raise InputError("--no-values and --explain need --format table")
-    pg = _load_model(args)
+    deadline = _Deadline(args.timeout_s)
+    pg = _load_model(args, deadline)
     config = HeuristicsConfig(initial_blocks=args.initial_blocks,
                               select=args.select, refine=args.refine,
                               rng_seed=args.seed)
-    deadline = _Deadline(args.timeout_s)
     if args.no_values:
         result = refine_loop(pg, config, cap=args.block_cap,
                              deadline=deadline)
@@ -320,12 +320,12 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    pg = _load_model(args)
+    deadline = _Deadline(args.timeout_s)
+    pg = _load_model(args, deadline)
     if pg.players.kind != "states":
         raise InputError("the oracle works on state players")
     indices = [pg.ts.index_of(n) for n in pg.players.names]
     problem = (pg.ts, pg.objective, pg.run, args.mode, indices)
-    deadline = _Deadline(args.timeout_s)
     if args.minimal_coalitions:
         report, minimal = oracle_shapley_and_minimal(
             *problem, cap=args.oracle_cap, deadline=deadline)
@@ -367,7 +367,7 @@ def run_cli(argv=None) -> int:
         if exc.guidance:
             sys.stderr.write(f"hint: {exc.guidance}\n")
         return 1
-    except (InputError, OSError, UnicodeDecodeError) as exc:
+    except (InputError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

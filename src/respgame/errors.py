@@ -1,4 +1,5 @@
-"""Shared error types used across the package."""
+"""Shared error types used across the package, and the input file reader
+that reports a file it cannot read as an InputError naming it."""
 
 
 class InputError(ValueError):
@@ -27,3 +28,16 @@ class BlockCapExceeded(RefusalError):
 
 class AnalysisTimeout(RefusalError):
     pass
+
+
+def read_text(path, size: int = -1) -> str:
+    """The UTF-8 text of the file at `path`, or its first `size` characters."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read(size)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc.reason} at byte "
+                         f"{exc.start}") from None
+

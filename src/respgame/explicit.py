@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .errors import InputError
+from .errors import InputError, read_text
 from .model import (OBJECTIVE_KINDS, PARITY, LassoRun, Objective,
                     TransitionSystem, require_valid_run)
 
@@ -192,5 +192,4 @@ def build_system(doc: ExplicitModelDoc):
 
 
 def load_explicit(path) -> ExplicitModelDoc:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_explicit(fh.read())
+    return parse_explicit(read_text(path))

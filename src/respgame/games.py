@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Iterable, Optional
 
 from .errors import InputError
@@ -20,17 +21,20 @@ class GameArena:
     """Two-player ownership partition over a (possibly engraved) graph.
 
     `sat` holds the indices controlled by the player trying to satisfy the
-    objective; every other state belongs to the opponent.
+    objective; every other state belongs to the opponent.  `states` are the
+    states of the game: all of them, or after `reachable()` only those
+    reachable from `initial`; indices keep their meaning either way.
     """
 
-    __slots__ = ("names", "initial", "succ", "sat", "_preds")
+    __slots__ = ("names", "initial", "succ", "sat", "states", "_preds")
 
-    def __init__(self, names, initial, succ, sat):
+    def __init__(self, names, initial, succ, sat, states=None, preds=None):
         self.names = names
         self.initial = initial
         self.succ = succ
         self.sat = frozenset(sat)
-        self._preds = None
+        self.states = range(len(names)) if states is None else states
+        self._preds = preds
 
     def preds(self):
         if self._preds is None:
@@ -41,6 +45,29 @@ class GameArena:
             self._preds = pred
         return self._preds
 
+    def reachable(self) -> "GameArena":
+        """The subgame on the states reachable from `initial`.
+
+        That set is closed under every successor, whoever owns the state,
+        so each of its states keeps its value.  One forward pass finds it
+        and fills the predecessor lists of its states only; the entries of
+        the other states stay None.
+        """
+        succ = self.succ
+        preds = [None] * len(succ)
+        preds[self.initial] = []
+        order = [self.initial]
+        for s in order:
+            for t in succ[s]:
+                p = preds[t]
+                if p is None:
+                    preds[t] = [s]
+                    order.append(t)
+                else:
+                    p.append(s)
+        return GameArena(self.names, self.initial, succ, self.sat,
+                         frozenset(order), preds)
+
     def __len__(self):
         return len(self.names)
 
@@ -50,17 +77,36 @@ class Game:
     arena: GameArena
     objective: Objective
 
+    def reachable(self) -> "Game":
+        """The same game on the states reachable from the initial state."""
+        return Game(self.arena.reachable(), self.objective)
 
-@dataclass(frozen=True)
+
 class WinningRegion:
     """Sat's winning region plus a positional strategy inside it.
 
     The strategy is a partial map on sat-controlled states; every defined
     edge stays inside `sat_wins` (the region is closed under the strategy).
+    It is put together from `moves`, callables that each return part of
+    it, the first time it is read, so a solve whose strategy nobody reads
+    builds none.
     """
 
-    sat_wins: frozenset
-    strategy: Dict[int, int]
+    __slots__ = ("sat_wins", "_moves", "_strategy")
+
+    def __init__(self, sat_wins: frozenset, moves=()):
+        self.sat_wins = sat_wins
+        self._moves = moves
+        self._strategy = None
+
+    @property
+    def strategy(self) -> Dict[int, int]:
+        if self._strategy is None:
+            self._strategy = {}
+            for part in self._moves:
+                self._strategy.update(part())
+            self._moves = ()
+        return self._strategy
 
 
 def engrave(succ, run: LassoRun, coalition) -> tuple:
@@ -110,7 +156,8 @@ def attractor(arena: GameArena, target, for_sat: bool, alive=None):
     A state owned by the attracting player joins as soon as one successor
     is inside; an opponent state joins once all its successors are.
     Returns (attractor set, level map); levels are the synchronous round at
-    which a state joined (targets at level 0), so they are canonical.
+    which a state joined (targets at level 0), so they are canonical and
+    the order in which a round visits its states does not matter.
     With `alive`, the game is the subgame on those states: no other state
     joins or counts as a successor, and `target` must lie inside it.
     """
@@ -120,7 +167,7 @@ def attractor(arena: GameArena, target, for_sat: bool, alive=None):
     attr = set(target)
     level = {s: 0 for s in attr}
     count = {}
-    frontier = sorted(attr)
+    frontier = list(attr)
     round_no = 0
     while frontier:
         round_no += 1
@@ -144,7 +191,7 @@ def attractor(arena: GameArena, target, for_sat: bool, alive=None):
                         attr.add(p)
                         level[p] = round_no
                         joined.append(p)
-        frontier = sorted(set(joined))
+        frontier = joined
     return attr, level
 
 
@@ -160,30 +207,39 @@ def _attractor_strategy(arena: GameArena, attr, level, for_sat: bool):
     return strategy
 
 
-def _solve_safety(arena: GameArena, avoid) -> WinningRegion:
-    bad, _ = attractor(arena, avoid, for_sat=False)
-    wins = frozenset(range(len(arena))) - bad
+def _stay_moves(arena: GameArena, states, within, for_sat: bool):
+    """Each of `states` owned by the player moves to its lowest successor
+    inside `within`, if it has one."""
     strategy = {}
-    for s in sorted(wins & arena.sat):
-        strategy[s] = min(t for t in arena.succ[s] if t in wins)
-    return WinningRegion(wins, strategy)
+    for s in sorted(states):
+        if (s in arena.sat) == for_sat:
+            inside = [t for t in arena.succ[s] if t in within]
+            if inside:
+                strategy[s] = min(inside)
+    return strategy
+
+
+def _solve_safety(arena: GameArena, avoid) -> WinningRegion:
+    states = arena.states
+    bad, _ = attractor(arena, [s for s in avoid if s in states],
+                       for_sat=False)
+    wins = frozenset(states) - bad
+    return WinningRegion(wins, (partial(_stay_moves, arena, wins, wins, True),))
 
 
 def _solve_reachability(arena: GameArena, target) -> WinningRegion:
+    target = [s for s in target if s in arena.states]
     attr, level = attractor(arena, target, for_sat=True)
-    strategy = _attractor_strategy(arena, attr, level, for_sat=True)
-    for s in sorted(set(target) & arena.sat):
-        stay = [t for t in arena.succ[s] if t in attr]
-        if stay:
-            strategy[s] = min(stay)
-    return WinningRegion(frozenset(attr), strategy)
+    return WinningRegion(frozenset(attr), (
+        partial(_attractor_strategy, arena, attr, level, True),
+        partial(_stay_moves, arena, target, attr, True)))
 
 
 def _solve_buechi(arena: GameArena, target) -> WinningRegion:
     """Recurrence fixpoint: shrink the target to states that can re-force a
     visit, then take Sat's attractor of what is left."""
     succ = arena.succ
-    recur = set(target)
+    recur = {s for s in target if s in arena.states}
     while True:
         attr, level = attractor(arena, recur, for_sat=True)
         kept = set()
@@ -199,76 +255,57 @@ def _solve_buechi(arena: GameArena, target) -> WinningRegion:
             break
         recur = kept
     if not recur:
-        return WinningRegion(frozenset(), {})
-    strategy = _attractor_strategy(arena, attr, level, for_sat=True)
-    for f in sorted(recur & arena.sat):
-        strategy[f] = min(t for t in succ[f] if t in attr)
-    return WinningRegion(frozenset(attr), strategy)
+        return WinningRegion(frozenset())
+    return WinningRegion(frozenset(attr), (
+        partial(_attractor_strategy, arena, attr, level, True),
+        partial(_stay_moves, arena, recur, attr, True)))
 
 
 def _zielonka(arena: GameArena, colours, alive):
-    """Recursive parity solver; returns (win_even, win_odd, strat_even, strat_odd).
+    """Recursive parity solver; returns (win_even, win_odd, moves_even,
+    moves_odd), the moves as `WinningRegion` takes them.
 
     Recursion removes the highest colour's attractor first; successor picks
-    break ties by lowest index, so returned strategies are reproducible.
+    break ties by lowest index, so the strategies are reproducible.
     """
     if not alive:
-        return set(), set(), {}, {}
-    succ, sat = arena.succ, arena.sat
+        return set(), set(), [], []
     d = max(colours[s] for s in alive)
     if d == 0:
         # everything is winning for the even player; any surviving move does
-        win = set(alive)
-        strat = {}
-        for s in sorted(alive):
-            if s in sat:
-                strat[s] = min(t for t in succ[s] if t in alive)
-        return win, set(), strat, {}
+        return set(alive), set(), [partial(_stay_moves, arena, alive, alive,
+                                           True)], []
     player_even = (d % 2 == 0)
     head = {s for s in alive if colours[s] == d}
     attr, level = attractor(arena, head, player_even, alive)
     rest = alive - attr
-    w_even, w_odd, s_even, s_odd = _zielonka(arena, colours, rest)
+    w_even, w_odd, m_even, m_odd = _zielonka(arena, colours, rest)
     if player_even:
-        w_self, w_opp, s_self, s_opp = w_even, w_odd, s_even, s_odd
+        w_opp, m_self, m_opp = w_odd, m_even, m_odd
     else:
-        w_self, w_opp, s_self, s_opp = w_odd, w_even, s_odd, s_even
+        w_opp, m_self, m_opp = w_even, m_odd, m_even
     if not w_opp:
         # the favoured player wins the whole subgame
         win = set(alive)
-        strat = dict(s_self)
-        strat.update(_attractor_strategy(arena, attr, level, player_even))
-        for s in sorted(head):
-            if (s in sat) == player_even:
-                strat[s] = min(t for t in succ[s] if t in alive)
+        moves = m_self + [
+            partial(_attractor_strategy, arena, attr, level, player_even),
+            partial(_stay_moves, arena, head, alive, player_even)]
         if player_even:
-            return win, set(), strat, {}
-        return set(), win, {}, strat
+            return win, set(), moves, []
+        return set(), win, [], moves
     opp_attr, opp_level = attractor(arena, w_opp, not player_even, alive)
     remaining = alive - opp_attr
-    w_even2, w_odd2, s_even2, s_odd2 = _zielonka(arena, colours, remaining)
-    opp_strat = dict(s_opp)
-    opp_strat.update(_attractor_strategy(arena, opp_attr, opp_level,
-                                         not player_even))
+    w_even2, w_odd2, m_even2, m_odd2 = _zielonka(arena, colours, remaining)
+    opp_moves = m_opp + [partial(_attractor_strategy, arena, opp_attr,
+                                 opp_level, not player_even)]
     if player_even:
-        win_even, strat_even = w_even2, s_even2
-        win_odd = w_odd2 | opp_attr
-        strat_odd = dict(s_odd2)
-        strat_odd.update(opp_strat)
-    else:
-        win_odd, strat_odd = w_odd2, s_odd2
-        win_even = w_even2 | opp_attr
-        strat_even = dict(s_even2)
-        strat_even.update(opp_strat)
-    return win_even, win_odd, strat_even, strat_odd
+        return w_even2, w_odd2 | opp_attr, m_even2, m_odd2 + opp_moves
+    return w_even2 | opp_attr, w_odd2, m_even2 + opp_moves, m_odd2
 
 
 def _solve_parity(arena: GameArena, colours) -> WinningRegion:
-    w_even, _w_odd, s_even, _ = _zielonka(arena, colours,
-                                          set(range(len(arena))))
-    strategy = {s: t for s, t in s_even.items()
-                if s in w_even and s in arena.sat}
-    return WinningRegion(frozenset(w_even), strategy)
+    w_even, _w_odd, moves, _ = _zielonka(arena, colours, set(arena.states))
+    return WinningRegion(frozenset(w_even), moves)
 
 
 def solve(game: Game) -> WinningRegion:

@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .errors import InputError
+from .errors import InputError, read_text
 from .model import TransitionSystem
 from .shapley import PlayerSet
 
@@ -102,13 +102,12 @@ def singleton_grouping(ts: TransitionSystem) -> PlayerSet:
 
 def load_grouping_file(path) -> GroupingSpec:
     """Explicit-list grouping document: block name -> state-name array."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(
-                f"syntax error at line {exc.lineno}, column {exc.colno}: "
-                f"{exc.msg}") from None
+    try:
+        raw = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InputError(
+            f"syntax error at line {exc.lineno}, column {exc.colno}: "
+            f"{exc.msg}") from None
     if not isinstance(raw, dict) or not all(
             isinstance(v, list) for v in raw.values()):
         raise InputError("grouping file must map block names to state lists")

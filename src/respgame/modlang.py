@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .errors import InputError
+from .errors import InputError, read_text
 from .model import TransitionSystem
 
 DEFAULT_STATE_CAP = 10_000_000
@@ -742,5 +742,4 @@ def serialize_program(prog: ModuleLangProgram) -> str:
 
 
 def load_program(path) -> ModuleLangProgram:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_program(fh.read())
+    return parse_program(read_text(path))

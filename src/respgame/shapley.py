@@ -93,9 +93,10 @@ class PayoffGame:
         if hit is not None:
             self.memo_hits += 1
             return hit
+        # the value at the initial state needs only the states it reaches
         game = build_game(self.ts, self.objective, self.run,
-                          self.flatten(mask), self.mode)
-        value = game_value(game)
+                          self.flatten(mask), self.mode).reachable()
+        value = int(game.arena.initial in solve(game).sat_wins)
         self.games_solved += 1
         self.memo[mask] = value
         return value
@@ -262,14 +263,15 @@ def shapley_exact(pg: PayoffGame, cap: int = DEFAULT_SHAPLEY_CAP,
 
 
 def prune_dummies(ts: TransitionSystem, obj: Objective, run: Optional[LassoRun],
-                  mode: str) -> PlayerSet:
+                  mode: str, deadline=None) -> PlayerSet:
     """Player set with provably-null states removed.
 
     Removes states with a single outgoing transition, states off the run in
     optimistic mode, and states inside Sat's winning region when Sat
     controls nothing or outside it when Sat controls everything.  Every
     removed state is a null player, so the Shapley values of the remaining
-    players are unchanged.
+    players are unchanged.  `deadline`, when given, is called before each
+    of the two games and may abort by raising.
     """
     n = len(ts)
     candidates = set(range(n))
@@ -277,8 +279,13 @@ def prune_dummies(ts: TransitionSystem, obj: Objective, run: Optional[LassoRun],
         candidates &= run.states()
     candidates = {s for s in candidates if len(ts.succ[s]) > 1}
     if candidates:
-        empty = solve(build_game(ts, obj, run, frozenset(), mode)).sat_wins
-        full = solve(build_game(ts, obj, run, frozenset(range(n)), mode)).sat_wins
+        regions = []
+        for coalition in (frozenset(), frozenset(range(n))):
+            if deadline is not None:
+                deadline()
+            regions.append(solve(build_game(ts, obj, run, coalition,
+                                            mode)).sat_wins)
+        empty, full = regions
         candidates = {s for s in candidates if s not in empty and s in full}
     return PlayerSet.of_states(ts, sorted(candidates))
 

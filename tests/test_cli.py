@@ -4,6 +4,7 @@ import json
 import re
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -185,8 +186,11 @@ def test_analyze_timeout_refusal(capsys, tmp_path):
     model = tmp_path / "exp.json"
     run(capsys, "generate", "--family", "exp-coalitions", "--size", "4",
         "-o", str(model))
-    code, _, err = run(capsys, "analyze", str(model), "--timeout-s", "0")
-    assert code == 1 and "timeout" in err
+    # the budget covers pruning too, so not even its two games are solved
+    with mock.patch.object(respgame.shapley, "solve",
+                           wraps=respgame.shapley.solve) as solve:
+        code, _, err = run(capsys, "analyze", str(model), "--timeout-s", "0")
+    assert code == 1 and "timeout" in err and solve.call_count == 0
 
 
 def test_refine_timeout_inside_witness_search(capsys, tmp_path):
@@ -270,12 +274,14 @@ def test_unreadable_input_is_an_input_error(capsys, tmp_path):
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\x89PNG\r\n\x1a\n\xff\xfe")
     model = str(MODELS / "groups_demo.json")
-    for argv in (("analyze", str(tmp_path)),
-                 ("analyze", str(binary)),
-                 ("analyze", str(binary), "--lang", "program"),
-                 ("analyze", model, "--groups", str(binary))):
+    for bad, argv in ((tmp_path, ("analyze", str(tmp_path))),
+                      (binary, ("analyze", str(binary))),
+                      (binary, ("analyze", str(binary), "--lang", "program")),
+                      (binary, ("analyze", str(binary), "--lang", "explicit")),
+                      (binary, ("analyze", model, "--groups", str(binary)))):
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out and err.startswith("error: ")
+        assert str(bad) in err and model not in err
 
 
 def _exit_code(argv):

@@ -1,18 +1,22 @@
 """Coalition games, exact Shapley values, pruning and the oracle."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from conftest import recurrence_example, diamond_example, refinement_example, instances
 
-from respgame import (FORWARD, OPTIMISTIC, PESSIMISTIC, REACHABILITY,
-                      LassoRun, Objective, PlayerCapExceeded, PlayerSet,
-                      TransitionSystem, generate, is_switching_pair,
+from respgame import (BUECHI, FORWARD, MODES, OPTIMISTIC, PARITY,
+                      PESSIMISTIC, REACHABILITY, SAFETY, AnalysisTimeout,
+                      HeuristicsConfig, LassoRun, Objective,
+                      PlayerCapExceeded, PlayerSet, TransitionSystem,
+                      find_violating_run, generate, is_switching_pair,
                       oracle_minimal_winning, oracle_shapley, prune_dummies,
-                      shapley_exact, threshold)
+                      refine_loop, shapley_exact, threshold)
+from respgame import games, shapley
 from respgame.explicit import build_system
-from respgame.games import build_game, game_value
+from respgame.games import build_game, game_value, solve
 from respgame.shapley import PayoffGame
 
 
@@ -255,3 +259,72 @@ def test_report_accessors():
     assert rep.positivity() == {"s0", "s1", "s2"}
     assert rep.value_of("s3") == 0
     assert rep.as_dict()["s2"] == Fraction(2, 3)
+
+
+def _reached(succ, start):
+    seen, stack = {start}, [start]
+    while stack:
+        for t in succ[stack.pop()]:
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
+
+
+def test_gamma_solves_only_the_states_reachable_from_the_initial_state():
+    # d and e form a component that a, b and c never reach; it holds a
+    # target of every objective and an edge back into the reachable part
+    ts = TransitionSystem(["a", "b", "c", "d", "e"], 0,
+                          [(0, 1), (0, 2), (1, 0), (2, 2), (3, 3), (3, 4),
+                           (3, 0), (4, 3)])
+    objectives = (Objective(SAFETY, target=frozenset({2, 4})),
+                  Objective(REACHABILITY, target=frozenset({4})),
+                  Objective(BUECHI, target=frozenset({1, 3})),
+                  Objective(PARITY, colours=(1, 0, 1, 2, 2)))
+    for obj in objectives:
+        run = find_violating_run(ts, obj)
+        for mode in MODES:
+            pg = _pg(ts, obj, run, mode)
+            with mock.patch.object(shapley, "solve", wraps=solve) as spy:
+                for mask in range(1 << len(ts)):
+                    cold = game_value(build_game(ts, obj, run,
+                                                 pg.flatten(mask), mode))
+                    assert pg.gamma(mask) == cold, (obj.kind, mode, mask)
+            assert spy.call_count == 1 << len(ts)
+            for call in spy.call_args_list:
+                arena = call.args[0].arena
+                assert set(arena.states) == _reached(arena.succ, 0)
+                assert not {3, 4} & set(arena.states)
+
+
+def test_value_solves_build_no_strategy():
+    with mock.patch.object(games, "_attractor_strategy",
+                           wraps=games._attractor_strategy) as spy:
+        for ts, obj, run, mode in instances(41, 60):
+            pg = _pg(ts, obj, run, mode)
+            shapley_exact(pg)
+            refine_loop(pg, HeuristicsConfig())
+            prune_dummies(ts, obj, run, mode)
+        assert spy.call_count == 0
+        # the strategy of a solve is still there for whoever reads it
+        ts, obj, run = recurrence_example()
+        region = solve(build_game(ts, obj, run, set(range(len(ts))),
+                                  PESSIMISTIC))
+        assert region.strategy and spy.call_count == 1
+
+
+def test_prune_dummies_checks_the_deadline_before_each_game():
+    ts, obj, run = recurrence_example()
+    ticks = []
+
+    def expired():
+        raise AnalysisTimeout("timeout")
+
+    with mock.patch.object(shapley, "solve", wraps=solve) as spy:
+        with pytest.raises(AnalysisTimeout):
+            prune_dummies(ts, obj, run, PESSIMISTIC, deadline=expired)
+        assert spy.call_count == 0
+        players = prune_dummies(ts, obj, run, PESSIMISTIC,
+                                deadline=lambda: ticks.append(spy.call_count))
+    assert ticks == [0, 1]
+    assert players == prune_dummies(ts, obj, run, PESSIMISTIC)
