@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from . import exports
 from .errors import AnalysisTimeout, InputError, RefusalError, read_text
-from .explicit import build_system, load_explicit, serialize_explicit
+from .explicit import load_explicit, serialize_explicit
 from .games import FORWARD, MODES, OPTIMISTIC, PESSIMISTIC
 from .generators import FAMILIES, generate
 from .grouping import (BY_LABEL, BY_MODULE, EXPLICIT_LIST, GroupingSpec,
@@ -137,7 +137,7 @@ def _load_model(args, deadline) -> PayoffGame:
     group_doc = None
     if lang == "explicit":
         doc = load_explicit(args.model)
-        ts, objective, doc_run = build_system(doc)
+        ts, objective, doc_run = doc.system
         group_doc = doc.groups
     else:
         prog = load_program(args.model)

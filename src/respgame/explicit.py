@@ -20,7 +20,10 @@ class ExplicitModelDoc:
     """Name-based surface of a model file; see README for the schema.
 
     Kept deliberately close to the wire format so parse -> serialize ->
-    parse is a fixpoint.
+    parse is a fixpoint.  `system` is not part of the document: it is the
+    `build_system` result that `parse_explicit` made while validating, so
+    a loader need not build it again.  It is None for a document made in
+    code and is not updated when a field changes.
     """
 
     states: List[str]
@@ -32,6 +35,8 @@ class ExplicitModelDoc:
     run_prefix: Optional[List[str]] = None
     run_loop: Optional[List[str]] = None
     groups: Optional[Dict[str, List[str]]] = None
+    system: Optional[tuple] = field(default=None, init=False, compare=False,
+                                    repr=False)
 
     def has_run(self) -> bool:
         return self.run_loop is not None
@@ -43,6 +48,14 @@ def parse_explicit(text: str) -> ExplicitModelDoc:
     Syntax errors carry line/column; semantic errors name the offending
     state or field.  Unknown fields are rejected.
     """
+    doc = _parse_fields(text)
+    # totality and run validity are part of parsing; the system is built
+    # once the decoded JSON is released, so the two never coexist in memory
+    doc.system = build_system(doc)
+    return doc
+
+
+def _parse_fields(text: str) -> ExplicitModelDoc:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -147,7 +160,6 @@ def parse_explicit(text: str) -> ExplicitModelDoc:
                            target=target, colours=colours,
                            run_prefix=run_prefix, run_loop=run_loop,
                            groups=groups)
-    build_system(doc)  # totality and run validity are part of parsing
     return doc
 
 

@@ -125,13 +125,19 @@ def engrave(succ, run: LassoRun, coalition) -> tuple:
     return tuple(out)
 
 
+def off_run_states(ts: TransitionSystem, run: LassoRun) -> frozenset:
+    return frozenset(range(len(ts))) - run.states()
+
+
 def build_game(ts: TransitionSystem, obj: Objective, run: Optional[LassoRun],
-               coalition, mode: str) -> Game:
+               coalition, mode: str, off_run=None) -> Game:
     """Assemble the arena for a coalition in the given mode.
 
     Pessimistic: engraved graph, Sat controls exactly the coalition.
     Optimistic: engraved graph, Sat additionally controls every state off
-    the run.  Forward: original graph (no engraving), Sat = coalition.
+    the run; a caller building many games passes `off_run_states(ts, run)`
+    as `off_run` so that it is not recomputed for each.  Forward: original
+    graph (no engraving), Sat = coalition.
     """
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
@@ -143,7 +149,8 @@ def build_game(ts: TransitionSystem, obj: Objective, run: Optional[LassoRun],
         raise InputError(f"{mode} mode requires a counterexample run")
     sat = coalition
     if mode == OPTIMISTIC:
-        off_run = frozenset(range(len(ts))) - run.states()
+        if off_run is None:
+            off_run = off_run_states(ts, run)
         sat = coalition | off_run
     arena = GameArena(ts.names, ts.initial, engrave(ts.succ, run, coalition),
                       sat)

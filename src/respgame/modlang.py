@@ -319,6 +319,26 @@ def _apply(op, operands, where):
     return _DYNAMIC, lambda v: f(ga(v), gb(v)), result
 
 
+def _last_value(fn):
+    """`fn` with a one-entry memo keyed on the identity of the valuation.
+
+    Expansion evaluates every guard and update of a state on the same
+    valuation tuple, and the memo holds that tuple, so its identity cannot
+    pass to another valuation while it is remembered.  A call that raises
+    remembers nothing.
+    """
+    last = value = None
+
+    def remembered(v):
+        nonlocal last, value
+        if v is not last:
+            value = fn(v)
+            last = v
+        return value
+
+    return remembered
+
+
 class _Compiler:
     """Expressions to closures over a valuation of `variables`.
 
@@ -326,8 +346,10 @@ class _Compiler:
     (folded), then to a formula (inlined, so a formula met again on its
     own expansion path is a cycle).  An inlined formula is compiled once
     per context and its node shared, so a formula used twice in a body
-    does not double the work.  A formula whose folded value is too long to
-    print compiles to a failing node.
+    does not double the compiled size, and the node remembers its value
+    for the last valuation, so it does not double the evaluation work
+    either.  A formula whose folded value is too long to print compiles to
+    a failing node.
     """
 
     def __init__(self, constants, formulas=None, variables=()):
@@ -364,6 +386,8 @@ class _Compiler:
                 # refused like a constant; folding on would square the
                 # digits per level of a chain like `f(i) = f(i-1)*f(i-1)`
                 node = _failing(f"formula {name!r} is {_TOO_LONG}{where}")
+            if node[0] is _DYNAMIC:
+                node = _DYNAMIC, _last_value(node[1]), node[2]
             self.inlined[key] = node
         return self.inlined[key]
 

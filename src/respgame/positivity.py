@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
-from .errors import InputError
 from .games import OPTIMISTIC, engrave
 from .model import (BUECHI, REACHABILITY, LassoRun, Objective,
                     TransitionSystem, _reachable)
@@ -53,29 +52,47 @@ def values_reach_opt(ts: TransitionSystem, target,
     return ResponsibilityReport("states", OPTIMISTIC, names, values)
 
 
+def bits(mask: int):
+    """The positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class RhoOrder:
     """Reachability preorder over run states plus the jump targets.
 
-    `pos` maps each run state to its index along the run (prefix first,
-    loop after).  `leq[s]` is the set of run states reachable from s in the
-    fully engraved system; loop states are pairwise equivalent.  `down[s]`
-    is the earliest run state the satisfying player can reach when
+    Sets of run states are bitmasks, bit s for state s.  `pos` maps each
+    run state to its index along the run (prefix first, loop after).
+    `leq[s]` holds the run states reachable from s in the fully engraved
+    system, where every run state follows only the run: the rest of the
+    run from s, and the whole loop, so loop states are pairwise
+    equivalent.  `geq[t]` holds the run states that reach t.  `down[s]` is
+    the earliest run state the satisfying player can reach when
     controlling s alone, `down_f[s]` the earliest one reachable through a
-    target state (None when no such detour exists).
+    target state (None when no such detour exists).  `detours` holds the
+    run states that have such a detour.
     """
 
     run: LassoRun
     pos: Dict[int, int]
-    leq: Dict[int, frozenset]
+    leq: Dict[int, int]
+    geq: Dict[int, int]
     down: Dict[int, int]
     down_f: Dict[int, Optional[int]]
+    detours: int
 
     def le(self, s: int, t: int) -> bool:
-        return t in self.leq[s]
+        return bool(self.leq[s] >> t & 1)
 
     def lt(self, s: int, t: int) -> bool:
-        return t in self.leq[s] and s not in self.leq[t]
+        return bool(self.above(s) >> t & 1)
+
+    def above(self, s: int) -> int:
+        """The run states strictly above s."""
+        return self.leq[s] & ~self.geq[s]
 
     def earliest(self, states) -> Optional[int]:
         states = [s for s in states if s in self.pos]
@@ -83,26 +100,41 @@ class RhoOrder:
             return None
         return min(states, key=self.pos.__getitem__)
 
+    def in_run_order(self, mask: int) -> List[int]:
+        """The states of `mask`, all on the run, in run order."""
+        return sorted(bits(mask), key=self.pos.__getitem__)
+
 
 def rho_order(ts: TransitionSystem, run: LassoRun, target=()) -> RhoOrder:
     """Compute the run preorder and the downward jump targets.
 
     The preorder lives on the fully engraved system, where every run state
-    is forced along the run.  Jump targets use the engraved system with the
-    probed state freed: the opponent has no choices there, so player
-    reachability is plain graph reachability.
+    is forced along the run, so it follows from the run alone.  Jump
+    targets use the engraved system with the probed state freed: the
+    opponent has no choices there, so player reachability is plain graph
+    reachability.
     """
     seq = run.sequence()
     pos = {s: i for i, s in enumerate(seq)}
+    loop = 0
+    for s in run.loop:
+        loop |= 1 << s
+    leq = dict.fromkeys(run.loop, loop)
+    suffix = loop
+    for s in reversed(run.prefix):
+        suffix |= 1 << s
+        leq[s] = suffix
+    geq = {}
+    prefix = 0
+    for s in run.prefix:
+        prefix |= 1 << s
+        geq[s] = prefix
+    geq.update(dict.fromkeys(run.loop, prefix | loop))
     run_states = run.states()
-    base = engrave(ts.succ, run, frozenset())
-    leq = {}
-    for s in run_states:
-        reach = _reachable(base, s)
-        leq[s] = frozenset(reach & run_states)
     target = frozenset(target)
     down: Dict[int, int] = {}
     down_f: Dict[int, Optional[int]] = {}
+    detours = 0
     for s in run_states:
         freed = engrave(ts.succ, run, frozenset([s]))
         reach = _reachable(freed, s)
@@ -116,120 +148,132 @@ def rho_order(ts: TransitionSystem, run: LassoRun, target=()) -> RhoOrder:
             down_f[s] = (min(after, key=pos.__getitem__) if after else None)
         else:
             down_f[s] = None
-    return RhoOrder(run, pos, leq, down, down_f)
+        if down_f[s] is not None:
+            detours |= 1 << s
+    return RhoOrder(run, pos, leq, geq, down, down_f, detours)
+
+
+@dataclass
+class BuechiSearch:
+    """What the searches over one system, target and run share.
+
+    `solo` is the mask of the run states that win alone: the first search
+    probes it and the later ones read it, so no coalition is probed
+    twice for it.  The exclusion masks of `closes` and `skips` are
+    computed on first use.
+    """
+
+    pg: PayoffGame
+    order: RhoOrder
+    solo: Optional[int] = None
+    _closes: Dict[int, int] = field(default_factory=dict, init=False,
+                                    repr=False)
+    _skips: Dict[int, int] = field(default_factory=dict, init=False,
+                                  repr=False)
+
+    @staticmethod
+    def of(ts: TransitionSystem, target, run: LassoRun) -> "BuechiSearch":
+        obj = Objective(BUECHI, target=frozenset(target))
+        pg = PayoffGame(ts, obj, run, OPTIMISTIC,
+                        PlayerSet.of_states(ts, range(len(ts))))
+        return BuechiSearch(pg, rho_order(ts, run, target))
+
+    def closes(self, top: int) -> int:
+        """Run states whose detour through the target rejoins the run at
+        or below `top`: they close the loop on their own."""
+        mask = self._closes.get(top)
+        if mask is None:
+            order = self.order
+            mask = 0
+            for s in bits(order.detours):
+                if order.leq[order.down_f[s]] >> top & 1:
+                    mask |= 1 << s
+            self._closes[top] = mask
+        return mask
+
+    def skips(self, skip: int) -> int:
+        """Run states at or above `skip` that jump strictly below it on
+        their own."""
+        mask = self._skips.get(skip)
+        if mask is None:
+            order = self.order
+            below = order.geq[skip] & ~order.leq[skip]
+            mask = 0
+            for s in bits(order.leq[skip]):
+                if below >> order.down[s] & 1:
+                    mask |= 1 << s
+            self._skips[skip] = mask
+        return mask
 
 
 def positivity_buechi_opt(ts: TransitionSystem, target, run: LassoRun,
                           state: int,
-                          order: Optional[RhoOrder] = None,
-                          pg: Optional[PayoffGame] = None) -> bool:
+                          search: Optional[BuechiSearch] = None) -> bool:
     """Decide positive optimistic responsibility under a Buechi objective.
 
     Polynomial search over the shapes a minimal winning coalition can take:
     the state wins alone, or closes the loop through the target (bottom
     role), or supplies one of the downward jumps (middle role).  Each
-    candidate coalition is assembled maximally and tested with one game
-    solve.
+    candidate coalition is assembled maximally, as a mask of state
+    players, and tested with one game solve.  Candidates never include a
+    state that wins alone: it would mask whether `state` itself is
+    pivotal.
     """
-    obj = Objective(BUECHI, target=frozenset(target))
-    if pg is None:
-        pg = PayoffGame(ts, obj, run, OPTIMISTIC,
-                        PlayerSet.of_states(ts, range(len(ts))))
-    elif len(pg.players) != len(ts):
-        raise InputError("positivity search needs the full state player set")
-    if order is None:
-        order = rho_order(ts, run, target)
+    if search is None:
+        search = BuechiSearch.of(ts, target, run)
+    order, pg = search.order, search.pg
     if state not in order.pos:
         return False
-
-    def is_winning(states) -> bool:
-        mask = 0
-        for s in states:
-            mask |= 1 << s
-        return pg.gamma(mask) == 1
-
-    if is_winning([state]):
+    if search.solo is None:
+        search.solo = 0
+        for s in order.pos:
+            if pg.gamma(1 << s) == 1:
+                search.solo |= 1 << s
+    solo = search.solo
+    me = 1 << state
+    if solo & me:
         return True
-    rho_states = sorted(order.pos, key=order.pos.__getitem__)
-
-    def candidates_between(lo, hi):
-        # lo < s' <= hi in the run preorder
-        return [s for s in rho_states if order.lt(lo, s) and order.le(s, hi)]
-
-    def try_bottom(s, s_top) -> bool:
-        coalition = {s, s_top}
-        for sp in candidates_between(s, s_top):
-            if is_winning([sp]):
-                continue
-            df = order.down_f.get(sp)
-            if df is not None and order.le(df, s_top):
-                continue
-            coalition.add(sp)
-        return is_winning(coalition)
-
-    def try_middle(s, s_bottom, s_top, s_skip) -> bool:
-        coalition = {s, s_bottom}
-        for sp in candidates_between(s_bottom, s_top):
-            if is_winning([sp]):
-                continue
-            df = order.down_f.get(sp)
-            if df is not None and order.le(df, s_top):
-                continue
-            d = order.down[sp]
-            if order.lt(d, s_skip) and order.le(s_skip, sp):
-                continue
-            coalition.add(sp)
-        return is_winning(coalition)
-
+    geq = order.geq
     # state as the bottom of the winning loop
-    df_s = order.down_f.get(state)
+    df_s = order.down_f[state]
     if df_s is not None:
-        for s_top in rho_states:
-            if not order.le(df_s, s_top):
-                continue
-            if is_winning([s_top]):
-                # a winning member would sit inside every assembled
-                # coalition and mask whether `state` itself is pivotal
-                continue
-            if try_bottom(state, s_top):
+        between = order.above(state) & ~solo
+        for s_top in order.in_run_order(order.leq[df_s] & ~solo):
+            coalition = (me | 1 << s_top
+                         | between & geq[s_top] & ~search.closes(s_top))
+            if pg.gamma(coalition) == 1:
                 return True
     # state as one of the middle jumps
-    for s_bottom in rho_states:
-        if not order.lt(s_bottom, state) or is_winning([s_bottom]):
-            continue
-        df_b = order.down_f.get(s_bottom)
-        if df_b is None:
-            continue
-        for s_top in rho_states:
-            if not (order.le(state, s_top) and order.le(df_b, s_top)):
-                continue
-            for s_skip in rho_states:
-                if not (order.lt(order.down[state], s_skip)
-                        and order.le(s_skip, state)):
-                    continue
-                if not (order.lt(s_bottom, s_skip)
-                        and order.le(s_skip, df_b)):
-                    continue
-                if try_middle(state, s_bottom, s_top, s_skip):
+    for s_bottom in order.in_run_order(geq[state] & ~order.leq[state]
+                                       & order.detours & ~solo):
+        df_b = order.down_f[s_bottom]
+        between = order.above(s_bottom) & ~solo
+        skip_at = order.in_run_order(order.above(order.down[state])
+                                     & geq[state] & order.above(s_bottom)
+                                     & geq[df_b])
+        for s_top in order.in_run_order(order.leq[state] & order.leq[df_b]):
+            middle = between & geq[s_top] & ~search.closes(s_top)
+            for s_skip in skip_at:
+                coalition = (me | 1 << s_bottom
+                             | middle & ~search.skips(s_skip))
+                if pg.gamma(coalition) == 1:
                     return True
     return False
 
 
 def positivity_buechi_opt_all(ts: TransitionSystem, target, run: LassoRun,
                               deadline=None) -> frozenset:
-    """Positivity set for the whole system (names), sharing one gamma memo.
+    """Positivity set for the whole system (names), from searches that
+    share one coalition game, its memo and the states that win alone.
 
     `deadline()`, when given, runs before the first probe and once per
     state.
     """
-    obj = Objective(BUECHI, target=frozenset(target))
-    pg = PayoffGame(ts, obj, run, OPTIMISTIC,
-                    PlayerSet.of_states(ts, range(len(ts))))
-    order = rho_order(ts, run, target)
+    search = BuechiSearch.of(ts, target, run)
     out = set()
     for s in range(len(ts)):
         if deadline is not None:
             deadline()
-        if positivity_buechi_opt(ts, target, run, s, order=order, pg=pg):
+        if positivity_buechi_opt(ts, target, run, s, search):
             out.add(ts.names[s])
     return frozenset(out)

@@ -5,10 +5,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import PlayerCapExceeded
-from .games import OPTIMISTIC, build_game, game_value, solve
+from .games import OPTIMISTIC, build_game, game_value, off_run_states, solve
 from .model import LassoRun, Objective, TransitionSystem
 
 STATE_PLAYERS = "states"
@@ -72,14 +73,12 @@ class PayoffGame:
     memo_hits: int = 0
 
     def flatten(self, mask: int) -> frozenset:
+        members = self.players.members
         states = set()
-        i = 0
-        m = mask
-        while m:
-            if m & 1:
-                states |= self.players.members[i]
-            m >>= 1
-            i += 1
+        while mask:
+            low = mask & -mask
+            states |= members[low.bit_length() - 1]
+            mask ^= low
         return frozenset(states)
 
     def mask_of_names(self, names) -> int:
@@ -95,11 +94,20 @@ class PayoffGame:
             return hit
         # the value at the initial state needs only the states it reaches
         game = build_game(self.ts, self.objective, self.run,
-                          self.flatten(mask), self.mode).reachable()
+                          self.flatten(mask), self.mode,
+                          off_run=self.off_run).reachable()
         value = int(game.arena.initial in solve(game).sat_wins)
         self.games_solved += 1
         self.memo[mask] = value
         return value
+
+    @cached_property
+    def off_run(self) -> Optional[frozenset]:
+        """The states off the run in optimistic mode, once per game rather
+        than per coalition; None in the other modes, which do not read it."""
+        if self.mode != OPTIMISTIC or self.run is None:
+            return None
+        return off_run_states(self.ts, self.run)
 
     def full_mask(self) -> int:
         return (1 << len(self.players)) - 1

@@ -400,6 +400,19 @@ def test_formula_used_twice_per_level_compiles_in_linear_time():
     assert len(expand_program(parse_program(text)).ts) == 1
 
 
+def test_formula_used_twice_per_level_evaluates_in_linear_time():
+    # an enabled guard reads f40, 2^40 copies of x; each formula remembers
+    # its value for the valuation at hand, so every level is evaluated once
+    chain = "".join(f"formula f{k} = f{k - 1} + f{k - 1};\n"
+                    for k in range(1, 41))
+    text = "formula f0 = x;\n" + chain + TWO_VARS.format(
+        commands="  [] f40 >= 0 & x < 2 -> (x' = x + 1);\n"
+                 "  [] x = 2 -> (x' = 0);\n", extra="")
+    start = time.monotonic()
+    assert len(expand_program(parse_program(text)).ts) == 3
+    assert time.monotonic() - start < 1
+
+
 def test_variable_shadows_constant_and_formula():
     text = "const int x = 5;\nformula b = zz;\n" + TWO_VARS.format(
         commands="  [] x = 0 & !b -> (x' = 1);\n  [] true -> true;\n",

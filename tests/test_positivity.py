@@ -5,7 +5,7 @@ from fractions import Fraction
 from conftest import recurrence_example, instances
 
 from respgame import (BUECHI, OPTIMISTIC, REACHABILITY, LassoRun, Objective,
-                      TransitionSystem, generate, oracle_shapley,
+                      PayoffGame, TransitionSystem, generate, oracle_shapley,
                       positivity_buechi_opt, positivity_buechi_opt_all,
                       positivity_reach_opt, rho_order, values_reach_opt)
 from respgame.explicit import build_system
@@ -110,3 +110,95 @@ def test_buechi_positivity_ignores_self_winning_top_states():
     slow = oracle_shapley(ts, Objective(BUECHI, target=target), run,
                           OPTIMISTIC).positivity()
     assert fast == slow == {"t"}
+
+
+def test_buechi_positivity_ignores_self_winning_states_between():
+    # the loop lies above q0, and q1, q2 and q4 win alone: a bottom-role
+    # coalition for q0 that took them in would win without q0 and make the
+    # null player q0 look responsible
+    ts = TransitionSystem(
+        [f"q{i}" for i in range(9)], 0,
+        [(0, 1), (1, 2), (1, 5), (2, 3), (2, 4), (3, 3), (4, 0), (4, 7),
+         (5, 7), (6, 2), (6, 6), (6, 8), (7, 1), (7, 4), (8, 1), (8, 4),
+         (8, 7)])
+    target = frozenset({0, 3, 5})
+    run = LassoRun((0,), (1, 2, 4, 7))
+    fast = positivity_buechi_opt_all(ts, target, run)
+    slow = oracle_shapley(ts, Objective(BUECHI, target=target), run,
+                          OPTIMISTIC).positivity()
+    assert fast == slow == {"q1", "q2", "q4"}
+
+
+def _reachable_from(succ, sources):
+    seen = set(sources)
+    stack = list(sources)
+    while stack:
+        for t in succ(stack.pop()):
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
+
+
+def _reference_order(ts, run, target):
+    """leq, down and down_f by graph search, from their definitions."""
+    along = dict(run.edges())
+    seq = run.sequence()
+
+    def forced_except(free):
+        def succ(s):
+            return (along[s],) if s in along and s != free else ts.succ[s]
+        return succ
+
+    leq = {s: _reachable_from(forced_except(None), [s]) & set(along)
+           for s in along}
+    down, down_f = {}, {}
+    for s in along:
+        succ = forced_except(s)
+        reach = _reachable_from(succ, [s])
+        down[s] = min(seq.index(t) for t in reach if t in along)
+        after = _reachable_from(succ, reach & set(target)) & set(along)
+        down_f[s] = min((seq.index(t) for t in after), default=None)
+    return (leq, {s: seq[i] for s, i in down.items()},
+            {s: None if i is None else seq[i] for s, i in down_f.items()})
+
+
+def _mask(states):
+    return sum(1 << s for s in states)
+
+
+def test_rho_order_masks_match_graph_search():
+    cases = [recurrence_example()]
+    cases += [inst[:3] for inst in instances(53, 80, max_states=9,
+                                             kind=BUECHI)]
+    for ts, obj, run in cases:
+        order = rho_order(ts, run, obj.target)
+        leq, down, down_f = _reference_order(ts, run, obj.target)
+        assert order.leq == {s: _mask(up) for s, up in leq.items()}
+        assert order.geq == {t: _mask(s for s in leq if t in leq[s])
+                             for t in leq}
+        assert order.down == down and order.down_f == down_f
+        assert order.detours == _mask(s for s in down_f
+                                      if down_f[s] is not None)
+        for s in leq:
+            for t in leq:
+                assert order.le(s, t) == (t in leq[s])
+                assert order.lt(s, t) == (t in leq[s] and s not in leq[t])
+
+
+def test_buechi_search_probes_each_coalition_once(monkeypatch):
+    ts, obj, run = build_system(generate("exp-coalitions", 30))
+    games = []
+    gamma = PayoffGame.gamma
+
+    def counted(pg, mask):
+        games.append(pg)
+        return gamma(pg, mask)
+
+    monkeypatch.setattr(PayoffGame, "gamma", counted)
+    positive = positivity_buechi_opt_all(ts, obj.target, run)
+    assert positive == frozenset(ts.names) - {"sf"}
+    pg = games[0]
+    assert all(g is pg for g in games)
+    assert len(games) == pg.games_solved
+    assert pg.games_solved <= 2 * len(run.states())

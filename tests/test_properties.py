@@ -8,11 +8,12 @@ import hypothesis.strategies as st
 from hypothesis import assume, given, settings
 
 from respgame import model
-from respgame import (BUECHI, MODES, PARITY, REACHABILITY, SAFETY, Game,
-                      GameArena, NoViolation, Objective, PayoffGame,
-                      PlayerSet, TransitionSystem, attractor, build_game,
-                      engrave, find_violating_run, game_value, shapley_exact,
-                      solve, validate_run, violates)
+from respgame import (BUECHI, MODES, OPTIMISTIC, PARITY, REACHABILITY,
+                      SAFETY, Game, GameArena, NoViolation, Objective,
+                      PayoffGame, PlayerSet, TransitionSystem, attractor,
+                      build_game, engrave, find_violating_run, game_value,
+                      oracle_shapley, positivity_buechi_opt_all,
+                      shapley_exact, solve, validate_run, violates)
 
 
 @st.composite
@@ -177,6 +178,21 @@ def test_reachable_subgame_solve_matches_the_cold_solve(inst, masks):
                     frontier.append(t)
         assert sub.arena.states == reached
         assert solve(sub).sat_wins == solve(game).sat_wins & reached
+
+
+@given(total_systems(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_buechi_positivity_search_matches_the_oracle(ts, data):
+    target = data.draw(st.sets(st.integers(min_value=0,
+                                           max_value=len(ts) - 1)))
+    obj = Objective(BUECHI, target=frozenset(target))
+    try:
+        run = find_violating_run(ts, obj)
+    except NoViolation:
+        run = None
+    assume(run is not None)
+    assert (positivity_buechi_opt_all(ts, obj.target, run)
+            == oracle_shapley(ts, obj, run, OPTIMISTIC).positivity())
 
 
 def _reference_cycle_through(succ, state, allowed):
