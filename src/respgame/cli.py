@@ -28,6 +28,19 @@ from .shapley import (DEFAULT_ORACLE_CAP, DEFAULT_SHAPLEY_CAP, PayoffGame,
                       shapley_exact)
 
 
+def _non_negative(kind):
+    """argparse type: a `kind` value that is at least 0; anything else is a
+    usage error."""
+    def parse(text):
+        value = kind(text)
+        if not value >= 0:  # also rejects nan
+            raise argparse.ArgumentTypeError(
+                f"must be a non-negative number: {text!r}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _add_model_flags(sub):
     sub.add_argument("model", help="model file (explicit document or program)")
     sub.add_argument("--lang", choices=("auto", "explicit", "program"),
@@ -56,18 +69,21 @@ def _add_model_flags(sub):
                      metavar="LABEL", help="group by label truth (repeat)")
     sub.add_argument("--no-prune", action="store_true",
                      help="keep provably-null states as players")
-    sub.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
+    sub.add_argument("--state-cap", type=_non_negative(int),
+                     default=DEFAULT_STATE_CAP,
                      help="program expansion state-space cap")
-    sub.add_argument("--timeout-s", type=float, default=None)
+    sub.add_argument("--timeout-s", type=_non_negative(float), default=None)
     sub.add_argument("-o", "--output", metavar="FILE",
                      help="write the result here instead of stdout")
 
 
 # flags beyond the model flags; each command gets only those it reads
 _OWN_FLAGS = {
-    "--player-cap": dict(type=int, default=DEFAULT_SHAPLEY_CAP),
-    "--block-cap": dict(type=int, default=DEFAULT_BLOCK_CAP),
-    "--oracle-cap": dict(type=int, default=DEFAULT_ORACLE_CAP),
+    "--player-cap": dict(type=_non_negative(int),
+                         default=DEFAULT_SHAPLEY_CAP),
+    "--block-cap": dict(type=_non_negative(int), default=DEFAULT_BLOCK_CAP),
+    "--oracle-cap": dict(type=_non_negative(int),
+                         default=DEFAULT_ORACLE_CAP),
     "--seed": dict(type=int, default=0),
     "--format": dict(choices=("table", "records", "dot"), default="table"),
     "--initial-blocks": dict(type=int, default=1),
@@ -163,6 +179,9 @@ def _objective_from_flags(args, ts, labels, fallback):
     if kind is None:
         raise InputError("--target/--colour flags need --objective")
     if kind == PARITY:
+        if args.target is not None or args.target_label is not None:
+            raise InputError("--target and --target-label do not apply to "
+                             "a parity objective; use --colour")
         colours = [0] * len(ts)
         for item in args.colour or []:
             if "=" not in item:
@@ -180,6 +199,9 @@ def _objective_from_flags(args, ts, labels, fallback):
             for s in labels[label]:
                 colours[s] = max(colours[s], colour)
         return Objective(PARITY, colours=tuple(colours))
+    if args.colour is not None:
+        raise InputError(f"--colour applies to a parity objective only, "
+                         f"not {kind}")
     target = set()
     for name in args.target or []:
         target.add(ts.index_of(name))

@@ -7,7 +7,7 @@ from functools import partial
 from typing import Dict, Iterable, Optional
 
 from .errors import InputError
-from .model import (BUECHI, PARITY, REACHABILITY, SAFETY, LassoRun, Objective,
+from .model import (BUECHI, REACHABILITY, SAFETY, LassoRun, Objective,
                     TransitionSystem)
 
 OPTIMISTIC = "optimistic"
@@ -335,32 +335,6 @@ def solve(game: Game) -> WinningRegion:
 def game_value(game: Game) -> int:
     """1 iff the initial state lies in Sat's winning region."""
     return 1 if game.arena.initial in solve(game).sat_wins else 0
-
-
-def dual_game(game: Game) -> Game:
-    """Swap the players and complement the objective.
-
-    Safety and reachability dualise into each other; Buechi and parity are
-    complemented through the parity encoding (shift every colour by one).
-    Solving the dual yields the opponent's winning region, which is how the
-    determinacy tests cross-check `solve`.
-    """
-    arena = game.arena
-    swapped = GameArena(arena.names, arena.initial, arena.succ,
-                        frozenset(range(len(arena))) - arena.sat)
-    obj = game.objective
-    if obj.kind == SAFETY:
-        dual_obj = Objective(REACHABILITY, target=obj.target)
-    elif obj.kind == REACHABILITY:
-        dual_obj = Objective(SAFETY, target=obj.target)
-    elif obj.kind == BUECHI:
-        colours = tuple(3 if s in obj.target else 2
-                        for s in range(len(arena)))
-        dual_obj = Objective(PARITY, colours=colours)
-    else:
-        dual_obj = Objective(PARITY,
-                             colours=tuple(c + 1 for c in obj.colours))
-    return Game(swapped, dual_obj)
 
 
 def arena_to_dot(game: Game, run: Optional[LassoRun] = None,

@@ -318,6 +318,6 @@ def generate(family: str, size: int = 0, bug: bool = True) -> ExplicitModelDoc:
     if family == "almost-empty-frontier":
         return generate_almost_empty_frontier(size)
     if family == "centrifuge-analog":
-        return generate_centrifuge_analog(max(size, 2) if size else 2, bug=bug)
+        return generate_centrifuge_analog(size or 2, bug=bug)
     raise InputError(f"unknown model family {family!r}; "
                      f"choose one of {', '.join(FAMILIES)}")

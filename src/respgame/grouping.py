@@ -95,11 +95,6 @@ def resolve_grouping(spec: GroupingSpec, ts: TransitionSystem,
                                [frozenset(v) for v in blocks.values()])
 
 
-def singleton_grouping(ts: TransitionSystem) -> PlayerSet:
-    return PlayerSet.of_blocks(list(ts.names),
-                               [frozenset([i]) for i in range(len(ts))])
-
-
 def load_grouping_file(path) -> GroupingSpec:
     """Explicit-list grouping document: block name -> state-name array."""
     try:

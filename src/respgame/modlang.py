@@ -712,58 +712,5 @@ def expand_program(prog: ModuleLangProgram,
     return ExpandedModel(ts, variables, order, labels, owners)
 
 
-def _render_expr(expr, parent_prec=0) -> str:
-    prec = {"|": 1, "&": 2, "=": 3, "!=": 3, "<": 3, "<=": 3, ">": 3,
-            ">=": 3, "+": 4, "-": 4, "*": 5}
-    tag = expr[0]
-    if tag == "int":
-        return str(expr[1])
-    if tag == "bool":
-        return "true" if expr[1] else "false"
-    if tag == "var":
-        return expr[1]
-    if tag == "unop":
-        inner = _render_expr(expr[2], 6)
-        return f"{expr[1]}{inner}"
-    op, a, b = expr[1], expr[2], expr[3]
-    p = prec[op]
-    text = f"{_render_expr(a, p)} {op} {_render_expr(b, p + 1)}"
-    return f"({text})" if p < parent_prec else text
-
-
-def serialize_program(prog: ModuleLangProgram) -> str:
-    """Canonical program text; parse -> serialize -> parse is a fixpoint."""
-    out = []
-    for name, value in prog.constants.items():
-        kind = "bool" if isinstance(value, bool) else "int"
-        text = ("true" if value else "false") if kind == "bool" else str(value)
-        out.append(f"const {kind} {name} = {text};")
-    for name, expr in prog.formulas.items():
-        out.append(f"formula {name} = {_render_expr(expr)};")
-    for mod in prog.modules:
-        out.append(f"module {mod.name}")
-        for v in mod.variables:
-            if v.kind == "bool":
-                init = "true" if v.init else "false"
-                out.append(f"  {v.name} : bool init {init};")
-            else:
-                out.append(f"  {v.name} : [{v.lo}..{v.hi}] init {v.init};")
-        for cmd in mod.commands:
-            action = cmd.action or ""
-            guard = _render_expr(cmd.guard)
-            if cmd.updates:
-                updates = " & ".join(f"({var}' = {_render_expr(expr)})"
-                                     for var, expr in cmd.updates)
-            else:
-                updates = "true"
-            out.append(f"  [{action}] {guard} -> {updates};")
-        out.append("endmodule")
-    for name, expr in prog.labels.items():
-        out.append(f'label "{name}" = {_render_expr(expr)};')
-    for name, expr in prog.owners.items():
-        out.append(f"owner {name} = {_render_expr(expr)};")
-    return "\n".join(out) + "\n"
-
-
 def load_program(path) -> ModuleLangProgram:
     return parse_program(read_text(path))

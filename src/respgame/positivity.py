@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .games import OPTIMISTIC, engrave
 from .model import (BUECHI, REACHABILITY, LassoRun, Objective,
                     TransitionSystem, _reachable)
-from .shapley import PayoffGame, PlayerSet, ResponsibilityReport
+from .shapley import PayoffGame, PlayerSet
 
 
 def positivity_reach_opt(ts: TransitionSystem, target, run: LassoRun,
@@ -36,20 +35,6 @@ def positivity_reach_opt(ts: TransitionSystem, target, run: LassoRun,
         if pg.gamma(1 << s) == 1:
             out.add(ts.names[s])
     return frozenset(out)
-
-
-def values_reach_opt(ts: TransitionSystem, target,
-                     run: LassoRun) -> ResponsibilityReport:
-    """Exact optimistic reachability values: every responsible state gets
-    1/|R|, everything else 0 (all-zero when no state is responsible)."""
-    positive = positivity_reach_opt(ts, target, run)
-    names = ts.names
-    if positive:
-        share = Fraction(1, len(positive))
-        values = tuple(share if n in positive else Fraction(0) for n in names)
-    else:
-        values = tuple(Fraction(0) for _ in names)
-    return ResponsibilityReport("states", OPTIMISTIC, names, values)
 
 
 def bits(mask: int):
@@ -93,12 +78,6 @@ class RhoOrder:
     def above(self, s: int) -> int:
         """The run states strictly above s."""
         return self.leq[s] & ~self.geq[s]
-
-    def earliest(self, states) -> Optional[int]:
-        states = [s for s in states if s in self.pos]
-        if not states:
-            return None
-        return min(states, key=self.pos.__getitem__)
 
     def in_run_order(self, mask: int) -> List[int]:
         """The states of `mask`, all on the run, in run order."""

@@ -204,14 +204,6 @@ def compute_has_bsp(pg: PayoffGame, partition: Partition,
     return out
 
 
-def frontier(pg: PayoffGame, partition: Partition,
-             witness: BspWitness) -> frozenset:
-    """Block states inside the region difference with an edge leaving it,
-    evaluated in the engraved graph of the larger-coalition game.  May be
-    empty for Buechi and parity objectives."""
-    return frozenset(witness.frontier_counts)
-
-
 def _rng_for(seed: int, iteration: int, purpose: int) -> random.Random:
     # integer mixing only: string seeds would depend on per-process hashing
     return random.Random((seed * 1_000_003 + iteration) * 31 + purpose)
@@ -230,7 +222,7 @@ def refine_block(pg: PayoffGame, partition: Partition, witness: BspWitness,
     delta_in_block = witness.delta & block_states
     assert delta_in_block, "region difference misses the block"
     counts = witness.frontier_counts
-    fr = frontier(pg, partition, witness)
+    fr = frozenset(counts)
     how = config.refine
     if how == "random":
         chosen = _rng_for(config.rng_seed, iteration, 1).choice(
@@ -261,20 +253,20 @@ def refine_block(pg: PayoffGame, partition: Partition, witness: BspWitness,
 
 def select_blocks(pg: PayoffGame, partition: Partition,
                   candidates: Dict[int, BspWitness],
-                  config: HeuristicsConfig, iteration: int) -> List[int]:
-    """Pick exactly one non-singleton witness block for refinement."""
+                  config: HeuristicsConfig, iteration: int) -> int:
+    """The id of the one non-singleton witness block to refine next."""
     if not candidates:
         raise InputError("no candidate blocks")
     ids = sorted(candidates)
     how = config.select
     if how == "random":
-        return [_rng_for(config.rng_seed, iteration, 2).choice(ids)]
+        return _rng_for(config.rng_seed, iteration, 2).choice(ids)
     if how == "max-delta":
-        return [max(ids, key=lambda b: (len(candidates[b].delta), -b))]
+        return max(ids, key=lambda b: (len(candidates[b].delta), -b))
     if how == "min-delta":
-        return [min(ids, key=lambda b: (len(candidates[b].delta), b))]
+        return min(ids, key=lambda b: (len(candidates[b].delta), b))
     # min-frontier
-    return [min(ids, key=lambda b: (len(candidates[b].frontier_counts), b))]
+    return min(ids, key=lambda b: (len(candidates[b].frontier_counts), b))
 
 
 @dataclass
@@ -348,8 +340,7 @@ def refine_loop(pg: PayoffGame, config: HeuristicsConfig,
         if not candidates:
             trace.append(record)
             break
-        selected = select_blocks(pg, partition, candidates, config,
-                                 iteration)[0]
+        selected = select_blocks(pg, partition, candidates, config, iteration)
         witness = candidates[selected]
         chosen, fr, _, _ = refine_block(
             pg, partition, witness, config, iteration)

@@ -81,12 +81,6 @@ class PayoffGame:
             mask ^= low
         return frozenset(states)
 
-    def mask_of_names(self, names) -> int:
-        mask = 0
-        for name in names:
-            mask |= 1 << self.players.names.index(name)
-        return mask
-
     def gamma(self, mask: int) -> int:
         hit = self.memo.get(mask)
         if hit is not None:
@@ -113,14 +107,6 @@ class PayoffGame:
         return (1 << len(self.players)) - 1
 
 
-def is_switching_pair(pg: PayoffGame, coalition_mask: int, player: int) -> bool:
-    """gamma(C) = 0 and gamma(C + player) = 1; the player must be outside C."""
-    bit = 1 << player
-    if coalition_mask & bit:
-        raise ValueError("player already in the coalition")
-    return pg.gamma(coalition_mask) == 0 and pg.gamma(coalition_mask | bit) == 1
-
-
 @dataclass(frozen=True)
 class ResponsibilityReport:
     """Exact rational responsibility per player plus the positivity set."""
@@ -140,11 +126,6 @@ class ResponsibilityReport:
 
     def as_dict(self) -> Dict[str, Fraction]:
         return dict(zip(self.names, self.values))
-
-
-def threshold(report: ResponsibilityReport, player: str, bound: Fraction) -> bool:
-    """Strict exact comparison value(player) > bound."""
-    return report.value_of(player) > Fraction(bound)
 
 
 def _shapley_weights(n: int) -> List[Fraction]:
@@ -379,23 +360,13 @@ def oracle_shapley(ts: TransitionSystem, obj: Objective,
     return _oracle_values(players, mode, gamma)
 
 
-def oracle_minimal_winning(ts: TransitionSystem, obj: Objective,
-                           run: Optional[LassoRun], mode: str,
-                           player_indices: Optional[Sequence[int]] = None,
-                           cap: int = DEFAULT_ORACLE_CAP,
-                           deadline=None) -> List[frozenset]:
-    """All minimal winning coalitions, as sets of player names."""
-    players, gamma = _naive_gamma_table(ts, obj, run, mode, player_indices,
-                                        cap, deadline)
-    return _minimal_winning(players, gamma)
-
-
 def oracle_shapley_and_minimal(ts: TransitionSystem, obj: Objective,
                                run: Optional[LassoRun], mode: str,
                                player_indices: Optional[Sequence[int]] = None,
                                cap: int = DEFAULT_ORACLE_CAP, deadline=None,
                                ) -> Tuple[ResponsibilityReport, List[frozenset]]:
-    """`oracle_shapley` and `oracle_minimal_winning` from one naive table."""
+    """`oracle_shapley` and all minimal winning coalitions, as sets of
+    player names, from one naive table."""
     players, gamma = _naive_gamma_table(ts, obj, run, mode, player_indices,
                                         cap, deadline)
     return _oracle_values(players, mode, gamma), _minimal_winning(players,

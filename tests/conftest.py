@@ -7,7 +7,8 @@ from itertools import product
 from respgame import (BUECHI, PARITY, REACHABILITY, SAFETY, FORWARD,
                       OPTIMISTIC, PESSIMISTIC, LassoRun, NoViolation,
                       Objective, TransitionSystem, find_violating_run,
-                      validate_run, violates)
+                      violates)
+from respgame.model import validate_run
 
 
 def engraving_example():
@@ -208,3 +209,11 @@ def enumerate_unsat_strategies(arena, cap: int = 1500):
     for picks in product(*(arena.succ[s] for s in unsat)):
         out.append(dict(zip(unsat, picks)))
     return out
+
+
+def is_switching_pair(pg, coalition_mask: int, player: int) -> bool:
+    """gamma(C) = 0 and gamma(C + player) = 1; the player must be outside C."""
+    bit = 1 << player
+    if coalition_mask & bit:
+        raise ValueError("player already in the coalition")
+    return pg.gamma(coalition_mask) == 0 and pg.gamma(coalition_mask | bit) == 1

@@ -11,14 +11,15 @@ from fractions import Fraction
 from conftest import recurrence_example, parity_jump_example, diamond_example, refinement_example, instances
 
 from respgame import (BUECHI, OPTIMISTIC, PESSIMISTIC, REACHABILITY,
-                      SAFETY, HeuristicsConfig, Partition,
-                      PlayerCapExceeded, PlayerSet, build_game, find_witness,
-                      frontier, game_value, generate,
-                      oracle_minimal_winning, oracle_shapley,
+                      SAFETY, HeuristicsConfig,
+                      PlayerCapExceeded, PlayerSet, build_game,
+                      game_value, generate,
+                      oracle_shapley, oracle_shapley_and_minimal,
                       positivity_buechi_opt_all, positivity_reach_opt,
                       prune_dummies, refine_loop,
                       responsibility_via_refinement, shapley_exact)
 from respgame.explicit import build_system
+from respgame.refinement import Partition, find_witness
 from respgame.shapley import PayoffGame
 
 
@@ -237,7 +238,7 @@ def test_criterion_6_structural_properties():
         if w is None:
             continue
         seen += 1
-        fr = frontier(pg, part, w)
+        fr = frozenset(w.frontier_counts)
         empty += not fr
         fr_names = {ts.names[s] for s in fr}
         positive = oracle_shapley(ts, obj, run, mode).positivity()
@@ -278,7 +279,8 @@ def test_criterion_7_exponential_family():
     counts = {}
     for n in (1, 2, 3, 4):
         ts, obj, run = build_system(generate("exp-coalitions", n))
-        counts[n] = len(oracle_minimal_winning(ts, obj, run, OPTIMISTIC))
+        counts[n] = len(oracle_shapley_and_minimal(ts, obj, run,
+                                                   OPTIMISTIC)[1])
     ok = all(counts[n] == 2 ** n for n in counts)
     _report(7, "exponentially many minimal winning coalitions", ok,
             f"counts {counts}")

@@ -312,6 +312,59 @@ def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
     assert "usage:" in captured.err and not captured.out
 
 
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--timeout-s", "-1"),
+    ("analyze", "--timeout-s", "nan"),
+    ("analyze", "--player-cap", "-1"),
+    ("refine", "--player-cap", "-1"),
+    ("refine", "--block-cap", "-1"),
+    ("positivity", "--block-cap", "-3"),
+    ("oracle", "--oracle-cap", "-1"),
+    ("oracle", "--state-cap", "-1"),
+])
+def test_negative_flag_values_are_usage_errors(capsys, argv):
+    # a negative cap or budget is a malformed flag, not a refusal (exit 1)
+    flag = argv[1]
+    argv = [argv[0], str(MODELS / "recurrence_demo.json"), *argv[1:]]
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err and not captured.out
+    assert f"argument {flag}: must be a non-negative number" in captured.err
+
+
+def test_zero_cap_is_a_refusal(capsys):
+    code, out, err = run(capsys, "analyze", str(MODELS / "recurrence_demo.json"),
+                         "--player-cap", "0")
+    assert code == 1 and "cap of 0" in err and not out
+
+
+def test_target_flags_with_a_parity_objective_are_input_errors(capsys):
+    for flags in (("--target-label", "crit"), ("--target", "loc=0")):
+        code, out, err = run(capsys, "analyze", str(MODELS / "clouds.prism"),
+                             "--objective", "parity", *flags)
+        assert code == 2 and not out
+        assert err == ("error: --target and --target-label do not apply to "
+                       "a parity objective; use --colour\n")
+
+
+def test_colour_with_a_non_parity_objective_is_an_input_error(capsys):
+    for kind in ("safety", "reachability", "buechi"):
+        code, out, err = run(capsys, "analyze", str(MODELS / "toggle.prism"),
+                             "--objective", kind, "--target-label", "both",
+                             "--colour", "both=1")
+        assert code == 2 and not out
+        assert err == (f"error: --colour applies to a parity objective "
+                       f"only, not {kind}\n")
+
+
+def test_generate_centrifuge_analog_bad_size(capsys):
+    for size, message in (("-1", "needs at least one analyser"),
+                          ("1", "buggy analyser index out of range")):
+        code, out, err = run(capsys, "generate", "--family",
+                             "centrifuge-analog", "--size", size)
+        assert code == 2 and not out and message in err
+
+
 def test_refine_text_only_flags_need_the_table_format(capsys):
     model = str(MODELS / "refinement_demo.json")
     for flag, form in (("--no-values", "records"), ("--explain", "dot"),

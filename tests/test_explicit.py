@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from respgame import (BUECHI, ExplicitModelDoc, InputError, parse_explicit,
+from respgame import (BUECHI, ExplicitModelDoc, InputError,
                       serialize_explicit)
 from respgame.cli import run_cli
-from respgame.explicit import build_system, load_explicit
+from respgame.explicit import build_system, load_explicit, parse_explicit
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 

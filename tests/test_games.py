@@ -9,9 +9,10 @@ from conftest import (enumerate_unsat_strategies, engraving_example, recurrence_
                       random_total_system)
 
 from respgame import (BUECHI, FORWARD, OPTIMISTIC, PARITY, PESSIMISTIC,
-                      REACHABILITY, SAFETY, Game, GameArena, LassoRun,
-                      Objective, TransitionSystem, arena_to_dot, attractor,
-                      build_game, dual_game, engrave, game_value, solve)
+                      REACHABILITY, SAFETY, LassoRun, Objective,
+                      TransitionSystem, arena_to_dot, build_game, engrave,
+                      game_value, solve)
+from respgame.games import Game, GameArena, attractor
 
 
 def _edge_set(succ):
@@ -130,6 +131,32 @@ def _random_games(seed, count, max_states=9, kind=None):
         arena = GameArena(ts.names, ts.initial, ts.succ, coalition)
         made += 1
         yield Game(arena, obj)
+
+
+def dual_game(game: Game) -> Game:
+    """Swap the players and complement the objective.
+
+    Safety and reachability dualise into each other; Buechi and parity are
+    complemented through the parity encoding (shift every colour by one).
+    Solving the dual yields the opponent's winning region, against which
+    the determinacy test below cross-checks `solve`.
+    """
+    arena = game.arena
+    swapped = GameArena(arena.names, arena.initial, arena.succ,
+                        frozenset(range(len(arena))) - arena.sat)
+    obj = game.objective
+    if obj.kind == SAFETY:
+        dual_obj = Objective(REACHABILITY, target=obj.target)
+    elif obj.kind == REACHABILITY:
+        dual_obj = Objective(SAFETY, target=obj.target)
+    elif obj.kind == BUECHI:
+        colours = tuple(3 if s in obj.target else 2
+                        for s in range(len(arena)))
+        dual_obj = Objective(PARITY, colours=colours)
+    else:
+        dual_obj = Objective(PARITY,
+                             colours=tuple(c + 1 for c in obj.colours))
+    return Game(swapped, dual_obj)
 
 
 @pytest.mark.parametrize("kind", [SAFETY, REACHABILITY, BUECHI, PARITY])

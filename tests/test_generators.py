@@ -4,13 +4,14 @@ import pytest
 
 from respgame import (BUECHI, NoViolation, OPTIMISTIC, PESSIMISTIC,
                       REACHABILITY, SAFETY, HeuristicsConfig, InputError,
-                      Partition, find_violating_run, find_witness, frontier,
-                      generate, oracle_shapley, parse_explicit,
-                      prune_dummies, refine_loop, serialize_explicit,
-                      validate_run, violates)
-from respgame.explicit import build_system
+                      find_violating_run, generate, oracle_shapley,
+                      oracle_shapley_and_minimal, prune_dummies, refine_loop,
+                      serialize_explicit, violates)
+from respgame.explicit import build_system, parse_explicit
 from respgame.generators import lab_program_text
+from respgame.model import validate_run
 from respgame.modlang import expand_program, parse_program
+from respgame.refinement import Partition, find_witness
 from respgame.shapley import PayoffGame
 
 
@@ -61,11 +62,11 @@ def test_clouds_size_and_positivity():
 
 
 def test_exp_coalitions_counts():
-    from respgame import oracle_minimal_winning
     for n in (1, 2, 3):
         ts, obj, run = build_system(generate("exp-coalitions", n))
         assert obj.kind == BUECHI
-        assert len(oracle_minimal_winning(ts, obj, run, OPTIMISTIC)) == 2 ** n
+        minimal = oracle_shapley_and_minimal(ts, obj, run, OPTIMISTIC)[1]
+        assert len(minimal) == 2 ** n
 
 
 def _first_witness(doc, mode=PESSIMISTIC):
@@ -86,7 +87,7 @@ def test_stress_frontier_shape(family, kind):
     doc = generate(family, k)
     ts, players, pg, part, w = _first_witness(doc)
     assert pg.objective.kind == kind
-    fr = frontier(pg, part, w)
+    fr = frozenset(w.frontier_counts)
     assert len(fr) == 2 * k
     # the frontier has k states reaching the smaller winning region and k
     # reaching the losing region of the larger game; the responsibility-
@@ -110,7 +111,7 @@ def test_almost_empty_frontier_profile():
     k = 6
     doc = generate("almost-empty-frontier", k)
     ts, players, pg, part, w = _first_witness(doc)
-    fr = frontier(pg, part, w)
+    fr = frozenset(w.frontier_counts)
     assert len(fr) == k
     idx = [ts.index_of(n) for n in players.names]
     rep = oracle_shapley(ts, pg.objective, pg.run, PESSIMISTIC, idx)
@@ -140,6 +141,21 @@ def test_lab_model_bug_variant_violates():
     assert set(doc.groups) == {"supply", "analyser1", "analyser2"}
     covered = {s for members in doc.groups.values() for s in members}
     assert covered == set(doc.states)
+
+
+def test_lab_model_size_is_the_analyser_count():
+    # size 0 is the documented default of two analysers
+    assert (serialize_explicit(generate("centrifuge-analog", 0))
+            == serialize_explicit(generate("centrifuge-analog", 2)))
+    one = generate("centrifuge-analog", 1, bug=False)
+    assert len(one.states) == 57
+    assert set(one.groups) == {"supply", "analyser1"}
+    # the injected bug sits in analyser 2, which one analyser lacks
+    with pytest.raises(InputError, match="buggy analyser index out of range"):
+        generate("centrifuge-analog", 1)
+    for bug in (True, False):
+        with pytest.raises(InputError, match="at least one analyser"):
+            generate("centrifuge-analog", -1, bug=bug)
 
 
 def test_lab_bug_blames_the_buggy_analyser():

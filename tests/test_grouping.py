@@ -6,8 +6,8 @@ import pytest
 
 from conftest import diamond_example
 
-from respgame import (GroupingSpec, InputError, expand_program, parse_program,
-                      resolve_grouping, singleton_grouping)
+from respgame import (GroupingSpec, InputError, PlayerSet, expand_program,
+                      parse_program, resolve_grouping)
 from respgame.grouping import BY_LABEL, BY_MODULE, EXPLICIT_LIST
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -24,6 +24,11 @@ def test_explicit_groups_three_blocks():
     assert members["left"] == frozenset({0, 1})
     union = frozenset().union(*players.members)
     assert union == frozenset(range(4))
+
+
+def singleton_grouping(ts):
+    return PlayerSet.of_blocks(list(ts.names),
+                               [frozenset([i]) for i in range(len(ts))])
 
 
 def test_singleton_grouping():

@@ -9,7 +9,8 @@ from conftest import (exhaustive_violation_exists, engraving_example, recurrence
 
 from respgame import (BUECHI, PARITY, REACHABILITY, SAFETY, InputError,
                       LassoRun, NoViolation, Objective, TransitionSystem,
-                      find_violating_run, validate_run, violates)
+                      find_violating_run, violates)
+from respgame.model import validate_run
 
 
 def test_deadlocked_model_rejected():

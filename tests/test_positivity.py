@@ -5,10 +5,11 @@ from fractions import Fraction
 from conftest import recurrence_example, instances
 
 from respgame import (BUECHI, OPTIMISTIC, REACHABILITY, LassoRun, Objective,
-                      PayoffGame, TransitionSystem, generate, oracle_shapley,
-                      positivity_buechi_opt, positivity_buechi_opt_all,
-                      positivity_reach_opt, rho_order, values_reach_opt)
+                      PayoffGame, PlayerSet, TransitionSystem, generate,
+                      oracle_shapley, positivity_buechi_opt_all,
+                      positivity_reach_opt, shapley_exact)
 from respgame.explicit import build_system
+from respgame.positivity import positivity_buechi_opt, rho_order
 
 
 def test_positivity_reach_clouds_instance():
@@ -31,31 +32,47 @@ def test_positivity_reach_matches_oracle():
         assert fast == slow
 
 
+def _equal_shares(ts, target, run):
+    """Optimistic reachability values by rule: each of the R states with
+    positive responsibility gets 1/|R|, every other state 0."""
+    positive = positivity_reach_opt(ts, target, run)
+    share = Fraction(1, len(positive)) if positive else Fraction(0)
+    return tuple(share if n in positive else Fraction(0) for n in ts.names)
+
+
+def _exact_reach_opt(ts, target, run):
+    obj = Objective(REACHABILITY, target=frozenset(target))
+    return shapley_exact(PayoffGame(ts, obj, run, OPTIMISTIC,
+                                    PlayerSet.of_states(ts, range(len(ts)))))
+
+
 def test_values_reach_equal_share():
     # two states, each winning on its own, split the whole value
     ts = TransitionSystem(["s0", "a", "f", "sink"], 0,
                           [(0, 1), (0, 2), (1, 2), (1, 3), (2, 2), (3, 3)])
     run = LassoRun((0, 1), (3,))
-    rep = values_reach_opt(ts, {2}, run)
+    rep = _exact_reach_opt(ts, {2}, run)
     assert rep.value_of("s0") == Fraction(1, 2)
     assert rep.value_of("a") == Fraction(1, 2)
     assert rep.value_of("f") == 0 and rep.value_of("sink") == 0
+    assert rep.values == _equal_shares(ts, {2}, run)
 
 
 def test_values_reach_clouds():
     doc = generate("clouds", 3)
     ts, obj, run = build_system(doc)
-    rep = values_reach_opt(ts, obj.target, run)
+    rep = _exact_reach_opt(ts, obj.target, run)
     assert rep.value_of("crit") == 1
     assert sum(rep.values, Fraction(0)) == 1
+    assert rep.values == _equal_shares(ts, obj.target, run)
 
 
 def test_values_reach_matches_exact():
     for ts, obj, run, _mode in instances(43, 60, max_states=8,
                                          kind=REACHABILITY):
-        fast = values_reach_opt(ts, obj.target, run)
-        slow = oracle_shapley(ts, obj, run, OPTIMISTIC)
-        assert fast.values == slow.values
+        rule = _equal_shares(ts, obj.target, run)
+        assert oracle_shapley(ts, obj, run, OPTIMISTIC).values == rule
+        assert _exact_reach_opt(ts, obj.target, run).values == rule
 
 
 def test_rho_order_prefix_chain_and_loop_class():

@@ -9,11 +9,13 @@ from hypothesis import assume, given, settings
 
 from respgame import model
 from respgame import (BUECHI, MODES, OPTIMISTIC, PARITY, REACHABILITY,
-                      SAFETY, Game, GameArena, NoViolation, Objective,
-                      PayoffGame, PlayerSet, TransitionSystem, attractor,
-                      build_game, engrave, find_violating_run, game_value,
-                      oracle_shapley, positivity_buechi_opt_all,
-                      shapley_exact, solve, validate_run, violates)
+                      SAFETY, NoViolation, Objective, PayoffGame, PlayerSet,
+                      TransitionSystem, build_game, engrave,
+                      find_violating_run, game_value, oracle_shapley,
+                      positivity_buechi_opt_all, shapley_exact, solve,
+                      violates)
+from respgame.games import Game, GameArena, attractor
+from respgame.model import validate_run
 
 
 @st.composite

@@ -2,16 +2,17 @@
 
 import pytest
 
-from conftest import refinement_example, decoy_frontier_example, empty_frontier_example, instances
+from conftest import (refinement_example, decoy_frontier_example,
+                      empty_frontier_example, instances, is_switching_pair)
 
 from respgame import (PESSIMISTIC, REACHABILITY, SAFETY, BlockCapExceeded,
-                      HeuristicsConfig, LassoRun, Objective, Partition,
-                      PlayerSet, TransitionSystem, compute_has_bsp,
-                      find_witness, frontier, oracle_shapley, prune_dummies,
-                      refine_block, refine_loop,
-                      responsibility_via_refinement, select_blocks)
+                      HeuristicsConfig, LassoRun, Objective, PlayerSet,
+                      TransitionSystem, oracle_shapley, prune_dummies,
+                      refine_loop, responsibility_via_refinement)
 from respgame.exports import records_document
-from respgame.shapley import PayoffGame, is_switching_pair
+from respgame.refinement import (Partition, compute_has_bsp, find_witness,
+                                 refine_block, select_blocks)
+from respgame.shapley import PayoffGame
 
 
 def _full_pg(ts, obj, run, mode):
@@ -75,7 +76,7 @@ def test_frontier_worked_example_step_one():
     pg = _full_pg(ts, obj, run, PESSIMISTIC)
     part = Partition([frozenset(range(11))])
     w = find_witness(pg, part, 0)
-    assert frontier(pg, part, w) == frozenset({3, 6, 8})
+    assert frozenset(w.frontier_counts) == frozenset({3, 6, 8})
 
 
 def test_frontier_worked_example_step_three():
@@ -90,7 +91,7 @@ def test_frontier_worked_example_step_three():
     assert w is not None and w.coalition == 0
     assert w.win_with == frozenset({0, 1, 2, 4, 7, 8})
     assert w.win_without == frozenset({4, 7})
-    assert frontier(pg, part, w) == frozenset({2, 8})
+    assert frozenset(w.frontier_counts) == frozenset({2, 8})
 
 
 def test_frontier_contains_null_state():
@@ -98,7 +99,7 @@ def test_frontier_contains_null_state():
     pg = _full_pg(ts, obj, run, PESSIMISTIC)
     part = Partition([frozenset(range(4))])
     w = find_witness(pg, part, 0)
-    assert frontier(pg, part, w) == frozenset({1, 2})
+    assert frozenset(w.frontier_counts) == frozenset({1, 2})
     # s2 sits in the frontier yet carries no responsibility
     assert oracle_shapley(ts, obj, run, PESSIMISTIC).positivity() == {"s1"}
 
@@ -109,7 +110,7 @@ def test_frontier_empty_for_buechi_instance():
     part = Partition([frozenset(range(4))])
     w = find_witness(pg, part, 0)
     assert w is not None
-    assert frontier(pg, part, w) == frozenset()
+    assert frozenset(w.frontier_counts) == frozenset()
     # the fallback split still works and the loop stays exact
     cfg = HeuristicsConfig(refine="frontier-random", rng_seed=3)
     result = refine_loop(pg, cfg)
@@ -159,15 +160,15 @@ def test_select_blocks_heuristics():
              if w is not None}
     big = {bid: len(found[bid].delta) for bid in found}
     cfg = HeuristicsConfig(select="max-delta")
-    pick = select_blocks(pg, part, found, cfg, 1)[0]
+    pick = select_blocks(pg, part, found, cfg, 1)
     assert big[pick] == max(big.values())
     cfg = HeuristicsConfig(select="min-delta")
-    pick = select_blocks(pg, part, found, cfg, 1)[0]
+    pick = select_blocks(pg, part, found, cfg, 1)
     assert big[pick] == min(big.values())
     only = {pick: found[pick]}
     for select in ("random", "max-delta", "min-delta", "min-frontier"):
         assert select_blocks(pg, part, only,
-                             HeuristicsConfig(select=select), 2) == [pick]
+                             HeuristicsConfig(select=select), 2) == pick
 
 
 def test_refine_loop_worked_example():
@@ -283,7 +284,7 @@ def test_safety_reach_witness_frontiers_nonempty():
         w = find_witness(pg, part, 0)
         if w is None:
             continue
-        assert frontier(pg, part, w), (ts.names, mode)
+        assert w.frontier_counts, (ts.names, mode)
 
 
 def test_frontier_contains_a_responsible_state():
@@ -299,7 +300,7 @@ def test_frontier_contains_a_responsible_state():
         w = find_witness(pg, part, 0)
         if w is None:
             continue
-        fr_names = {ts.names[s] for s in frontier(pg, part, w)}
+        fr_names = {ts.names[s] for s in w.frontier_counts}
         positive = oracle_shapley(ts, obj, run, mode).positivity()
         assert fr_names & positive, (ts.names, mode)
         hits += 1

@@ -5,15 +5,16 @@ from unittest import mock
 
 import pytest
 
-from conftest import recurrence_example, diamond_example, refinement_example, instances
+from conftest import (recurrence_example, diamond_example, refinement_example,
+                      instances, is_switching_pair)
 
 from respgame import (BUECHI, FORWARD, MODES, OPTIMISTIC, PARITY,
                       PESSIMISTIC, REACHABILITY, SAFETY, AnalysisTimeout,
                       HeuristicsConfig, LassoRun, Objective,
                       PlayerCapExceeded, PlayerSet, TransitionSystem,
-                      find_violating_run, generate, is_switching_pair,
-                      oracle_minimal_winning, oracle_shapley, prune_dummies,
-                      refine_loop, shapley_exact, threshold)
+                      find_violating_run, generate,
+                      oracle_shapley, oracle_shapley_and_minimal,
+                      prune_dummies, refine_loop, shapley_exact)
 from respgame import games, shapley
 from respgame.explicit import build_system
 from respgame.games import build_game, game_value, solve
@@ -28,8 +29,9 @@ def _pg(ts, obj, run, mode, indices=None):
 def test_gamma_examples():
     ts, obj, run = recurrence_example()
     pg = _pg(ts, obj, run, OPTIMISTIC)
-    assert pg.gamma(pg.mask_of_names(["s0", "s1"])) == 1
-    assert pg.gamma(pg.mask_of_names(["s1"])) == 0
+    index = pg.players.names.index
+    assert pg.gamma(1 << index("s0") | 1 << index("s1")) == 1
+    assert pg.gamma(1 << index("s1")) == 0
     # a full coalition still loses an unwinnable objective
     ts2 = TransitionSystem(["a", "island"], 0, [(0, 0), (1, 1)])
     obj2 = Objective(REACHABILITY, target=frozenset({1}))
@@ -210,10 +212,10 @@ def test_optimistic_reachability_values_all_equal():
 def test_threshold_examples():
     ts, obj, run = recurrence_example()
     opt = shapley_exact(_pg(ts, obj, run, OPTIMISTIC))
-    assert threshold(opt, "s2", Fraction(1, 2))
-    assert not threshold(opt, "s2", Fraction(1))
+    assert opt.value_of("s2") > Fraction(1, 2)
+    assert not opt.value_of("s2") > Fraction(1)
     pes = shapley_exact(_pg(ts, obj, run, PESSIMISTIC))
-    assert not threshold(pes, "s0", Fraction(1, 12))  # strict comparison
+    assert not pes.value_of("s0") > Fraction(1, 12)  # strict comparison
 
 
 def test_oracle_matches_exact_on_examples():
@@ -232,7 +234,7 @@ def test_oracle_empty_player_set():
 def test_oracle_minimal_winning_ladder():
     doc = generate("exp-coalitions", 3)
     ts, obj, run = build_system(doc)
-    minimal = oracle_minimal_winning(ts, obj, run, OPTIMISTIC)
+    minimal = oracle_shapley_and_minimal(ts, obj, run, OPTIMISTIC)[1]
     assert len(minimal) == 8
     for coalition in minimal:
         assert "s0" in coalition
@@ -243,7 +245,7 @@ def test_oracle_minimal_winning_ladder():
 def test_oracle_minimal_winning_single_pair():
     doc = generate("exp-coalitions", 1)
     ts, obj, run = build_system(doc)
-    assert len(oracle_minimal_winning(ts, obj, run, OPTIMISTIC)) == 2
+    assert len(oracle_shapley_and_minimal(ts, obj, run, OPTIMISTIC)[1]) == 2
 
 
 def test_oracle_cap():
