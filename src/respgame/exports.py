@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .games import build_game
+from .games import arena_to_dot, build_game
 from .refinement import RefinementResult
 from .shapley import PayoffGame, ResponsibilityReport
 
@@ -99,7 +99,6 @@ def render_trace_text(trace) -> str:
 
 def dot_document(pg: PayoffGame, report: ResponsibilityReport) -> str:
     """Arena DOT annotated with values; positive players highlighted."""
-    from .games import arena_to_dot
     game = build_game(pg.ts, pg.objective, pg.run,
                       frozenset(range(len(pg.ts))), pg.mode)
     name_to_states = dict(zip(pg.players.names, pg.players.members))

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Dict, Iterable, Optional
+from typing import Iterable, Optional
 
 from .errors import InputError
 from .model import (BUECHI, REACHABILITY, SAFETY, LassoRun, Objective,
@@ -82,33 +81,6 @@ class Game:
         return Game(self.arena.reachable(), self.objective)
 
 
-class WinningRegion:
-    """Sat's winning region plus a positional strategy inside it.
-
-    The strategy is a partial map on sat-controlled states; every defined
-    edge stays inside `sat_wins` (the region is closed under the strategy).
-    It is put together from `moves`, callables that each return part of
-    it, the first time it is read, so a solve whose strategy nobody reads
-    builds none.
-    """
-
-    __slots__ = ("sat_wins", "_moves", "_strategy")
-
-    def __init__(self, sat_wins: frozenset, moves=()):
-        self.sat_wins = sat_wins
-        self._moves = moves
-        self._strategy = None
-
-    @property
-    def strategy(self) -> Dict[int, int]:
-        if self._strategy is None:
-            self._strategy = {}
-            for part in self._moves:
-                self._strategy.update(part())
-            self._moves = ()
-        return self._strategy
-
-
 def engrave(succ, run: LassoRun, coalition) -> tuple:
     """Successor lists of the engraved graph: every run state outside the
     coalition keeps only the transition the run takes.
@@ -157,14 +129,12 @@ def build_game(ts: TransitionSystem, obj: Objective, run: Optional[LassoRun],
     return Game(arena, obj)
 
 
-def attractor(arena: GameArena, target, for_sat: bool, alive=None):
+def attractor(arena: GameArena, target, for_sat: bool, alive=None) -> set:
     """Least set containing `target` closed under forced one-step moves.
 
     A state owned by the attracting player joins as soon as one successor
-    is inside; an opponent state joins once all its successors are.
-    Returns (attractor set, level map); levels are the synchronous round at
-    which a state joined (targets at level 0), so they are canonical and
-    the order in which a round visits its states does not matter.
+    is inside; an opponent state joins once all its successors are.  The
+    least fixpoint does not depend on the order in which states join.
     With `alive`, the game is the subgame on those states: no other state
     joins or counts as a successor, and `target` must lie inside it.
     """
@@ -172,83 +142,44 @@ def attractor(arena: GameArena, target, for_sat: bool, alive=None):
     preds = arena.preds()
     sat = arena.sat
     attr = set(target)
-    level = {s: 0 for s in attr}
     count = {}
-    frontier = list(attr)
-    round_no = 0
-    while frontier:
-        round_no += 1
-        joined = []
-        for q in frontier:
-            for p in preds[q]:
-                if p in attr or (alive is not None and p not in alive):
+    work = list(attr)
+    while work:
+        for p in preds[work.pop()]:
+            if p in attr or (alive is not None and p not in alive):
+                continue
+            if (p in sat) != for_sat:
+                c = count.get(p)
+                if c is None:
+                    c = (len(succ[p]) if alive is None
+                         else sum(1 for t in succ[p] if t in alive))
+                c -= 1
+                count[p] = c
+                if c:
                     continue
-                if (p in sat) == for_sat:
-                    attr.add(p)
-                    level[p] = round_no
-                    joined.append(p)
-                else:
-                    c = count.get(p)
-                    if c is None:
-                        c = (len(succ[p]) if alive is None
-                             else sum(1 for t in succ[p] if t in alive))
-                    c -= 1
-                    count[p] = c
-                    if c == 0:
-                        attr.add(p)
-                        level[p] = round_no
-                        joined.append(p)
-        frontier = joined
-    return attr, level
+            attr.add(p)
+            work.append(p)
+    return attr
 
 
-def _attractor_strategy(arena: GameArena, attr, level, for_sat: bool):
-    """Rank-decreasing positional strategy for the attracting player."""
-    strategy = {}
-    for s in attr:
-        if (s in arena.sat) != for_sat or level[s] == 0:
-            continue
-        pick = min(t for t in arena.succ[s]
-                   if t in attr and level[t] < level[s])
-        strategy[s] = pick
-    return strategy
-
-
-def _stay_moves(arena: GameArena, states, within, for_sat: bool):
-    """Each of `states` owned by the player moves to its lowest successor
-    inside `within`, if it has one."""
-    strategy = {}
-    for s in sorted(states):
-        if (s in arena.sat) == for_sat:
-            inside = [t for t in arena.succ[s] if t in within]
-            if inside:
-                strategy[s] = min(inside)
-    return strategy
-
-
-def _solve_safety(arena: GameArena, avoid) -> WinningRegion:
+def _solve_safety(arena: GameArena, avoid) -> frozenset:
     states = arena.states
-    bad, _ = attractor(arena, [s for s in avoid if s in states],
-                       for_sat=False)
-    wins = frozenset(states) - bad
-    return WinningRegion(wins, (partial(_stay_moves, arena, wins, wins, True),))
+    return frozenset(states) - attractor(
+        arena, [s for s in avoid if s in states], for_sat=False)
 
 
-def _solve_reachability(arena: GameArena, target) -> WinningRegion:
-    target = [s for s in target if s in arena.states]
-    attr, level = attractor(arena, target, for_sat=True)
-    return WinningRegion(frozenset(attr), (
-        partial(_attractor_strategy, arena, attr, level, True),
-        partial(_stay_moves, arena, target, attr, True)))
+def _solve_reachability(arena: GameArena, target) -> frozenset:
+    return frozenset(attractor(
+        arena, [s for s in target if s in arena.states], for_sat=True))
 
 
-def _solve_buechi(arena: GameArena, target) -> WinningRegion:
+def _solve_buechi(arena: GameArena, target) -> frozenset:
     """Recurrence fixpoint: shrink the target to states that can re-force a
     visit, then take Sat's attractor of what is left."""
     succ = arena.succ
     recur = {s for s in target if s in arena.states}
     while True:
-        attr, level = attractor(arena, recur, for_sat=True)
+        attr = attractor(arena, recur, for_sat=True)
         kept = set()
         for f in recur:
             ts_in = [t for t in succ[f] if t in attr]
@@ -259,64 +190,35 @@ def _solve_buechi(arena: GameArena, target) -> WinningRegion:
                 if len(ts_in) == len(succ[f]):
                     kept.add(f)
         if kept == recur:
-            break
+            return frozenset(attr)
         recur = kept
-    if not recur:
-        return WinningRegion(frozenset())
-    return WinningRegion(frozenset(attr), (
-        partial(_attractor_strategy, arena, attr, level, True),
-        partial(_stay_moves, arena, recur, attr, True)))
 
 
 def _zielonka(arena: GameArena, colours, alive):
-    """Recursive parity solver; returns (win_even, win_odd, moves_even,
-    moves_odd), the moves as `WinningRegion` takes them.
-
-    Recursion removes the highest colour's attractor first; successor picks
-    break ties by lowest index, so the strategies are reproducible.
-    """
+    """Recursive parity solver on the subgame `alive`; returns (win_even,
+    win_odd).  Recursion removes the highest colour's attractor first."""
     if not alive:
-        return set(), set(), [], []
+        return set(), set()
     d = max(colours[s] for s in alive)
     if d == 0:
-        # everything is winning for the even player; any surviving move does
-        return set(alive), set(), [partial(_stay_moves, arena, alive, alive,
-                                           True)], []
+        return set(alive), set()
     player_even = (d % 2 == 0)
     head = {s for s in alive if colours[s] == d}
-    attr, level = attractor(arena, head, player_even, alive)
-    rest = alive - attr
-    w_even, w_odd, m_even, m_odd = _zielonka(arena, colours, rest)
-    if player_even:
-        w_opp, m_self, m_opp = w_odd, m_even, m_odd
-    else:
-        w_opp, m_self, m_opp = w_even, m_odd, m_even
+    attr = attractor(arena, head, player_even, alive)
+    w_even, w_odd = _zielonka(arena, colours, alive - attr)
+    w_opp = w_odd if player_even else w_even
     if not w_opp:
         # the favoured player wins the whole subgame
-        win = set(alive)
-        moves = m_self + [
-            partial(_attractor_strategy, arena, attr, level, player_even),
-            partial(_stay_moves, arena, head, alive, player_even)]
-        if player_even:
-            return win, set(), moves, []
-        return set(), win, [], moves
-    opp_attr, opp_level = attractor(arena, w_opp, not player_even, alive)
-    remaining = alive - opp_attr
-    w_even2, w_odd2, m_even2, m_odd2 = _zielonka(arena, colours, remaining)
-    opp_moves = m_opp + [partial(_attractor_strategy, arena, opp_attr,
-                                 opp_level, not player_even)]
+        return (set(alive), set()) if player_even else (set(), set(alive))
+    opp_attr = attractor(arena, w_opp, not player_even, alive)
+    w_even, w_odd = _zielonka(arena, colours, alive - opp_attr)
     if player_even:
-        return w_even2, w_odd2 | opp_attr, m_even2, m_odd2 + opp_moves
-    return w_even2 | opp_attr, w_odd2, m_even2 + opp_moves, m_odd2
+        return w_even, w_odd | opp_attr
+    return w_even | opp_attr, w_odd
 
 
-def _solve_parity(arena: GameArena, colours) -> WinningRegion:
-    w_even, _w_odd, moves, _ = _zielonka(arena, colours, set(arena.states))
-    return WinningRegion(frozenset(w_even), moves)
-
-
-def solve(game: Game) -> WinningRegion:
-    """Exact Sat winning region with a positional strategy.
+def solve(game: Game) -> frozenset:
+    """Exact Sat winning region.
 
     Safety is the complement of the opponent's attractor, reachability the
     Sat attractor, Buechi the recurrence fixpoint, parity a Zielonka
@@ -329,12 +231,13 @@ def solve(game: Game) -> WinningRegion:
         return _solve_reachability(game.arena, obj.target)
     if obj.kind == BUECHI:
         return _solve_buechi(game.arena, obj.target)
-    return _solve_parity(game.arena, obj.colours)
+    return frozenset(_zielonka(game.arena, obj.colours,
+                               set(game.arena.states))[0])
 
 
 def game_value(game: Game) -> int:
     """1 iff the initial state lies in Sat's winning region."""
-    return 1 if game.arena.initial in solve(game).sat_wins else 0
+    return 1 if game.arena.initial in solve(game) else 0
 
 
 def arena_to_dot(game: Game, run: Optional[LassoRun] = None,

@@ -61,19 +61,12 @@ class RhoOrder:
     run states that have such a detour.
     """
 
-    run: LassoRun
     pos: Dict[int, int]
     leq: Dict[int, int]
     geq: Dict[int, int]
     down: Dict[int, int]
     down_f: Dict[int, Optional[int]]
     detours: int
-
-    def le(self, s: int, t: int) -> bool:
-        return bool(self.leq[s] >> t & 1)
-
-    def lt(self, s: int, t: int) -> bool:
-        return bool(self.above(s) >> t & 1)
 
     def above(self, s: int) -> int:
         """The run states strictly above s."""
@@ -129,7 +122,7 @@ def rho_order(ts: TransitionSystem, run: LassoRun, target=()) -> RhoOrder:
             down_f[s] = None
         if down_f[s] is not None:
             detours |= 1 << s
-    return RhoOrder(run, pos, leq, geq, down, down_f, detours)
+    return RhoOrder(pos, leq, geq, down, down_f, detours)
 
 
 @dataclass

@@ -56,7 +56,6 @@ class Partition:
             seen |= b
             self.blocks[self._next] = b
             self._next += 1
-        self.universe = frozenset(seen)
 
     def split(self, block_id: int, part: frozenset) -> Tuple[int, int]:
         b = self.blocks.pop(block_id)
@@ -120,11 +119,12 @@ def _witness(pg: PayoffGame, partition: Partition, block_id: int,
     graph of the larger-coalition game, solved second so that only one
     arena is alive at a time."""
     block_states = pg.flatten(partition.mask_of((block_id,)))
-    win_without = solve(build_game(pg.ts, pg.objective, pg.run,
-                                   pg.flatten(coalition), pg.mode)).sat_wins
-    game = build_game(pg.ts, pg.objective, pg.run,
-                      pg.flatten(coalition) | block_states, pg.mode)
-    win_with = solve(game).sat_wins
+    states = pg.flatten(coalition)
+    win_without = solve(build_game(pg.ts, pg.objective, pg.run, states,
+                                   pg.mode))
+    game = build_game(pg.ts, pg.objective, pg.run, states | block_states,
+                      pg.mode)
+    win_with = solve(game)
     delta = win_with - win_without
     counts = {}
     for s in sorted(delta & block_states):

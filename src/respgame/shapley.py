@@ -90,7 +90,7 @@ class PayoffGame:
         game = build_game(self.ts, self.objective, self.run,
                           self.flatten(mask), self.mode,
                           off_run=self.off_run).reachable()
-        value = int(game.arena.initial in solve(game).sat_wins)
+        value = int(game.arena.initial in solve(game))
         self.games_solved += 1
         self.memo[mask] = value
         return value
@@ -272,8 +272,7 @@ def prune_dummies(ts: TransitionSystem, obj: Objective, run: Optional[LassoRun],
         for coalition in (frozenset(), frozenset(range(n))):
             if deadline is not None:
                 deadline()
-            regions.append(solve(build_game(ts, obj, run, coalition,
-                                            mode)).sat_wins)
+            regions.append(solve(build_game(ts, obj, run, coalition, mode)))
         empty, full = regions
         candidates = {s for s in candidates if s not in empty and s in full}
     return PlayerSet.of_states(ts, sorted(candidates))

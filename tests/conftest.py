@@ -197,18 +197,17 @@ def _play_outcome(arena, obj, start, strat_sat, strat_unsat):
     return max(obj.colours[s] for s in loop) % 2 == 0
 
 
-def enumerate_unsat_strategies(arena, cap: int = 1500):
-    """All positional opponent strategies, or None when too many."""
-    unsat = sorted(set(range(len(arena))) - arena.sat)
+def enumerate_strategies(arena, owned, cap: int = 300):
+    """All positional strategies on the states `owned`, or None when there
+    are more than `cap`."""
+    owned = sorted(owned)
     total = 1
-    for s in unsat:
+    for s in owned:
         total *= len(arena.succ[s])
         if total > cap:
             return None
-    out = []
-    for picks in product(*(arena.succ[s] for s in unsat)):
-        out.append(dict(zip(unsat, picks)))
-    return out
+    return [dict(zip(owned, picks))
+            for picks in product(*(arena.succ[s] for s in owned))]
 
 
 def is_switching_pair(pg, coalition_mask: int, player: int) -> bool:

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from conftest import (enumerate_unsat_strategies, engraving_example, recurrence_example, parity_jump_example, refinement_example,
-                      _play_outcome, instances, random_objective,
-                      random_total_system)
+from conftest import (engraving_example, enumerate_strategies, instances,
+                      parity_jump_example, random_objective,
+                      random_total_system, recurrence_example,
+                      refinement_example, _play_outcome)
 
 from respgame import (BUECHI, FORWARD, OPTIMISTIC, PARITY, PESSIMISTIC,
                       REACHABILITY, SAFETY, LassoRun, Objective,
@@ -70,9 +71,7 @@ def test_optimistic_empty_coalition_full_run_coverage():
 def test_attractor_chain():
     arena = GameArena(("a", "b", "c"), 0, ((1,), (2,), (2,)),
                       frozenset({0, 1, 2}))
-    attr, levels = attractor(arena, {2}, for_sat=True)
-    assert attr == {0, 1, 2}
-    assert levels == {2: 0, 1: 1, 0: 2}
+    assert attractor(arena, {2}, for_sat=True) == {0, 1, 2}
 
 
 def test_attractor_opponent_choice_blocks():
@@ -80,32 +79,28 @@ def test_attractor_opponent_choice_blocks():
     # of the target joins
     arena = GameArena(("a", "b", "c", "d"), 0, ((1,), (2, 3), (2,), (3,)),
                       frozenset({0, 2, 3}))
-    attr, _ = attractor(arena, {2}, for_sat=True)
-    assert attr == {2}
+    assert attractor(arena, {2}, for_sat=True) == {2}
 
 
 def test_attractor_of_everything():
     ts, _obj, run = recurrence_example()
     arena = build_game(ts, Objective(SAFETY, target=frozenset()), run, set(),
                        PESSIMISTIC).arena
-    attr, _ = attractor(arena, set(range(6)), for_sat=True)
-    assert attr == set(range(6))
+    assert attractor(arena, set(range(6)), for_sat=True) == set(range(6))
 
 
 def test_solve_worked_example_regions():
     ts, obj, run = refinement_example()
     empty = solve(build_game(ts, obj, run, set(), PESSIMISTIC))
-    assert empty.sat_wins == frozenset({4, 7})
+    assert empty == frozenset({4, 7})
     full = solve(build_game(ts, obj, run, set(range(11)), PESSIMISTIC))
-    assert full.sat_wins == frozenset(range(9))
+    assert full == frozenset(range(9))
 
 
 def test_solve_parity_single_even_loop():
     ts = TransitionSystem(["a"], 0, [(0, 0)])
     game = build_game(ts, Objective(PARITY, colours=(2,)), None, {0}, FORWARD)
-    region = solve(game)
-    assert region.sat_wins == frozenset({0})
-    assert region.strategy == {0: 0}
+    assert solve(game) == frozenset({0})
 
 
 def test_game_value_parity_forward_jump():
@@ -162,33 +157,47 @@ def dual_game(game: Game) -> Game:
 @pytest.mark.parametrize("kind", [SAFETY, REACHABILITY, BUECHI, PARITY])
 def test_determinacy_against_dual(kind):
     for game in _random_games(len(kind), 1000, max_states=10, kind=kind):
-        wins = solve(game).sat_wins
-        dual_wins = solve(dual_game(game)).sat_wins
+        wins = solve(game)
+        dual_wins = solve(dual_game(game))
         assert wins | dual_wins == frozenset(range(len(game.arena)))
         assert not wins & dual_wins
 
 
-def test_region_closedness():
-    for game in _random_games(77, 400):
-        region = solve(game)
-        for s, t in region.strategy.items():
-            assert s in region.sat_wins and s in game.arena.sat
-            assert t in region.sat_wins
+def _positional_region(game):
+    """The states from which some positional Sat strategy beats every
+    positional opponent strategy, or None when either player has too many
+    strategies to enumerate."""
+    arena = game.arena
+    mine = enumerate_strategies(arena, arena.sat)
+    theirs = enumerate_strategies(arena, set(range(len(arena))) - arena.sat)
+    if mine is None or theirs is None:
+        return None
+    region = set()
+    for strat_sat in mine:
+        beats_all = set(range(len(arena))) - region
+        for strat_unsat in theirs:
+            beats_all = {s for s in beats_all
+                         if _play_outcome(arena, game.objective, s, strat_sat,
+                                          strat_unsat)}
+            if not beats_all:
+                break
+        region |= beats_all
+    return frozenset(region)
 
 
-def test_strategy_sound_against_all_opponents():
+@pytest.mark.parametrize("kind", [SAFETY, REACHABILITY, BUECHI, PARITY])
+def test_solve_equals_positional_brute_force(kind):
+    # all four objectives are positionally determined, so the winning
+    # region is exactly what some positional strategy wins against every
+    # positional opponent: this pins completeness as well as soundness
     checked = 0
-    for game in _random_games(31, 400, max_states=8):
-        opponents = enumerate_unsat_strategies(game.arena)
-        if opponents is None:
+    for game in _random_games(31 + len(kind), 300, max_states=7, kind=kind):
+        expected = _positional_region(game)
+        if expected is None:
             continue
-        region = solve(game)
-        for strat_unsat in opponents:
-            for s in region.sat_wins:
-                checked += 1
-                assert _play_outcome(game.arena, game.objective, s,
-                                     region.strategy, strat_unsat)
-    assert checked > 1000
+        checked += 1
+        assert solve(game) == expected
+    assert checked >= 250
 
 
 def test_monotone_value_in_coalition():

@@ -81,12 +81,12 @@ def test_rho_order_prefix_chain_and_loop_class():
     seq = run.sequence()
     for i, s in enumerate(seq):
         for t in seq[i:]:
-            assert order.le(s, t)
+            assert order.leq[s] >> t & 1
     for s in run.loop:
         for t in run.loop:
-            assert order.le(s, t) and order.le(t, s)
+            assert order.leq[s] >> t & 1 and order.leq[t] >> s & 1
     # prefix states strictly precede the loop
-    assert order.lt(0, 3) and not order.lt(3, 0)
+    assert order.above(0) >> 3 & 1 and not order.above(3) >> 0 & 1
 
 
 def test_rho_order_jump_targets():
@@ -199,8 +199,9 @@ def test_rho_order_masks_match_graph_search():
                                       if down_f[s] is not None)
         for s in leq:
             for t in leq:
-                assert order.le(s, t) == (t in leq[s])
-                assert order.lt(s, t) == (t in leq[s] and s not in leq[t])
+                assert (order.leq[s] >> t & 1) == (t in leq[s])
+                assert (order.above(s) >> t & 1) == (t in leq[s]
+                                                     and s not in leq[t])
 
 
 def test_buechi_search_probes_each_coalition_once(monkeypatch):

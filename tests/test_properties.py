@@ -82,9 +82,8 @@ def test_attractor_monotone_in_target(ts, bits_a, bits_b):
     extra = {s for s in range(n) if (bits_b >> s) & 1}
     sat = frozenset(range(0, n, 2))
     arena = GameArena(ts.names, ts.initial, ts.succ, sat)
-    attr_small, _ = attractor(arena, small, for_sat=True)
-    attr_big, _ = attractor(arena, small | extra, for_sat=True)
-    assert attr_small <= attr_big
+    assert (attractor(arena, small, for_sat=True)
+            <= attractor(arena, small | extra, for_sat=True))
 
 
 @given(total_systems(), st.integers(min_value=0, max_value=2 ** 16),
@@ -98,7 +97,7 @@ def test_safety_region_shrinks_with_larger_avoid_set(ts, bits_a, bits_b):
                       frozenset(range(0, n, 2)))
     win_small = solve(Game(arena, Objective(SAFETY, target=small)))
     win_big = solve(Game(arena, Objective(SAFETY, target=big)))
-    assert win_big.sat_wins <= win_small.sat_wins
+    assert win_big <= win_small
 
 
 def _naive_shapley(pg):
@@ -179,7 +178,7 @@ def test_reachable_subgame_solve_matches_the_cold_solve(inst, masks):
                     reached.add(t)
                     frontier.append(t)
         assert sub.arena.states == reached
-        assert solve(sub).sat_wins == solve(game).sat_wins & reached
+        assert solve(sub) == solve(game) & reached
 
 
 @given(total_systems(), st.data())

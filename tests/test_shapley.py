@@ -10,12 +10,11 @@ from conftest import (recurrence_example, diamond_example, refinement_example,
 
 from respgame import (BUECHI, FORWARD, MODES, OPTIMISTIC, PARITY,
                       PESSIMISTIC, REACHABILITY, SAFETY, AnalysisTimeout,
-                      HeuristicsConfig, LassoRun, Objective,
-                      PlayerCapExceeded, PlayerSet, TransitionSystem,
-                      find_violating_run, generate,
+                      LassoRun, Objective, PlayerCapExceeded, PlayerSet,
+                      TransitionSystem, find_violating_run, generate,
                       oracle_shapley, oracle_shapley_and_minimal,
-                      prune_dummies, refine_loop, shapley_exact)
-from respgame import games, shapley
+                      prune_dummies, shapley_exact)
+from respgame import shapley
 from respgame.explicit import build_system
 from respgame.games import build_game, game_value, solve
 from respgame.shapley import PayoffGame
@@ -297,22 +296,6 @@ def test_gamma_solves_only_the_states_reachable_from_the_initial_state():
                 arena = call.args[0].arena
                 assert set(arena.states) == _reached(arena.succ, 0)
                 assert not {3, 4} & set(arena.states)
-
-
-def test_value_solves_build_no_strategy():
-    with mock.patch.object(games, "_attractor_strategy",
-                           wraps=games._attractor_strategy) as spy:
-        for ts, obj, run, mode in instances(41, 60):
-            pg = _pg(ts, obj, run, mode)
-            shapley_exact(pg)
-            refine_loop(pg, HeuristicsConfig())
-            prune_dummies(ts, obj, run, mode)
-        assert spy.call_count == 0
-        # the strategy of a solve is still there for whoever reads it
-        ts, obj, run = recurrence_example()
-        region = solve(build_game(ts, obj, run, set(range(len(ts))),
-                                  PESSIMISTIC))
-        assert region.strategy and spy.call_count == 1
 
 
 def test_prune_dummies_checks_the_deadline_before_each_game():
