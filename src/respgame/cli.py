@@ -43,8 +43,6 @@ def _non_negative(kind):
 
 def _add_model_flags(sub):
     sub.add_argument("model", help="model file (explicit document or program)")
-    sub.add_argument("--lang", choices=("auto", "explicit", "program"),
-                     default="auto", help="input format (default: sniff)")
     sub.add_argument("--mode", choices=MODES, default=PESSIMISTIC)
     sub.add_argument("--objective", choices=OBJECTIVE_KINDS,
                      help="override the document objective kind")
@@ -142,22 +140,20 @@ def _split_names(text):
     return [part for part in (text or "").split(",") if part]
 
 
-def _load_model(args, deadline) -> PayoffGame:
-    lang = args.lang
-    if lang == "auto":
-        head = read_text(args.model, 4096).lstrip()
-        lang = "explicit" if head.startswith("{") else "program"
+def _load_model(args) -> PayoffGame:
+    deadline = _Deadline(args.timeout_s)
     labels = {}
     owners = {}
     doc_run = None
     group_doc = None
-    if lang == "explicit":
+    # an explicit document is a JSON object; no program starts with "{"
+    if read_text(args.model, 4096).lstrip().startswith("{"):
         doc = load_explicit(args.model)
         ts, objective, doc_run = doc.system
         group_doc = doc.groups
     else:
         prog = load_program(args.model)
-        expanded = expand_program(prog, max_states=args.state_cap)
+        expanded = expand_program(prog, args.state_cap, deadline)
         ts = expanded.ts
         labels = expanded.labels
         owners = expanded.owners
@@ -168,7 +164,7 @@ def _load_model(args, deadline) -> PayoffGame:
     run = _run_from_flags(args, ts, objective, doc_run)
     players = _players_from_flags(args, ts, objective, run, labels, owners,
                                   group_doc, deadline)
-    return PayoffGame(ts, objective, run, args.mode, players)
+    return PayoffGame(ts, objective, run, args.mode, players, deadline)
 
 
 def _objective_from_flags(args, ts, labels, fallback):
@@ -271,10 +267,9 @@ def _full_report(ts, report) -> ResponsibilityReport:
 
 
 def _cmd_analyze(args) -> int:
-    deadline = _Deadline(args.timeout_s)
-    pg = _load_model(args, deadline)
+    pg = _load_model(args)
     note = None
-    report = shapley_exact(pg, cap=args.player_cap, deadline=deadline)
+    report = shapley_exact(pg, cap=args.player_cap)
     if pg.gamma(pg.full_mask()) == 0:
         note = "objective unsatisfiable; all responsibilities 0"
     report = _full_report(pg.ts, report)
@@ -288,17 +283,15 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_positivity(args) -> int:
-    deadline = _Deadline(args.timeout_s)
-    pg = _load_model(args, deadline)
+    pg = _load_model(args)
     polynomial = {REACHABILITY: positivity_reach_opt,
                   BUECHI: positivity_buechi_opt_all}.get(pg.objective.kind)
     if args.mode == OPTIMISTIC and pg.players.kind == "states" and polynomial:
         positive = polynomial(pg.ts, pg.objective.target, pg.run,
-                              deadline=deadline)
+                              deadline=pg.deadline)
     else:
         config = HeuristicsConfig(rng_seed=args.seed)
-        result = refine_loop(pg, config, cap=args.block_cap,
-                             deadline=deadline)
+        result = refine_loop(pg, config, cap=args.block_cap)
         positive = frozenset(pg.players.names[p] for p in result.responsible)
     names = ", ".join(sorted(positive))
     _emit(args, f"positive responsibility: {{{names}}}\n")
@@ -308,14 +301,12 @@ def _cmd_positivity(args) -> int:
 def _cmd_refine(args) -> int:
     if (args.no_values or args.explain) and args.format != "table":
         raise InputError("--no-values and --explain need --format table")
-    deadline = _Deadline(args.timeout_s)
-    pg = _load_model(args, deadline)
+    pg = _load_model(args)
     config = HeuristicsConfig(initial_blocks=args.initial_blocks,
                               select=args.select, refine=args.refine,
                               rng_seed=args.seed)
     if args.no_values:
-        result = refine_loop(pg, config, cap=args.block_cap,
-                             deadline=deadline)
+        result = refine_loop(pg, config, cap=args.block_cap)
         names = sorted(pg.players.names[p] for p in result.responsible)
         text = ""
         if args.explain:
@@ -325,8 +316,7 @@ def _cmd_refine(args) -> int:
         _emit(args, text)
         return 0
     report, result = responsibility_via_refinement(
-        pg, config, block_cap=args.block_cap, shapley_cap=args.player_cap,
-        deadline=deadline)
+        pg, config, block_cap=args.block_cap, shapley_cap=args.player_cap)
     report = _full_report(pg.ts, report)
     if args.format == "records":
         _emit(args, exports.records_document(report, refinement=result))
@@ -342,18 +332,17 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    deadline = _Deadline(args.timeout_s)
-    pg = _load_model(args, deadline)
+    pg = _load_model(args)
     if pg.players.kind != "states":
         raise InputError("the oracle works on state players")
     indices = [pg.ts.index_of(n) for n in pg.players.names]
     problem = (pg.ts, pg.objective, pg.run, args.mode, indices)
     if args.minimal_coalitions:
         report, minimal = oracle_shapley_and_minimal(
-            *problem, cap=args.oracle_cap, deadline=deadline)
+            *problem, cap=args.oracle_cap, deadline=pg.deadline)
     else:
         report = oracle_shapley(*problem, cap=args.oracle_cap,
-                                deadline=deadline)
+                                deadline=pg.deadline)
     text = exports.render_table(_full_report(pg.ts, report))
     if args.minimal_coalitions:
         text += f"minimal winning coalitions: {len(minimal)}\n"

@@ -590,13 +590,16 @@ class ExpandedModel:
 
 
 def expand_program(prog: ModuleLangProgram,
-                   max_states: int = DEFAULT_STATE_CAP) -> ExpandedModel:
+                   max_states: int = DEFAULT_STATE_CAP,
+                   deadline=None) -> ExpandedModel:
     """Breadth-first expansion under interleaving + synchronisation.
 
     A command without an action interleaves on its own; commands sharing an
     action fire together, one enabled command per module owning the action.
     Updates read the pre-state (snapshot semantics).  Updates leaving a
     variable's range and reachable deadlock valuations are errors.
+    `deadline`, when given, is called before each state is expanded and may
+    abort the expansion by raising.
     """
     variables = prog.variables()
     if not variables:
@@ -682,6 +685,8 @@ def expand_program(prog: ModuleLangProgram,
     while frontier:
         next_frontier = []
         for valuation in frontier:
+            if deadline is not None:
+                deadline()
             succs = successors(valuation)
             if not succs:
                 raise InputError(

@@ -18,20 +18,14 @@ def positivity_reach_opt(ts: TransitionSystem, target, run: LassoRun,
 
     When the empty coalition already wins there are no switching pairs at
     all; otherwise a state is responsible exactly when it wins on its own.
-    `deadline()`, when given, runs before the first probe and once per
-    state.
     """
     obj = Objective(REACHABILITY, target=frozenset(target))
     pg = PayoffGame(ts, obj, run, OPTIMISTIC,
-                    PlayerSet.of_states(ts, range(len(ts))))
-    if deadline is not None:
-        deadline()
+                    PlayerSet.of_states(ts, range(len(ts))), deadline)
     if pg.gamma(0) == 1:
         return frozenset()
     out = set()
     for s in sorted(run.states()):
-        if deadline is not None:
-            deadline()
         if pg.gamma(1 << s) == 1:
             out.add(ts.names[s])
     return frozenset(out)
@@ -144,10 +138,11 @@ class BuechiSearch:
                                   repr=False)
 
     @staticmethod
-    def of(ts: TransitionSystem, target, run: LassoRun) -> "BuechiSearch":
+    def of(ts: TransitionSystem, target, run: LassoRun,
+           deadline=None) -> "BuechiSearch":
         obj = Objective(BUECHI, target=frozenset(target))
         pg = PayoffGame(ts, obj, run, OPTIMISTIC,
-                        PlayerSet.of_states(ts, range(len(ts))))
+                        PlayerSet.of_states(ts, range(len(ts))), deadline)
         return BuechiSearch(pg, rho_order(ts, run, target))
 
     def closes(self, top: int) -> int:
@@ -178,9 +173,7 @@ class BuechiSearch:
         return mask
 
 
-def positivity_buechi_opt(ts: TransitionSystem, target, run: LassoRun,
-                          state: int,
-                          search: Optional[BuechiSearch] = None) -> bool:
+def positivity_buechi_opt(search: BuechiSearch, state: int) -> bool:
     """Decide positive optimistic responsibility under a Buechi objective.
 
     Polynomial search over the shapes a minimal winning coalition can take:
@@ -191,8 +184,6 @@ def positivity_buechi_opt(ts: TransitionSystem, target, run: LassoRun,
     state that wins alone: it would mask whether `state` itself is
     pivotal.
     """
-    if search is None:
-        search = BuechiSearch.of(ts, target, run)
     order, pg = search.order, search.pg
     if state not in order.pos:
         return False
@@ -236,16 +227,10 @@ def positivity_buechi_opt(ts: TransitionSystem, target, run: LassoRun,
 def positivity_buechi_opt_all(ts: TransitionSystem, target, run: LassoRun,
                               deadline=None) -> frozenset:
     """Positivity set for the whole system (names), from searches that
-    share one coalition game, its memo and the states that win alone.
-
-    `deadline()`, when given, runs before the first probe and once per
-    state.
-    """
-    search = BuechiSearch.of(ts, target, run)
+    share one coalition game, its memo and the states that win alone."""
+    search = BuechiSearch.of(ts, target, run, deadline)
     out = set()
     for s in range(len(ts)):
-        if deadline is not None:
-            deadline()
-        if positivity_buechi_opt(ts, target, run, s, search):
+        if positivity_buechi_opt(search, s):
             out.add(ts.names[s])
     return frozenset(out)

@@ -9,7 +9,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BlockCapExceeded, InputError, PlayerCapExceeded
-from .games import build_game, solve
+from .games import solve
 from .shapley import (DEFAULT_SHAPLEY_CAP, PayoffGame, PlayerSet,
                       ResponsibilityReport, shapley_exact)
 
@@ -118,12 +118,10 @@ def _witness(pg: PayoffGame, partition: Partition, block_id: int,
     """Solve both games of the pair; the frontier is read off the engraved
     graph of the larger-coalition game, solved second so that only one
     arena is alive at a time."""
-    block_states = pg.flatten(partition.mask_of((block_id,)))
-    states = pg.flatten(coalition)
-    win_without = solve(build_game(pg.ts, pg.objective, pg.run, states,
-                                   pg.mode))
-    game = build_game(pg.ts, pg.objective, pg.run, states | block_states,
-                      pg.mode)
+    block = partition.mask_of((block_id,))
+    block_states = pg.flatten(block)
+    win_without = solve(pg.game(coalition))
+    game = pg.game(coalition | block)
     win_with = solve(game)
     delta = win_with - win_without
     counts = {}
@@ -135,30 +133,23 @@ def _witness(pg: PayoffGame, partition: Partition, block_id: int,
     return BspWitness(block_id, coalition, win_with, win_without, counts)
 
 
-def find_witness(pg: PayoffGame, partition: Partition, block_id: int,
-                 deadline=None) -> Optional[BspWitness]:
+def find_witness(pg: PayoffGame, partition: Partition,
+                 block_id: int) -> Optional[BspWitness]:
     """Search one block for a block-switching pair.
 
     Coalitions of the other blocks are enumerated by ascending popcount
     with monotone pruning (supersets of a winning coalition cannot be the
     losing half).  The full complement is probed first as a cheap hit, and
     a losing grand coalition settles the answer immediately.  Exact: None
-    means no witness exists under the current partition.  `deadline`, when
-    given, is called before every gamma query and may abort by raising.
+    means no witness exists under the current partition.
     """
     masks = [partition.mask_of((bid,)) for bid in partition.sorted_ids()
              if bid != block_id]
     block = partition.mask_of((block_id,))
     rest = sum(masks)
-
-    def g(mask: int) -> int:
-        if deadline is not None:
-            deadline()
-        return pg.gamma(mask)
-
-    if g(rest | block) == 0:
+    if pg.gamma(rest | block) == 0:
         return None  # even the grand coalition loses; nothing can switch
-    if g(rest) == 0:
+    if pg.gamma(rest) == 0:
         return _witness(pg, partition, block_id, rest)
     winning = [rest]
     for k in range(len(masks)):
@@ -166,10 +157,10 @@ def find_witness(pg: PayoffGame, partition: Partition, block_id: int,
             mask = sum(combo)
             if any(not w & ~mask for w in winning):
                 continue
-            if g(mask) == 1:
+            if pg.gamma(mask) == 1:
                 winning.append(mask)
                 continue
-            if g(mask | block) == 1:
+            if pg.gamma(mask | block) == 1:
                 return _witness(pg, partition, block_id, mask)
     return None
 
@@ -178,12 +169,12 @@ def compute_has_bsp(pg: PayoffGame, partition: Partition,
                     skip: Sequence[int] = (),
                     known: Optional[Dict[int, BspWitness]] = None,
                     cap: int = DEFAULT_BLOCK_CAP,
-                    deadline=None) -> Dict[int, Optional[BspWitness]]:
+                    ) -> Dict[int, Optional[BspWitness]]:
     """Witness (or None) per block id, excluding the ids in `skip`.
 
     `known` carries witnesses from earlier rounds: refining other blocks
     keeps a recorded coalition a union of blocks, so those witnesses are
-    reused rather than re-searched.  `deadline` is passed to every search.
+    reused rather than re-searched.
     """
     nblocks = len(partition.blocks)
     if nblocks > cap:
@@ -200,7 +191,7 @@ def compute_has_bsp(pg: PayoffGame, partition: Partition,
         if bid in known:
             out[bid] = known[bid]
             continue
-        out[bid] = find_witness(pg, partition, bid, deadline)
+        out[bid] = find_witness(pg, partition, bid)
     return out
 
 
@@ -296,15 +287,13 @@ class RefinementResult:
 
 
 def refine_loop(pg: PayoffGame, config: HeuristicsConfig,
-                cap: int = DEFAULT_BLOCK_CAP, deadline=None) -> RefinementResult:
+                cap: int = DEFAULT_BLOCK_CAP) -> RefinementResult:
     """Refine a seeded random initial partition until every witness block
     is a singleton; the members of the final witness blocks are exactly
     the players with positive responsibility.
 
     Singleton blocks are skipped while the loop runs and settled in one
     final pass; witnesses found earlier are carried across iterations.
-    `deadline`, when given, is called once per iteration and before every
-    gamma query of the witness search, and may abort the run by raising.
     """
     players = list(range(len(pg.players)))
     if not players:
@@ -321,11 +310,9 @@ def refine_loop(pg: PayoffGame, config: HeuristicsConfig,
     iteration = 0
     while True:
         iteration += 1
-        if deadline is not None:
-            deadline()
         singles = [bid for bid, b in partition.blocks.items() if len(b) == 1]
         found = compute_has_bsp(pg, partition, skip=singles, known=known,
-                                cap=cap, deadline=deadline)
+                                cap=cap)
         for bid, w in found.items():
             if w is not None:
                 known[bid] = w
@@ -350,8 +337,7 @@ def refine_loop(pg: PayoffGame, config: HeuristicsConfig,
         record.split_state = state_names[chosen]
         trace.append(record)
         known.pop(selected, None)
-    final = compute_has_bsp(pg, partition, known=known, cap=cap,
-                            deadline=deadline)
+    final = compute_has_bsp(pg, partition, known=known, cap=cap)
     witnesses = {bid: w for bid, w in final.items() if w is not None}
     responsible = set()
     for bid in witnesses:
@@ -362,12 +348,11 @@ def refine_loop(pg: PayoffGame, config: HeuristicsConfig,
 def responsibility_via_refinement(pg: PayoffGame, config: HeuristicsConfig,
                                   block_cap: int = DEFAULT_BLOCK_CAP,
                                   shapley_cap: int = DEFAULT_SHAPLEY_CAP,
-                                  deadline=None,
                                   ) -> Tuple[ResponsibilityReport, RefinementResult]:
     """Exact values via refinement: identify the responsible players, then
     run the exact Shapley computation with them as the whole player
     universe (removing null players leaves the other values unchanged)."""
-    result = refine_loop(pg, config, cap=block_cap, deadline=deadline)
+    result = refine_loop(pg, config, cap=block_cap)
     responsible = sorted(result.responsible)
     if len(responsible) > shapley_cap:
         raise PlayerCapExceeded(
@@ -379,8 +364,9 @@ def responsibility_via_refinement(pg: PayoffGame, config: HeuristicsConfig,
         pg.players.kind,
         tuple(pg.players.names[p] for p in responsible),
         tuple(pg.players.members[p] for p in responsible))
-    sub_pg = PayoffGame(pg.ts, pg.objective, pg.run, pg.mode, sub_players)
-    sub_report = shapley_exact(sub_pg, cap=shapley_cap, deadline=deadline)
+    sub_pg = PayoffGame(pg.ts, pg.objective, pg.run, pg.mode, sub_players,
+                        pg.deadline)
+    sub_report = shapley_exact(sub_pg, cap=shapley_cap)
     sub_names = set(sub_report.names)
     values = tuple(
         sub_report.value_of(name) if name in sub_names else Fraction(0)

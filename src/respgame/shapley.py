@@ -6,10 +6,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import PlayerCapExceeded
-from .games import OPTIMISTIC, build_game, game_value, off_run_states, solve
+from .games import (OPTIMISTIC, Game, build_game, game_value, off_run_states,
+                    solve)
 from .model import LassoRun, Objective, TransitionSystem
 
 STATE_PLAYERS = "states"
@@ -60,7 +61,8 @@ class PayoffGame:
 
     gamma() is memoised per coalition bitmask; the memo is shared by every
     caller holding this object (Shapley enumeration, refinement, the
-    polynomial positivity algorithms).
+    polynomial positivity algorithms).  `deadline`, when given, is called
+    before every gamma query and may abort the caller's search by raising.
     """
 
     ts: TransitionSystem
@@ -68,9 +70,13 @@ class PayoffGame:
     run: Optional[LassoRun]
     mode: str
     players: PlayerSet
+    deadline: Optional[Callable[[], None]] = None
     memo: Dict[int, int] = field(default_factory=dict)
-    games_solved: int = 0
     memo_hits: int = 0
+
+    @property
+    def games_solved(self) -> int:
+        return len(self.memo)
 
     def flatten(self, mask: int) -> frozenset:
         members = self.players.members
@@ -81,17 +87,21 @@ class PayoffGame:
             mask ^= low
         return frozenset(states)
 
+    def game(self, mask: int) -> Game:
+        """The engraved game in which Sat controls the coalition `mask`."""
+        return build_game(self.ts, self.objective, self.run,
+                          self.flatten(mask), self.mode, off_run=self.off_run)
+
     def gamma(self, mask: int) -> int:
+        if self.deadline is not None:
+            self.deadline()
         hit = self.memo.get(mask)
         if hit is not None:
             self.memo_hits += 1
             return hit
         # the value at the initial state needs only the states it reaches
-        game = build_game(self.ts, self.objective, self.run,
-                          self.flatten(mask), self.mode,
-                          off_run=self.off_run).reachable()
+        game = self.game(mask).reachable()
         value = int(game.arena.initial in solve(game))
-        self.games_solved += 1
         self.memo[mask] = value
         return value
 
@@ -164,7 +174,7 @@ def _layers(n: int) -> List[int]:
     return layers
 
 
-def _winning_table(pg: PayoffGame, deadline) -> int:
+def _winning_table(pg: PayoffGame) -> int:
     """Bitset of the winning coalitions, by a monotone boundary fill.
 
     `win` is kept up-closed and `lose` down-closed.  Each round queries a
@@ -183,8 +193,6 @@ def _winning_table(pg: PayoffGame, deadline) -> int:
 
     def query(mask: int) -> bool:
         nonlocal win, lose
-        if deadline is not None:
-            deadline()
         if pg.gamma(mask):
             win |= _subsets(full ^ mask) << mask
             return True
@@ -213,8 +221,8 @@ def _winning_table(pg: PayoffGame, deadline) -> int:
         mask = (unknown & -unknown).bit_length() - 1
 
 
-def shapley_exact(pg: PayoffGame, cap: int = DEFAULT_SHAPLEY_CAP,
-                  deadline=None) -> ResponsibilityReport:
+def shapley_exact(pg: PayoffGame,
+                  cap: int = DEFAULT_SHAPLEY_CAP) -> ResponsibilityReport:
     """Exact Shapley values from the boundary of the monotone game gamma.
 
     Exactness rests on gamma being monotone: a winning coalition never
@@ -225,9 +233,7 @@ def shapley_exact(pg: PayoffGame, cap: int = DEFAULT_SHAPLEY_CAP,
     by its minimal winning and maximal losing coalitions, which
     `_winning_table` learns with far fewer than 2^n games.  Switching pairs
     per (player, coalition size) are then counted with big-integer bit
-    operations.  Exact rational arithmetic throughout.  `deadline`, when
-    given, is called before every game query and may abort the run by
-    raising.
+    operations.  Exact rational arithmetic throughout.
     """
     n = len(pg.players)
     if n > cap:
@@ -238,7 +244,7 @@ def shapley_exact(pg: PayoffGame, cap: int = DEFAULT_SHAPLEY_CAP,
     if n == 0:
         return ResponsibilityReport(pg.players.kind, pg.mode, (), (),
                                     pg.games_solved, pg.memo_hits)
-    win = _winning_table(pg, deadline)
+    win = _winning_table(pg)
     layers = _layers(n)
     weights = _shapley_weights(n)
     values = []
@@ -307,9 +313,10 @@ def _naive_gamma_table(ts: TransitionSystem, obj: Objective,
     return players, table
 
 
-def _oracle_values(players: PlayerSet, mode: str,
-                   gamma: List[int]) -> ResponsibilityReport:
-    """The defining sum applied term by term to a naive table."""
+def _oracle_values(players: PlayerSet, mode: str, gamma: List[int],
+                   deadline=None) -> ResponsibilityReport:
+    """The defining sum applied term by term to a naive table; `deadline`,
+    when given, is called before each term."""
     n = len(players)
     if n == 0:
         return ResponsibilityReport(players.kind, mode, (), ())
@@ -321,6 +328,8 @@ def _oracle_values(players: PlayerSet, mode: str,
         for mask in range(1 << n):
             if mask & bit:
                 continue
+            if deadline is not None:
+                deadline()
             k = mask.bit_count()
             acc += Fraction(fact(k) * fact(n - k - 1), fact(n)) * (
                 gamma[mask | bit] - gamma[mask])
@@ -329,10 +338,13 @@ def _oracle_values(players: PlayerSet, mode: str,
                                 tuple(values), games_solved=1 << n)
 
 
-def _minimal_winning(players: PlayerSet, gamma: List[int]) -> List[frozenset]:
+def _minimal_winning(players: PlayerSet, gamma: List[int],
+                     deadline=None) -> List[frozenset]:
     n = len(players)
     minimal = []
     for mask in range(1 << n):
+        if deadline is not None:
+            deadline()
         if not gamma[mask]:
             continue
         if all(gamma[mask & ~(1 << p)] == 0
@@ -356,7 +368,7 @@ def oracle_shapley(ts: TransitionSystem, obj: Objective,
     """
     players, gamma = _naive_gamma_table(ts, obj, run, mode, player_indices,
                                         cap, deadline)
-    return _oracle_values(players, mode, gamma)
+    return _oracle_values(players, mode, gamma, deadline)
 
 
 def oracle_shapley_and_minimal(ts: TransitionSystem, obj: Objective,
@@ -368,5 +380,5 @@ def oracle_shapley_and_minimal(ts: TransitionSystem, obj: Objective,
     player names, from one naive table."""
     players, gamma = _naive_gamma_table(ts, obj, run, mode, player_indices,
                                         cap, deadline)
-    return _oracle_values(players, mode, gamma), _minimal_winning(players,
-                                                                  gamma)
+    return (_oracle_values(players, mode, gamma, deadline),
+            _minimal_winning(players, gamma, deadline))

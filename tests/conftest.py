@@ -5,10 +5,24 @@ import random
 from itertools import product
 
 from respgame import (BUECHI, PARITY, REACHABILITY, SAFETY, FORWARD,
-                      OPTIMISTIC, PESSIMISTIC, LassoRun, NoViolation,
-                      Objective, TransitionSystem, find_violating_run,
-                      violates)
+                      OPTIMISTIC, PESSIMISTIC, AnalysisTimeout, LassoRun,
+                      NoViolation, Objective, TransitionSystem,
+                      find_violating_run, violates)
 from respgame.model import validate_run
+
+
+class Budget:
+    """A deadline that allows `k` calls and raises AnalysisTimeout on the
+    (k+1)-th; `calls` counts every call made."""
+
+    def __init__(self, k=float("inf")):
+        self.k = k
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        if self.calls > self.k:
+            raise AnalysisTimeout(f"budget of {self.k} calls spent")
 
 
 def engraving_example():

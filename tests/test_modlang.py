@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from respgame import InputError, expand_program, parse_program
+from conftest import Budget
+
+from respgame import AnalysisTimeout, InputError, expand_program, parse_program
 from respgame.cli import run_cli
 from respgame.explicit import build_system
 from respgame.generators import generate_clouds
@@ -149,6 +151,18 @@ endmodule
 """)
     with pytest.raises(InputError, match="cap"):
         expand_program(prog, max_states=4)
+
+
+def test_expansion_calls_the_deadline_once_per_state():
+    prog = parse_program("".join(
+        f"module m{i}\n  v{i} : bool init false;\n"
+        f"  [] true -> (v{i}' = !v{i});\nendmodule\n" for i in range(6)))
+    spent = Budget()
+    assert len(expand_program(prog, deadline=spent).ts) == spent.calls == 64
+    budget = Budget(10)
+    with pytest.raises(AnalysisTimeout):
+        expand_program(prog, deadline=budget)
+    assert budget.calls == 11
 
 
 def test_synchronisation_requires_all_owners():

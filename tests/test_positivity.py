@@ -1,15 +1,19 @@
 """Polynomial positivity algorithms and the run preorder."""
 
 from fractions import Fraction
+from unittest import mock
 
-from conftest import recurrence_example, instances
+import pytest
 
-from respgame import (BUECHI, OPTIMISTIC, REACHABILITY, LassoRun, Objective,
-                      PayoffGame, PlayerSet, TransitionSystem, generate,
-                      oracle_shapley, positivity_buechi_opt_all,
-                      positivity_reach_opt, shapley_exact)
+from conftest import Budget, recurrence_example, instances
+
+from respgame import (BUECHI, OPTIMISTIC, REACHABILITY, AnalysisTimeout,
+                      LassoRun, Objective, PayoffGame, PlayerSet,
+                      TransitionSystem, generate, oracle_shapley,
+                      positivity_buechi_opt_all, positivity_reach_opt, shapley,
+                      shapley_exact, solve)
 from respgame.explicit import build_system
-from respgame.positivity import positivity_buechi_opt, rho_order
+from respgame.positivity import BuechiSearch, positivity_buechi_opt, rho_order
 
 
 def test_positivity_reach_clouds_instance():
@@ -102,8 +106,9 @@ def test_rho_order_jump_targets():
 
 def test_buechi_positivity_examples():
     ts, obj, run = recurrence_example()
-    assert positivity_buechi_opt(ts, obj.target, run, 1)
-    assert not positivity_buechi_opt(ts, obj.target, run, 4)
+    search = BuechiSearch.of(ts, obj.target, run)
+    assert positivity_buechi_opt(search, 1)
+    assert not positivity_buechi_opt(search, 4)
     assert positivity_buechi_opt_all(ts, obj.target, run) == {"s0", "s1", "s2"}
 
 
@@ -220,3 +225,15 @@ def test_buechi_search_probes_each_coalition_once(monkeypatch):
     assert all(g is pg for g in games)
     assert len(games) == pg.games_solved
     assert pg.games_solved <= 2 * len(run.states())
+
+
+def test_polynomial_searches_stop_within_their_budget():
+    reach = build_system(generate("clouds", 3))
+    buechi = build_system(generate("exp-coalitions", 30))
+    for search, (ts, obj, run), k in ((positivity_reach_opt, reach, 1),
+                                      (positivity_buechi_opt_all, buechi, 0),
+                                      (positivity_buechi_opt_all, buechi, 40)):
+        with mock.patch.object(shapley, "solve", wraps=solve) as spy:
+            with pytest.raises(AnalysisTimeout):
+                search(ts, obj.target, run, deadline=Budget(k))
+        assert spy.call_count <= k

@@ -1,14 +1,17 @@
 """Partition refinement: witnesses, frontiers, heuristics, the full loop."""
 
+from unittest import mock
+
 import pytest
 
-from conftest import (refinement_example, decoy_frontier_example,
+from conftest import (Budget, refinement_example, decoy_frontier_example,
                       empty_frontier_example, instances, is_switching_pair)
 
-from respgame import (PESSIMISTIC, REACHABILITY, SAFETY, BlockCapExceeded,
-                      HeuristicsConfig, LassoRun, Objective, PlayerSet,
-                      TransitionSystem, oracle_shapley, prune_dummies,
-                      refine_loop, responsibility_via_refinement)
+from respgame import (PESSIMISTIC, REACHABILITY, SAFETY, AnalysisTimeout,
+                      BlockCapExceeded, HeuristicsConfig, LassoRun, Objective,
+                      PlayerSet, TransitionSystem, oracle_shapley,
+                      prune_dummies, refine_loop,
+                      responsibility_via_refinement, shapley, solve)
 from respgame.exports import records_document
 from respgame.refinement import (Partition, compute_has_bsp, find_witness,
                                  refine_block, select_blocks)
@@ -327,3 +330,21 @@ def test_refinement_trace_deterministic():
         report, result = responsibility_via_refinement(pg, cfg)
         docs.append(records_document(report, refinement=result))
     assert docs[0] == docs[1]
+
+
+def test_refinement_stops_within_its_budget():
+    ts, obj, run = refinement_example()
+    players = PlayerSet.of_states(ts, range(len(ts)))
+    config = HeuristicsConfig()
+    spent = Budget()
+    refine_loop(PayoffGame(ts, obj, run, PESSIMISTIC, players,
+                           deadline=spent), config)
+    # the loop alone fits in `spent.calls`, so with that budget the value
+    # phase must raise: its sub-game inherits the deadline
+    for search, k in ((refine_loop, 3),
+                      (responsibility_via_refinement, spent.calls)):
+        with mock.patch.object(shapley, "solve", wraps=solve) as spy:
+            with pytest.raises(AnalysisTimeout):
+                search(PayoffGame(ts, obj, run, PESSIMISTIC, players,
+                                  deadline=Budget(k)), config)
+        assert spy.call_count <= k

@@ -5,8 +5,8 @@ from unittest import mock
 
 import pytest
 
-from conftest import (recurrence_example, diamond_example, refinement_example,
-                      instances, is_switching_pair)
+from conftest import (Budget, recurrence_example, diamond_example,
+                      refinement_example, instances, is_switching_pair)
 
 from respgame import (BUECHI, FORWARD, MODES, OPTIMISTIC, PARITY,
                       PESSIMISTIC, REACHABILITY, SAFETY, AnalysisTimeout,
@@ -313,3 +313,32 @@ def test_prune_dummies_checks_the_deadline_before_each_game():
                                 deadline=lambda: ticks.append(spy.call_count))
     assert ticks == [0, 1]
     assert players == prune_dummies(ts, obj, run, PESSIMISTIC)
+
+
+def test_shapley_exact_stops_within_its_budget():
+    # the budget rides on the game: every coalition query calls it first
+    ts, obj, run = build_system(generate("exp-coalitions", 3))
+    players = PlayerSet.of_states(ts, range(len(ts)))
+    for k in (0, 5):
+        with mock.patch.object(shapley, "solve", wraps=solve) as spy:
+            with pytest.raises(AnalysisTimeout):
+                shapley_exact(PayoffGame(ts, obj, run, PESSIMISTIC, players,
+                                         deadline=Budget(k)))
+        assert spy.call_count <= k
+
+
+def test_oracle_sum_and_minimal_scan_honour_the_budget():
+    # budgets that let the table finish: the sum, then the scan, must stop
+    ts, obj, run = build_system(generate("exp-coalitions", 2))
+    n = len(ts)
+    table, terms = 1 << n, n << (n - 1)
+    with mock.patch.object(shapley, "game_value",
+                           wraps=game_value) as spy:
+        with pytest.raises(AnalysisTimeout):
+            oracle_shapley(ts, obj, run, OPTIMISTIC, deadline=Budget(table))
+        assert spy.call_count == table
+        with pytest.raises(AnalysisTimeout):
+            oracle_shapley_and_minimal(ts, obj, run, OPTIMISTIC,
+                                       deadline=Budget(table + terms))
+    oracle_shapley_and_minimal(ts, obj, run, OPTIMISTIC,
+                               deadline=Budget(2 * table + terms))
