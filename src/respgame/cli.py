@@ -161,7 +161,7 @@ def _load_model(args) -> PayoffGame:
     objective = _objective_from_flags(args, ts, labels, objective)
     if objective is None:
         raise InputError("no objective: pass --objective/--target flags")
-    run = _run_from_flags(args, ts, objective, doc_run)
+    run = _run_from_flags(args, ts, objective, doc_run, deadline)
     players = _players_from_flags(args, ts, objective, run, labels, owners,
                                   group_doc, deadline)
     return PayoffGame(ts, objective, run, args.mode, players, deadline)
@@ -208,7 +208,7 @@ def _objective_from_flags(args, ts, labels, fallback):
     return Objective(kind, target=frozenset(target))
 
 
-def _run_from_flags(args, ts, objective, doc_run):
+def _run_from_flags(args, ts, objective, doc_run, deadline):
     if args.run_loop:
         prefix = tuple(ts.index_of(s) for s in _split_names(args.run_prefix))
         loop = tuple(ts.index_of(s) for s in _split_names(args.run_loop))
@@ -220,7 +220,7 @@ def _run_from_flags(args, ts, objective, doc_run):
     if run is None:
         if args.mode == FORWARD:
             return None
-        return find_violating_run(ts, objective)
+        return find_violating_run(ts, objective, deadline)
     require_valid_run(ts, run)
     if not violates(ts, objective, run):
         raise InputError("the given run does not violate the objective")

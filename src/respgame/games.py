@@ -88,7 +88,7 @@ def engrave(succ, run: LassoRun, coalition) -> tuple:
     The forced entries become `(t,)`; every other entry is the very tuple
     from `succ`, shared rather than copied, so all lists stay sorted and
     duplicate-free without a re-check.  `run` must be a valid run of the
-    graph (see `validate_run`).
+    graph (see `require_valid_run`).
     """
     out = list(succ)
     for s, t in run.edges():

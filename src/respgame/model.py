@@ -136,58 +136,37 @@ class LassoRun:
         return zip(seq, seq[1:] + self.loop[:1])
 
 
-@dataclass(frozen=True)
-class RunIssue:
-    """First violated run invariant, with the offending position."""
+def require_valid_run(ts: TransitionSystem, run: LassoRun) -> None:
+    """Raise InputError naming the first violated LassoRun invariant
+    against `ts`, with its position along the run."""
+    def fail(message, position):
+        raise InputError(f"invalid run: {message} (position {position})")
 
-    code: str
-    message: str
-    position: int
-
-
-def validate_run(ts: TransitionSystem, run: LassoRun) -> Optional[RunIssue]:
-    """Check all LassoRun invariants against `ts`; None means the run is ok."""
     name = ts.names.__getitem__
     if not run.loop:
-        return RunIssue("empty-loop", "loop must be non-empty", 0)
-    seq = run.sequence()
-    for pos, s in enumerate(seq):
+        fail("loop must be non-empty", 0)
+    for pos, s in enumerate(run.sequence()):
         if not 0 <= s < len(ts):
-            return RunIssue("bad-state", f"state index {s} out of range", pos)
+            fail(f"state index {s} out of range", pos)
     start = run.prefix[0] if run.prefix else run.loop[0]
     if start != ts.initial:
-        return RunIssue(
-            "bad-start",
-            f"run starts in {name(start)}, not the initial state {name(ts.initial)}",
-            0)
-    seen = {}
+        fail(f"run starts in {name(start)}, not the initial state "
+             f"{name(ts.initial)}", 0)
+    seen = set()
     for i, s in enumerate(run.loop):
         if s in seen:
-            return RunIssue("loop-repeat", f"loop repeats {name(s)}",
-                            len(run.prefix) + i)
-        seen[s] = i
-    pseen = {}
+            fail(f"loop repeats {name(s)}", len(run.prefix) + i)
+        seen.add(s)
+    pseen = set()
     for i, s in enumerate(run.prefix):
         if s in seen:
-            return RunIssue("prefix-in-loop",
-                            f"prefix state {name(s)} also occurs in the loop", i)
+            fail(f"prefix state {name(s)} also occurs in the loop", i)
         if s in pseen:
-            return RunIssue("prefix-repeat", f"prefix repeats {name(s)}", i)
-        pseen[s] = i
+            fail(f"prefix repeats {name(s)}", i)
+        pseen.add(s)
     for pos, (s, t) in enumerate(run.edges()):
         if t not in ts.succ[s]:
-            return RunIssue(
-                "not-a-transition",
-                f"{name(s)} -> {name(t)} is not a transition", pos)
-    return None
-
-
-def require_valid_run(ts: TransitionSystem, run: LassoRun) -> None:
-    """Raise InputError naming the first violated run invariant, if any."""
-    issue = validate_run(ts, run)
-    if issue is not None:
-        raise InputError(
-            f"invalid run: {issue.message} (position {issue.position})")
+            fail(f"{name(s)} -> {name(t)} is not a transition", pos)
 
 
 def violates(ts: TransitionSystem, obj: Objective, run: LassoRun) -> bool:
@@ -248,66 +227,68 @@ def _reachable(succ, source: int, allowed=None):
     return seen
 
 
-def _sccs(succ, allowed):
-    """Tarjan over the subgraph induced by `allowed`; returns state -> scc id."""
+def _sccs(succ, allowed, deadline=None):
+    """Tarjan over the subgraph induced by `allowed`; returns state -> scc id.
+
+    Components are numbered as they complete, so every edge leads to an
+    equal or smaller id, and the result lists the states component by
+    component in that order.  `deadline`, when given, is called before each
+    state is numbered.
+    """
     allowed = set(allowed)
     index = {}
     low = {}
     on_stack = set()
     stack = []
+    work = []
     comp = {}
-    counter = [0]
-    ncomp = [0]
+    ncomp = 0
 
-    def strongconnect(v):
-        work = [(v, iter([t for t in succ[v] if t in allowed]))]
-        index[v] = low[v] = counter[0]
-        counter[0] += 1
+    def number(v):
+        if deadline is not None:
+            deadline()
+        index[v] = low[v] = len(index)
         stack.append(v)
         on_stack.add(v)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter([t for t in succ[w] if t in allowed])))
-                    advanced = True
-                    break
-                elif w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp[w] = ncomp[0]
-                    if w == node:
-                        break
-                ncomp[0] += 1
+        work.append((v, iter([t for t in succ[v] if t in allowed])))
 
     for v in sorted(allowed):
-        if v not in index:
-            strongconnect(v)
+        if v in index:
+            continue
+        number(v)
+        while work:
+            node, it = work[-1]
+            for w in it:
+                if w not in index:
+                    number(w)
+                    break
+                if w in on_stack:
+                    low[node] = min(low[node], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp[w] = ncomp
+                        if w == node:
+                            break
+                    ncomp += 1
     return comp
 
 
-def _cycle_finder(succ, allowed):
+def _cycle_finder(succ, allowed, deadline=None):
     """Shortest cycles inside `allowed`, from one Tarjan pass over it.
 
     Returns `cycle(state)` for states in `allowed`: the shortest cycle
     through `state` within its SCC as [state, ..., last], or None when
     `state` lies on no cycle.  Ties go to the lowest first successor.
+    `deadline` is handed to the Tarjan pass.
     """
-    comp = _sccs(succ, allowed)
+    comp = _sccs(succ, allowed, deadline)
     members = {}
     for s, c in comp.items():
         members.setdefault(c, set()).add(s)
@@ -345,12 +326,14 @@ def _canonical_lasso(seq_prefix, cycle) -> LassoRun:
     return LassoRun(tuple(prefix), tuple(cycle))
 
 
-def find_violating_run(ts: TransitionSystem, obj: Objective) -> LassoRun:
+def find_violating_run(ts: TransitionSystem, obj: Objective,
+                       deadline=None) -> LassoRun:
     """Deterministically construct a simple lasso run violating `obj`.
 
     Search order is by ascending state index throughout, so the result is
     reproducible.  Raises NoViolation when every run satisfies the
-    objective.
+    objective.  `deadline`, when given, is called before each state the
+    SCC passes number.
     """
     obj.check_against(ts)
     succ = ts.succ
@@ -379,7 +362,7 @@ def find_violating_run(ts: TransitionSystem, obj: Objective) -> LassoRun:
             raise NoViolation("the initial state is already in the target")
         allowed = set(range(n)) - set(obj.target)
         reach = _reachable(succ, ts.initial, allowed=allowed)
-        find_cycle = _cycle_finder(succ, reach)
+        find_cycle = _cycle_finder(succ, reach, deadline)
         for w in sorted(reach):
             cycle = find_cycle(w)
             if cycle is not None:
@@ -391,7 +374,7 @@ def find_violating_run(ts: TransitionSystem, obj: Objective) -> LassoRun:
         # loop avoiding the target, reachable through anything
         allowed = set(range(n)) - set(obj.target)
         reach = _reachable(succ, ts.initial)
-        find_cycle = _cycle_finder(succ, allowed)
+        find_cycle = _cycle_finder(succ, allowed, deadline)
         for w in sorted(reach & allowed):
             cycle = find_cycle(w)
             if cycle is not None:
@@ -409,7 +392,7 @@ def find_violating_run(ts: TransitionSystem, obj: Objective) -> LassoRun:
             continue
         if c not in finders:
             finders[c] = _cycle_finder(
-                succ, {s for s in range(n) if obj.colours[s] <= c})
+                succ, {s for s in range(n) if obj.colours[s] <= c}, deadline)
         cycle = finders[c](w)
         if cycle is not None:
             path = _bfs_path(succ, ts.initial, {w})

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .games import OPTIMISTIC, engrave
 from .model import (BUECHI, REACHABILITY, LassoRun, Objective,
-                    TransitionSystem, _reachable)
+                    TransitionSystem, _sccs)
 from .shapley import PayoffGame, PlayerSet
 
 
@@ -44,15 +44,19 @@ class RhoOrder:
     """Reachability preorder over run states plus the jump targets.
 
     Sets of run states are bitmasks, bit s for state s.  `pos` maps each
-    run state to its index along the run (prefix first, loop after).
-    `leq[s]` holds the run states reachable from s in the fully engraved
-    system, where every run state follows only the run: the rest of the
-    run from s, and the whole loop, so loop states are pairwise
-    equivalent.  `geq[t]` holds the run states that reach t.  `down[s]` is
-    the earliest run state the satisfying player can reach when
-    controlling s alone, `down_f[s]` the earliest one reachable through a
-    target state (None when no such detour exists).  `detours` holds the
-    run states that have such a detour.
+    run state to its index along the run (prefix first, loop after).  The
+    rank of a run state is its index for prefix states and `len(prefix)`
+    for loop states.  `leq[s]` holds the run states reachable from s in
+    the fully engraved system, where every run state follows only the run:
+    those of rank at least s's, so loop states are pairwise equivalent.
+    `geq[t]` holds the run states that reach t.  `down[s]` is the earliest
+    run state the satisfying player can reach when controlling s alone,
+    `down_f[s]` the earliest one reachable through a target state (None
+    when no such detour exists).  `detours` holds the run states that have
+    such a detour.  `closes[s]` holds the detour states whose detour
+    rejoins the run at or below s: they close the loop on their own.
+    `skips[s]` holds the run states at or above s that jump strictly below
+    it on their own.
     """
 
     pos: Dict[int, int]
@@ -61,6 +65,8 @@ class RhoOrder:
     down: Dict[int, int]
     down_f: Dict[int, Optional[int]]
     detours: int
+    closes: Dict[int, int]
+    skips: Dict[int, int]
 
     def above(self, s: int) -> int:
         """The run states strictly above s."""
@@ -72,51 +78,64 @@ class RhoOrder:
 
 
 def rho_order(ts: TransitionSystem, run: LassoRun, target=()) -> RhoOrder:
-    """Compute the run preorder and the downward jump targets.
+    """Compute the run preorder, the downward jump targets and the
+    exclusion masks, from one SCC pass over the fully engraved system.
 
-    The preorder lives on the fully engraved system, where every run state
-    is forced along the run, so it follows from the run alone.  Jump
-    targets use the engraved system with the probed state freed: the
-    opponent has no choices there, so player reachability is plain graph
-    reachability.
+    Freeing run state s adds only s's own successors to that system, and
+    the opponent has no choices there, so player reachability is graph
+    reachability.  The run states a state reaches are those of rank at
+    least the least rank it reaches.  So `down[s]` is the least rank
+    reached from s or one of its successors, and `down_f[s]` the least
+    rank reached after a target state; that is `down[s]` when it is at or
+    below s's own rank, because the detour then reaches back to s.  Tarjan
+    numbers the components sinks first, so one pass in component order
+    settles every successor before its predecessors.
     """
     seq = run.sequence()
     pos = {s: i for i, s in enumerate(seq)}
-    loop = 0
-    for s in run.loop:
-        loop |= 1 << s
-    leq = dict.fromkeys(run.loop, loop)
-    suffix = loop
-    for s in reversed(run.prefix):
-        suffix |= 1 << s
-        leq[s] = suffix
-    geq = {}
-    prefix = 0
-    for s in run.prefix:
-        prefix |= 1 << s
-        geq[s] = prefix
-    geq.update(dict.fromkeys(run.loop, prefix | loop))
-    run_states = run.states()
+    top = len(run.prefix)
+    none = top + 1  # past every rank: reaches no run state
+    rank = {s: min(i, top) for s, i in pos.items()}
+    # at_least[r]: the run states of rank r or more
+    at_least = [0] * (none + 1)
+    for s, r in rank.items():
+        at_least[r] |= 1 << s
+    for r in range(top, -1, -1):
+        at_least[r] |= at_least[r + 1]
+    leq = {s: at_least[r] for s, r in rank.items()}
+    geq = {s: at_least[0] & ~at_least[r + 1] for s, r in rank.items()}
+    succ = engrave(ts.succ, run, ())
+    comp = _sccs(succ, range(len(ts)))
     target = frozenset(target)
-    down: Dict[int, int] = {}
-    down_f: Dict[int, Optional[int]] = {}
-    detours = 0
-    for s in run_states:
-        freed = engrave(ts.succ, run, frozenset([s]))
-        reach = _reachable(freed, s)
-        down[s] = min(reach & run_states, key=pos.__getitem__)
-        via = reach & target
-        if via:
-            after = set()
-            for f in sorted(via):
-                after |= _reachable(freed, f)
-            after &= run_states
-            down_f[s] = (min(after, key=pos.__getitem__) if after else None)
-        else:
-            down_f[s] = None
-        if down_f[s] is not None:
-            detours |= 1 << s
-    return RhoOrder(pos, leq, geq, down, down_f, detours)
+    # per component: the least rank reached, and the least reached after a
+    # target; `comp` lists the states component by component, sinks first
+    low = [none] * len(ts)
+    for v, c in comp.items():
+        low[c] = min([low[c], rank.get(v, none)]
+                     + [low[comp[t]] for t in succ[v]])
+    low_f = [none] * len(ts)
+    for v, c in comp.items():
+        low_f[c] = min([low_f[c], low[c] if v in target else none]
+                       + [low_f[comp[t]] for t in succ[v]])
+    down, down_f = {}, {}
+    below = [0] * (none + 1)  # run states by the rank they jump to, plus 1
+    closes_at = [0] * (none + 1)  # detour states by the rank they rejoin
+    for s, r in rank.items():
+        d = min([r] + [low[comp[t]] for t in ts.succ[s]])
+        f = min(low_f[comp[t]] for t in ts.succ[s])
+        if s in target or f <= r:
+            f = d
+        down[s] = seq[d]
+        down_f[s] = seq[f] if f < none else None
+        below[d + 1] |= 1 << s
+        closes_at[f] |= 1 << s
+    # summed up: below[r] jumps below rank r, closes_at[r] rejoins at or below
+    for r in range(top):
+        below[r + 1] |= below[r]
+        closes_at[r + 1] |= closes_at[r]
+    return RhoOrder(pos, leq, geq, down, down_f, closes_at[top],
+                    {s: closes_at[r] for s, r in rank.items()},
+                    {s: leq[s] & below[r] for s, r in rank.items()})
 
 
 @dataclass
@@ -125,17 +144,13 @@ class BuechiSearch:
 
     `solo` is the mask of the run states that win alone: the first search
     probes it and the later ones read it, so no coalition is probed
-    twice for it.  The exclusion masks of `closes` and `skips` are
-    computed on first use.
+    twice for it.  `order` holds the run order, the jump targets and the
+    exclusion masks, all computed up front.
     """
 
     pg: PayoffGame
     order: RhoOrder
     solo: Optional[int] = None
-    _closes: Dict[int, int] = field(default_factory=dict, init=False,
-                                    repr=False)
-    _skips: Dict[int, int] = field(default_factory=dict, init=False,
-                                  repr=False)
 
     @staticmethod
     def of(ts: TransitionSystem, target, run: LassoRun,
@@ -144,33 +159,6 @@ class BuechiSearch:
         pg = PayoffGame(ts, obj, run, OPTIMISTIC,
                         PlayerSet.of_states(ts, range(len(ts))), deadline)
         return BuechiSearch(pg, rho_order(ts, run, target))
-
-    def closes(self, top: int) -> int:
-        """Run states whose detour through the target rejoins the run at
-        or below `top`: they close the loop on their own."""
-        mask = self._closes.get(top)
-        if mask is None:
-            order = self.order
-            mask = 0
-            for s in bits(order.detours):
-                if order.leq[order.down_f[s]] >> top & 1:
-                    mask |= 1 << s
-            self._closes[top] = mask
-        return mask
-
-    def skips(self, skip: int) -> int:
-        """Run states at or above `skip` that jump strictly below it on
-        their own."""
-        mask = self._skips.get(skip)
-        if mask is None:
-            order = self.order
-            below = order.geq[skip] & ~order.leq[skip]
-            mask = 0
-            for s in bits(order.leq[skip]):
-                if below >> order.down[s] & 1:
-                    mask |= 1 << s
-            self._skips[skip] = mask
-        return mask
 
 
 def positivity_buechi_opt(search: BuechiSearch, state: int) -> bool:
@@ -203,7 +191,7 @@ def positivity_buechi_opt(search: BuechiSearch, state: int) -> bool:
         between = order.above(state) & ~solo
         for s_top in order.in_run_order(order.leq[df_s] & ~solo):
             coalition = (me | 1 << s_top
-                         | between & geq[s_top] & ~search.closes(s_top))
+                         | between & geq[s_top] & ~order.closes[s_top])
             if pg.gamma(coalition) == 1:
                 return True
     # state as one of the middle jumps
@@ -215,10 +203,10 @@ def positivity_buechi_opt(search: BuechiSearch, state: int) -> bool:
                                      & geq[state] & order.above(s_bottom)
                                      & geq[df_b])
         for s_top in order.in_run_order(order.leq[state] & order.leq[df_b]):
-            middle = between & geq[s_top] & ~search.closes(s_top)
+            middle = between & geq[s_top] & ~order.closes[s_top]
             for s_skip in skip_at:
                 coalition = (me | 1 << s_bottom
-                             | middle & ~search.skips(s_skip))
+                             | middle & ~order.skips[s_skip])
                 if pg.gamma(coalition) == 1:
                     return True
     return False

@@ -8,7 +8,7 @@ from respgame import (BUECHI, PARITY, REACHABILITY, SAFETY, FORWARD,
                       OPTIMISTIC, PESSIMISTIC, AnalysisTimeout, LassoRun,
                       NoViolation, Objective, TransitionSystem,
                       find_violating_run, violates)
-from respgame.model import validate_run
+from respgame.model import require_valid_run
 
 
 class Budget:
@@ -135,7 +135,7 @@ def random_instance(rng: random.Random, max_states: int = 9, kind=None,
         run = find_violating_run(ts, obj)
     except NoViolation:
         return None
-    assert validate_run(ts, run) is None
+    require_valid_run(ts, run)
     assert violates(ts, obj, run)
     mode = mode or rng.choice((OPTIMISTIC, PESSIMISTIC, FORWARD))
     return ts, obj, run, mode

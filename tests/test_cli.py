@@ -8,6 +8,7 @@ from unittest import mock
 
 import pytest
 
+import respgame.cli
 import respgame.shapley
 from respgame.cli import build_parser, run_cli
 
@@ -203,6 +204,17 @@ def test_refine_timeout_inside_witness_search(capsys, tmp_path):
                        "--no-values", "--timeout-s", "0.2")
     assert code == 1 and "timeout" in err
     assert time.monotonic() - start < 5
+
+
+def test_run_search_timeout_refusal(capsys):
+    # the run search spends the budget, so the players are never chosen
+    with mock.patch.object(respgame.cli, "_players_from_flags",
+                           wraps=respgame.cli._players_from_flags) as players:
+        code, out, err = run(capsys, "analyze",
+                             str(MODELS / "recurrence_demo.json"),
+                             "--find-run", "--timeout-s", "0")
+    assert code == 1 and "timeout" in err and not out
+    assert players.call_count == 0
 
 
 def test_positivity_and_oracle_timeout_refusal(capsys):

@@ -9,7 +9,7 @@ from respgame import (BUECHI, NoViolation, OPTIMISTIC, PESSIMISTIC,
                       serialize_explicit, violates)
 from respgame.explicit import build_system, parse_explicit
 from respgame.generators import lab_program_text
-from respgame.model import validate_run
+from respgame.model import require_valid_run
 from respgame.modlang import expand_program, parse_program
 from respgame.refinement import Partition, find_witness
 from respgame.shapley import PayoffGame
@@ -26,7 +26,7 @@ def test_generated_documents_are_valid(family, size):
     doc = generate(family, size)
     ts, obj, run = build_system(doc)
     assert run is not None
-    assert validate_run(ts, run) is None
+    require_valid_run(ts, run)
     assert violates(ts, obj, run)
 
 

@@ -4,13 +4,13 @@ import pytest
 
 import random
 
-from conftest import (exhaustive_violation_exists, engraving_example, recurrence_example, parity_jump_example,
+from conftest import (Budget, exhaustive_violation_exists, engraving_example, recurrence_example, parity_jump_example,
                       random_objective, random_total_system)
 
-from respgame import (BUECHI, PARITY, REACHABILITY, SAFETY, InputError,
-                      LassoRun, NoViolation, Objective, TransitionSystem,
-                      find_violating_run, violates)
-from respgame.model import validate_run
+from respgame import (BUECHI, PARITY, REACHABILITY, SAFETY, AnalysisTimeout,
+                      InputError, LassoRun, NoViolation, Objective,
+                      TransitionSystem, find_violating_run, violates)
+from respgame.model import require_valid_run
 
 
 def test_deadlocked_model_rejected():
@@ -39,27 +39,28 @@ def test_objective_payload_exclusive():
 
 def test_validate_run_accepts_known_example():
     ts, _obj, run = recurrence_example()
-    assert validate_run(ts, run) is None
+    require_valid_run(ts, run)
 
 
 def test_validate_run_minimal_self_loop():
     ts = TransitionSystem(["a", "b"], 0, [(0, 0), (0, 1), (1, 1)])
-    assert validate_run(ts, LassoRun((), (0,))) is None
+    require_valid_run(ts, LassoRun((), (0,)))
 
 
 def test_validate_run_rejects_loop_repeat():
     ts, _obj, _run = recurrence_example()
-    issue = validate_run(ts, LassoRun((0,), (1, 2, 1)))
-    assert issue is not None
-    assert issue.code == "loop-repeat"
-    assert "s1" in issue.message
+    with pytest.raises(InputError, match="loop repeats s1"):
+        require_valid_run(ts, LassoRun((0,), (1, 2, 1)))
 
 
 def test_validate_run_rejects_wrong_start_and_bad_edges():
     ts, _obj, _run = recurrence_example()
-    assert validate_run(ts, LassoRun((1,), (2, 3))).code == "bad-start"
-    assert validate_run(ts, LassoRun((0,), (5,))).code == "not-a-transition"
-    assert validate_run(ts, LassoRun((0, 1, 0), (5,))) is not None
+    with pytest.raises(InputError, match="not the initial state"):
+        require_valid_run(ts, LassoRun((1,), (2, 3)))
+    with pytest.raises(InputError, match="is not a transition"):
+        require_valid_run(ts, LassoRun((0,), (5,)))
+    with pytest.raises(InputError):
+        require_valid_run(ts, LassoRun((0, 1, 0), (5,)))
 
 
 def test_violates_buechi_example():
@@ -100,7 +101,7 @@ def test_find_violating_run_trivial_self_loop():
 def test_find_violating_run_buechi_cross_checked():
     ts, obj, _run = recurrence_example()
     run = find_violating_run(ts, obj)
-    assert validate_run(ts, run) is None
+    require_valid_run(ts, run)
     assert violates(ts, obj, run)
     assert not set(run.loop) & obj.target
     assert exhaustive_violation_exists(ts, obj)
@@ -129,7 +130,7 @@ def test_finder_agrees_with_exhaustive_enumeration(kind):
             continue
         checked += 1
         assert expected
-        assert validate_run(ts, run) is None
+        require_valid_run(ts, run)
         assert violates(ts, obj, run)
     assert checked > 20
 
@@ -160,8 +161,11 @@ def test_violates_invariant_under_loop_rotation():
         loop = run.loop
         for k in range(1, len(loop)):
             rotated = LassoRun(run.prefix + loop[:k], loop[k:] + loop[:k])
-            if validate_run(ts, rotated) is None:
-                assert violates(ts, obj, rotated) == violates(ts, obj, run)
+            try:
+                require_valid_run(ts, rotated)
+            except InputError:
+                continue
+            assert violates(ts, obj, rotated) == violates(ts, obj, run)
 
 
 def test_run_positions_unique_successor():
@@ -197,3 +201,25 @@ def test_run_search_makes_one_scc_pass_on_the_lab_program(monkeypatch):
     assert len(calls) == 1
     # the lasso of the per-candidate search, which made 236 SCC passes here
     assert run == LassoRun((0, 3, 23, 86), (236,))
+
+
+@pytest.mark.parametrize("kind", [REACHABILITY, BUECHI, PARITY])
+def test_run_search_stops_within_its_budget(kind):
+    # the SCC passes call the deadline before numbering each state; an
+    # unbounded budget changes nothing
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(40):
+        ts = random_total_system(rng, max_states=8)
+        obj = random_objective(rng, ts, kind)
+        try:
+            run = find_violating_run(ts, obj)
+        except NoViolation:
+            continue
+        spent = Budget()
+        assert find_violating_run(ts, obj, spent) == run
+        assert spent.calls >= 1
+        with pytest.raises(AnalysisTimeout):
+            find_violating_run(ts, obj, Budget(spent.calls - 1))
+        checked += 1
+    assert checked > 10

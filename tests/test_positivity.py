@@ -9,11 +9,13 @@ from conftest import Budget, recurrence_example, instances
 
 from respgame import (BUECHI, OPTIMISTIC, REACHABILITY, AnalysisTimeout,
                       LassoRun, Objective, PayoffGame, PlayerSet,
-                      TransitionSystem, generate, oracle_shapley,
-                      positivity_buechi_opt_all, positivity_reach_opt, shapley,
-                      shapley_exact, solve)
+                      TransitionSystem, generate, model, oracle_shapley,
+                      positivity, positivity_buechi_opt_all,
+                      positivity_reach_opt, shapley, shapley_exact, solve)
 from respgame.explicit import build_system
-from respgame.positivity import BuechiSearch, positivity_buechi_opt, rho_order
+from respgame.games import engrave
+from respgame.positivity import (BuechiSearch, bits, positivity_buechi_opt,
+                                 rho_order)
 
 
 def test_positivity_reach_clouds_instance():
@@ -207,6 +209,50 @@ def test_rho_order_masks_match_graph_search():
                 assert (order.leq[s] >> t & 1) == (t in leq[s])
                 assert (order.above(s) >> t & 1) == (t in leq[s]
                                                      and s not in leq[t])
+
+
+def test_rho_order_detour_back_to_the_state_takes_its_lowest_jump():
+    # freed s1 reaches the target f, which leads back to s1 itself; from
+    # there s1's jump to s0 is open, so the detour rejoins the run at s0
+    ts = TransitionSystem(["s0", "s1", "l", "a", "f"], 0,
+                          [(0, 1), (1, 0), (1, 2), (1, 3), (2, 2), (3, 4),
+                           (4, 1)])
+    run = LassoRun((0, 1), (2,))
+    order = rho_order(ts, run, {4})
+    _leq, down, down_f = _reference_order(ts, run, {4})
+    assert order.down == down and order.down_f == down_f
+    assert order.down[1] == order.down_f[1] == 0
+
+
+def test_rho_order_makes_one_engrave_and_one_scc_pass():
+    ts, obj, run = build_system(generate("exp-coalitions", 30))
+    with mock.patch.object(positivity, "engrave", wraps=engrave) as engraved, \
+            mock.patch.object(positivity, "_sccs", wraps=model._sccs) as sccs:
+        rho_order(ts, run, obj.target)
+    assert engraved.call_count == 1 and sccs.call_count == 1
+
+
+def _reference_masks(order):
+    """closes and skips of every run state, one state at a time from their
+    definitions: the detour states whose detour rejoins the run at or below
+    the state, and the states at or above it that jump strictly below it."""
+    closes, skips = {}, {}
+    for top in order.pos:
+        closes[top] = _mask(s for s in bits(order.detours)
+                            if order.leq[order.down_f[s]] >> top & 1)
+        below = order.geq[top] & ~order.leq[top]
+        skips[top] = _mask(s for s in bits(order.leq[top])
+                           if below >> order.down[s] & 1)
+    return closes, skips
+
+
+def test_rho_order_exclusion_masks_match_their_definitions():
+    cases = [recurrence_example()]
+    cases += [inst[:3] for inst in instances(59, 120, max_states=10,
+                                             kind=BUECHI)]
+    for ts, obj, run in cases:
+        order = rho_order(ts, run, obj.target)
+        assert (order.closes, order.skips) == _reference_masks(order)
 
 
 def test_buechi_search_probes_each_coalition_once(monkeypatch):

@@ -15,7 +15,7 @@ from respgame import (BUECHI, MODES, OPTIMISTIC, PARITY, REACHABILITY,
                       positivity_buechi_opt_all, shapley_exact, solve,
                       violates)
 from respgame.games import Game, GameArena, attractor
-from respgame.model import validate_run
+from respgame.model import require_valid_run
 
 
 @st.composite
@@ -50,7 +50,7 @@ def test_found_runs_are_valid_and_violating(inst):
     if inst is None:
         return
     ts, obj, run = inst
-    assert validate_run(ts, run) is None
+    require_valid_run(ts, run)
     assert violates(ts, obj, run)
 
 
