@@ -6,7 +6,7 @@ The names below are the ones the CLI and the package's own modules use;
 everything else is imported from its submodule."""
 
 from .errors import (AnalysisTimeout, BlockCapExceeded, InputError,
-                     PlayerCapExceeded, RefusalError)
+                     PlayerCapExceeded, RefusalError, StateCapExceeded)
 from .explicit import (ExplicitModelDoc, build_system, load_explicit,
                        serialize_explicit)
 from .games import (FORWARD, MODES, OPTIMISTIC, PESSIMISTIC, arena_to_dot,

@@ -26,6 +26,10 @@ class BlockCapExceeded(RefusalError):
     pass
 
 
+class StateCapExceeded(RefusalError):
+    pass
+
+
 class AnalysisTimeout(RefusalError):
     pass
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Dict, List, Optional, Tuple
 
-from .errors import InputError, read_text
+from .errors import InputError, StateCapExceeded, read_text
 from .model import TransitionSystem
 
 DEFAULT_STATE_CAP = 10_000_000
@@ -357,6 +358,31 @@ class _Compiler:
         self.formulas = formulas or {}
         self.slots = {v.name: (i, v.kind) for i, v in enumerate(variables)}
         self.inlined = {}
+        self.inlined_reads = {}
+
+    def reads(self, expr, visiting=frozenset()):
+        """The slots `expr`'s closure may read, resolved as `node` does.
+
+        An inlined formula's slots are remembered per expansion path, as
+        its node is, so the walk is linear in the compiled size.
+        """
+        tag = expr[0]
+        if tag in ("int", "bool"):
+            return frozenset()
+        if tag in ("unop", "binop"):
+            return frozenset().union(*(self.reads(e, visiting)
+                                       for e in expr[2:]))
+        name = expr[1]
+        if name in self.slots:
+            return frozenset((self.slots[name][0],))
+        if (name in self.constants or name not in self.formulas
+                or name in visiting):
+            return frozenset()
+        key = (name, visiting)
+        if key not in self.inlined_reads:
+            self.inlined_reads[key] = self.reads(self.formulas[name],
+                                                 visiting | {name})
+        return self.inlined_reads[key]
 
     def node(self, expr, where="", visiting=frozenset()):
         """(value, fn, kind); `where` is appended to the node's errors."""
@@ -597,9 +623,15 @@ def expand_program(prog: ModuleLangProgram,
     A command without an action interleaves on its own; commands sharing an
     action fire together, one enabled command per module owning the action.
     Updates read the pre-state (snapshot semantics).  Updates leaving a
-    variable's range and reachable deadlock valuations are errors.
-    `deadline`, when given, is called before each state is expanded and may
-    abort the expansion by raising.
+    variable's range and reachable deadlock valuations are errors, and more
+    than `max_states` states are refused.  `deadline`, when given, is called
+    before each state is expanded and may abort the expansion by raising.
+
+    A module's guards are evaluated once per distinct valuation of the
+    variables they read: the module's enabled commands, its plan, are
+    cached under that projection of the state.  A module whose guards read
+    every variable gets no cache, since breadth-first search meets each
+    state once.
     """
     variables = prog.variables()
     if not variables:
@@ -614,14 +646,17 @@ def expand_program(prog: ModuleLangProgram,
                     mods.append(mod.name)
 
     compiler = _Compiler(prog.constants, prog.formulas, variables)
-    # per module: (command, guard, updates), an update being (slot,
-    # value_of, lo, hi); a boolean's [0..1] range holds for True and False
+    # per module: rows (command, guard, updates), an update being (slot,
+    # value_of, lo, hi), and the projection and cache of its plans; a
+    # boolean's [0..1] range holds for True and False
     compiled = []
     for mod in prog.modules:
         rows = []
+        reads = set()
         for cmd in mod.commands:
             guard = compiler.closure(cmd.guard, "bool", "guard",
                                      where=f" in {cmd.describe()}")
+            reads |= compiler.reads(cmd.guard)
             updates = []
             for var, expr in cmd.updates:
                 slot = var_index[var]
@@ -630,7 +665,13 @@ def expand_program(prog: ModuleLangProgram,
                                                        "update"),
                                 decl.lo, decl.hi))
             rows.append((cmd, guard, updates))
-        compiled.append((mod.name, rows))
+        if len(reads) == len(variables):
+            project = cache = None
+        else:
+            # an empty read set projects every state to ()
+            project = operator.itemgetter(*sorted(reads) or [slice(0, 0)])
+            cache = {}
+        compiled.append((mod.name, rows, project, cache, {}))
 
     def apply_updates(valuation, chosen):
         new = list(valuation)
@@ -645,39 +686,78 @@ def expand_program(prog: ModuleLangProgram,
                 new[slot] = value
         return tuple(new)
 
+    def plan_of(rows, enabled):
+        """(interleaving rows, [(action, rows)]) of the `enabled` rows."""
+        groups: Dict[str, tuple] = {}
+        for i in enabled:
+            action = rows[i][0].action
+            if action is not None:
+                groups[action] = groups.get(action, ()) + (rows[i],)
+        return ([rows[i] for i in enabled if rows[i][0].action is None],
+                list(groups.items()))
+
     def successors(valuation):
         out = []
-        enabled_by_action: Dict[str, Dict[str, list]] = {}
-        for mod_name, rows in compiled:
-            for row in rows:
-                cmd, guard, _ = row
-                if not guard(valuation):
-                    continue
-                if cmd.action is None:
+        # action -> owning module -> its enabled rows
+        synced: Dict[str, Dict[str, tuple]] = {}
+        for mod_name, rows, project, cache, plans in compiled:
+            if cache is None:
+                for row in rows:
+                    cmd, guard, _ = row
+                    if not guard(valuation):
+                        continue
+                    if cmd.action is None:
+                        out.append(apply_updates(valuation, (row,)))
+                    else:
+                        by_module = synced.setdefault(cmd.action, {})
+                        by_module[mod_name] = (by_module.get(mod_name, ())
+                                               + (row,))
+                continue
+            key = project(valuation)
+            plan = cache.get(key)
+            if plan is None:
+                # a miss: guards in row order, and an interleaving command's
+                # updates as soon as it is enabled, so the first error is the
+                # one an uncached expansion meets
+                enabled = []
+                for i, (cmd, guard, _) in enumerate(rows):
+                    if guard(valuation):
+                        enabled.append(i)
+                        if cmd.action is None:
+                            out.append(apply_updates(valuation, (rows[i],)))
+                enabled = tuple(enabled)  # interned: keys share plans
+                if enabled not in plans:
+                    plans[enabled] = plan_of(rows, enabled)
+                plan = cache[key] = plans[enabled]
+            else:
+                for row in plan[0]:
                     out.append(apply_updates(valuation, (row,)))
-                else:
-                    enabled = enabled_by_action.setdefault(cmd.action, {})
-                    enabled.setdefault(mod_name, []).append(row)
-        for action, owners_ in sorted(owning.items()):
-            enabled = enabled_by_action.get(action, {})
-            if set(enabled) != set(owners_):
+            for action, group in plan[1]:
+                by_module = synced.setdefault(action, {})
+                by_module[mod_name] = by_module.get(mod_name, ()) + group
+        for action in sorted(synced):
+            by_module, owners_ = synced[action], owning[action]
+            if len(by_module) < len(owners_):
                 continue  # some owning module blocks the action
-            combos = [enabled[m] for m in owners_]
-            picks = [[]]
-            for options in combos:
-                picks = [chosen + [r] for chosen in picks for r in options]
-            for chosen in picks:
+            for chosen in product(*[by_module[m] for m in owners_]):
                 out.append(apply_updates(valuation, chosen))
         return out
 
+    shown = [(f"{v.name}=", v.kind == "bool") for v in variables]
+
     def name_of(valuation):
-        parts = []
-        for v, value in zip(variables, valuation):
-            text = ("true" if value else "false") if v.kind == "bool" else str(value)
-            parts.append(f"{v.name}={text}")
-        return ",".join(parts)
+        return ",".join([
+            prefix + (("true" if value else "false") if boolean
+                      else str(value))
+            for (prefix, boolean), value in zip(shown, valuation)])
+
+    def over_cap():
+        return StateCapExceeded(f"state space exceeds the cap of {max_states}",
+                                guidance="raise --state-cap")
 
     init = tuple(v.init for v in variables)
+    if max_states < 1:
+        raise over_cap()
     index = {init: 0}
     order = [init]
     adjacency: List[List[int]] = []
@@ -695,8 +775,7 @@ def expand_program(prog: ModuleLangProgram,
             for nxt in succs:
                 if nxt not in index:
                     if len(index) >= max_states:
-                        raise InputError(
-                            f"state space exceeds the cap of {max_states}")
+                        raise over_cap()
                     index[nxt] = len(order)
                     order.append(nxt)
                     next_frontier.append(nxt)

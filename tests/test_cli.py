@@ -273,7 +273,20 @@ def test_state_cap_flag(capsys):
     code, _, err = run(capsys, "analyze", str(MODELS / "clouds.prism"),
                        "--objective", "reachability", "--target-label",
                        "plus", "--state-cap", "5")
-    assert code == 2 and "cap" in err
+    assert code == 1 and "cap" in err
+
+
+def test_state_cap_counts_the_initial_state(capsys, tmp_path):
+    one = tmp_path / "one.prism"
+    one.write_text("module m\n  x : bool init false;\n  [] true -> true;\n"
+                   "endmodule\nlabel \"goal\" = x;\n")
+    argv = ("analyze", str(one), "--objective", "reachability",
+            "--target-label", "goal", "--state-cap")
+    code, out, err = run(capsys, *argv, "0")
+    assert code == 1 and not out
+    assert err == ("refused: state space exceeds the cap of 0\n"
+                   "hint: raise --state-cap\n")
+    assert run(capsys, *argv, "1")[0] == 0
 
 
 def test_bad_parity_colour_is_an_input_error(capsys):

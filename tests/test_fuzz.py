@@ -1,9 +1,11 @@
 """Fuzzing of both input parsers: malformed input raises InputError only.
 
 The CLI maps InputError to exit status 2 with a one-line message; any other
-exception escaping a parser would be a traceback.  Both strategies build a
-mostly well-formed input and then damage it, so that the checks deep in
-the parsers and in expansion are reached too.
+exception escaping a parser would be a traceback.  Programs are expanded
+under a small state cap, whose refusal (StateCapExceeded, exit 1) is the
+one other outcome allowed.  Both strategies build a mostly well-formed
+input and then damage it, so that the checks deep in the parsers and in
+expansion are reached too.
 """
 
 import json
@@ -11,7 +13,8 @@ import json
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from respgame import InputError, expand_program, parse_program
+from respgame import (InputError, StateCapExceeded, expand_program,
+                      parse_program)
 from respgame.explicit import build_system, parse_explicit
 
 # ---- guarded-command programs ---------------------------------------------
@@ -104,7 +107,7 @@ def programs(draw):
 def test_program_parser_raises_only_input_errors(text):
     try:
         expanded = expand_program(parse_program(text), max_states=50)
-    except InputError:
+    except (InputError, StateCapExceeded):
         return
     assert 1 <= len(expanded.ts) <= 50
 

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import Budget
 
-from respgame import AnalysisTimeout, InputError, expand_program, parse_program
+from respgame import (AnalysisTimeout, InputError, StateCapExceeded,
+                      expand_program, parse_program)
 from respgame.cli import run_cli
 from respgame.explicit import build_system
 from respgame.generators import generate_clouds
@@ -149,7 +150,7 @@ module wide
   [] true -> (x' = 0);
 endmodule
 """)
-    with pytest.raises(InputError, match="cap"):
+    with pytest.raises(StateCapExceeded, match="cap of 4"):
         expand_program(prog, max_states=4)
 
 
