@@ -284,40 +284,46 @@ def _want(kind, value, op):
         raise InputError(_needs(kind, op))
 
 
+_NO_SLOTS = frozenset()
+
+
 def _constant(value):
-    return value, lambda v: value, _kind_of(value)
+    return value, lambda v: value, _kind_of(value), _NO_SLOTS
 
 
 def _failing(message, *operands):
     """A node that evaluates `operands` in order, then raises `message`."""
+    fns = [node[1] for node in operands]
+
     def fail(v):
-        for fn in operands:
+        for fn in fns:
             fn(v)
         raise InputError(message)
-    return _DYNAMIC, fail, None
+    return _DYNAMIC, fail, None, _NO_SLOTS.union(*[n[3] for n in operands])
 
 
 def _apply(op, operands, where):
-    """Node for `op` over compiled (value, fn, kind) operands."""
+    """Node for `op` over compiled (value, fn, kind, slots) operands."""
     want, result, f = (_UNARY if len(operands) == 1 else _BINARY)[op]
-    values, fns, kinds = zip(*operands)
+    values, fns, kinds, slots = zip(*operands)
     known = {k for k in kinds if k is not None}
     if want is None and len(known) > 1:
         return _failing(f"comparison {op} mixes boolean and integer{where}",
-                        *fns)
+                        *operands)
     if want is not None and known - {want}:
-        return _failing(_needs(want, op) + where, *fns)
+        return _failing(_needs(want, op) + where, *operands)
     if _DYNAMIC not in values:
         return _constant(f(*values))
+    slots = _NO_SLOTS.union(*slots)
     if len(fns) == 1:
         g, = fns
-        return _DYNAMIC, lambda v: f(g(v)), result
+        return _DYNAMIC, lambda v: f(g(v)), result, slots
     (a, b), (ga, gb) = values, fns
     if b is not _DYNAMIC:
-        return _DYNAMIC, lambda v: f(ga(v), b), result
+        return _DYNAMIC, lambda v: f(ga(v), b), result, slots
     if a is not _DYNAMIC:
-        return _DYNAMIC, lambda v: f(a, gb(v)), result
-    return _DYNAMIC, lambda v: f(ga(v), gb(v)), result
+        return _DYNAMIC, lambda v: f(a, gb(v)), result, slots
+    return _DYNAMIC, lambda v: f(ga(v), gb(v)), result, slots
 
 
 def _last_value(fn):
@@ -350,7 +356,8 @@ class _Compiler:
     does not double the compiled size, and the node remembers its value
     for the last valuation, so it does not double the evaluation work
     either.  A formula whose folded value is too long to print compiles to
-    a failing node.
+    a failing node.  Every node carries the variable slots its closure
+    reads, so a shared formula's are collected once, with its node.
     """
 
     def __init__(self, constants, formulas=None, variables=()):
@@ -358,34 +365,10 @@ class _Compiler:
         self.formulas = formulas or {}
         self.slots = {v.name: (i, v.kind) for i, v in enumerate(variables)}
         self.inlined = {}
-        self.inlined_reads = {}
-
-    def reads(self, expr, visiting=frozenset()):
-        """The slots `expr`'s closure may read, resolved as `node` does.
-
-        An inlined formula's slots are remembered per expansion path, as
-        its node is, so the walk is linear in the compiled size.
-        """
-        tag = expr[0]
-        if tag in ("int", "bool"):
-            return frozenset()
-        if tag in ("unop", "binop"):
-            return frozenset().union(*(self.reads(e, visiting)
-                                       for e in expr[2:]))
-        name = expr[1]
-        if name in self.slots:
-            return frozenset((self.slots[name][0],))
-        if (name in self.constants or name not in self.formulas
-                or name in visiting):
-            return frozenset()
-        key = (name, visiting)
-        if key not in self.inlined_reads:
-            self.inlined_reads[key] = self.reads(self.formulas[name],
-                                                 visiting | {name})
-        return self.inlined_reads[key]
 
     def node(self, expr, where="", visiting=frozenset()):
-        """(value, fn, kind); `where` is appended to the node's errors."""
+        """(value, fn, kind, slots); `where` is appended to the node's
+        errors, and `fn` reads only the variable slots in `slots`."""
         tag = expr[0]
         if tag in ("int", "bool"):
             return _constant(expr[1])
@@ -397,7 +380,7 @@ class _Compiler:
         name = expr[1]
         if name in self.slots:
             slot, kind = self.slots[name]
-            return _DYNAMIC, operator.itemgetter(slot), kind
+            return _DYNAMIC, operator.itemgetter(slot), kind, frozenset((slot,))
         if name in self.constants:
             return _constant(self.constants[name])
         if name not in self.formulas:
@@ -413,20 +396,21 @@ class _Compiler:
                 # digits per level of a chain like `f(i) = f(i-1)*f(i-1)`
                 node = _failing(f"formula {name!r} is {_TOO_LONG}{where}")
             if node[0] is _DYNAMIC:
-                node = _DYNAMIC, _last_value(node[1]), node[2]
+                node = _DYNAMIC, _last_value(node[1]), node[2], node[3]
             self.inlined[key] = node
         return self.inlined[key]
 
     def closure(self, expr, kind, op, where=""):
-        """fn(valuation) for an expression whose value must have `kind`.
+        """(fn(valuation), slots it reads) for an expression whose value
+        must have `kind`.
 
         A value of the other kind is reported as a wrong operand of `op`,
         without `where`.
         """
-        _, fn, got = self.node(expr, where)
-        if got is not None and got != kind:
-            return _failing(_needs(kind, op), fn)[1]
-        return fn
+        node = self.node(expr, where)
+        if node[2] is not None and node[2] != kind:
+            node = _failing(_needs(kind, op), node)
+        return node[1], node[3]
 
 
 _TOO_LONG = "a value with too many digits to print"
@@ -451,7 +435,7 @@ def _printable(value, what):
 
 def _constant_value(expr, constants):
     """Parse-time value of `expr` over the constants declared so far."""
-    value, fn, _ = _Compiler(constants).node(expr)
+    value, fn = _Compiler(constants).node(expr)[:2]
     return fn(()) if value is _DYNAMIC else value
 
 
@@ -647,31 +631,29 @@ def expand_program(prog: ModuleLangProgram,
 
     compiler = _Compiler(prog.constants, prog.formulas, variables)
     # per module: rows (command, guard, updates), an update being (slot,
-    # value_of, lo, hi), and the projection and cache of its plans; a
-    # boolean's [0..1] range holds for True and False
+    # value_of, lo, hi), the projection onto the slots its guards read, and
+    # the cache of its plans (None when they read every slot); a boolean's
+    # [0..1] range holds for True and False
     compiled = []
     for mod in prog.modules:
         rows = []
         reads = set()
         for cmd in mod.commands:
-            guard = compiler.closure(cmd.guard, "bool", "guard",
-                                     where=f" in {cmd.describe()}")
-            reads |= compiler.reads(cmd.guard)
+            guard, slots = compiler.closure(cmd.guard, "bool", "guard",
+                                            where=f" in {cmd.describe()}")
+            reads |= slots
             updates = []
             for var, expr in cmd.updates:
                 slot = var_index[var]
                 decl = variables[slot]
                 updates.append((slot, compiler.closure(expr, decl.kind,
-                                                       "update"),
+                                                       "update")[0],
                                 decl.lo, decl.hi))
             rows.append((cmd, guard, updates))
-        if len(reads) == len(variables):
-            project = cache = None
-        else:
-            # an empty read set projects every state to ()
-            project = operator.itemgetter(*sorted(reads) or [slice(0, 0)])
-            cache = {}
-        compiled.append((mod.name, rows, project, cache, {}))
+        # an empty read set projects every state to ()
+        project = operator.itemgetter(*sorted(reads) or [slice(0, 0)])
+        cache = {} if len(reads) < len(variables) else None
+        compiled.append((mod.name, rows, project, cache))
 
     def apply_updates(valuation, chosen):
         new = list(valuation)
@@ -686,53 +668,39 @@ def expand_program(prog: ModuleLangProgram,
                 new[slot] = value
         return tuple(new)
 
-    def plan_of(rows, enabled):
-        """(interleaving rows, [(action, rows)]) of the `enabled` rows."""
-        groups: Dict[str, tuple] = {}
-        for i in enabled:
-            action = rows[i][0].action
-            if action is not None:
-                groups[action] = groups.get(action, ()) + (rows[i],)
-        return ([rows[i] for i in enabled if rows[i][0].action is None],
-                list(groups.items()))
-
     def successors(valuation):
         out = []
         # action -> owning module -> its enabled rows
         synced: Dict[str, Dict[str, tuple]] = {}
-        for mod_name, rows, project, cache, plans in compiled:
-            if cache is None:
+        for mod_name, rows, project, cache in compiled:
+            # its plan: the enabled interleaving rows, and the enabled rows
+            # of each action
+            plan = None
+            if cache is not None:
+                key = project(valuation)
+                plan = cache.get(key)
+            if plan is None:
+                # guards in row order, and an interleaving command's updates
+                # as soon as it is enabled, so the first error is the one an
+                # uncached expansion meets
+                alone, by_action = [], {}
                 for row in rows:
                     cmd, guard, _ = row
                     if not guard(valuation):
                         continue
                     if cmd.action is None:
+                        alone.append(row)
                         out.append(apply_updates(valuation, (row,)))
                     else:
-                        by_module = synced.setdefault(cmd.action, {})
-                        by_module[mod_name] = (by_module.get(mod_name, ())
-                                               + (row,))
-                continue
-            key = project(valuation)
-            plan = cache.get(key)
-            if plan is None:
-                # a miss: guards in row order, and an interleaving command's
-                # updates as soon as it is enabled, so the first error is the
-                # one an uncached expansion meets
-                enabled = []
-                for i, (cmd, guard, _) in enumerate(rows):
-                    if guard(valuation):
-                        enabled.append(i)
-                        if cmd.action is None:
-                            out.append(apply_updates(valuation, (rows[i],)))
-                enabled = tuple(enabled)  # interned: keys share plans
-                if enabled not in plans:
-                    plans[enabled] = plan_of(rows, enabled)
-                plan = cache[key] = plans[enabled]
+                        by_action[cmd.action] = (by_action.get(cmd.action, ())
+                                                 + (row,))
+                if cache is not None:
+                    cache[key] = alone, by_action
             else:
-                for row in plan[0]:
+                alone, by_action = plan
+                for row in alone:
                     out.append(apply_updates(valuation, (row,)))
-            for action, group in plan[1]:
+            for action, group in by_action.items():
                 by_module = synced.setdefault(action, {})
                 by_module[mod_name] = by_module.get(mod_name, ()) + group
         for action in sorted(synced):
@@ -787,11 +755,11 @@ def expand_program(prog: ModuleLangProgram,
     ts = TransitionSystem(names, 0, edges)
     labels = {}
     for label, expr in prog.labels.items():
-        holds = compiler.closure(expr, "bool", f"label {label!r}")
+        holds = compiler.closure(expr, "bool", f"label {label!r}")[0]
         labels[label] = frozenset(i for i, v in enumerate(order) if holds(v))
     owners = {}
     for mod_name, expr in prog.owners.items():
-        holds = compiler.closure(expr, "bool", f"owner {mod_name!r}")
+        holds = compiler.closure(expr, "bool", f"owner {mod_name!r}")[0]
         owners[mod_name] = frozenset(i for i, v in enumerate(order) if holds(v))
     return ExpandedModel(ts, variables, order, labels, owners)
 

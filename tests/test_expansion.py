@@ -41,13 +41,13 @@ def reference_expand(prog, max_states=DEFAULT_STATE_CAP):
         rows = []
         for cmd in mod.commands:
             guard = compiler.closure(cmd.guard, "bool", "guard",
-                                     where=f" in {cmd.describe()}")
+                                     where=f" in {cmd.describe()}")[0]
             updates = []
             for var, expr in cmd.updates:
                 slot = var_index[var]
                 decl = variables[slot]
                 updates.append((slot, compiler.closure(expr, decl.kind,
-                                                       "update"),
+                                                       "update")[0],
                                 decl.lo, decl.hi))
             rows.append((cmd, guard, updates))
         compiled.append((mod.name, rows))
@@ -120,7 +120,7 @@ def reference_expand(prog, max_states=DEFAULT_STATE_CAP):
                            for t in row])
 
     def states(expr, what):
-        holds = compiler.closure(expr, "bool", what)
+        holds = compiler.closure(expr, "bool", what)[0]
         return frozenset(i for i, v in enumerate(order) if holds(v))
 
     labels = {label: states(expr, f"label {label!r}")
@@ -263,14 +263,14 @@ def _guard_calls(monkeypatch):
     closure = _Compiler.closure
 
     def counting(self, expr, kind, op, where=""):
-        fn = closure(self, expr, kind, op, where)
+        fn, slots = closure(self, expr, kind, op, where)
         if op != "guard":
-            return fn
+            return fn, slots
 
         def counted(valuation):
             calls[0] += 1
             return fn(valuation)
-        return counted
+        return counted, slots
 
     monkeypatch.setattr(_Compiler, "closure", counting)
     return calls
