@@ -56,7 +56,9 @@ class RhoOrder:
     such a detour.  `closes[s]` holds the detour states whose detour
     rejoins the run at or below s: they close the loop on their own.
     `skips[s]` holds the run states at or above s that jump strictly below
-    it on their own.
+    it on their own.  `solo` holds the run states whose coalition of
+    themselves alone wins.  It is not read off `closes`: a target run
+    state with no way back to itself is in its own `closes` but loses.
     """
 
     pos: Dict[int, int]
@@ -67,6 +69,7 @@ class RhoOrder:
     detours: int
     closes: Dict[int, int]
     skips: Dict[int, int]
+    solo: int
 
     def above(self, s: int) -> int:
         """The run states strictly above s."""
@@ -90,6 +93,15 @@ def rho_order(ts: TransitionSystem, run: LassoRun, target=()) -> RhoOrder:
     below s's own rank, because the detour then reaches back to s.  Tarjan
     numbers the components sinks first, so one pass in component order
     settles every successor before its predecessors.
+
+    The same pass decides which run states win alone.  With only s free
+    the play follows the run to s, and a shortest winning play leaves s
+    once and then moves along the fully engraved system only.  It either
+    reaches a component there that holds a target and a cycle (`lasso`;
+    when the run loop is target-free, such a component lies off the run),
+    or it returns to s through a target: it reaches rank at most s's after
+    a target state, and from there the run leads back to s.  When s is a
+    target itself, the way back passes s, so the same test holds.
     """
     seq = run.sequence()
     pos = {s: i for i, s in enumerate(seq)}
@@ -113,16 +125,24 @@ def rho_order(ts: TransitionSystem, run: LassoRun, target=()) -> RhoOrder:
     for v, c in comp.items():
         low[c] = min([low[c], rank.get(v, none)]
                      + [low[comp[t]] for t in succ[v]])
+    # per component also whether it reaches a target on a cycle: a target
+    # with a successor in its own component lies on one
     low_f = [none] * len(ts)
+    lasso = [False] * len(ts)
     for v, c in comp.items():
         low_f[c] = min([low_f[c], low[c] if v in target else none]
                        + [low_f[comp[t]] for t in succ[v]])
+        lasso[c] = lasso[c] or any(
+            lasso[comp[t]] or (v in target and comp[t] == c) for t in succ[v])
     down, down_f = {}, {}
     below = [0] * (none + 1)  # run states by the rank they jump to, plus 1
     closes_at = [0] * (none + 1)  # detour states by the rank they rejoin
+    solo = 0
     for s, r in rank.items():
         d = min([r] + [low[comp[t]] for t in ts.succ[s]])
         f = min(low_f[comp[t]] for t in ts.succ[s])
+        if f <= r or any(lasso[comp[t]] for t in ts.succ[s]):
+            solo |= 1 << s
         if s in target or f <= r:
             f = d
         down[s] = seq[d]
@@ -135,22 +155,19 @@ def rho_order(ts: TransitionSystem, run: LassoRun, target=()) -> RhoOrder:
         closes_at[r + 1] |= closes_at[r]
     return RhoOrder(pos, leq, geq, down, down_f, closes_at[top],
                     {s: closes_at[r] for s, r in rank.items()},
-                    {s: leq[s] & below[r] for s, r in rank.items()})
+                    {s: leq[s] & below[r] for s, r in rank.items()}, solo)
 
 
 @dataclass
 class BuechiSearch:
-    """What the searches over one system, target and run share.
-
-    `solo` is the mask of the run states that win alone: the first search
-    probes it and the later ones read it, so no coalition is probed
-    twice for it.  `order` holds the run order, the jump targets and the
-    exclusion masks, all computed up front.
+    """What the searches over one system, target and run share: the
+    coalition game with its memo, and `order`, which holds the run order,
+    the jump targets, the exclusion masks and the states that win alone,
+    all from one SCC pass up front.
     """
 
     pg: PayoffGame
     order: RhoOrder
-    solo: Optional[int] = None
 
     @staticmethod
     def of(ts: TransitionSystem, target, run: LassoRun,
@@ -175,21 +192,16 @@ def positivity_buechi_opt(search: BuechiSearch, state: int) -> bool:
     order, pg = search.order, search.pg
     if state not in order.pos:
         return False
-    if search.solo is None:
-        search.solo = 0
-        for s in order.pos:
-            if pg.gamma(1 << s) == 1:
-                search.solo |= 1 << s
-    solo = search.solo
+    solo = order.solo
     me = 1 << state
     if solo & me:
         return True
     geq = order.geq
-    # state as the bottom of the winning loop
+    # state as the bottom of the winning loop; alone it loses
     df_s = order.down_f[state]
     if df_s is not None:
         between = order.above(state) & ~solo
-        for s_top in order.in_run_order(order.leq[df_s] & ~solo):
+        for s_top in order.in_run_order(order.leq[df_s] & ~(solo | me)):
             coalition = (me | 1 << s_top
                          | between & geq[s_top] & ~order.closes[s_top])
             if pg.gamma(coalition) == 1:

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import PlayerCapExceeded
@@ -79,13 +80,24 @@ class PayoffGame:
         return len(self.memo)
 
     def flatten(self, mask: int) -> frozenset:
-        members = self.players.members
-        states = set()
-        while mask:
-            low = mask & -mask
-            states |= members[low.bit_length() - 1]
-            mask ^= low
-        return frozenset(states)
+        """The states of the players in the coalition `mask`.
+
+        The binary digits of `mask`, lowest first, select the players, so
+        the loop over its bits runs in C: as bytes, digit 0 becomes the
+        false byte 0 and digit 1 stays the true byte 49.
+        """
+        digits = bin(mask)[:1:-1].encode().replace(b"0", b"\0")
+        chosen = compress(self._player_states, digits)
+        if self.players.kind == STATE_PLAYERS:
+            return frozenset(chosen)
+        return frozenset().union(*chosen)
+
+    @cached_property
+    def _player_states(self) -> tuple:
+        """Per player: its state for state players, else its members."""
+        if self.players.kind == STATE_PLAYERS:
+            return tuple(min(m) for m in self.players.members)
+        return self.players.members
 
     def game(self, mask: int) -> Game:
         """The engraved game in which Sat controls the coalition `mask`."""

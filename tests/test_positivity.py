@@ -121,15 +121,28 @@ def test_buechi_positivity_matches_oracle_sample():
         assert fast == slow, (ts.names, sorted(obj.target), run)
 
 
-def test_buechi_positivity_ignores_self_winning_top_states():
-    # the probed state's candidate coalition must not absorb a state that
-    # wins alone: here t loops through the target by itself, so s1 (a null
-    # player) would otherwise be claimed responsible
+def _self_winning_top():
+    """t loops through the target by itself, and s1 is a null player."""
     names = ["s0", "s1", "t", "z", "f", "f2"]
     edges = [(0, 1), (1, 2), (1, 5), (2, 3), (2, 4), (3, 3), (4, 2), (5, 2)]
     ts = TransitionSystem(names, 0, edges)
-    target = frozenset({4, 5})
-    run = LassoRun((0, 1, 2), (3,))
+    return ts, frozenset({4, 5}), LassoRun((0, 1, 2), (3,))
+
+
+def _self_winning_between():
+    """The loop lies above q0, and q1, q2 and q4 win alone."""
+    ts = TransitionSystem(
+        [f"q{i}" for i in range(9)], 0,
+        [(0, 1), (1, 2), (1, 5), (2, 3), (2, 4), (3, 3), (4, 0), (4, 7),
+         (5, 7), (6, 2), (6, 6), (6, 8), (7, 1), (7, 4), (8, 1), (8, 4),
+         (8, 7)])
+    return ts, frozenset({0, 3, 5}), LassoRun((0,), (1, 2, 4, 7))
+
+
+def test_buechi_positivity_ignores_self_winning_top_states():
+    # the probed state's candidate coalition must not absorb a state that
+    # wins alone: here t does, so s1 would otherwise be claimed responsible
+    ts, target, run = _self_winning_top()
     fast = positivity_buechi_opt_all(ts, target, run)
     slow = oracle_shapley(ts, Objective(BUECHI, target=target), run,
                           OPTIMISTIC).positivity()
@@ -137,16 +150,9 @@ def test_buechi_positivity_ignores_self_winning_top_states():
 
 
 def test_buechi_positivity_ignores_self_winning_states_between():
-    # the loop lies above q0, and q1, q2 and q4 win alone: a bottom-role
-    # coalition for q0 that took them in would win without q0 and make the
-    # null player q0 look responsible
-    ts = TransitionSystem(
-        [f"q{i}" for i in range(9)], 0,
-        [(0, 1), (1, 2), (1, 5), (2, 3), (2, 4), (3, 3), (4, 0), (4, 7),
-         (5, 7), (6, 2), (6, 6), (6, 8), (7, 1), (7, 4), (8, 1), (8, 4),
-         (8, 7)])
-    target = frozenset({0, 3, 5})
-    run = LassoRun((0,), (1, 2, 4, 7))
+    # a bottom-role coalition for q0 that took in the states winning alone
+    # would win without q0 and make the null player q0 look responsible
+    ts, target, run = _self_winning_between()
     fast = positivity_buechi_opt_all(ts, target, run)
     slow = oracle_shapley(ts, Objective(BUECHI, target=target), run,
                           OPTIMISTIC).positivity()
@@ -270,7 +276,61 @@ def test_buechi_search_probes_each_coalition_once(monkeypatch):
     pg = games[0]
     assert all(g is pg for g in games)
     assert len(games) == pg.games_solved
-    assert pg.games_solved <= 2 * len(run.states())
+    assert pg.games_solved <= len(run.states())
+
+
+def _probed_solo(ts, target, run):
+    """The run states that win alone, one game per state."""
+    pg = PayoffGame(ts, Objective(BUECHI, target=frozenset(target)), run,
+                    OPTIMISTIC, PlayerSet.of_states(ts, range(len(ts))))
+    return _mask(s for s in run.states() if pg.gamma(1 << s) == 1)
+
+
+def test_rho_order_solo_matches_single_state_games():
+    ts, obj, run = recurrence_example()
+    cases = [(ts, obj.target, run), _self_winning_top(),
+             _self_winning_between()]
+    cases += [(ts, obj.target, run) for ts, obj, run, _mode
+              in instances(61, 150, max_states=10, kind=BUECHI)]
+    for ts, target, run in cases:
+        assert rho_order(ts, run, target).solo == _probed_solo(ts, target,
+                                                               run)
+
+
+# A target run state whose detour reaches only the loop.
+NO_WAY_BACK = ([(0, 1), (1, 2), (1, 3), (2, 2), (3, 2)], {1}, (0, 1), (2,))
+
+
+@pytest.mark.parametrize("edges, target, prefix, loop, solo", [
+    # s0 reaches the cycle 3-4 through the target 4, s1 the target 5 on a
+    # self-loop; the loop state 2 reaches the target 6 only on a path that
+    # ends in the target-free sink 7
+    ([(0, 1), (0, 3), (1, 2), (1, 5), (2, 2), (2, 6), (3, 4), (4, 3),
+      (5, 5), (6, 7), (7, 7)], {4, 5, 6}, (0, 1), (2,), {0, 1}),
+    # s1 reaches the target 3, which leads back to s0 and along the run to
+    # s1; s0's detour through the target 4 rejoins only at the loop
+    ([(0, 1), (0, 4), (1, 2), (1, 3), (2, 2), (3, 0), (4, 2)], {3, 4},
+     (0, 1), (2,), {1}),
+    # s1 is a target and its successor 3 leads back to s0 and so to s1
+    ([(0, 1), (1, 2), (1, 3), (2, 2), (3, 0)], {1}, (0, 1), (2,), {1}),
+    (*NO_WAY_BACK, set()),
+], ids=["target-cycle-off-run", "target-then-back", "target-run-state",
+        "target-run-state-no-way-back"])
+def test_rho_order_solo_on_each_way_to_win_alone(edges, target, prefix,
+                                                 loop, solo):
+    ts = TransitionSystem([f"s{i}" for i in range(1 + max(map(max, edges)))],
+                          0, edges)
+    run = LassoRun(prefix, loop)
+    order = rho_order(ts, run, target)
+    assert order.solo == _mask(solo) == _probed_solo(ts, target, run)
+
+
+def test_rho_order_solo_is_not_closes():
+    # s1 is a target, so its own `closes` holds it, yet it loses alone
+    edges, target, prefix, loop = NO_WAY_BACK
+    ts = TransitionSystem([f"s{i}" for i in range(4)], 0, edges)
+    order = rho_order(ts, LassoRun(prefix, loop), target)
+    assert order.closes[1] >> 1 & 1 and not order.solo >> 1 & 1
 
 
 def test_polynomial_searches_stop_within_their_budget():

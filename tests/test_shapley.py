@@ -298,6 +298,29 @@ def test_gamma_solves_only_the_states_reachable_from_the_initial_state():
                 assert not {3, 4} & set(arena.states)
 
 
+def test_flatten_is_the_union_of_the_chosen_players_members():
+    n = 150
+    ts = TransitionSystem([f"s{i}" for i in range(n)], 0,
+                          [(i, min(i + 1, n - 1)) for i in range(n)])
+    obj = Objective(REACHABILITY, target=frozenset({n - 1}))
+    run = LassoRun(tuple(range(n - 1)), (n - 1,))
+    blocks = [frozenset(range(i, min(i + 2, n))) for i in range(0, n, 2)]
+    names = [f"b{i:03}" for i in range(len(blocks))]
+    player_sets = (PlayerSet.of_states(ts, range(3, 140)),
+                   PlayerSet.of_blocks(names, blocks))
+    for players in player_sets:
+        pg = PayoffGame(ts, obj, run, OPTIMISTIC, players)
+        full = pg.full_mask()
+        masks = [0, 1, full, full & ~1, 1 << 70, 0x5555 << 60,
+                 full ^ (1 << 64), (1 << 64) | 1, 1 << (len(players) - 1)]
+        for mask in masks:
+            expected = set()
+            for p in range(len(players)):
+                if mask >> p & 1:
+                    expected |= players.members[p]
+            assert pg.flatten(mask) == expected
+
+
 def test_prune_dummies_checks_the_deadline_before_each_game():
     ts, obj, run = recurrence_example()
     ticks = []
