@@ -258,11 +258,10 @@ def _full_report(ts, report) -> ResponsibilityReport:
     """Extend a state-player report with zero rows for pruned states."""
     if report.player_kind != "states":
         return report
-    values = []
     have = dict(zip(report.names, report.values))
-    for name in ts.names:
-        values.append(have.get(name, Fraction(0)))
-    return ResponsibilityReport("states", report.mode, ts.names, tuple(values),
+    zero = Fraction(0)
+    values = tuple([have.get(name, zero) for name in ts.names])
+    return ResponsibilityReport("states", report.mode, ts.names, values,
                                 report.games_solved, report.memo_hits)
 
 

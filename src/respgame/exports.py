@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _encode_str
+from operator import itemgetter
 from typing import Optional
 
 from .games import arena_to_dot, build_game
@@ -13,10 +15,11 @@ REPORT_SCHEMA = "respgame-report-v1"
 
 
 def sorted_rows(report: ResponsibilityReport):
-    """(name, value) rows sorted by descending value, then by player order."""
-    order = {name: i for i, name in enumerate(report.names)}
+    """(name, value) rows sorted by descending value, then by player order.
+
+    A reverse sort is stable, so equal values keep their player order."""
     rows = list(zip(report.names, report.values))
-    rows.sort(key=lambda row: (-row[1], order[row[0]]))
+    rows.sort(key=itemgetter(1), reverse=True)
     return rows
 
 
@@ -53,26 +56,42 @@ def trace_records(trace):
     return out
 
 
+def _member(key: str, value) -> str:
+    """`"key": value` laid out as json.dumps(indent=2) does one level deep;
+    json.dumps never emits a raw newline inside a string."""
+    return f'  "{key}": ' + json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
+def _players_member(rows) -> str:
+    """The players array, byte for byte as json.dumps(indent=2) writes it.
+
+    Written record by record because json.dumps with an indent runs the
+    pure-Python encoder, and this array is nearly the whole document."""
+    if not rows:
+        return '  "players": []'
+    records = ",\n".join([
+        f'    {{\n      "name": {_encode_str(name)},\n'
+        f'      "numerator": {value.numerator},\n'
+        f'      "denominator": {value.denominator},\n'
+        f'      "positive": {"true" if value.numerator > 0 else "false"}\n'
+        f'    }}' for name, value in rows])
+    return f'  "players": [\n{records}\n  ]'
+
+
 def records_document(report: ResponsibilityReport,
                      refinement: Optional[RefinementResult] = None) -> str:
-    """Machine-readable report; schema documented in docs/report.md."""
-    players = [{
-        "name": name,
-        "numerator": value.numerator,
-        "denominator": value.denominator,
-        "positive": value > 0,
-    } for name, value in sorted_rows(report)]
-    doc = {
-        "schema": REPORT_SCHEMA,
-        "mode": report.mode,
-        "player_kind": report.player_kind,
-        "players": players,
-        "stats": {"games_solved": report.games_solved,
-                  "memo_hits": report.memo_hits},
-    }
+    """Machine-readable report; schema and layout in docs/report.md."""
+    members = [
+        _member("schema", REPORT_SCHEMA),
+        _member("mode", report.mode),
+        _member("player_kind", report.player_kind),
+        _players_member(sorted_rows(report)),
+        _member("stats", {"games_solved": report.games_solved,
+                          "memo_hits": report.memo_hits}),
+    ]
     if refinement is not None:
-        doc["trace"] = trace_records(refinement.trace)
-    return json.dumps(doc, indent=2) + "\n"
+        members.append(_member("trace", trace_records(refinement.trace)))
+    return "{\n" + ",\n".join(members) + "\n}\n"
 
 
 def render_trace_text(trace) -> str:

@@ -106,4 +106,7 @@ def load_grouping_file(path) -> GroupingSpec:
     if not isinstance(raw, dict) or not all(
             isinstance(v, list) for v in raw.values()):
         raise InputError("grouping file must map block names to state lists")
+    for block, members in raw.items():
+        if not all(isinstance(name, str) for name in members):
+            raise InputError(f"group {block!r} must list state names")
     return GroupingSpec(EXPLICIT_LIST, blocks=raw)

@@ -310,6 +310,16 @@ def test_unreadable_input_is_an_input_error(capsys, tmp_path):
         assert str(bad) in err and model not in err
 
 
+def test_grouping_members_must_be_state_names(capsys, tmp_path):
+    model = str(MODELS / "groups_demo.json")
+    for member in (["s0"], {}):
+        groups = tmp_path / "groups.json"
+        groups.write_text(json.dumps({"a": [member], "b": ["s1"]}))
+        code, out, err = run(capsys, "analyze", model, "--groups", str(groups))
+        assert code == 2 and not out
+        assert err == "error: group 'a' must list state names\n"
+
+
 def _exit_code(argv):
     try:
         return run_cli(argv)
