@@ -208,6 +208,9 @@ def generate_almost_empty_frontier(k: int) -> ExplicitModelDoc:
         run_prefix=["s0", "r"], run_loop=["sink"])
 
 
+# the analyser whose completion test `lab_program_text` gets wrong
+_BUGGY_ANALYSER = 2
+
 _LAB_TEMPLATE = """\
 // Scaled-down lab model (a reconstruction, not ground truth): a supply
 // hands one clean and one infected sample to {n} analysers; each analyser
@@ -244,13 +247,13 @@ endmodule
 """
 
 
-def lab_program_text(analysers: int = 2, bug: bool = True,
-                     buggy_analyser: int = 2) -> str:
-    """Guarded-command source of the lab model; with `bug`, one analyser
-    tests tick completion with <= instead of =, allowing an early abort."""
+def lab_program_text(analysers: int = 2, bug: bool = True) -> str:
+    """Guarded-command source of the lab model; with `bug`, analyser
+    `_BUGGY_ANALYSER` tests tick completion with <= instead of =,
+    allowing an early abort."""
     if analysers < 1:
         raise InputError("centrifuge-analog needs at least one analyser")
-    if bug and not 1 <= buggy_analyser <= analysers:
+    if bug and analysers < _BUGGY_ANALYSER:
         raise InputError("buggy analyser index out of range")
     supply_cmds = []
     counter_cmds = []
@@ -264,7 +267,7 @@ def lab_program_text(analysers: int = 2, bug: bool = True,
         counter_cmds.append(
             f"  [rep{i}p] pos < 2 -> (pos' = pos + 1);\n"
             f"  [rep{i}n] neg < 2 -> (neg' = neg + 1);\n")
-        done_op = "<=" if (bug and i == buggy_analyser) else "="
+        done_op = "<=" if (bug and i == _BUGGY_ANALYSER) else "="
         blocks.append(_ANALYSER_TEMPLATE.format(i=i, done_op=done_op))
         earlier = " & ".join(f"!busy{j}" for j in range(1, i))
         cond = f"busy{i}" if i == 1 else f"{earlier} & busy{i}"

@@ -10,6 +10,7 @@ grammar is documented in docs/lang.md.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, List, Optional, Tuple
@@ -19,10 +20,21 @@ from .model import TransitionSystem
 
 DEFAULT_STATE_CAP = 10_000_000
 
-_PUNCT = ("->", "..", "!=", "<=", ">=", "(", ")", "[", "]", ";", ":", "'",
-          "=", "<", ">", "+", "-", "*", "&", "|", "!")
 _KEYWORDS = {"const", "int", "bool", "module", "endmodule", "init", "label",
              "formula", "owner", "true", "false"}
+
+# one alternative per token kind, tried in order; a comment is apart from
+# blanks because the end-of-input token stands where a final comment starts
+_TOKEN = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<blank>[ \t\r]+)
+  | (?P<comment>//[^\n]*)
+  | "(?P<string>[^"\n]*)"
+  | (?P<open>")
+  | (?P<int>\d+)
+  | (?P<word>[^\W\d]\w*)
+  | (?P<punct>->|\.\.|!=|<=|>=|[()\[\];:'=<>+\-*&|!])
+""", re.VERBOSE)
 
 
 @dataclass(frozen=True)
@@ -35,59 +47,30 @@ class Token:
 
 def _tokenize(text: str) -> List[Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise InputError(f"line {line}, column {col}: unterminated string")
-            tokens.append(Token("string", text[i + 1:j], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "keyword" if word in _KEYWORDS else "ident"
+    line, start = 1, 0  # start: the offset where the line starts
+    pos = end = 0  # end: where the last match other than a comment ends
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        kind = m and m.lastgroup
+        col = pos - start + 1
+        if kind == "word" and not (text[pos].isalpha() or text[pos] == "_"):
+            kind = None  # a numeral such as '½' goes on a word but starts none
+        if not kind:
+            raise InputError(f"line {line}, column {col}: "
+                             f"unexpected character {text[pos]!r}")
+        if kind == "open":
+            raise InputError(f"line {line}, column {col}: unterminated string")
+        pos = m.end()
+        if kind == "newline":
+            line, start = line + 1, pos
+        elif kind not in ("blank", "comment"):
+            word = m.group(kind)
+            if kind == "word":
+                kind = "keyword" if word in _KEYWORDS else "ident"
             tokens.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if text.startswith(p, i):
-                tokens.append(Token("punct", p, line, col))
-                col += len(p)
-                i += len(p)
-                break
-        else:
-            raise InputError(f"line {line}, column {col}: unexpected character {c!r}")
-    tokens.append(Token("eof", "", line, col))
+        if kind != "comment":
+            end = pos
+    tokens.append(Token("eof", "", line, end - start + 1))
     return tokens
 
 
@@ -95,6 +78,9 @@ def _tokenize(text: str) -> List[Token]:
 # ("binop", op, a, b)
 
 _COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
+# binary operators by level, loosest first; comparisons do not chain and
+# every other level is left-associative
+_LEVELS = (("|",), ("&",), _COMPARISONS, ("+", "-"), ("*",))
 
 
 class _Parser:
@@ -126,53 +112,23 @@ class _Parser:
                 f"found {tok.text!r}")
         return tok
 
-    # expression parsing, loosest binding first
-    def parse_expr(self):
-        return self._parse_or()
-
-    def _parse_or(self):
-        e = self._parse_and()
-        while self.peek().text == "|":
-            self.take()
-            e = ("binop", "|", e, self._parse_and())
-        return e
-
-    def _parse_and(self):
-        e = self._parse_cmp()
-        while self.peek().text == "&":
-            self.take()
-            e = ("binop", "&", e, self._parse_cmp())
-        return e
-
-    def _parse_cmp(self):
-        e = self._parse_add()
-        if self.peek().text in _COMPARISONS:
+    def parse_expr(self, level=0):
+        """An expression whose binary operators are of `_LEVELS[level]`
+        or bind tighter."""
+        if level == len(_LEVELS):
+            return self._parse_unary()
+        ops = _LEVELS[level]
+        e = self.parse_expr(level + 1)
+        while self.peek().text in ops:
             op = self.take().text
-            e = ("binop", op, e, self._parse_add())
-        return e
-
-    def _parse_add(self):
-        e = self._parse_mul()
-        while self.peek().text in ("+", "-"):
-            op = self.take().text
-            e = ("binop", op, e, self._parse_mul())
-        return e
-
-    def _parse_mul(self):
-        e = self._parse_unary()
-        while self.peek().text == "*":
-            self.take()
-            e = ("binop", "*", e, self._parse_unary())
+            e = ("binop", op, e, self.parse_expr(level + 1))
+            if ops is _COMPARISONS:
+                break
         return e
 
     def _parse_unary(self):
-        tok = self.peek()
-        if tok.text == "!":
-            self.take()
-            return ("unop", "!", self._parse_unary())
-        if tok.text == "-":
-            self.take()
-            return ("unop", "-", self._parse_unary())
+        if self.peek().text in ("!", "-"):
+            return ("unop", self.take().text, self._parse_unary())
         return self._parse_atom()
 
     def _parse_atom(self):
@@ -183,10 +139,8 @@ class _Parser:
             except ValueError:  # beyond the interpreter's digit limit
                 raise InputError(f"line {tok.line}, column {tok.col}: "
                                  "integer literal too long") from None
-        if tok.text == "true":
-            return ("bool", True)
-        if tok.text == "false":
-            return ("bool", False)
+        if tok.text in ("true", "false"):
+            return ("bool", tok.text == "true")
         if tok.kind == "ident":
             return ("var", tok.text)
         if tok.text == "(":
@@ -439,6 +393,16 @@ def _constant_value(expr, constants):
     return fn(()) if value is _DYNAMIC else value
 
 
+def _declare(declared, what, tok) -> str:
+    """The name `tok` declares as a `what`, entered in its namespace in
+    `declared`; a name the namespace holds already is refused."""
+    taken = declared[what]
+    if tok.text in taken:
+        raise InputError(f"line {tok.line}: {what} {tok.text!r} already declared")
+    taken.add(tok.text)
+    return tok.text
+
+
 def parse_program(text: str) -> ModuleLangProgram:
     p = _Parser(text)
     constants: Dict[str, object] = {}
@@ -446,7 +410,11 @@ def parse_program(text: str) -> ModuleLangProgram:
     modules: List[ModuleDef] = []
     labels: Dict[str, object] = {}
     owners: Dict[str, object] = {}
-    var_names = set()
+    # the names that must be unique; constants, formulas and variables
+    # share one namespace
+    idents = set()
+    declared = {"constant": idents, "formula": idents, "variable": idents,
+                "module": set(), "label": set(), "owner": set()}
     while p.peek().kind != "eof":
         tok = p.peek()
         if tok.text == "const":
@@ -455,59 +423,46 @@ def parse_program(text: str) -> ModuleLangProgram:
             if kind_tok.text not in ("int", "bool"):
                 raise InputError(
                     f"line {kind_tok.line}: const needs int or bool")
-            name = p.expect_kind("ident").text
+            name_tok = p.expect_kind("ident")
             p.expect("=")
             expr = p.parse_expr()
             p.expect(";")
             value = _printable(_constant_value(expr, constants),
-                               f"line {kind_tok.line}: const {name!r}")
+                               f"line {kind_tok.line}: const {name_tok.text!r}")
             _want(kind_tok.text, value, "const")
-            constants[name] = value
-        elif tok.text == "formula":
+            constants[_declare(declared, "constant", name_tok)] = value
+        elif tok.text in ("formula", "label", "owner"):
             p.take()
-            name = p.expect_kind("ident").text
-            p.expect("=")
-            formulas[name] = p.parse_expr()
-            p.expect(";")
-        elif tok.text == "label":
-            p.take()
-            name_tok = p.take()
+            # a label may be named by a string too
+            name_tok = p.take() if tok.text == "label" else p.expect_kind("ident")
             if name_tok.kind not in ("string", "ident"):
                 raise InputError(f"line {name_tok.line}: label needs a name")
             p.expect("=")
-            labels[name_tok.text] = p.parse_expr()
+            expr = p.parse_expr()
             p.expect(";")
-        elif tok.text == "owner":
-            p.take()
-            name = p.expect_kind("ident").text
-            p.expect("=")
-            owners[name] = p.parse_expr()
-            p.expect(";")
+            tables = {"formula": formulas, "label": labels, "owner": owners}
+            tables[tok.text][_declare(declared, tok.text, name_tok)] = expr
         elif tok.text == "module":
-            modules.append(_parse_module(p, constants, var_names))
+            modules.append(_parse_module(p, constants, declared))
         else:
             raise InputError(
                 f"line {tok.line}, column {tok.col}: unexpected {tok.text!r}")
     for mod_name in owners:
-        if mod_name not in {m.name for m in modules}:
+        if mod_name not in declared["module"]:
             raise InputError(f"owner declared for unknown module {mod_name!r}")
     return ModuleLangProgram(constants, formulas, modules, labels, owners)
 
 
-def _parse_module(p: _Parser, constants, var_names) -> ModuleDef:
+def _parse_module(p: _Parser, constants, declared) -> ModuleDef:
     p.expect("module")
-    name = p.expect_kind("ident").text
+    name = _declare(declared, "module", p.expect_kind("ident"))
     mod = ModuleDef(name)
     local = set()
     while p.peek().text != "endmodule":
         tok = p.peek()
         if tok.kind == "ident" and p.tokens[p.pos + 1].text == ":":
             decl = _parse_decl(p, constants, name)
-            if decl.name in var_names:
-                raise InputError(
-                    f"line {tok.line}: variable {decl.name!r} already declared")
-            var_names.add(decl.name)
-            local.add(decl.name)
+            local.add(_declare(declared, "variable", tok))
             mod.variables.append(decl)
         elif tok.text == "[":
             mod.commands.append(_parse_command(p, name, local))
@@ -702,7 +657,7 @@ def expand_program(prog: ModuleLangProgram,
                     out.append(apply_updates(valuation, (row,)))
             for action, group in by_action.items():
                 by_module = synced.setdefault(action, {})
-                by_module[mod_name] = by_module.get(mod_name, ()) + group
+                by_module[mod_name] = group
         for action in sorted(synced):
             by_module, owners_ = synced[action], owning[action]
             if len(by_module) < len(owners_):

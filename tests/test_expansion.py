@@ -236,25 +236,23 @@ endmodule
                        "in [go] command of module a (line 4)")
 
 
-def test_modules_sharing_a_name_synchronise_as_one():
-    # two modules named m own `go` together: one enabled command of either
-    # joins one of n's
+def test_modules_sharing_a_name_are_refused():
+    # as one module, the two `a`s fired each [go] command alone, stepping
+    # to x=1,y=0 and x=0,y=1; named apart, they synchronise
     text = """
-module m
+module a
   x : [0..1] init 0;
-  [go] x = 0 -> (x' = 1);
+  [go] true -> (x' = 1 - x);
 endmodule
-module m
+module {second}
   y : [0..1] init 0;
   [go] true -> (y' = 1 - y);
 endmodule
-module n
-  z : [0..1] init 0;
-  [go] true -> (z' = 1 - z);
-endmodule
 """
-    names, succ = _same_as_reference(text)[:2]
-    assert len(succ[0]) == 2 and len(names) == 4
+    assert _same_as_reference(text.format(second="a")) == (
+        InputError, "line 6: module 'a' already declared")
+    names, succ = _same_as_reference(text.format(second="b"))[:2]
+    assert names == ("x=0,y=0", "x=1,y=1") and succ == ((1,), (0,))
 
 
 def _guard_calls(monkeypatch):

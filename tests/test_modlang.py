@@ -479,12 +479,59 @@ def test_formula_used_twice_per_level_evaluates_in_linear_time():
     assert time.monotonic() - start < 1
 
 
-def test_variable_shadows_constant_and_formula():
-    text = "const int x = 5;\nformula b = zz;\n" + TWO_VARS.format(
-        commands="  [] x = 0 & !b -> (x' = 1);\n  [] true -> true;\n",
-        extra='label "one" = x = 1;\n')
-    expanded = expand_program(parse_program(text))
-    assert expanded.labels["one"] == {expanded.ts.index_of("x=1,b=false")}
+def test_variable_sharing_a_name_with_constant_or_formula_is_refused():
+    # the variable used to shadow them silently
+    for prefix, message in [
+            ("const int x = 5;\n", "line 4: variable 'x' already declared"),
+            ("formula b = zz;\n", "line 5: variable 'b' already declared")]:
+        text = prefix + TWO_VARS.format(commands="  [] true -> true;\n",
+                                        extra="")
+        with pytest.raises(InputError) as info:
+            parse_program(text)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("prefix, extra, message", [
+    ("const int N = 1;\nconst int N = 2;\n", "",
+     "line 2: constant 'N' already declared"),
+    ("formula f = 1;\nformula f = 2;\n", "",
+     "line 2: formula 'f' already declared"),
+    ("const int f = 1;\nformula f = 2;\n", "",
+     "line 2: formula 'f' already declared"),
+    ("", "const int x = 1;\n", "line 7: constant 'x' already declared"),
+    ("", "formula b = true;\n", "line 7: formula 'b' already declared"),
+    ("", 'label "l" = true;\nlabel l = false;\n',
+     "line 8: label 'l' already declared"),
+    ("", "owner m = true;\nowner m = false;\n",
+     "line 8: owner 'm' already declared"),
+])
+def test_repeated_declaration_is_refused(prefix, extra, message):
+    # each used to pass, the last declaration winning
+    text = prefix + TWO_VARS.format(commands="  [] true -> true;\n",
+                                    extra=extra)
+    with pytest.raises(InputError) as info:
+        parse_program(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("module m\n  x : [0..1\u00b2] init 0;",
+     "line 2, column 12: unexpected character '\u00b2'"),
+    ("const int N = \u00b2;", "line 1, column 15: unexpected character '\u00b2'"),
+])
+def test_non_decimal_digit_is_an_unexpected_character(text, message):
+    # '\u00b2' is a digit to str.isdigit but no decimal digit; read as one,
+    # it made an integer literal that int() refused as too long
+    with pytest.raises(InputError) as info:
+        parse_program(text + "\n  [] true -> true;\nendmodule\n")
+    assert str(info.value) == message
+
+
+def test_string_ends_on_its_line():
+    # a string running on to the next line shifted every later line number
+    with pytest.raises(InputError) as info:
+        parse_program('label "a\nb" = true;\nmodule m\n  x : [0..1] init 2;\n')
+    assert str(info.value) == "line 1, column 7: unterminated string"
 
 
 @pytest.mark.parametrize("text, message", [
