@@ -82,11 +82,11 @@ _OWN_FLAGS = {
     "--block-cap": dict(type=_non_negative(int), default=DEFAULT_BLOCK_CAP),
     "--oracle-cap": dict(type=_non_negative(int),
                          default=DEFAULT_ORACLE_CAP),
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=int, default=HeuristicsConfig.rng_seed),
     "--format": dict(choices=("table", "records", "dot"), default="table"),
-    "--initial-blocks": dict(type=int, default=1),
-    "--select": dict(choices=SELECT_HEURISTICS, default="random"),
-    "--refine": dict(choices=REFINE_HEURISTICS, default="frontier-random"),
+    "--initial-blocks": dict(type=int, default=HeuristicsConfig.initial_blocks),
+    "--select": dict(choices=SELECT_HEURISTICS, default=HeuristicsConfig.select),
+    "--refine": dict(choices=REFINE_HEURISTICS, default=HeuristicsConfig.refine),
     "--explain": dict(action="store_true",
                       help="print the refinement trace (table format)"),
     "--no-values": dict(action="store_true",

@@ -1,5 +1,8 @@
-"""Shared error types used across the package, and the input file reader
-that reports a file it cannot read as an InputError naming it."""
+"""Shared error types used across the package, and the input readers
+that report a file they cannot read, or JSON they cannot decode, as an
+InputError."""
+
+import json
 
 
 class InputError(ValueError):
@@ -45,3 +48,15 @@ def read_text(path, size: int = -1) -> str:
         raise InputError(f"{path} is not UTF-8 text: {exc.reason} at byte "
                          f"{exc.start}") from None
 
+
+def decode_json(text: str):
+    """The JSON value of `text`; a syntax error, or nesting deeper than the
+    decoder's recursion allows, is an InputError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"syntax error at line {exc.lineno}, column "
+                         f"{exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise InputError("syntax error: arrays or objects nested too "
+                         "deeply") from None

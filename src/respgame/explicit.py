@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .errors import InputError, read_text
+from .errors import InputError, decode_json, read_text
 from .model import (OBJECTIVE_KINDS, PARITY, LassoRun, Objective,
                     TransitionSystem, require_valid_run)
 
@@ -56,12 +56,7 @@ def parse_explicit(text: str) -> ExplicitModelDoc:
 
 
 def _parse_fields(text: str) -> ExplicitModelDoc:
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
+    raw = decode_json(text)
     if not isinstance(raw, dict):
         raise InputError("document must be an object")
     unknown = set(raw) - _TOP_FIELDS

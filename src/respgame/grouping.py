@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .errors import InputError, read_text
+from .errors import InputError, decode_json, read_text
 from .model import TransitionSystem
 from .shapley import PlayerSet
 
@@ -97,12 +96,7 @@ def resolve_grouping(spec: GroupingSpec, ts: TransitionSystem,
 
 def load_grouping_file(path) -> GroupingSpec:
     """Explicit-list grouping document: block name -> state-name array."""
-    try:
-        raw = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"syntax error at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}") from None
+    raw = decode_json(read_text(path))
     if not isinstance(raw, dict) or not all(
             isinstance(v, list) for v in raw.values()):
         raise InputError("grouping file must map block names to state lists")

@@ -405,6 +405,15 @@ def _declare(declared, what, tok) -> str:
 
 def parse_program(text: str) -> ModuleLangProgram:
     p = _Parser(text)
+    try:
+        return _parse_items(p)
+    except RecursionError:
+        # the last token taken is where the recursion ran out
+        raise InputError(f"line {p.tokens[p.pos - 1].line}: expression "
+                         "nested too deeply") from None
+
+
+def _parse_items(p: _Parser) -> ModuleLangProgram:
     constants: Dict[str, object] = {}
     formulas: Dict[str, object] = {}
     modules: List[ModuleDef] = []

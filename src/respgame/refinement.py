@@ -5,13 +5,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import BlockCapExceeded, InputError, PlayerCapExceeded
 from .games import solve
-from .shapley import (DEFAULT_SHAPLEY_CAP, PayoffGame, PlayerSet,
-                      ResponsibilityReport, shapley_exact)
+from .shapley import (DEFAULT_SHAPLEY_CAP, PayoffGame, ResponsibilityReport,
+                      _layers, _swings, _winning_table, shapley_values)
 
 SELECT_HEURISTICS = ("random", "max-delta", "min-delta", "min-frontier")
 REFINE_HEURISTICS = ("random", "frontier-random", "frontier-first",
@@ -133,36 +132,30 @@ def _witness(pg: PayoffGame, partition: Partition, block_id: int,
     return BspWitness(block_id, coalition, win_with, win_without, counts)
 
 
-def find_witness(pg: PayoffGame, partition: Partition,
-                 block_id: int) -> Optional[BspWitness]:
-    """Search one block for a block-switching pair.
+def find_witness(pg: PayoffGame, partition: Partition, block_id: int,
+                 table: int) -> Optional[BspWitness]:
+    """Read one block's block-switching pair off the block game's table.
 
-    Coalitions of the other blocks are enumerated by ascending popcount
-    with monotone pruning (supersets of a winning coalition cannot be the
-    losing half).  The full complement is probed first as a cheap hit, and
-    a losing grand coalition settles the answer immediately.  Exact: None
-    means no witness exists under the current partition.
+    `table` is the winning table of the game whose player i is the i-th
+    block of `partition` from the end of its sorted ids.  The coalition is
+    the full complement of the block if that loses, and otherwise the
+    numerically largest switching coalition of the lowest non-empty size:
+    with blocks numbered from the end, the first switching coalition of
+    the other blocks by size and then in lexicographic order.  None means
+    no pair exists under the current partition.
     """
-    masks = [partition.mask_of((bid,)) for bid in partition.sorted_ids()
-             if bid != block_id]
-    block = partition.mask_of((block_id,))
-    rest = sum(masks)
-    if pg.gamma(rest | block) == 0:
-        return None  # even the grand coalition loses; nothing can switch
-    if pg.gamma(rest) == 0:
-        return _witness(pg, partition, block_id, rest)
-    winning = [rest]
-    for k in range(len(masks)):
-        for combo in combinations(masks, k):
-            mask = sum(combo)
-            if any(not w & ~mask for w in winning):
-                continue
-            if pg.gamma(mask) == 1:
-                winning.append(mask)
-                continue
-            if pg.gamma(mask | block) == 1:
-                return _witness(pg, partition, block_id, mask)
-    return None
+    ids = partition.sorted_ids()[::-1]
+    m = len(ids)
+    p = ids.index(block_id)
+    swings = _swings(table, p, m)
+    if not swings:
+        return None
+    coalition = ((1 << m) - 1) ^ (1 << p)
+    if not swings >> coalition & 1:
+        lowest = next(swings & layer for layer in _layers(m) if swings & layer)
+        coalition = lowest.bit_length() - 1
+    return _witness(pg, partition, block_id, partition.mask_of(
+        bid for i, bid in enumerate(ids) if coalition >> i & 1))
 
 
 def compute_has_bsp(pg: PayoffGame, partition: Partition,
@@ -174,7 +167,10 @@ def compute_has_bsp(pg: PayoffGame, partition: Partition,
 
     `known` carries witnesses from earlier rounds: refining other blocks
     keeps a recorded coalition a union of blocks, so those witnesses are
-    reused rather than re-searched.
+    reused rather than re-searched.  The other blocks read their witness
+    off one winning table of the block game, learned through `pg.gamma`
+    on unions of blocks; a union of old blocks stays a union of new ones,
+    so the shared memo carries every answer across splits.
     """
     nblocks = len(partition.blocks)
     if nblocks > cap:
@@ -182,17 +178,13 @@ def compute_has_bsp(pg: PayoffGame, partition: Partition,
             f"{nblocks} blocks exceed the witness-search cap of {cap}",
             guidance="raise --block-cap, start from fewer initial blocks, "
                      "or group states first")
-    out: Dict[int, Optional[BspWitness]] = {}
-    skip = set(skip)
     known = known or {}
-    for bid in partition.sorted_ids():
-        if bid in skip:
-            continue
-        if bid in known:
-            out[bid] = known[bid]
-            continue
-        out[bid] = find_witness(pg, partition, bid)
-    return out
+    ids = [bid for bid in partition.sorted_ids() if bid not in skip]
+    if any(bid not in known for bid in ids):
+        blocks = [partition.mask_of((bid,)) for bid in partition.sorted_ids()]
+        table = _winning_table(pg.gamma_of(blocks[::-1]), nblocks)
+    return {bid: known[bid] if bid in known
+            else find_witness(pg, partition, bid, table) for bid in ids}
 
 
 def _rng_for(seed: int, iteration: int, purpose: int) -> random.Random:
@@ -350,8 +342,10 @@ def responsibility_via_refinement(pg: PayoffGame, config: HeuristicsConfig,
                                   shapley_cap: int = DEFAULT_SHAPLEY_CAP,
                                   ) -> Tuple[ResponsibilityReport, RefinementResult]:
     """Exact values via refinement: identify the responsible players, then
-    run the exact Shapley computation with them as the whole player
-    universe (removing null players leaves the other values unchanged)."""
+    compute exact Shapley values with them as the whole player universe
+    (removing null players leaves the other values unchanged).  Their game
+    is played through `pg`, so the value phase shares the witness search's
+    memo and the report counts that one memo."""
     result = refine_loop(pg, config, cap=block_cap)
     responsible = sorted(result.responsible)
     if len(responsible) > shapley_cap:
@@ -360,19 +354,13 @@ def responsibility_via_refinement(pg: PayoffGame, config: HeuristicsConfig,
             f"cap of {shapley_cap}",
             guidance="the positivity set was computed; rerun with a higher "
                      "--player-cap to obtain values")
-    sub_players = PlayerSet(
-        pg.players.kind,
-        tuple(pg.players.names[p] for p in responsible),
-        tuple(pg.players.members[p] for p in responsible))
-    sub_pg = PayoffGame(pg.ts, pg.objective, pg.run, pg.mode, sub_players,
-                        pg.deadline)
-    sub_report = shapley_exact(sub_pg, cap=shapley_cap)
-    sub_names = set(sub_report.names)
-    values = tuple(
-        sub_report.value_of(name) if name in sub_names else Fraction(0)
-        for name in pg.players.names)
-    report = ResponsibilityReport(
-        pg.players.kind, pg.mode, pg.players.names, values,
-        games_solved=pg.games_solved + sub_pg.games_solved,
-        memo_hits=pg.memo_hits + sub_pg.memo_hits)
+    values = [Fraction(0)] * len(pg.players)
+    n = len(responsible)
+    if n:
+        table = _winning_table(pg.gamma_of([1 << p for p in responsible]), n)
+        for p, value in zip(responsible, shapley_values(table, n)):
+            values[p] = value
+    report = ResponsibilityReport(pg.players.kind, pg.mode, pg.players.names,
+                                  tuple(values), pg.games_solved,
+                                  pg.memo_hits)
     return report, result

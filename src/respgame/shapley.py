@@ -128,6 +128,12 @@ class PayoffGame:
     def full_mask(self) -> int:
         return (1 << len(self.players)) - 1
 
+    def gamma_of(self, masks: Sequence[int]) -> Callable[[int], int]:
+        """gamma of the game whose player i is the disjoint coalition
+        `masks[i]` of this one; the two games share the memo."""
+        return lambda mask: self.gamma(sum(
+            m for i, m in enumerate(masks) if mask >> i & 1))
+
 
 @dataclass(frozen=True)
 class ResponsibilityReport:
@@ -186,8 +192,9 @@ def _layers(n: int) -> List[int]:
     return layers
 
 
-def _winning_table(pg: PayoffGame) -> int:
-    """Bitset of the winning coalitions, by a monotone boundary fill.
+def _winning_table(gamma: Callable[[int], int], n: int) -> int:
+    """Bitset of the coalitions of n players that the monotone game `gamma`
+    wins, by a boundary fill.
 
     `win` is kept up-closed and `lose` down-closed.  Each round queries a
     coalition still unknown (the grand coalition first, then the lowest
@@ -196,16 +203,15 @@ def _winning_table(pg: PayoffGame) -> int:
     player at a time.  Only unknown coalitions are ever queried and every
     answer is propagated to its whole up-set or down-set, so each round
     finds a boundary coalition not known before: at most (n+1) * (|minimal
-    winning| + |maximal losing|) games are solved, and never more than 2^n.
+    winning| + |maximal losing|) queries, and never more than 2^n.
     """
-    n = len(pg.players)
-    full = pg.full_mask()
+    full = (1 << n) - 1
     everything = (1 << (1 << n)) - 1
     win = lose = 0
 
     def query(mask: int) -> bool:
         nonlocal win, lose
-        if pg.gamma(mask):
+        if gamma(mask):
             win |= _subsets(full ^ mask) << mask
             return True
         lose |= _subsets(mask)
@@ -233,6 +239,26 @@ def _winning_table(pg: PayoffGame) -> int:
         mask = (unknown & -unknown).bit_length() - 1
 
 
+def _swings(win: int, p: int, n: int) -> int:
+    """Bitset of the coalitions m of the table `win` of n players that lack
+    p, lose, and win once p joins: p's switching coalitions."""
+    return (win >> (1 << p)) & ~win & _without(p, n)
+
+
+def shapley_values(win: int, n: int) -> Tuple[Fraction, ...]:
+    """Exact Shapley values of the n players of the winning table `win`:
+    switching coalitions per (player, coalition size), counted with
+    big-integer bit operations."""
+    layers = _layers(n)
+    weights = _shapley_weights(n)
+    values = []
+    for p in range(n):
+        swings = _swings(win, p, n)
+        values.append(sum((weights[k] * (swings & layers[k]).bit_count()
+                           for k in range(n)), Fraction(0)))
+    return tuple(values)
+
+
 def shapley_exact(pg: PayoffGame,
                   cap: int = DEFAULT_SHAPLEY_CAP) -> ResponsibilityReport:
     """Exact Shapley values from the boundary of the monotone game gamma.
@@ -243,9 +269,8 @@ def shapley_exact(pg: PayoffGame,
     its now unrestricted successors, so Sat can still play every strategy
     it had.  The bit table of winning coalitions is therefore determined
     by its minimal winning and maximal losing coalitions, which
-    `_winning_table` learns with far fewer than 2^n games.  Switching pairs
-    per (player, coalition size) are then counted with big-integer bit
-    operations.  Exact rational arithmetic throughout.
+    `_winning_table` learns with far fewer than 2^n games.  Exact rational
+    arithmetic throughout.
     """
     n = len(pg.players)
     if n > cap:
@@ -253,20 +278,9 @@ def shapley_exact(pg: PayoffGame,
             f"{n} players exceed the exact-Shapley cap of {cap}",
             guidance="use the refinement analysis, a state grouping, "
                      "or raise --player-cap")
-    if n == 0:
-        return ResponsibilityReport(pg.players.kind, pg.mode, (), (),
-                                    pg.games_solved, pg.memo_hits)
-    win = _winning_table(pg)
-    layers = _layers(n)
-    weights = _shapley_weights(n)
-    values = []
-    for p in range(n):
-        # bit m set iff m lacks p, gamma(m) = 0 and gamma(m + p) = 1
-        swings = (win >> (1 << p)) & ~win & _without(p, n)
-        values.append(sum((weights[k] * (swings & layers[k]).bit_count()
-                           for k in range(n)), Fraction(0)))
+    values = shapley_values(_winning_table(pg.gamma, n), n) if n else ()
     return ResponsibilityReport(pg.players.kind, pg.mode, pg.players.names,
-                                tuple(values), pg.games_solved, pg.memo_hits)
+                                values, pg.games_solved, pg.memo_hits)
 
 
 def prune_dummies(ts: TransitionSystem, obj: Objective, run: Optional[LassoRun],

@@ -19,7 +19,7 @@ from respgame import (BUECHI, OPTIMISTIC, PESSIMISTIC, REACHABILITY,
                       prune_dummies, refine_loop,
                       responsibility_via_refinement, shapley_exact)
 from respgame.explicit import build_system
-from respgame.refinement import Partition, find_witness
+from respgame.refinement import Partition, compute_has_bsp
 from respgame.shapley import PayoffGame
 
 
@@ -234,7 +234,7 @@ def test_criterion_6_structural_properties():
             continue
         pg = PayoffGame(ts, obj, run, mode, players)
         part = Partition([frozenset(range(len(players)))])
-        w = find_witness(pg, part, 0)
+        w = compute_has_bsp(pg, part)[0]
         if w is None:
             continue
         seen += 1

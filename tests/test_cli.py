@@ -10,6 +10,7 @@ import pytest
 
 import respgame.cli
 import respgame.shapley
+from respgame import HeuristicsConfig
 from respgame.cli import build_parser, run_cli
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -195,12 +196,12 @@ def test_analyze_timeout_refusal(capsys, tmp_path):
 
 
 def test_refine_timeout_inside_witness_search(capsys, tmp_path):
-    # one iteration's witness search over 17 blocks runs for seconds
-    model = tmp_path / "exp8.json"
-    run(capsys, "generate", "--family", "exp-coalitions", "--size", "8",
+    # learning the block game's table over 21 blocks runs for about a second
+    model = tmp_path / "exp10.json"
+    run(capsys, "generate", "--family", "exp-coalitions", "--size", "10",
         "-o", str(model))
     start = time.monotonic()
-    code, _, err = run(capsys, "refine", str(model), "--initial-blocks", "17",
+    code, _, err = run(capsys, "refine", str(model), "--initial-blocks", "21",
                        "--no-values", "--timeout-s", "0.2")
     assert code == 1 and "timeout" in err
     assert time.monotonic() - start < 5
@@ -318,6 +319,33 @@ def test_grouping_members_must_be_state_names(capsys, tmp_path):
         code, out, err = run(capsys, "analyze", model, "--groups", str(groups))
         assert code == 2 and not out
         assert err == "error: group 'a' must list state names\n"
+
+
+_DEEP = "[" * 100_000
+_NESTED_CONSTANT = ("const int N = " + "(" * 300 + "1" + ")" * 300 + ";\n"
+                    "module m\n  x : [0..1] init 0;\n  [] true -> (x'=1);\n"
+                    "endmodule\n")
+
+
+@pytest.mark.parametrize("reader,text,message", [
+    ("explicit", '{"states": ' + _DEEP,
+     "syntax error: arrays or objects nested too deeply"),
+    ("groups", '{"a": ' + _DEEP,
+     "syntax error: arrays or objects nested too deeply"),
+    ("program", "\n" + _NESTED_CONSTANT,
+     "line 2: expression nested too deeply"),
+])
+def test_deep_nesting_is_an_input_error(capsys, tmp_path, reader, text,
+                                        message):
+    path = tmp_path / "deep"
+    path.write_text(text)
+    argv = ["analyze", str(path)]
+    if reader == "groups":
+        argv = ["analyze", str(MODELS / "groups_demo.json"), "--groups",
+                str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
 
 
 def _exit_code(argv):
@@ -447,3 +475,13 @@ def test_cli_docs_list_exactly_the_flags_each_command_accepts():
     assert sorted(documented) == sorted(parsed)
     for command, names in parsed.items():
         assert documented[command] == names, command
+
+
+def test_heuristic_flag_defaults_are_the_config_defaults():
+    args = build_parser().parse_args(["refine", "model.json"])
+    defaults = HeuristicsConfig()
+    assert (args.initial_blocks, args.select, args.refine, args.seed) == (
+        defaults.initial_blocks, defaults.select, defaults.refine,
+        defaults.rng_seed)
+    positivity = build_parser().parse_args(["positivity", "model.json"])
+    assert positivity.seed == defaults.rng_seed

@@ -11,7 +11,7 @@ from respgame.explicit import build_system, parse_explicit
 from respgame.generators import lab_program_text
 from respgame.model import require_valid_run
 from respgame.modlang import expand_program, parse_program
-from respgame.refinement import Partition, find_witness
+from respgame.refinement import Partition, compute_has_bsp
 from respgame.shapley import PayoffGame
 
 
@@ -74,7 +74,7 @@ def _first_witness(doc, mode=PESSIMISTIC):
     players = prune_dummies(ts, obj, run, mode)
     pg = PayoffGame(ts, obj, run, mode, players)
     part = Partition([frozenset(range(len(players)))])
-    w = find_witness(pg, part, 0)
+    w = compute_has_bsp(pg, part)[0]
     return ts, players, pg, part, w
 
 

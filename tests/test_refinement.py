@@ -13,7 +13,7 @@ from respgame import (PESSIMISTIC, REACHABILITY, SAFETY, AnalysisTimeout,
                       prune_dummies, refine_loop,
                       responsibility_via_refinement, shapley, solve)
 from respgame.exports import records_document
-from respgame.refinement import (Partition, compute_has_bsp, find_witness,
+from respgame.refinement import (Partition, compute_has_bsp,
                                  refine_block, select_blocks)
 from respgame.shapley import PayoffGame
 
@@ -78,7 +78,7 @@ def test_frontier_worked_example_step_one():
     ts, obj, run = refinement_example()
     pg = _full_pg(ts, obj, run, PESSIMISTIC)
     part = Partition([frozenset(range(11))])
-    w = find_witness(pg, part, 0)
+    w = compute_has_bsp(pg, part)[0]
     assert frozenset(w.frontier_counts) == frozenset({3, 6, 8})
 
 
@@ -90,7 +90,7 @@ def test_frontier_worked_example_step_three():
     pg = _full_pg(ts, obj, run, PESSIMISTIC)
     part = Partition([frozenset(range(11)) - {3, 6}, frozenset({3}),
                       frozenset({6})])
-    w = find_witness(pg, part, 0)
+    w = compute_has_bsp(pg, part)[0]
     assert w is not None and w.coalition == 0
     assert w.win_with == frozenset({0, 1, 2, 4, 7, 8})
     assert w.win_without == frozenset({4, 7})
@@ -101,7 +101,7 @@ def test_frontier_contains_null_state():
     ts, obj, run = decoy_frontier_example()
     pg = _full_pg(ts, obj, run, PESSIMISTIC)
     part = Partition([frozenset(range(4))])
-    w = find_witness(pg, part, 0)
+    w = compute_has_bsp(pg, part)[0]
     assert frozenset(w.frontier_counts) == frozenset({1, 2})
     # s2 sits in the frontier yet carries no responsibility
     assert oracle_shapley(ts, obj, run, PESSIMISTIC).positivity() == {"s1"}
@@ -111,7 +111,7 @@ def test_frontier_empty_for_buechi_instance():
     ts, obj, run = empty_frontier_example()
     pg = _full_pg(ts, obj, run, PESSIMISTIC)
     part = Partition([frozenset(range(4))])
-    w = find_witness(pg, part, 0)
+    w = compute_has_bsp(pg, part)[0]
     assert w is not None
     assert frozenset(w.frontier_counts) == frozenset()
     # the fallback split still works and the loop stays exact
@@ -125,7 +125,7 @@ def test_refine_block_lowest_index_choice():
     ts, obj, run = refinement_example()
     pg = _full_pg(ts, obj, run, PESSIMISTIC)
     part = Partition([frozenset(range(11))])
-    w = find_witness(pg, part, 0)
+    w = compute_has_bsp(pg, part)[0]
     chosen, fr, single_id, rest_id = refine_block(
         pg, part, w, HeuristicsConfig(refine="frontier-first"), 1)
     assert chosen == 3 and fr == frozenset({3, 6, 8})
@@ -138,7 +138,7 @@ def test_refine_block_two_member_block():
     ts, obj, run = decoy_frontier_example()
     pg = _full_pg(ts, obj, run, PESSIMISTIC)
     part = Partition([frozenset({1, 2}), frozenset({0, 3})])
-    w = find_witness(pg, part, 0)
+    w = compute_has_bsp(pg, part)[0]
     assert w is not None
     chosen, _fr, single_id, rest_id = refine_block(
         pg, part, w, HeuristicsConfig(refine="frontier-random", rng_seed=1), 1)
@@ -284,7 +284,7 @@ def test_safety_reach_witness_frontiers_nonempty():
             continue
         pg = PayoffGame(ts, obj, run, mode, players)
         part = Partition([frozenset(range(len(players)))])
-        w = find_witness(pg, part, 0)
+        w = compute_has_bsp(pg, part)[0]
         if w is None:
             continue
         assert w.frontier_counts, (ts.names, mode)
@@ -300,7 +300,7 @@ def test_frontier_contains_a_responsible_state():
             continue
         pg = PayoffGame(ts, obj, run, mode, players)
         part = Partition([frozenset(range(len(players)))])
-        w = find_witness(pg, part, 0)
+        w = compute_has_bsp(pg, part)[0]
         if w is None:
             continue
         fr_names = {ts.names[s] for s in w.frontier_counts}
