@@ -7,7 +7,7 @@ from typing import Iterable, Optional
 
 from .errors import InputError
 from .model import (BUECHI, REACHABILITY, SAFETY, LassoRun, Objective,
-                    TransitionSystem)
+                    TransitionSystem, predecessors)
 
 OPTIMISTIC = "optimistic"
 PESSIMISTIC = "pessimistic"
@@ -20,52 +20,26 @@ class GameArena:
     """Two-player ownership partition over a (possibly engraved) graph.
 
     `sat` holds the indices controlled by the player trying to satisfy the
-    objective; every other state belongs to the opponent.  `states` are the
-    states of the game: all of them, or after `reachable()` only those
-    reachable from `initial`; indices keep their meaning either way.
+    objective; every other state belongs to the opponent.  `preds` may be
+    the predecessor lists of the graph the arena was engraved from, shared
+    by every arena on it: engraving only cuts a run state down to its run
+    edge, so the attractor skips an edge p -> s whenever `succ[p]` is a
+    single state other than s.  Without them the arena builds its own.
     """
 
-    __slots__ = ("names", "initial", "succ", "sat", "states", "_preds")
+    __slots__ = ("names", "initial", "succ", "sat", "_preds")
 
-    def __init__(self, names, initial, succ, sat, states=None, preds=None):
+    def __init__(self, names, initial, succ, sat, preds=None):
         self.names = names
         self.initial = initial
         self.succ = succ
         self.sat = frozenset(sat)
-        self.states = range(len(names)) if states is None else states
         self._preds = preds
 
     def preds(self):
         if self._preds is None:
-            pred = [[] for _ in range(len(self.names))]
-            for s, ts in enumerate(self.succ):
-                for t in ts:
-                    pred[t].append(s)
-            self._preds = pred
+            self._preds = predecessors(self.succ)
         return self._preds
-
-    def reachable(self) -> "GameArena":
-        """The subgame on the states reachable from `initial`.
-
-        That set is closed under every successor, whoever owns the state,
-        so each of its states keeps its value.  One forward pass finds it
-        and fills the predecessor lists of its states only; the entries of
-        the other states stay None.
-        """
-        succ = self.succ
-        preds = [None] * len(succ)
-        preds[self.initial] = []
-        order = [self.initial]
-        for s in order:
-            for t in succ[s]:
-                p = preds[t]
-                if p is None:
-                    preds[t] = [s]
-                    order.append(t)
-                else:
-                    p.append(s)
-        return GameArena(self.names, self.initial, succ, self.sat,
-                         frozenset(order), preds)
 
     def __len__(self):
         return len(self.names)
@@ -76,24 +50,21 @@ class Game:
     arena: GameArena
     objective: Objective
 
-    def reachable(self) -> "Game":
-        """The same game on the states reachable from the initial state."""
-        return Game(self.arena.reachable(), self.objective)
-
 
 def engrave(succ, run: LassoRun, coalition) -> tuple:
     """Successor lists of the engraved graph: every run state outside the
     coalition keeps only the transition the run takes.
 
-    The forced entries become `(t,)`; every other entry is the very tuple
-    from `succ`, shared rather than copied, so all lists stay sorted and
-    duplicate-free without a re-check.  `run` must be a valid run of the
-    graph (see `require_valid_run`).
+    The forced entries are the run's own `(t,)` tuples (`LassoRun.forced`),
+    and only the run states outside the coalition are visited.  Every
+    other entry is the very tuple from `succ`, shared rather than copied,
+    so all lists stay sorted and duplicate-free without a re-check.  `run`
+    must be a valid run of the graph (see `require_valid_run`).
     """
     out = list(succ)
-    for s, t in run.edges():
-        if s not in coalition:
-            out[s] = (t,)
+    forced = run.forced
+    for s in forced.keys() - coalition:
+        out[s] = forced[s]
     return tuple(out)
 
 
@@ -109,13 +80,15 @@ def build_game(ts: TransitionSystem, obj: Objective, run: Optional[LassoRun],
     Optimistic: engraved graph, Sat additionally controls every state off
     the run; a caller building many games passes `off_run_states(ts, run)`
     as `off_run` so that it is not recomputed for each.  Forward: original
-    graph (no engraving), Sat = coalition.
+    graph (no engraving), Sat = coalition.  Every arena shares the
+    predecessor lists of `ts`.
     """
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
     coalition = frozenset(coalition)
     if mode == FORWARD:
-        arena = GameArena(ts.names, ts.initial, ts.succ, coalition)
+        arena = GameArena(ts.names, ts.initial, ts.succ, coalition,
+                          ts.preds())
         return Game(arena, obj)
     if run is None:
         raise InputError(f"{mode} mode requires a counterexample run")
@@ -124,60 +97,61 @@ def build_game(ts: TransitionSystem, obj: Objective, run: Optional[LassoRun],
         if off_run is None:
             off_run = off_run_states(ts, run)
         sat = coalition | off_run
-    arena = GameArena(ts.names, ts.initial, engrave(ts.succ, run, coalition),
-                      sat)
-    return Game(arena, obj)
+    succ = engrave(ts.succ, run, coalition)
+    return Game(GameArena(ts.names, ts.initial, succ, sat, ts.preds()), obj)
 
 
-def attractor(arena: GameArena, target, for_sat: bool, alive=None) -> set:
+def attractor(arena: GameArena, target, for_sat: bool, alive=None,
+              until=None) -> set:
     """Least set containing `target` closed under forced one-step moves.
 
     A state owned by the attracting player joins as soon as one successor
-    is inside; an opponent state joins once all its successors are.  The
-    least fixpoint does not depend on the order in which states join.
-    With `alive`, the game is the subgame on those states: no other state
-    joins or counts as a successor, and `target` must lie inside it.
+    is inside; an opponent state joins once all its successors are, and a
+    state with one successor once that one is.  The least fixpoint does
+    not depend on the order in which states join.  With `alive`, the game
+    is the subgame on those states: no other state joins or counts as a
+    successor, and `target` must lie inside it.  With `until`, the pass
+    stops as soon as that state joins, so the set holds it exactly when
+    the least fixpoint does.
     """
     succ = arena.succ
     preds = arena.preds()
     sat = arena.sat
     attr = set(target)
+    if until in attr:
+        return attr
     count = {}
     work = list(attr)
     while work:
-        for p in preds[work.pop()]:
+        s = work.pop()
+        for p in preds[s]:
             if p in attr or (alive is not None and p not in alive):
                 continue
-            if (p in sat) != for_sat:
+            ts = succ[p]
+            if len(ts) == 1:
+                if ts[0] != s:
+                    continue  # engraving cut the edge p -> s
+            elif (p in sat) != for_sat:
                 c = count.get(p)
                 if c is None:
-                    c = (len(succ[p]) if alive is None
-                         else sum(1 for t in succ[p] if t in alive))
+                    c = (len(ts) if alive is None
+                         else sum(1 for t in ts if t in alive))
                 c -= 1
                 count[p] = c
                 if c:
                     continue
             attr.add(p)
+            if p == until:
+                return attr
             work.append(p)
     return attr
-
-
-def _solve_safety(arena: GameArena, avoid) -> frozenset:
-    states = arena.states
-    return frozenset(states) - attractor(
-        arena, [s for s in avoid if s in states], for_sat=False)
-
-
-def _solve_reachability(arena: GameArena, target) -> frozenset:
-    return frozenset(attractor(
-        arena, [s for s in target if s in arena.states], for_sat=True))
 
 
 def _solve_buechi(arena: GameArena, target) -> frozenset:
     """Recurrence fixpoint: shrink the target to states that can re-force a
     visit, then take Sat's attractor of what is left."""
     succ = arena.succ
-    recur = {s for s in target if s in arena.states}
+    recur = set(target)
     while True:
         attr = attractor(arena, recur, for_sat=True)
         kept = set()
@@ -224,20 +198,31 @@ def solve(game: Game) -> frozenset:
     Sat attractor, Buechi the recurrence fixpoint, parity a Zielonka
     recursion.  States outside the region are winning for the opponent.
     """
-    obj = game.objective
+    arena, obj = game.arena, game.objective
     if obj.kind == SAFETY:
-        return _solve_safety(game.arena, obj.target)
+        return frozenset(range(len(arena))) - attractor(arena, obj.target,
+                                                         for_sat=False)
     if obj.kind == REACHABILITY:
-        return _solve_reachability(game.arena, obj.target)
+        return frozenset(attractor(arena, obj.target, for_sat=True))
     if obj.kind == BUECHI:
-        return _solve_buechi(game.arena, obj.target)
-    return frozenset(_zielonka(game.arena, obj.colours,
-                               set(game.arena.states))[0])
+        return _solve_buechi(arena, obj.target)
+    return frozenset(_zielonka(arena, obj.colours, set(range(len(arena))))[0])
 
 
 def game_value(game: Game) -> int:
-    """1 iff the initial state lies in Sat's winning region."""
-    return 1 if game.arena.initial in solve(game) else 0
+    """1 iff the initial state lies in Sat's winning region.
+
+    Reachability and safety stop their attractor as soon as the initial
+    state joins it; Buechi and parity read the whole region off `solve`.
+    """
+    arena, obj = game.arena, game.objective
+    if obj.kind == REACHABILITY:
+        return int(arena.initial in attractor(arena, obj.target, True,
+                                              until=arena.initial))
+    if obj.kind == SAFETY:
+        return int(arena.initial not in attractor(arena, obj.target, False,
+                                                  until=arena.initial))
+    return int(arena.initial in solve(game))
 
 
 def arena_to_dot(game: Game, run: Optional[LassoRun] = None,

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import InputError
 
@@ -28,7 +29,7 @@ class TransitionSystem:
     with a listing of the offending states.
     """
 
-    __slots__ = ("names", "initial", "succ", "_index")
+    __slots__ = ("names", "initial", "succ", "_index", "_preds")
 
     def __init__(self, names: Sequence[str], initial: int,
                  edges: Iterable[Tuple[int, int]]):
@@ -52,6 +53,7 @@ class TransitionSystem:
         self.initial = initial
         self.succ = tuple(tuple(sorted(a)) for a in adj)
         self._index = {name: i for i, name in enumerate(names)}
+        self._preds = None
 
     def __len__(self) -> int:
         return len(self.names)
@@ -61,6 +63,13 @@ class TransitionSystem:
             return self._index[name]
         except KeyError:
             raise InputError(f"unknown state {name!r}") from None
+
+    def preds(self) -> tuple:
+        """Predecessor lists, sorted; built on first use and then shared by
+        every game arena on this system."""
+        if self._preds is None:
+            self._preds = predecessors(self.succ)
+        return self._preds
 
     def edges(self):
         for s, ts in enumerate(self.succ):
@@ -73,6 +82,15 @@ class TransitionSystem:
     def __repr__(self):
         return (f"TransitionSystem({len(self.names)} states, "
                 f"{self.num_edges()} transitions, initial={self.names[self.initial]})")
+
+
+def predecessors(succ) -> tuple:
+    """The predecessor lists of the successor lists `succ`, each sorted."""
+    pred = [[] for _ in succ]
+    for s, ts in enumerate(succ):
+        for t in ts:
+            pred[t].append(s)
+    return tuple(map(tuple, pred))
 
 
 @dataclass(frozen=True)
@@ -134,6 +152,12 @@ class LassoRun:
         """(state, run successor) pairs in run order; the last closes the loop."""
         seq = self.sequence()
         return zip(seq, seq[1:] + self.loop[:1])
+
+    @cached_property
+    def forced(self) -> Dict[int, Tuple[int]]:
+        """Each run state's successor list when engraving cuts it down to
+        its run edge; made once and shared by every engraved graph."""
+        return {s: (t,) for s, t in self.edges()}
 
 
 def require_valid_run(ts: TransitionSystem, run: LassoRun) -> None:

@@ -403,14 +403,17 @@ def _declare(declared, what, tok) -> str:
     return tok.text
 
 
+def _too_deep(where) -> InputError:
+    return InputError(f"{where}: expression nested too deeply")
+
+
 def parse_program(text: str) -> ModuleLangProgram:
     p = _Parser(text)
     try:
         return _parse_items(p)
     except RecursionError:
         # the last token taken is where the recursion ran out
-        raise InputError(f"line {p.tokens[p.pos - 1].line}: expression "
-                         "nested too deeply") from None
+        raise _too_deep(f"line {p.tokens[p.pos - 1].line}") from None
 
 
 def _parse_items(p: _Parser) -> ModuleLangProgram:
@@ -603,16 +606,19 @@ def expand_program(prog: ModuleLangProgram,
         rows = []
         reads = set()
         for cmd in mod.commands:
-            guard, slots = compiler.closure(cmd.guard, "bool", "guard",
-                                            where=f" in {cmd.describe()}")
+            try:
+                guard, slots = compiler.closure(
+                    cmd.guard, "bool", "guard", where=f" in {cmd.describe()}")
+                updates = []
+                for var, expr in cmd.updates:
+                    slot = var_index[var]
+                    decl = variables[slot]
+                    updates.append((slot, compiler.closure(expr, decl.kind,
+                                                           "update")[0],
+                                    decl.lo, decl.hi))
+            except RecursionError:
+                raise _too_deep(f"line {cmd.line}") from None
             reads |= slots
-            updates = []
-            for var, expr in cmd.updates:
-                slot = var_index[var]
-                decl = variables[slot]
-                updates.append((slot, compiler.closure(expr, decl.kind,
-                                                       "update")[0],
-                                decl.lo, decl.hi))
             rows.append((cmd, guard, updates))
         # an empty read set projects every state to ()
         project = operator.itemgetter(*sorted(reads) or [slice(0, 0)])
@@ -717,15 +723,20 @@ def expand_program(prog: ModuleLangProgram,
     names = [name_of(v) for v in order]
     edges = [(s, t) for s, row in enumerate(adjacency) for t in row]
     ts = TransitionSystem(names, 0, edges)
-    labels = {}
-    for label, expr in prog.labels.items():
-        holds = compiler.closure(expr, "bool", f"label {label!r}")[0]
-        labels[label] = frozenset(i for i, v in enumerate(order) if holds(v))
-    owners = {}
-    for mod_name, expr in prog.owners.items():
-        holds = compiler.closure(expr, "bool", f"owner {mod_name!r}")[0]
-        owners[mod_name] = frozenset(i for i, v in enumerate(order) if holds(v))
-    return ExpandedModel(ts, variables, order, labels, owners)
+
+    def holding(what, exprs):
+        """The states where each expression of `exprs` holds."""
+        out = {}
+        for name, expr in exprs.items():
+            try:
+                holds = compiler.closure(expr, "bool", f"{what} {name!r}")[0]
+            except RecursionError:
+                raise _too_deep(f"{what} {name!r}") from None
+            out[name] = frozenset(i for i, v in enumerate(order) if holds(v))
+        return out
+
+    return ExpandedModel(ts, variables, order, holding("label", prog.labels),
+                         holding("owner", prog.owners))
 
 
 def load_program(path) -> ModuleLangProgram:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cache, partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import BlockCapExceeded, InputError, PlayerCapExceeded
 from .games import solve
@@ -133,11 +134,13 @@ def _witness(pg: PayoffGame, partition: Partition, block_id: int,
 
 
 def find_witness(pg: PayoffGame, partition: Partition, block_id: int,
-                 table: int) -> Optional[BspWitness]:
+                 table: int, layers: Callable[[], List[int]],
+                 ) -> Optional[BspWitness]:
     """Read one block's block-switching pair off the block game's table.
 
     `table` is the winning table of the game whose player i is the i-th
-    block of `partition` from the end of its sorted ids.  The coalition is
+    block of `partition` from the end of its sorted ids, and `layers()`
+    returns that game's coalitions by size (`_layers`).  The coalition is
     the full complement of the block if that loses, and otherwise the
     numerically largest switching coalition of the lowest non-empty size:
     with blocks numbered from the end, the first switching coalition of
@@ -152,7 +155,7 @@ def find_witness(pg: PayoffGame, partition: Partition, block_id: int,
         return None
     coalition = ((1 << m) - 1) ^ (1 << p)
     if not swings >> coalition & 1:
-        lowest = next(swings & layer for layer in _layers(m) if swings & layer)
+        lowest = next(swings & layer for layer in layers() if swings & layer)
         coalition = lowest.bit_length() - 1
     return _witness(pg, partition, block_id, partition.mask_of(
         bid for i, bid in enumerate(ids) if coalition >> i & 1))
@@ -183,8 +186,11 @@ def compute_has_bsp(pg: PayoffGame, partition: Partition,
     if any(bid not in known for bid in ids):
         blocks = [partition.mask_of((bid,)) for bid in partition.sorted_ids()]
         table = _winning_table(pg.gamma_of(blocks[::-1]), nblocks)
+        # built by the first block whose complement wins, then shared
+        layers = cache(partial(_layers, nblocks))
     return {bid: known[bid] if bid in known
-            else find_witness(pg, partition, bid, table) for bid in ids}
+            else find_witness(pg, partition, bid, table, layers)
+            for bid in ids}
 
 
 def _rng_for(seed: int, iteration: int, purpose: int) -> random.Random:

@@ -111,9 +111,7 @@ class PayoffGame:
         if hit is not None:
             self.memo_hits += 1
             return hit
-        # the value at the initial state needs only the states it reaches
-        game = self.game(mask).reachable()
-        value = int(game.arena.initial in solve(game))
+        value = game_value(self.game(mask))
         self.memo[mask] = value
         return value
 

@@ -325,6 +325,10 @@ _DEEP = "[" * 100_000
 _NESTED_CONSTANT = ("const int N = " + "(" * 300 + "1" + ")" * 300 + ";\n"
                     "module m\n  x : [0..1] init 0;\n  [] true -> (x'=1);\n"
                     "endmodule\n")
+# parsed without deep recursion, but compiled into one closure per term
+_LONG_CHAIN = ("formula f = " + "+".join(["x"] * 20_000) + ";\n"
+               "module m\n  x : [0..1] init 0;\n  [] f >= 0 -> (x'=1);\n"
+               "endmodule\n")
 
 
 @pytest.mark.parametrize("reader,text,message", [
@@ -334,6 +338,7 @@ _NESTED_CONSTANT = ("const int N = " + "(" * 300 + "1" + ")" * 300 + ";\n"
      "syntax error: arrays or objects nested too deeply"),
     ("program", "\n" + _NESTED_CONSTANT,
      "line 2: expression nested too deeply"),
+    ("program", _LONG_CHAIN, "line 4: expression nested too deeply"),
 ])
 def test_deep_nesting_is_an_input_error(capsys, tmp_path, reader, text,
                                         message):

@@ -200,6 +200,51 @@ def test_solve_equals_positional_brute_force(kind):
     assert checked >= 250
 
 
+@pytest.mark.parametrize("kind", [SAFETY, REACHABILITY, BUECHI, PARITY])
+def test_arenas_on_shared_predecessor_lists_solve_as_on_their_own(kind):
+    # every engraved arena shares the model's predecessor lists, which keep
+    # the edges engraving cut; an arena built from its engraved successor
+    # lists alone has none of them.  Parity runs Zielonka, whose attractors
+    # are restricted to `alive`.
+    for ts, obj, run, mode in instances(41 + len(kind), 30, max_states=7,
+                                        kind=kind):
+        for mask in range(1 << len(ts)):
+            coalition = {s for s in range(len(ts)) if mask >> s & 1}
+            game = build_game(ts, obj, run, coalition, mode)
+            arena = game.arena
+            assert arena.preds() is ts.preds()
+            own = GameArena(arena.names, arena.initial, arena.succ,
+                            arena.sat)
+            region = solve(game)
+            assert region == solve(Game(own, obj)), (mode, mask)
+            assert game_value(game) == int(ts.initial in region)
+
+
+@pytest.mark.parametrize("kind", [SAFETY, REACHABILITY, BUECHI, PARITY])
+def test_attractor_stopped_at_a_state_holds_it_as_the_full_one_does(kind):
+    for ts, obj, run, mode in instances(53 + len(kind), 20, max_states=7,
+                                        kind=kind):
+        target = obj.target if obj.colours is None else {
+            s for s, c in enumerate(obj.colours) if c % 2}
+        for mask in range(1 << len(ts)):
+            coalition = {s for s in range(len(ts)) if mask >> s & 1}
+            arena = build_game(ts, obj, run, coalition, mode).arena
+            for for_sat in (True, False):
+                full = attractor(arena, target, for_sat)
+                for s in range(len(ts)):
+                    stopped = attractor(arena, target, for_sat, until=s)
+                    assert stopped <= full
+                    assert (s in stopped) == (s in full)
+
+
+def test_attractor_stops_once_the_state_joins():
+    arena = GameArena(("a", "b", "c", "d"), 0, ((1,), (2,), (3,), (3,)),
+                      frozenset())
+    assert attractor(arena, {3}, for_sat=True) == {0, 1, 2, 3}
+    assert attractor(arena, {3}, for_sat=True, until=2) == {2, 3}
+    assert attractor(arena, {3}, for_sat=True, until=3) == {3}
+
+
 def test_monotone_value_in_coalition():
     for ts, obj, run, mode in instances(13, 150):
         n = len(ts)

@@ -162,23 +162,20 @@ def test_shapley_exact_equals_defining_sum(inst):
        st.lists(st.integers(min_value=0, max_value=2 ** 7 - 1), min_size=1,
                 max_size=4))
 @settings(max_examples=150, deadline=None)
-def test_reachable_subgame_solve_matches_the_cold_solve(inst, masks):
+def test_value_queries_and_shared_predecessors_match_the_full_solve(inst,
+                                                                    masks):
     ts, obj, run, mode, _blocks = inst
     pg = PayoffGame(ts, obj, run, mode, PlayerSet.of_states(ts, range(len(ts))))
     for mask in masks:
         mask &= pg.full_mask()
         game = build_game(ts, obj, run, pg.flatten(mask), mode)
-        assert pg.gamma(mask) == game_value(game)
-        sub = game.reachable()
-        reached = {ts.initial}
-        frontier = [ts.initial]
-        while frontier:
-            for t in game.arena.succ[frontier.pop()]:
-                if t not in reached:
-                    reached.add(t)
-                    frontier.append(t)
-        assert sub.arena.states == reached
-        assert solve(sub) == solve(game) & reached
+        region = solve(game)
+        value = int(ts.initial in region)
+        assert pg.gamma(mask) == game_value(game) == value
+        arena = game.arena
+        own = GameArena(arena.names, arena.initial, arena.succ, arena.sat)
+        assert own.preds() is not arena.preds()
+        assert solve(Game(own, obj)) == region
 
 
 @given(total_systems(), st.data())

@@ -1,5 +1,6 @@
 """Partition refinement: witnesses, frontiers, heuristics, the full loop."""
 
+import random
 from unittest import mock
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from conftest import (Budget, refinement_example, decoy_frontier_example,
                       empty_frontier_example, instances, is_switching_pair)
 
+from respgame import refinement
 from respgame import (PESSIMISTIC, REACHABILITY, SAFETY, AnalysisTimeout,
                       BlockCapExceeded, HeuristicsConfig, LassoRun, Objective,
                       PlayerSet, TransitionSystem, oracle_shapley,
@@ -348,3 +350,25 @@ def test_refinement_stops_within_its_budget():
                 search(PayoffGame(ts, obj, run, PESSIMISTIC, players,
                                   deadline=Budget(k)), config)
         assert spy.call_count <= k
+
+
+def test_size_layers_are_built_at_most_once_per_pass():
+    # a block whose complement wins reads its witness off the block game's
+    # coalitions by size; every such block of one pass shares one build
+    rng = random.Random(11)
+    passes_sharing = 0
+    for ts, obj, run, mode in instances(17, 150, max_states=8):
+        n = len(ts)
+        labels = [rng.randrange(rng.randint(2, min(n, 5))) for _ in range(n)]
+        part = Partition([frozenset(p for p in range(n) if labels[p] == b)
+                          for b in sorted(set(labels))])
+        pg = _full_pg(ts, obj, run, mode)
+        with mock.patch.object(refinement, "_layers",
+                               wraps=shapley._layers) as built:
+            found = compute_has_bsp(pg, part)
+        ids = part.sorted_ids()
+        readers = sum(1 for bid, w in found.items() if w is not None and
+                      w.coalition != part.mask_of(i for i in ids if i != bid))
+        assert built.call_count == min(readers, 1)
+        passes_sharing += readers >= 2
+    assert passes_sharing >= 5

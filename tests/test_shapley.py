@@ -14,7 +14,7 @@ from respgame import (BUECHI, FORWARD, MODES, OPTIMISTIC, PARITY,
                       TransitionSystem, find_violating_run, generate,
                       oracle_shapley, oracle_shapley_and_minimal,
                       prune_dummies, shapley_exact)
-from respgame import shapley
+from respgame import model, shapley
 from respgame.explicit import build_system
 from respgame.games import build_game, game_value, solve
 from respgame.shapley import PayoffGame
@@ -262,19 +262,10 @@ def test_report_accessors():
     assert rep.as_dict()["s2"] == Fraction(2, 3)
 
 
-def _reached(succ, start):
-    seen, stack = {start}, [start]
-    while stack:
-        for t in succ[stack.pop()]:
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
-
-
-def test_gamma_solves_only_the_states_reachable_from_the_initial_state():
+def test_gamma_values_on_arenas_sharing_the_model_predecessor_lists():
     # d and e form a component that a, b and c never reach; it holds a
-    # target of every objective and an edge back into the reachable part
+    # target of every objective and an edge back into the reachable part,
+    # and every game is solved on the whole arena, d and e included
     ts = TransitionSystem(["a", "b", "c", "d", "e"], 0,
                           [(0, 1), (0, 2), (1, 0), (2, 2), (3, 3), (3, 4),
                            (3, 0), (4, 3)])
@@ -282,20 +273,32 @@ def test_gamma_solves_only_the_states_reachable_from_the_initial_state():
                   Objective(REACHABILITY, target=frozenset({4})),
                   Objective(BUECHI, target=frozenset({1, 3})),
                   Objective(PARITY, colours=(1, 0, 1, 2, 2)))
-    for obj in objectives:
-        run = find_violating_run(ts, obj)
-        for mode in MODES:
-            pg = _pg(ts, obj, run, mode)
-            with mock.patch.object(shapley, "solve", wraps=solve) as spy:
+    arenas = []
+
+    def recording(*args, **kwargs):
+        game = build_game(*args, **kwargs)
+        arenas.append(game.arena)
+        return game
+
+    with mock.patch.object(model, "predecessors",
+                           wraps=model.predecessors) as built, \
+            mock.patch.object(shapley, "build_game", recording):
+        for obj in objectives:
+            run = find_violating_run(ts, obj)
+            for mode in MODES:
+                pg = _pg(ts, obj, run, mode)
                 for mask in range(1 << len(ts)):
-                    cold = game_value(build_game(ts, obj, run,
-                                                 pg.flatten(mask), mode))
-                    assert pg.gamma(mask) == cold, (obj.kind, mode, mask)
-            assert spy.call_count == 1 << len(ts)
-            for call in spy.call_args_list:
-                arena = call.args[0].arena
-                assert set(arena.states) == _reached(arena.succ, 0)
-                assert not {3, 4} & set(arena.states)
+                    cold = build_game(ts, obj, run, pg.flatten(mask), mode)
+                    value = int(ts.initial in solve(cold))
+                    assert pg.gamma(mask) == value, (obj.kind, mode, mask)
+                    assert game_value(cold) == value
+                prune_dummies(ts, obj, run, mode)
+                oracle_shapley(ts, obj, run, mode)
+        # 4 kinds x 3 modes x (32 gamma games, 2 pruning games, 32 oracle
+        # games), every one on the predecessor lists built once for ts
+        assert len(arenas) == 4 * 3 * (32 + 2 + 32)
+        assert all(arena.preds() is ts.preds() for arena in arenas)
+        assert built.call_count == 1
 
 
 def test_flatten_is_the_union_of_the_chosen_players_members():
