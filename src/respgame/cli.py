@@ -209,7 +209,9 @@ def _objective_from_flags(args, ts, labels, fallback):
 
 
 def _run_from_flags(args, ts, objective, doc_run, deadline):
-    if args.run_loop:
+    if args.run_prefix is not None and args.run_loop is None:
+        raise InputError("--run-prefix needs --run-loop")
+    if args.run_loop is not None:
         prefix = tuple(ts.index_of(s) for s in _split_names(args.run_prefix))
         loop = tuple(ts.index_of(s) for s in _split_names(args.run_loop))
         run = LassoRun(prefix, loop)

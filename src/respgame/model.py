@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, Optional, Sequence, Tuple
@@ -35,7 +36,7 @@ class TransitionSystem:
                  edges: Iterable[Tuple[int, int]]):
         names = tuple(names)
         if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
+            dupes = sorted(n for n, k in Counter(names).items() if k > 1)
             raise InputError(f"duplicate state names: {', '.join(dupes)}")
         n = len(names)
         if not 0 <= initial < n:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .games import OPTIMISTIC, engrave
+from .games import OPTIMISTIC, build_game, engrave, solve
 from .model import (BUECHI, REACHABILITY, LassoRun, Objective,
                     TransitionSystem, _sccs)
 from .shapley import PayoffGame, PlayerSet
@@ -14,21 +14,30 @@ from .shapley import PayoffGame, PlayerSet
 def positivity_reach_opt(ts: TransitionSystem, target, run: LassoRun,
                          deadline=None) -> frozenset:
     """States with positive optimistic responsibility for a reachability
-    objective, in polynomial time.
+    objective, read off the winning region W of one game: the empty
+    coalition's, on the fully engraved system.
 
-    When the empty coalition already wins there are no switching pairs at
-    all; otherwise a state is responsible exactly when it wins on its own.
+    Every state with a choice there belongs to Sat, so W holds the states
+    that reach a target along engraved edges.  When the initial state is in
+    W the empty coalition wins and there are no switching pairs at all.
+    Otherwise no run state is in W, since the run leads from the initial
+    state to each of them, and a state is responsible exactly when it wins
+    on its own.  With only s free the play follows the run to s, and a
+    shortest winning play leaves s once and then uses only engraved edges:
+    s wins alone iff some successor of s is in W.  And every winning
+    coalition holds a state that wins alone: the last run state where a
+    winning play leaves the run, since from there the play uses only
+    engraved edges.  So every minimal winning coalition is a single state,
+    and one region answers every run state.
     """
     obj = Objective(REACHABILITY, target=frozenset(target))
-    pg = PayoffGame(ts, obj, run, OPTIMISTIC,
-                    PlayerSet.of_states(ts, range(len(ts))), deadline)
-    if pg.gamma(0) == 1:
+    if deadline is not None:
+        deadline()
+    won = solve(build_game(ts, obj, run, (), OPTIMISTIC))
+    if ts.initial in won:
         return frozenset()
-    out = set()
-    for s in sorted(run.states()):
-        if pg.gamma(1 << s) == 1:
-            out.add(ts.names[s])
-    return frozenset(out)
+    return frozenset(ts.names[s] for s in run.states()
+                     if not won.isdisjoint(ts.succ[s]))
 
 
 def bits(mask: int):

@@ -299,10 +299,10 @@ def refine_loop(pg: PayoffGame, config: HeuristicsConfig,
     names = pg.players.names
     state_names = pg.ts.names
     rng = _rng_for(config.rng_seed, 0, 0)
-    assignment = [rng.randrange(config.initial_blocks) for _ in players]
-    blocks = [frozenset(p for p, b in zip(players, assignment) if b == i)
-              for i in range(config.initial_blocks)]
-    partition = Partition([b for b in blocks if b])
+    drawn: Dict[int, List[int]] = {}
+    for p in players:
+        drawn.setdefault(rng.randrange(config.initial_blocks), []).append(p)
+    partition = Partition([frozenset(drawn[b]) for b in sorted(drawn)])
     trace: List[IterationRecord] = []
     known: Dict[int, BspWitness] = {}
     iteration = 0

@@ -231,7 +231,7 @@ def test_polynomial_positivity_timeout_refusal(capsys):
     # the polynomial searches; with no budget left neither prints a result.
     # Pruning refuses recurrence_demo.json before its Buechi search starts;
     # unwinnable.json has nothing to prune, so its reachability search
-    # refuses at its first coalition query
+    # refuses before its one game
     for name in ("recurrence_demo.json", "unwinnable.json"):
         code, out, err = run(capsys, "positivity", str(MODELS / name),
                              "--mode", "optimistic", "--timeout-s", "0")
@@ -251,6 +251,22 @@ def test_run_override_validated(capsys):
     code, _, err = run(capsys, "analyze", str(MODELS / "recurrence_demo.json"),
                        "--run-prefix", "s0", "--run-loop", "s1,s2,s1")
     assert code == 2 and "loop repeats" in err
+
+
+def test_run_prefix_without_loop_is_an_input_error(capsys):
+    code, out, err = run(capsys, "positivity",
+                         str(MODELS / "recurrence_demo.json"),
+                         "--run-prefix", "nonexistent_state,zzz")
+    assert code == 2 and not out
+    assert "error: --run-prefix needs --run-loop" in err
+
+
+def test_empty_run_loop_is_an_input_error(capsys):
+    code, out, err = run(capsys, "positivity",
+                         str(MODELS / "recurrence_demo.json"),
+                         "--run-loop", "")
+    assert code == 2 and not out
+    assert "invalid run: loop must be non-empty" in err
 
 
 def test_program_input_with_label_objective(capsys):

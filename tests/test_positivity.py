@@ -38,6 +38,47 @@ def test_positivity_reach_matches_oracle():
         assert fast == slow
 
 
+def reference_reach_opt(ts, target, run):
+    """The search `positivity_reach_opt` replaced: the empty coalition's
+    game, then one coalition game per run state."""
+    obj = Objective(REACHABILITY, target=frozenset(target))
+    pg = PayoffGame(ts, obj, run, OPTIMISTIC,
+                    PlayerSet.of_states(ts, range(len(ts))))
+    if pg.gamma(0) == 1:
+        return frozenset()
+    return frozenset(ts.names[s] for s in sorted(run.states())
+                     if pg.gamma(1 << s) == 1)
+
+
+def test_positivity_reach_matches_the_per_state_games():
+    non_empty = 0
+    for ts, obj, run, _mode in instances(67, 1000, max_states=12,
+                                         kind=REACHABILITY):
+        fast = positivity_reach_opt(ts, obj.target, run)
+        assert fast == reference_reach_opt(ts, obj.target, run), (
+            ts.names, sorted(obj.target), run)
+        non_empty += bool(fast)
+    assert non_empty >= 300
+
+
+@pytest.mark.parametrize("edges, target, prefix, loop, positive", [
+    # s0's successor 2 leaves the run, and only it reaches the target 3
+    ([(0, 1), (0, 2), (1, 1), (2, 3), (3, 3)], {3}, (0,), (1,), {"s0"}),
+    # s1's successor 3 reaches the target 5 only back through s0 and s1,
+    # and from s1 on through its successor 4
+    ([(0, 1), (1, 2), (1, 3), (1, 4), (2, 2), (3, 0), (4, 5), (5, 5)], {5},
+     (0, 1), (2,), {"s1"}),
+    # the run itself reaches the target 2, so the empty coalition wins
+    ([(0, 1), (0, 2), (1, 1), (2, 2)], {2}, (0,), (2,), set()),
+], ids=["off-run-successor", "back-through-the-state", "run-reaches-target"])
+def test_positivity_reach_hand_built(edges, target, prefix, loop, positive):
+    ts = TransitionSystem([f"s{i}" for i in range(1 + max(map(max, edges)))],
+                          0, edges)
+    run = LassoRun(prefix, loop)
+    assert (positivity_reach_opt(ts, target, run) == positive
+            == reference_reach_opt(ts, target, run))
+
+
 def _equal_shares(ts, target, run):
     """Optimistic reachability values by rule: each of the R states with
     positive responsibility gets 1/|R|, every other state 0."""
@@ -334,10 +375,18 @@ def test_rho_order_solo_is_not_closes():
 
 
 def test_polynomial_searches_stop_within_their_budget():
-    reach = build_system(generate("clouds", 3))
+    # the reachability search asks its deadline once, before its one game
+    ts, obj, run = build_system(generate("clouds", 3))
+    with mock.patch.object(positivity, "solve", wraps=solve) as spy:
+        with pytest.raises(AnalysisTimeout):
+            positivity_reach_opt(ts, obj.target, run, deadline=Budget(0))
+        assert spy.call_count == 0
+        budget = Budget(1)
+        assert positivity_reach_opt(ts, obj.target, run,
+                                    deadline=budget) == {"crit"}
+        assert spy.call_count == budget.calls == 1
     buechi = build_system(generate("exp-coalitions", 30))
-    for search, (ts, obj, run), k in ((positivity_reach_opt, reach, 1),
-                                      (positivity_buechi_opt_all, buechi, 0),
+    for search, (ts, obj, run), k in ((positivity_buechi_opt_all, buechi, 0),
                                       (positivity_buechi_opt_all, buechi, 40)):
         with mock.patch.object(shapley, "solve", wraps=solve) as spy:
             with pytest.raises(AnalysisTimeout):

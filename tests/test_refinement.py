@@ -210,6 +210,17 @@ def test_refine_loop_empty_universe():
     assert result.responsible == frozenset() and result.trace == []
 
 
+def test_refine_loop_with_more_initial_blocks_than_players():
+    # the players are grouped by their drawn block, so a huge request
+    # costs nothing and starts with at most one block per player
+    ts, obj, run = refinement_example()
+    pg = _full_pg(ts, obj, run, PESSIMISTIC)
+    result = refine_loop(pg, HeuristicsConfig(initial_blocks=10**9))
+    assert len(result.trace[0].partition) <= len(pg.players)
+    assert {ts.names[p] for p in result.responsible} == {"s2", "s3", "s6",
+                                                         "s8"}
+
+
 _HEURISTIC_GRID = [
     (1, "random", "frontier-random"),
     (1, "max-delta", "frontier-first"),
