@@ -140,7 +140,9 @@ def _split_names(text):
     return [part for part in (text or "").split(",") if part]
 
 
-def _load_model(args) -> PayoffGame:
+def _load_model(args, unpruned=()) -> PayoffGame:
+    """The game of the model and flags; ungrouped state players are pruned
+    unless `--no-prune` is given or the objective kind is in `unpruned`."""
     deadline = _Deadline(args.timeout_s)
     labels = {}
     owners = {}
@@ -163,7 +165,8 @@ def _load_model(args) -> PayoffGame:
         raise InputError("no objective: pass --objective/--target flags")
     run = _run_from_flags(args, ts, objective, doc_run, deadline)
     players = _players_from_flags(args, ts, objective, run, labels, owners,
-                                  group_doc, deadline)
+                                  group_doc, deadline,
+                                  objective.kind not in unpruned)
     return PayoffGame(ts, objective, run, args.mode, players, deadline)
 
 
@@ -230,7 +233,7 @@ def _run_from_flags(args, ts, objective, doc_run, deadline):
 
 
 def _players_from_flags(args, ts, objective, run, labels, owners, group_doc,
-                        deadline):
+                        deadline, prune):
     grouping = None
     if args.groups:
         grouping = load_grouping_file(args.groups)
@@ -243,7 +246,7 @@ def _players_from_flags(args, ts, objective, run, labels, owners, group_doc,
         grouping = GroupingSpec(EXPLICIT_LIST, blocks=group_doc)
     if grouping is not None:
         return resolve_grouping(grouping, ts, labels=labels, owners=owners)
-    if args.no_prune:
+    if args.no_prune or not prune:
         return PlayerSet.of_states(ts, range(len(ts)))
     return prune_dummies(ts, objective, run, args.mode, deadline)
 
@@ -284,12 +287,14 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_positivity(args) -> int:
-    pg = _load_model(args)
-    polynomial = {REACHABILITY: positivity_reach_opt,
-                  BUECHI: positivity_buechi_opt_all}.get(pg.objective.kind)
-    if args.mode == OPTIMISTIC and pg.players.kind == "states" and polynomial:
-        positive = polynomial(pg.ts, pg.objective.target, pg.run,
-                              deadline=pg.deadline)
+    polynomial = {} if args.mode != OPTIMISTIC else {
+        REACHABILITY: positivity_reach_opt, BUECHI: positivity_buechi_opt_all}
+    # the polynomial searches read no players, so they need no pruning games
+    pg = _load_model(args, unpruned=polynomial)
+    search = polynomial.get(pg.objective.kind)
+    if search and pg.players.kind == "states":
+        positive = search(pg.ts, pg.objective.target, pg.run,
+                          deadline=pg.deadline)
     else:
         config = HeuristicsConfig(rng_seed=args.seed)
         result = refine_loop(pg, config, cap=args.block_cap)

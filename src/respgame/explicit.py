@@ -7,8 +7,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, decode_json, read_text
+from .grouping import _partition
 from .model import (OBJECTIVE_KINDS, PARITY, LassoRun, Objective,
-                    TransitionSystem, require_valid_run)
+                    TransitionSystem, _resolver, require_valid_run)
 
 _TOP_FIELDS = {"states", "initial", "transitions", "objective", "run", "groups"}
 _OBJECTIVE_FIELDS = {"kind", "target", "colours"}
@@ -43,19 +44,20 @@ class ExplicitModelDoc:
 
 
 def parse_explicit(text: str) -> ExplicitModelDoc:
-    """Parse and structurally validate an explicit model document.
-
-    Syntax errors carry line/column; semantic errors name the offending
-    state or field.  Unknown fields are rejected.
+    """Parse and validate an explicit model document in two passes:
+    `_parse_fields` checks the JSON shapes, then `build_system` the names,
+    graph, objective, run and groups.  Syntax errors carry line/column;
+    semantic errors name the offending state or field.
     """
     doc = _parse_fields(text)
-    # totality and run validity are part of parsing; the system is built
-    # once the decoded JSON is released, so the two never coexist in memory
+    # built once the decoded JSON is released, so the two never coexist
     doc.system = build_system(doc)
     return doc
 
 
 def _parse_fields(text: str) -> ExplicitModelDoc:
+    """The document's fields with their JSON shapes checked: field names,
+    types, list lengths and colour values, but no state name."""
     raw = decode_json(text)
     if not isinstance(raw, dict):
         raise InputError("document must be an object")
@@ -69,24 +71,11 @@ def _parse_fields(text: str) -> ExplicitModelDoc:
     if (not isinstance(states, list) or not states
             or not all(isinstance(s, str) for s in states)):
         raise InputError("states must be a non-empty list of names")
-    if len(set(states)) != len(states):
-        raise InputError("state names must be unique")
-    known = set(states)
-
-    def resolve(name, where):
-        if not isinstance(name, str) or name not in known:
-            raise InputError(f"unknown state {name!r} in {where}")
-        return name
-
-    initial = resolve(raw["initial"], "initial")
-    transitions = []
     if not isinstance(raw["transitions"], list):
         raise InputError("transitions must be a list of [src, dst] pairs")
     for i, pair in enumerate(raw["transitions"]):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise InputError(f"transition #{i} must be a [src, dst] pair")
-        transitions.append((resolve(pair[0], f"transition #{i}"),
-                            resolve(pair[1], f"transition #{i}")))
     obj = raw["objective"]
     if not isinstance(obj, dict):
         raise InputError("objective must be an object")
@@ -102,20 +91,14 @@ def _parse_fields(text: str) -> ExplicitModelDoc:
         if not isinstance(colours, dict):
             raise InputError("parity objectives need a colours map")
         for name, c in colours.items():
-            resolve(name, "colours")
             if isinstance(c, bool) or not isinstance(c, int) or c < 0:
                 raise InputError(f"colour of {name!r} must be a non-negative integer")
-        missing = known - set(colours)
-        if missing:
-            raise InputError(
-                "colours missing for: " + ", ".join(sorted(missing)))
         if "target" in obj:
             raise InputError("parity objectives take colours, not a target")
     else:
         target = obj.get("target")
         if not isinstance(target, list):
             raise InputError(f"{kind} objectives need a target list")
-        target = [resolve(s, "objective target") for s in target]
         if "colours" in obj:
             raise InputError(f"{kind} objectives take a target, not colours")
     run_prefix = run_loop = None
@@ -123,39 +106,22 @@ def _parse_fields(text: str) -> ExplicitModelDoc:
         run = raw["run"]
         if not isinstance(run, dict) or set(run) - _RUN_FIELDS:
             raise InputError("run must be an object with prefix and loop")
-        prefix, loop = run.get("prefix", []), run.get("loop", [])
-        if not (isinstance(prefix, list) and isinstance(loop, list)):
+        run_prefix, run_loop = run.get("prefix", []), run.get("loop", [])
+        if not (isinstance(run_prefix, list) and isinstance(run_loop, list)):
             raise InputError("run prefix and loop must be lists of state names")
-        run_prefix = [resolve(s, "run prefix") for s in prefix]
-        run_loop = [resolve(s, "run loop") for s in loop]
         if not run_loop:
             raise InputError("run loop must be non-empty")
-    groups = None
-    if "groups" in raw:
-        if not isinstance(raw["groups"], dict):
-            raise InputError("groups must map block names to state lists")
-        groups = {}
-        covered = set()
-        for block, members in raw["groups"].items():
-            if not isinstance(members, list) or not members:
-                raise InputError(f"group {block!r} must be a non-empty list")
-            members = [resolve(s, f"group {block!r}") for s in members]
-            overlap = covered & set(members)
-            if overlap:
-                raise InputError(
-                    f"group {block!r} overlaps: " + ", ".join(sorted(overlap)))
-            covered |= set(members)
-            groups[block] = members
-        if covered != known:
-            missing = sorted(known - covered)
-            raise InputError("groups do not partition the states; missing: "
-                             + ", ".join(missing))
-    doc = ExplicitModelDoc(states=list(states), initial=initial,
-                           transitions=transitions, objective_kind=kind,
-                           target=target, colours=colours,
-                           run_prefix=run_prefix, run_loop=run_loop,
-                           groups=groups)
-    return doc
+    groups = raw.get("groups")
+    if "groups" in raw and not isinstance(groups, dict):
+        raise InputError("groups must map block names to state lists")
+    for block, members in (groups or {}).items():
+        if not isinstance(members, list):
+            raise InputError(f"group {block!r} must be a non-empty list")
+    return ExplicitModelDoc(states=states, initial=raw["initial"],
+                            transitions=list(map(tuple, raw["transitions"])),
+                            objective_kind=kind, target=target,
+                            colours=colours, run_prefix=run_prefix,
+                            run_loop=run_loop, groups=groups)
 
 
 def serialize_explicit(doc: ExplicitModelDoc) -> str:
@@ -180,21 +146,36 @@ def serialize_explicit(doc: ExplicitModelDoc) -> str:
 
 
 def build_system(doc: ExplicitModelDoc):
-    """Materialize (TransitionSystem, Objective, run or None) from a document."""
-    idx = {name: i for i, name in enumerate(doc.states)}
-    ts = TransitionSystem(
-        doc.states, idx[doc.initial],
-        [(idx[s], idx[t]) for s, t in doc.transitions])
+    """Materialize (TransitionSystem, Objective, run or None) from a document.
+
+    The one place where state names map to indices: an unknown name, a
+    missing colour, a deadlock, an invalid run or groups that do not
+    partition the states are InputErrors, also in a document made in code.
+    """
+    resolve = _resolver(doc.states)
+    edges = []
+    for i, (s, t) in enumerate(doc.transitions):
+        where = f"transition #{i}"
+        edges.append((resolve(s, where), resolve(t, where)))
+    ts = TransitionSystem(doc.states, resolve(doc.initial, "initial"), edges)
     if doc.objective_kind == PARITY:
+        for name in doc.colours:
+            resolve(name, "colours")
+        missing = set(doc.states).difference(doc.colours)
+        if missing:
+            raise InputError("colours missing for: " + ", ".join(sorted(missing)))
         obj = Objective(PARITY, colours=tuple(doc.colours[s] for s in doc.states))
     else:
-        obj = Objective(doc.objective_kind,
-                        target=frozenset(idx[s] for s in doc.target))
+        obj = Objective(doc.objective_kind, target=frozenset(
+            resolve(s, "objective target") for s in doc.target))
     run = None
     if doc.has_run():
-        run = LassoRun(tuple(idx[s] for s in doc.run_prefix or ()),
-                       tuple(idx[s] for s in doc.run_loop))
+        run = LassoRun(
+            tuple(resolve(s, "run prefix") for s in doc.run_prefix or ()),
+            tuple(resolve(s, "run loop") for s in doc.run_loop))
         require_valid_run(ts, run)
+    if doc.groups is not None:
+        _partition(doc.groups, resolve, ts.names)
     return ts, obj, run
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, decode_json, read_text
-from .model import TransitionSystem
+from .model import TransitionSystem, _resolver
 from .shapley import PlayerSet
 
 EXPLICIT_LIST = "explicit-list"
@@ -41,24 +41,9 @@ def resolve_grouping(spec: GroupingSpec, ts: TransitionSystem,
     if spec.mode == EXPLICIT_LIST:
         if not spec.blocks:
             raise InputError("explicit-list grouping needs blocks")
-        names, members = [], []
-        covered = set()
-        for block, states in spec.blocks.items():
-            idx = frozenset(ts.index_of(s) for s in states)
-            if not idx:
-                raise InputError(f"group {block!r} is empty")
-            if idx & covered:
-                overlap = sorted(ts.names[s] for s in idx & covered)
-                raise InputError(
-                    f"group {block!r} overlaps: " + ", ".join(overlap))
-            covered |= idx
-            names.append(block)
-            members.append(idx)
-        if covered != set(range(n)):
-            missing = sorted(ts.names[s] for s in set(range(n)) - covered)
-            raise InputError("groups do not partition the states; missing: "
-                             + ", ".join(missing))
-        return PlayerSet.of_blocks(names, members)
+        return PlayerSet.of_blocks(
+            list(spec.blocks),
+            _partition(spec.blocks, _resolver(ts.names), ts.names))
     if spec.mode == BY_MODULE:
         if not owners:
             raise InputError("by-module grouping needs owner declarations")
@@ -73,11 +58,8 @@ def resolve_grouping(spec: GroupingSpec, ts: TransitionSystem,
         unowned = sorted(ts.names[s] for s in range(n) if s not in assigned)
         if unowned:
             raise InputError("states without an owner: " + ", ".join(unowned))
-        blocks: Dict[str, set] = {}
-        for s, mod_name in assigned.items():
-            blocks.setdefault(mod_name, set()).add(s)
-        return PlayerSet.of_blocks(list(blocks),
-                                   [frozenset(v) for v in blocks.values()])
+        blocks = {name: states for name, states in owners.items() if states}
+        return PlayerSet.of_blocks(list(blocks), list(blocks.values()))
     # by-label
     if not spec.label_names:
         raise InputError("by-label grouping needs label names")
@@ -90,8 +72,30 @@ def resolve_grouping(spec: GroupingSpec, ts: TransitionSystem,
         key = "&".join(name if s in labels[name] else f"!{name}"
                        for name in spec.label_names)
         blocks.setdefault(key, set()).add(s)
-    return PlayerSet.of_blocks(list(blocks),
-                               [frozenset(v) for v in blocks.values()])
+    return PlayerSet.of_blocks(list(blocks), list(blocks.values()))
+
+
+def _partition(groups: Dict[str, List[str]], resolve, names) -> List[frozenset]:
+    """The member index sets of the blocks in `groups` (block name -> state
+    names, mapped by `resolve(name, where)`); an InputError unless every
+    block is non-empty, no two overlap and together they cover `names`."""
+    members = []
+    covered = set()
+    for block, states in groups.items():
+        where = f"group {block!r}"
+        idx = frozenset([resolve(s, where) for s in states])
+        if not idx:
+            raise InputError(f"{where} must be a non-empty list")
+        if idx & covered:
+            overlap = sorted(names[s] for s in idx & covered)
+            raise InputError(f"{where} overlaps: " + ", ".join(overlap))
+        covered |= idx
+        members.append(idx)
+    if len(covered) != len(names):
+        missing = sorted(set(names) - {names[s] for s in covered})
+        raise InputError("groups do not partition the states; missing: "
+                         + ", ".join(missing))
+    return members
 
 
 def load_grouping_file(path) -> GroupingSpec:

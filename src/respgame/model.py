@@ -85,6 +85,21 @@ class TransitionSystem:
                 f"{self.num_edges()} transitions, initial={self.names[self.initial]})")
 
 
+def _resolver(names: Sequence[str]):
+    """`resolve(name, where)`: the index of state `name` in `names`; an
+    unknown or non-string name, or a repeated one, is an InputError."""
+    index = {name: i for i, name in enumerate(names)}
+    if len(index) != len(names):
+        raise InputError("state names must be unique")
+
+    def resolve(name, where: str) -> int:
+        try:
+            return index[name]
+        except (KeyError, TypeError):
+            raise InputError(f"unknown state {name!r} in {where}") from None
+    return resolve
+
+
 def predecessors(succ) -> tuple:
     """The predecessor lists of the successor lists `succ`, each sorted."""
     pred = [[] for _ in succ]
@@ -395,31 +410,24 @@ def find_violating_run(ts: TransitionSystem, obj: Objective,
                 return _canonical_lasso(path[:-1], cycle)
         raise NoViolation("every run eventually reaches the target")
 
-    if obj.kind == BUECHI:
-        # loop avoiding the target, reachable through anything
-        allowed = set(range(n)) - set(obj.target)
-        reach = _reachable(succ, ts.initial)
-        find_cycle = _cycle_finder(succ, allowed, deadline)
-        for w in sorted(reach & allowed):
-            cycle = find_cycle(w)
-            if cycle is not None:
-                path = _bfs_path(succ, ts.initial, {w})
-                return _canonical_lasso(path[:-1], cycle)
-        raise NoViolation("every reachable cycle meets the target set")
-
     # parity: a reachable cycle whose maximal colour is odd, one finder per
-    # odd colour met among the candidates
+    # odd colour met among the candidates.  Buechi is parity with colour 2
+    # on the target and 1 elsewhere.
+    colours, none = obj.colours, "no reachable odd-dominated cycle exists"
+    if obj.kind == BUECHI:
+        colours = [2 if s in obj.target else 1 for s in range(n)]
+        none = "every reachable cycle meets the target set"
     reach = _reachable(succ, ts.initial)
     finders = {}
     for w in sorted(reach):
-        c = obj.colours[w]
+        c = colours[w]
         if c % 2 == 0:
             continue
         if c not in finders:
             finders[c] = _cycle_finder(
-                succ, {s for s in range(n) if obj.colours[s] <= c}, deadline)
+                succ, {s for s in range(n) if colours[s] <= c}, deadline)
         cycle = finders[c](w)
         if cycle is not None:
             path = _bfs_path(succ, ts.initial, {w})
             return _canonical_lasso(path[:-1], cycle)
-    raise NoViolation("no reachable odd-dominated cycle exists")
+    raise NoViolation(none)

@@ -86,6 +86,32 @@ def test_positivity_uses_fast_paths(capsys, tmp_path):
     assert "s2" in out and "s4" not in out
 
 
+@pytest.mark.parametrize("family, size, expected", [
+    ("clouds", 4, "{crit}"),
+    ("exp-coalitions", 4, "{s0, s1a, s1b, s2a, s2b, s3a, s3b, s4a, s4b}"),
+])
+def test_polynomial_positivity_solves_no_pruning_games(capsys, monkeypatch,
+                                                       tmp_path, family,
+                                                       size, expected):
+    # optimistic reachability (clouds) and Buechi (exp-coalitions) on state
+    # players read no player set; the refinement fallback still prunes
+    model = tmp_path / "model.json"
+    run(capsys, "generate", "--family", family, "--size", str(size),
+        "-o", str(model))
+    calls = []
+    prune = respgame.cli.prune_dummies
+    monkeypatch.setattr(respgame.cli, "prune_dummies",
+                        lambda *args: calls.append(args) or prune(*args))
+    code, out, _ = run(capsys, "positivity", str(model), "--mode",
+                       "optimistic")
+    assert code == 0 and not calls
+    assert out == f"positive responsibility: {expected}\n"
+    code, out, _ = run(capsys, "positivity", str(model), "--mode",
+                       "pessimistic")
+    assert code == 0 and len(calls) == 1
+    assert out == f"positive responsibility: {expected}\n"
+
+
 def test_oracle_minimal_coalitions(capsys, tmp_path):
     model = tmp_path / "ladder.json"
     run(capsys, "generate", "--family", "exp-coalitions", "--size", "2",
@@ -228,10 +254,10 @@ def test_positivity_and_oracle_timeout_refusal(capsys):
 
 def test_polynomial_positivity_timeout_refusal(capsys):
     # optimistic Buechi and optimistic reachability on state players take
-    # the polynomial searches; with no budget left neither prints a result.
-    # Pruning refuses recurrence_demo.json before its Buechi search starts;
-    # unwinnable.json has nothing to prune, so its reachability search
-    # refuses before its one game
+    # the polynomial searches, which solve no pruning games; with no budget
+    # left neither prints a result.  The Buechi search on
+    # recurrence_demo.json refuses at its first coalition query, and the
+    # reachability search on unwinnable.json before its one game
     for name in ("recurrence_demo.json", "unwinnable.json"):
         code, out, err = run(capsys, "positivity", str(MODELS / name),
                              "--mode", "optimistic", "--timeout-s", "0")
@@ -335,6 +361,24 @@ def test_grouping_members_must_be_state_names(capsys, tmp_path):
         code, out, err = run(capsys, "analyze", model, "--groups", str(groups))
         assert code == 2 and not out
         assert err == "error: group 'a' must list state names\n"
+
+
+def test_grouping_file_shares_the_document_wording(capsys, tmp_path):
+    model = str(MODELS / "groups_demo.json")
+    for groups, message in (
+            ({"a": ["s0", "x"], "b": ["s1", "s2", "s3"]},
+             "unknown state 'x' in group 'a'"),
+            ({"a": [], "b": ["s0", "s1", "s2", "s3"]},
+             "group 'a' must be a non-empty list"),
+            ({"a": ["s0", "s1"], "b": ["s1", "s2", "s3"]},
+             "group 'b' overlaps: s1"),
+            ({"a": ["s0", "s1"], "b": ["s2"]},
+             "groups do not partition the states; missing: s3"),
+            ({}, "explicit-list grouping needs blocks")):
+        path = tmp_path / "groups.json"
+        path.write_text(json.dumps(groups))
+        code, out, err = run(capsys, "analyze", model, "--groups", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 _DEEP = "[" * 100_000

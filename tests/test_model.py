@@ -234,3 +234,38 @@ def test_run_search_stops_within_its_budget(kind):
             find_violating_run(ts, obj, Budget(spent.calls - 1))
         checked += 1
     assert checked > 10
+
+
+def reference_buechi_run(ts, obj):
+    """The Buechi run search as it was before it went through the parity
+    search: the first reachable non-target state, in index order, that lies
+    on a cycle avoiding the target."""
+    from respgame.model import _bfs_path, _canonical_lasso, _cycle_finder, \
+        _reachable
+    allowed = set(range(len(ts))) - set(obj.target)
+    reach = _reachable(ts.succ, ts.initial)
+    find_cycle = _cycle_finder(ts.succ, allowed)
+    for w in sorted(reach & allowed):
+        cycle = find_cycle(w)
+        if cycle is not None:
+            path = _bfs_path(ts.succ, ts.initial, {w})
+            return _canonical_lasso(path[:-1], cycle)
+    raise NoViolation("every reachable cycle meets the target set")
+
+
+def test_buechi_run_search_matches_the_reference():
+    rng = random.Random(29)
+    found = satisfied = 0
+    for _ in range(2000):
+        ts = random_total_system(rng, max_states=10)
+        obj = random_objective(rng, ts, BUECHI)
+        try:
+            expected = reference_buechi_run(ts, obj)
+        except NoViolation as exc:
+            with pytest.raises(NoViolation, match=f"^{exc}$"):
+                find_violating_run(ts, obj)
+            satisfied += 1
+            continue
+        assert find_violating_run(ts, obj) == expected
+        found += 1
+    assert found > 1000 and satisfied > 100

@@ -1,11 +1,13 @@
-"""What the benchmark's tracer (perfbench/tracer.py) reads of the package.
+"""What the benchmark (perfbench/) reads of the package.
 
 The tracer wraps layer functions by module and name and reads the
-successor lists of every arena `build_game` returns; a function renamed or
-an arena reshaped fails here rather than in a traced benchmark run.  The
-tracer is loaded from its file and left as it is.
+successor lists of every arena `build_game` returns, and the workloads
+import the functions that build their inputs; a function renamed or an
+arena reshaped fails here rather than in a benchmark run.  The benchmark's
+files are read from disk and left as they are.
 """
 
+import ast
 import importlib
 import importlib.util
 from collections.abc import Sequence
@@ -15,7 +17,9 @@ from conftest import instances
 
 from respgame import build_game
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def _tracer():
@@ -47,3 +51,16 @@ def test_built_arenas_have_one_successor_sequence_per_state():
         assert all(isinstance(ts_, Sequence) and ts_ for ts_ in succ)
         assert tracer._arena_size((), game) == (len(ts),
                                                 sum(map(len, succ)))
+
+
+def test_every_name_the_workloads_import_resolves_in_the_package():
+    # the benchmark builds its inputs with the package's own functions
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "respgame"
+                for alias in node.names]
+    assert ("respgame.explicit", "build_system") in imported
+    for module, name in imported:
+        assert hasattr(importlib.import_module(module), name), \
+            f"{module}.{name}"
