@@ -218,15 +218,15 @@ def _run_from_flags(args, ts, objective, doc_run, deadline):
         prefix = tuple(ts.index_of(s) for s in _split_names(args.run_prefix))
         loop = tuple(ts.index_of(s) for s in _split_names(args.run_loop))
         run = LassoRun(prefix, loop)
+        require_valid_run(ts, run)
     elif args.find_run:
         run = None
     else:
-        run = doc_run
+        run = doc_run  # build_system has validated it
     if run is None:
         if args.mode == FORWARD:
             return None
         return find_violating_run(ts, objective, deadline)
-    require_valid_run(ts, run)
     if not violates(ts, objective, run):
         raise InputError("the given run does not violate the objective")
     return run

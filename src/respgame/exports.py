@@ -17,10 +17,17 @@ REPORT_SCHEMA = "respgame-report-v1"
 def sorted_rows(report: ResponsibilityReport):
     """(name, value) rows sorted by descending value, then by player order.
 
-    A reverse sort is stable, so equal values keep their player order."""
-    rows = list(zip(report.names, report.values))
-    rows.sort(key=itemgetter(1), reverse=True)
-    return rows
+    Rows are split by the sign of the value first, so the zero rows, most
+    of a large report, keep their player order without a `Fraction`
+    comparison each.  A reverse sort is stable, so equal values keep their
+    player order."""
+    positive, zero, negative = [], [], []
+    for row in zip(report.names, report.values):
+        sign = row[1].numerator
+        (positive if sign > 0 else negative if sign else zero).append(row)
+    positive.sort(key=itemgetter(1), reverse=True)
+    negative.sort(key=itemgetter(1), reverse=True)
+    return positive + zero + negative
 
 
 def render_table(report: ResponsibilityReport,

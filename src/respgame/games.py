@@ -102,7 +102,7 @@ def build_game(ts: TransitionSystem, obj: Objective, run: Optional[LassoRun],
 
 
 def attractor(arena: GameArena, target, for_sat: bool, alive=None,
-              until=None) -> set:
+              until=None, border=None) -> set:
     """Least set containing `target` closed under forced one-step moves.
 
     A state owned by the attracting player joins as soon as one successor
@@ -113,6 +113,13 @@ def attractor(arena: GameArena, target, for_sat: bool, alive=None,
     successor, and `target` must lie inside it.  With `until`, the pass
     stops as soon as that state joins, so the set holds it exactly when
     the least fixpoint does.
+
+    With `border`, `target` may be any set between the real target and
+    the least fixpoint, such as the region the attracting player wins in
+    a game where it owns fewer states; the fixpoint is the same.  The
+    worklist then starts from `border` alone, which must hold every state
+    of `target` with a predecessor outside it, so that each state outside
+    still counts all of its successors inside.
     """
     succ = arena.succ
     preds = arena.preds()
@@ -121,7 +128,7 @@ def attractor(arena: GameArena, target, for_sat: bool, alive=None,
     if until in attr:
         return attr
     count = {}
-    work = list(attr)
+    work = list(attr if border is None else border)
     while work:
         s = work.pop()
         for p in preds[s]:

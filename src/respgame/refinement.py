@@ -9,7 +9,6 @@ from functools import cache, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import BlockCapExceeded, InputError, PlayerCapExceeded
-from .games import solve
 from .shapley import (DEFAULT_SHAPLEY_CAP, PayoffGame, ResponsibilityReport,
                       _layers, _swings, _winning_table, shapley_values)
 
@@ -115,14 +114,15 @@ class BspWitness:
 
 def _witness(pg: PayoffGame, partition: Partition, block_id: int,
              coalition: int) -> BspWitness:
-    """Solve both games of the pair; the frontier is read off the engraved
-    graph of the larger-coalition game, solved second so that only one
-    arena is alive at a time."""
+    """Solve both games of the pair through `pg.region`, which seeds them
+    like gamma; the frontier is read off the engraved graph of the
+    larger-coalition game, solved second so that only one arena is alive
+    at a time."""
     block = partition.mask_of((block_id,))
     block_states = pg.flatten(block)
-    win_without = solve(pg.game(coalition))
+    win_without = pg.region(pg.game(coalition))
     game = pg.game(coalition | block)
-    win_with = solve(game)
+    win_with = pg.region(game)
     delta = win_with - win_without
     counts = {}
     for s in sorted(delta & block_states):

@@ -7,12 +7,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from .errors import PlayerCapExceeded
-from .games import (OPTIMISTIC, Game, build_game, game_value, off_run_states,
-                    solve)
-from .model import LassoRun, Objective, TransitionSystem
+from .games import (OPTIMISTIC, Game, attractor, build_game, game_value,
+                    off_run_states, solve)
+from .model import (REACHABILITY, SAFETY, LassoRun, Objective,
+                    TransitionSystem)
 
 STATE_PLAYERS = "states"
 BLOCK_PLAYERS = "blocks"
@@ -56,6 +58,18 @@ class PlayerSet:
                          tuple(frozenset(members[i]) for i in order))
 
 
+class _Band(NamedTuple):
+    """What a reachability or safety payoff game keeps of its bounding
+    regions W(0) and W(full): gamma of the two masks, the seed every
+    coalition game's attractor contains (W(0) for reachability, the
+    complement of W(full) for safety), and the border, the seed states
+    with a predecessor in the model outside the seed."""
+
+    values: Dict[int, int]
+    seed: frozenset
+    border: List[int]
+
+
 @dataclass
 class PayoffGame:
     """Monotone 0/1 coalition game induced by a model, objective and run.
@@ -63,7 +77,16 @@ class PayoffGame:
     gamma() is memoised per coalition bitmask; the memo is shared by every
     caller holding this object (Shapley enumeration, refinement, the
     polynomial positivity algorithms).  `deadline`, when given, is called
-    before every gamma query and may abort the caller's search by raising.
+    before every gamma query and before each of the two bounding solves,
+    and may abort the caller's search by raising.
+
+    A reachability or safety game is decided on its undecided band.  By
+    monotonicity, state by state, W(0) <= W(C) <= W(full) for every
+    coalition C, where W(C) is Sat's winning region when Sat controls C.
+    So W(0) and W(full) are solved once, and every other game starts its
+    attractor from W(0) (reachability) or from the complement of W(full)
+    (the opponent's attractor, for safety).  Buechi and parity games are
+    solved whole.
     """
 
     ts: TransitionSystem
@@ -111,9 +134,59 @@ class PayoffGame:
         if hit is not None:
             self.memo_hits += 1
             return hit
-        value = game_value(self.game(mask))
+        band = self._band
+        if band is None:
+            value = game_value(self.game(mask))
+        elif mask in band.values:
+            value = band.values[mask]
+        else:
+            attr = self._seeded(self.game(mask), until=self.ts.initial)
+            value = int((self.ts.initial in attr) == self._reach)
         self.memo[mask] = value
         return value
+
+    def region(self, game: Game) -> frozenset:
+        """Sat's winning region in `game`, one of this payoff game's
+        coalition games (`game(mask)`); seeded like gamma."""
+        if self._band is None:
+            return solve(game)
+        attr = self._seeded(game)
+        if self._reach:
+            return frozenset(attr)
+        return frozenset(range(len(self.ts))) - attr
+
+    @property
+    def _reach(self) -> bool:
+        return self.objective.kind == REACHABILITY
+
+    @cached_property
+    def _band(self) -> Optional[_Band]:
+        """The two bounding games of a reachability or safety game, solved
+        once; None for Buechi and parity."""
+        if self.objective.kind not in (REACHABILITY, SAFETY):
+            return None
+        full = self.full_mask()
+        regions = {}
+        for mask in sorted({0, full}):  # one game when there are no players
+            if self.deadline is not None:
+                self.deadline()
+            regions[mask] = solve(self.game(mask))
+        if self._reach:
+            seed = regions[0]
+        else:
+            seed = frozenset(range(len(self.ts))) - regions[full]
+        preds = self.ts.preds()
+        return _Band(
+            {mask: int(self.ts.initial in region)
+             for mask, region in regions.items()},
+            seed, [s for s in seed if any(p not in seed for p in preds[s])])
+
+    def _seeded(self, game: Game, until=None) -> set:
+        """The attractor that decides `game`: Sat's for reachability, the
+        opponent's for safety, started from the seed."""
+        band = self._band
+        return attractor(game.arena, band.seed, self._reach, until=until,
+                         border=band.border)
 
     @cached_property
     def off_run(self) -> Optional[frozenset]:

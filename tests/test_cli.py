@@ -9,9 +9,11 @@ from unittest import mock
 import pytest
 
 import respgame.cli
+import respgame.explicit
 import respgame.shapley
 from respgame import HeuristicsConfig
 from respgame.cli import build_parser, run_cli
+from respgame.model import require_valid_run
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -277,6 +279,17 @@ def test_run_override_validated(capsys):
     code, _, err = run(capsys, "analyze", str(MODELS / "recurrence_demo.json"),
                        "--run-prefix", "s0", "--run-loop", "s1,s2,s1")
     assert code == 2 and "loop repeats" in err
+
+
+def test_document_run_validated_once(capsys):
+    # build_system validates a document's run; the CLI checks only that it
+    # violates the objective
+    spy = mock.Mock(wraps=require_valid_run)
+    with mock.patch.object(respgame.explicit, "require_valid_run", spy), \
+            mock.patch.object(respgame.cli, "require_valid_run", spy):
+        code, _, _ = run(capsys, "analyze",
+                         str(MODELS / "recurrence_demo.json"))
+    assert code == 0 and spy.call_count == 1
 
 
 def test_run_prefix_without_loop_is_an_input_error(capsys):

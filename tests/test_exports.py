@@ -4,6 +4,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -162,6 +163,24 @@ def test_sorted_rows_is_descending_then_player_order():
         expected = sorted(range(n), key=lambda i: (-values[i], i))
         assert rows == [(names[i], values[i]) for i in expected]
         assert all(a[1] >= b[1] for a, b in zip(rows, rows[1:]))
+
+
+def test_sorted_rows_equals_one_stable_reverse_sort():
+    # the sign split must give exactly the single sort it replaces, with
+    # ties, zeros of either form and negative values mixed in
+    rng = random.Random(23)
+    for _ in range(200):
+        n = rng.randrange(0, 60)
+        values = tuple(Fraction(rng.randrange(-3, 4) * rng.randrange(2),
+                                rng.choice((1, 2, 3, 6)))
+                       for _ in range(n))
+        names = tuple(f"s{i}" for i in range(n))
+        expected = list(zip(names, values))
+        expected.sort(key=itemgetter(1), reverse=True)
+        rows = sorted_rows(ResponsibilityReport("states", "optimistic",
+                                                names, values))
+        assert [name for name, _ in rows] == [name for name, _ in expected]
+        assert all(a[1] is b[1] for a, b in zip(rows, expected))
 
 
 def test_positive_is_value_above_zero():

@@ -1,5 +1,6 @@
 """Coalition games, exact Shapley values, pruning and the oracle."""
 
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -299,6 +300,25 @@ def test_gamma_values_on_arenas_sharing_the_model_predecessor_lists():
         assert len(arenas) == 4 * 3 * (32 + 2 + 32)
         assert all(arena.preds() is ts.preds() for arena in arenas)
         assert built.call_count == 1
+
+
+@pytest.mark.parametrize("kind", (REACHABILITY, SAFETY))
+def test_seeded_solves_equal_cold_solves(kind):
+    # pg.region and pg.gamma start each attractor from W(0) or from the
+    # complement of W(full); the players are a random subset of the states
+    # (possibly none), so W(full) need not be the all-states region
+    rng = random.Random(11)
+    for ts, obj, run, _ in instances(29, 150, max_states=8, kind=kind):
+        indices = sorted(rng.sample(range(len(ts)),
+                                    rng.randint(0, len(ts))))
+        for mode in MODES:
+            pg = _pg(ts, obj, run, mode, indices)
+            masks = list(range(pg.full_mask() + 1))
+            rng.shuffle(masks)
+            for mask in masks:
+                cold = build_game(ts, obj, run, pg.flatten(mask), mode)
+                assert pg.region(pg.game(mask)) == solve(cold), (mode, mask)
+                assert pg.gamma(mask) == game_value(cold), (mode, mask)
 
 
 def test_flatten_is_the_union_of_the_chosen_players_members():
