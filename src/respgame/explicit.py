@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, decode_json, read_text
 from .grouping import _partition
 from .model import (OBJECTIVE_KINDS, PARITY, LassoRun, Objective,
-                    TransitionSystem, _resolver, require_valid_run)
+                    TransitionSystem, _look_up, require_valid_run)
 
 _TOP_FIELDS = {"states", "initial", "transitions", "objective", "run", "groups"}
 _OBJECTIVE_FIELDS = {"kind", "target", "colours"}
@@ -148,16 +149,29 @@ def serialize_explicit(doc: ExplicitModelDoc) -> str:
 def build_system(doc: ExplicitModelDoc):
     """Materialize (TransitionSystem, Objective, run or None) from a document.
 
-    The one place where state names map to indices: an unknown name, a
-    missing colour, a deadlock, an invalid run or groups that do not
-    partition the states are InputErrors, also in a document made in code.
+    The one place where state names map to indices, through one
+    name -> index dict that the system keeps: an unknown name, a missing
+    colour, a deadlock, an invalid run or groups that do not partition the
+    states are InputErrors, also in a document made in code.  A repeated
+    transition gives one edge.
     """
-    resolve = _resolver(doc.states)
-    edges = []
-    for i, (s, t) in enumerate(doc.transitions):
-        where = f"transition #{i}"
-        edges.append((resolve(s, where), resolve(t, where)))
-    ts = TransitionSystem(doc.states, resolve(doc.initial, "initial"), edges)
+    index = {name: i for i, name in enumerate(doc.states)}
+    if len(index) != len(doc.states):
+        raise InputError("state names must be unique")
+    resolve = partial(_look_up, index)
+    succ = [set() for _ in doc.states]
+    try:
+        for s, t in doc.transitions:
+            succ[index[s]].add(index[t])
+    except (KeyError, TypeError):
+        # the first unknown end, in document order, named by its transition
+        for i, pair in enumerate(doc.transitions):
+            for name in pair:
+                resolve(name, f"transition #{i}")
+        raise
+    ts = TransitionSystem(doc.states, resolve(doc.initial, "initial"),
+                          succ=[tuple(sorted(ends)) for ends in succ],
+                          index=index)
     if doc.objective_kind == PARITY:
         for name in doc.colours:
             resolve(name, "colours")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, decode_json, read_text
-from .model import TransitionSystem, _resolver
+from .model import TransitionSystem
 from .shapley import PlayerSet
 
 EXPLICIT_LIST = "explicit-list"
@@ -43,7 +43,7 @@ def resolve_grouping(spec: GroupingSpec, ts: TransitionSystem,
             raise InputError("explicit-list grouping needs blocks")
         return PlayerSet.of_blocks(
             list(spec.blocks),
-            _partition(spec.blocks, _resolver(ts.names), ts.names))
+            _partition(spec.blocks, ts.index_of, ts.names))
     if spec.mode == BY_MODULE:
         if not owners:
             raise InputError("by-module grouping needs owner declarations")

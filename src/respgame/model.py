@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import InputError
 
@@ -25,45 +25,51 @@ class TransitionSystem:
     """Finite directed state graph with a single initial state.
 
     States are dense integer indices 0..n-1 with unique display names.
-    Successor lists are duplicate-free and sorted.  Every state must have
-    at least one successor; deadlocked models are rejected at construction
-    with a listing of the offending states.
+    `succ[s]`, one entry per state and passed by keyword, holds the
+    successors of state s as a tuple, sorted and duplicate-free; the
+    constructor takes that order as given but checks that every successor
+    is a state.  Every state must have at least one successor; deadlocked
+    models are rejected at construction with a listing of the offending
+    states.  `index`, when given, is the name -> index dict of `names` that
+    the caller has built already, so a load keeps one.
     """
 
     __slots__ = ("names", "initial", "succ", "_index", "_preds")
 
-    def __init__(self, names: Sequence[str], initial: int,
-                 edges: Iterable[Tuple[int, int]]):
+    def __init__(self, names: Sequence[str], initial: int, *,
+                 succ: Sequence[Tuple[int, ...]],
+                 index: Optional[Dict[str, int]] = None):
         names = tuple(names)
-        if len(set(names)) != len(names):
-            dupes = sorted(n for n, k in Counter(names).items() if k > 1)
-            raise InputError(f"duplicate state names: {', '.join(dupes)}")
         n = len(names)
+        if index is None:
+            index = {name: i for i, name in enumerate(names)}
+            if len(index) != n:
+                dupes = sorted(m for m, k in Counter(names).items() if k > 1)
+                raise InputError(f"duplicate state names: {', '.join(dupes)}")
         if not 0 <= initial < n:
             raise InputError(f"initial state index {initial} out of range")
-        adj = [set() for _ in range(n)]
-        for src, dst in edges:
-            if not (0 <= src < n and 0 <= dst < n):
-                raise InputError(f"transition ({src}, {dst}) out of range")
-            adj[src].add(dst)
-        dead = [names[s] for s in range(n) if not adj[s]]
-        if dead:
+        succ = tuple(succ)
+        if len(succ) != n:
+            raise InputError(f"{len(succ)} successor lists for {n} states")
+        if not all(succ):
+            dead = [names[s] for s, ends in enumerate(succ) if not ends]
             raise InputError(
                 "deadlocked states (no outgoing transition): " + ", ".join(dead))
+        if min(map(min, succ)) < 0 or max(map(max, succ)) >= n:
+            raise InputError(f"successor index out of range 0..{n - 1}")
         self.names = names
         self.initial = initial
-        self.succ = tuple(tuple(sorted(a)) for a in adj)
-        self._index = {name: i for i, name in enumerate(names)}
+        self.succ = succ
+        self._index = index
         self._preds = None
 
     def __len__(self) -> int:
         return len(self.names)
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self._index[name]
-        except KeyError:
-            raise InputError(f"unknown state {name!r}") from None
+    def index_of(self, name: str, where: str = "") -> int:
+        """The index of state `name`; an unknown or non-string name is an
+        InputError, naming `where` when it is given."""
+        return _look_up(self._index, name, where)
 
     def preds(self) -> tuple:
         """Predecessor lists, sorted; built on first use and then shared by
@@ -85,19 +91,12 @@ class TransitionSystem:
                 f"{self.num_edges()} transitions, initial={self.names[self.initial]})")
 
 
-def _resolver(names: Sequence[str]):
-    """`resolve(name, where)`: the index of state `name` in `names`; an
-    unknown or non-string name, or a repeated one, is an InputError."""
-    index = {name: i for i, name in enumerate(names)}
-    if len(index) != len(names):
-        raise InputError("state names must be unique")
-
-    def resolve(name, where: str) -> int:
-        try:
-            return index[name]
-        except (KeyError, TypeError):
-            raise InputError(f"unknown state {name!r} in {where}") from None
-    return resolve
+def _look_up(index: Dict[str, int], name, where: str = "") -> int:
+    try:
+        return index[name]
+    except (KeyError, TypeError):
+        suffix = f" in {where}" if where else ""
+        raise InputError(f"unknown state {name!r}{suffix}") from None
 
 
 def predecessors(succ) -> tuple:

@@ -566,6 +566,27 @@ class ExpandedModel:
     owners: Dict[str, frozenset]
 
 
+def _projector(slots):
+    """The projection of a valuation onto `slots`, for a cache key; an
+    empty set projects every valuation to ()."""
+    return operator.itemgetter(*sorted(slots) or [slice(0, 0)])
+
+
+class _Pieces(dict):
+    """The `var=value` piece of a state name per value of one variable,
+    each made once."""
+
+    def __init__(self, decl: VarDecl):
+        super().__init__()
+        self.prefix = decl.name + "="
+        self.boolean = decl.kind == "bool"
+
+    def __missing__(self, value):
+        shown = ("true" if value else "false") if self.boolean else str(value)
+        piece = self[value] = self.prefix + shown
+        return piece
+
+
 def expand_program(prog: ModuleLangProgram,
                    max_states: int = DEFAULT_STATE_CAP,
                    deadline=None) -> ExpandedModel:
@@ -578,116 +599,140 @@ def expand_program(prog: ModuleLangProgram,
     than `max_states` states are refused.  `deadline`, when given, is called
     before each state is expanded and may abort the expansion by raising.
 
-    A module's guards are evaluated once per distinct valuation of the
-    variables they read: the module's enabled commands, its plan, are
-    cached under that projection of the state.  A module whose guards read
+    A module's guards and updates are evaluated once per distinct
+    valuation of the variables they read: the module's plan, its enabled
+    commands with the (slot, value) writes each makes, is cached under
+    that projection of the state, and a successor is the valuation with
+    the writes applied.  An interleaving command's writes are made as soon
+    as it is found enabled; a synchronised command's only when its action
+    fires, and are then kept in the plan, so every error is met where an
+    uncached expansion meets it.  A module whose guards and updates read
     every variable gets no cache, since breadth-first search meets each
-    state once.
+    state once.  Labels and owners are evaluated once per distinct
+    valuation of the variables they read, in one pass over the states.
     """
     variables = prog.variables()
     if not variables:
         raise InputError("program declares no variables")
     var_index = {v.name: i for i, v in enumerate(variables)}
-    owning: Dict[str, List[str]] = {}
-    for mod in prog.modules:
+    owning: Dict[str, List[int]] = {}
+    for m, mod in enumerate(prog.modules):
         for cmd in mod.commands:
             if cmd.action is not None:
                 mods = owning.setdefault(cmd.action, [])
-                if mod.name not in mods:
-                    mods.append(mod.name)
+                if m not in mods:
+                    mods.append(m)
+    # one bit per action, in name order: the order actions fire in
+    bit = {action: 1 << i for i, action in enumerate(sorted(owning))}
+    owners_of = {bit[action]: mods for action, mods in owning.items()}
 
     compiler = _Compiler(prog.constants, prog.formulas, variables)
     # per module: rows (command, guard, updates), an update being (slot,
-    # value_of, lo, hi), the projection onto the slots its guards read, and
-    # the cache of its plans (None when they read every slot); a boolean's
-    # [0..1] range holds for True and False
+    # value_of, lo, hi); the bits of the actions it owns; the projection
+    # onto the slots its guards and updates read, and the cache of its
+    # plans (None when they read every slot); a boolean's [0..1] range
+    # holds for True and False
     compiled = []
     for mod in prog.modules:
         rows = []
         reads = set()
+        owned = 0
         for cmd in mod.commands:
             try:
                 guard, slots = compiler.closure(
                     cmd.guard, "bool", "guard", where=f" in {cmd.describe()}")
+                reads |= slots
                 updates = []
                 for var, expr in cmd.updates:
                     slot = var_index[var]
                     decl = variables[slot]
-                    updates.append((slot, compiler.closure(expr, decl.kind,
-                                                           "update")[0],
-                                    decl.lo, decl.hi))
+                    value_of, slots = compiler.closure(expr, decl.kind,
+                                                       "update")
+                    reads |= slots
+                    updates.append((slot, value_of, decl.lo, decl.hi))
             except RecursionError:
                 raise _too_deep(f"line {cmd.line}") from None
-            reads |= slots
             rows.append((cmd, guard, updates))
-        # an empty read set projects every state to ()
-        project = operator.itemgetter(*sorted(reads) or [slice(0, 0)])
+            if cmd.action is not None:
+                owned |= bit[cmd.action]
         cache = {} if len(reads) < len(variables) else None
-        compiled.append((mod.name, rows, project, cache))
+        compiled.append((rows, owned, _projector(reads), cache))
 
-    def apply_updates(valuation, chosen):
-        new = list(valuation)
-        for cmd, _, updates in chosen:
-            for slot, value_of, lo, hi in updates:
-                value = value_of(valuation)
-                if not lo <= value <= hi:
-                    raise InputError(
-                        f"update drives {variables[slot].name!r} to "
-                        f"{_shown(value)}, "
-                        f"outside [{lo}..{hi}], in {cmd.describe()}")
-                new[slot] = value
-        return tuple(new)
+    def writes_of(valuation, cmd, updates):
+        writes = []
+        for slot, value_of, lo, hi in updates:
+            value = value_of(valuation)
+            if not lo <= value <= hi:
+                raise InputError(
+                    f"update drives {variables[slot].name!r} to "
+                    f"{_shown(value)}, "
+                    f"outside [{lo}..{hi}], in {cmd.describe()}")
+            writes.append((slot, value))
+        return writes
+
+    def plan_of(valuation, rows, owned):
+        """(writes of the enabled interleaving rows, bits of the enabled
+        actions, bits of the owned but disabled ones, action bit -> the
+        enabled rows as [command, updates, writes or None]).
+
+        Guards go in row order, and an interleaving command's writes as
+        soon as it is enabled, so the first error is the one an uncached
+        expansion meets.
+        """
+        alone, by_action, on = [], {}, 0
+        for cmd, guard, updates in rows:
+            if not guard(valuation):
+                continue
+            if cmd.action is None:
+                alone.append(writes_of(valuation, cmd, updates))
+            else:
+                b = bit[cmd.action]
+                on |= b
+                by_action.setdefault(b, []).append([cmd, updates, None])
+        return alone, on, owned & ~on, by_action
 
     def successors(valuation):
         out = []
-        # action -> owning module -> its enabled rows
-        synced: Dict[str, Dict[str, tuple]] = {}
-        for mod_name, rows, project, cache in compiled:
-            # its plan: the enabled interleaving rows, and the enabled rows
-            # of each action
-            plan = None
-            if cache is not None:
+        plans = []
+        on = off = 0
+        for rows, owned, project, cache in compiled:
+            if cache is None:
+                plan = plan_of(valuation, rows, owned)
+            else:
                 key = project(valuation)
                 plan = cache.get(key)
-            if plan is None:
-                # guards in row order, and an interleaving command's updates
-                # as soon as it is enabled, so the first error is the one an
-                # uncached expansion meets
-                alone, by_action = [], {}
-                for row in rows:
-                    cmd, guard, _ = row
-                    if not guard(valuation):
-                        continue
-                    if cmd.action is None:
-                        alone.append(row)
-                        out.append(apply_updates(valuation, (row,)))
-                    else:
-                        by_action[cmd.action] = (by_action.get(cmd.action, ())
-                                                 + (row,))
-                if cache is not None:
-                    cache[key] = alone, by_action
-            else:
-                alone, by_action = plan
-                for row in alone:
-                    out.append(apply_updates(valuation, (row,)))
-            for action, group in by_action.items():
-                by_module = synced.setdefault(action, {})
-                by_module[mod_name] = group
-        for action in sorted(synced):
-            by_module, owners_ = synced[action], owning[action]
-            if len(by_module) < len(owners_):
-                continue  # some owning module blocks the action
-            for chosen in product(*[by_module[m] for m in owners_]):
-                out.append(apply_updates(valuation, chosen))
+                if plan is None:
+                    plan = cache[key] = plan_of(valuation, rows, owned)
+            plans.append(plan)
+            for writes in plan[0]:
+                new = list(valuation)
+                for slot, value in writes:
+                    new[slot] = value
+                out.append(tuple(new))
+            on |= plan[1]
+            off |= plan[2]
+        # an action fires when every owning module enables it
+        fired = on & ~off
+        while fired:
+            b = fired & -fired
+            fired ^= b
+            groups = [plans[m][3][b] for m in owners_of[b]]
+            for chosen in product(*groups):
+                new = list(valuation)
+                for entry in chosen:
+                    writes = entry[2]
+                    if writes is None:
+                        writes = entry[2] = writes_of(valuation, entry[0],
+                                                      entry[1])
+                    for slot, value in writes:
+                        new[slot] = value
+                out.append(tuple(new))
         return out
 
-    shown = [(f"{v.name}=", v.kind == "bool") for v in variables]
+    pieces = [_Pieces(v) for v in variables]
 
     def name_of(valuation):
-        return ",".join([
-            prefix + (("true" if value else "false") if boolean
-                      else str(value))
-            for (prefix, boolean), value in zip(shown, valuation)])
+        return ",".join(map(dict.__getitem__, pieces, valuation))
 
     def over_cap():
         return StateCapExceeded(f"state space exceeds the cap of {max_states}",
@@ -698,7 +743,7 @@ def expand_program(prog: ModuleLangProgram,
         raise over_cap()
     index = {init: 0}
     order = [init]
-    adjacency: List[List[int]] = []
+    succ: List[tuple] = []
     frontier = [init]
     while frontier:
         next_frontier = []
@@ -711,28 +756,38 @@ def expand_program(prog: ModuleLangProgram,
                     f"deadlock: no command enabled in state {name_of(valuation)}")
             row = []
             for nxt in succs:
-                if nxt not in index:
+                t = index.get(nxt)
+                if t is None:
                     if len(index) >= max_states:
                         raise over_cap()
-                    index[nxt] = len(order)
+                    t = index[nxt] = len(order)
                     order.append(nxt)
                     next_frontier.append(nxt)
-                row.append(index[nxt])
-            adjacency.append(sorted(set(row)))
+                row.append(t)
+            succ.append(tuple(sorted(set(row))))
         frontier = next_frontier
-    names = [name_of(v) for v in order]
-    edges = [(s, t) for s, row in enumerate(adjacency) for t in row]
-    ts = TransitionSystem(names, 0, edges)
+    ts = TransitionSystem(map(name_of, order), 0, succ=succ)
 
     def holding(what, exprs):
         """The states where each expression of `exprs` holds."""
         out = {}
         for name, expr in exprs.items():
             try:
-                holds = compiler.closure(expr, "bool", f"{what} {name!r}")[0]
+                holds, slots = compiler.closure(expr, "bool",
+                                                f"{what} {name!r}")
             except RecursionError:
                 raise _too_deep(f"{what} {name!r}") from None
-            out[name] = frozenset(i for i, v in enumerate(order) if holds(v))
+            project = _projector(slots)
+            truth = {}
+            members = []
+            for i, valuation in enumerate(order):
+                key = project(valuation)
+                held = truth.get(key)
+                if held is None:
+                    held = truth[key] = holds(valuation)
+                if held:
+                    members.append(i)
+            out[name] = frozenset(members)
         return out
 
     return ExpandedModel(ts, variables, order, holding("label", prog.labels),

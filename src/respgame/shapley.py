@@ -60,12 +60,11 @@ class PlayerSet:
 
 class _Band(NamedTuple):
     """What a reachability or safety payoff game keeps of its bounding
-    regions W(0) and W(full): gamma of the two masks, the seed every
-    coalition game's attractor contains (W(0) for reachability, the
-    complement of W(full) for safety), and the border, the seed states
-    with a predecessor in the model outside the seed."""
+    regions W(0) and W(full): the seed every coalition game's attractor
+    contains (W(0) for reachability, the complement of W(full) for
+    safety), and the border, the seed states with a predecessor in the
+    model outside the seed."""
 
-    values: Dict[int, int]
     seed: frozenset
     border: List[int]
 
@@ -83,10 +82,11 @@ class PayoffGame:
     A reachability or safety game is decided on its undecided band.  By
     monotonicity, state by state, W(0) <= W(C) <= W(full) for every
     coalition C, where W(C) is Sat's winning region when Sat controls C.
-    So W(0) and W(full) are solved once, and every other game starts its
-    attractor from W(0) (reachability) or from the complement of W(full)
-    (the opponent's attractor, for safety).  Buechi and parity games are
-    solved whole.
+    So W(full) is solved once, on the first query: where it loses, every
+    coalition loses.  Every other game starts its attractor from W(0)
+    (reachability, solved once when first needed) or from the complement
+    of W(full) (the opponent's attractor, for safety).  Buechi and parity
+    games are solved whole.
     """
 
     ts: TransitionSystem
@@ -134,11 +134,13 @@ class PayoffGame:
         if hit is not None:
             self.memo_hits += 1
             return hit
-        band = self._band
-        if band is None:
+        if not self._banded:
             value = game_value(self.game(mask))
-        elif mask in band.values:
-            value = band.values[mask]
+        elif mask == self.full_mask() or self.ts.initial not in self._top:
+            # no coalition wins where the grand coalition loses
+            value = int(self.ts.initial in self._top)
+        elif mask == 0 and self._reach:
+            value = int(self.ts.initial in self._band.seed)
         else:
             attr = self._seeded(self.game(mask), until=self.ts.initial)
             value = int((self.ts.initial in attr) == self._reach)
@@ -148,7 +150,7 @@ class PayoffGame:
     def region(self, game: Game) -> frozenset:
         """Sat's winning region in `game`, one of this payoff game's
         coalition games (`game(mask)`); seeded like gamma."""
-        if self._band is None:
+        if not self._banded:
             return solve(game)
         attr = self._seeded(game)
         if self._reach:
@@ -159,27 +161,31 @@ class PayoffGame:
     def _reach(self) -> bool:
         return self.objective.kind == REACHABILITY
 
+    @property
+    def _banded(self) -> bool:
+        return self.objective.kind in (REACHABILITY, SAFETY)
+
     @cached_property
-    def _band(self) -> Optional[_Band]:
-        """The two bounding games of a reachability or safety game, solved
-        once; None for Buechi and parity."""
-        if self.objective.kind not in (REACHABILITY, SAFETY):
-            return None
-        full = self.full_mask()
-        regions = {}
-        for mask in sorted({0, full}):  # one game when there are no players
+    def _top(self) -> frozenset:
+        """W(full) of a reachability or safety game, solved once."""
+        if self.deadline is not None:
+            self.deadline()
+        return solve(self.game(self.full_mask()))
+
+    @cached_property
+    def _band(self) -> _Band:
+        """The seed and border of a reachability or safety game: W(0),
+        solved here, for reachability, the complement of W(full) for
+        safety."""
+        if self._reach:
             if self.deadline is not None:
                 self.deadline()
-            regions[mask] = solve(self.game(mask))
-        if self._reach:
-            seed = regions[0]
+            seed = solve(self.game(0))
         else:
-            seed = frozenset(range(len(self.ts))) - regions[full]
+            seed = frozenset(range(len(self.ts))) - self._top
         preds = self.ts.preds()
-        return _Band(
-            {mask: int(self.ts.initial in region)
-             for mask, region in regions.items()},
-            seed, [s for s in seed if any(p not in seed for p in preds[s])])
+        return _Band(seed,
+                     [s for s in seed if any(p not in seed for p in preds[s])])
 
     def _seeded(self, game: Game, until=None) -> set:
         """The attractor that decides `game`: Sat's for reachability, the

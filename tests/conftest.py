@@ -25,12 +25,22 @@ class Budget:
             raise AnalysisTimeout(f"budget of {self.k} calls spent")
 
 
+def system(names, edges):
+    """The system on `names` with the edge list `edges`, initial state 0;
+    a repeated edge gives one successor."""
+    succ = [set() for _ in names]
+    for s, t in edges:
+        succ[s].add(t)
+    return TransitionSystem(names, 0,
+                            succ=[tuple(sorted(ends)) for ends in succ])
+
+
 def engraving_example():
     """Safety system whose run deviations are pruned by engraving."""
     names = ["s0", "s1", "s2", "s3", "s4", "s5", "bad"]
     edges = [(0, 1), (0, 2), (1, 0), (1, 3), (2, 1), (2, 3), (2, 4), (3, 5),
              (4, 3), (4, 5), (4, 6), (5, 6), (6, 6)]
-    ts = TransitionSystem(names, 0, edges)
+    ts = system(names, edges)
     obj = Objective(SAFETY, target=frozenset({6}))
     run = LassoRun((0, 2, 4), (6,))
     return ts, obj, run
@@ -41,7 +51,7 @@ def recurrence_example():
     names = ["s0", "s1", "s2", "s3", "s4", "s5"]
     edges = [(0, 1), (0, 5), (1, 2), (1, 4), (2, 2), (2, 3), (3, 3), (4, 0),
              (4, 1), (5, 1)]
-    ts = TransitionSystem(names, 0, edges)
+    ts = system(names, edges)
     obj = Objective(BUECHI, target=frozenset({2, 5}))
     run = LassoRun((0, 1, 2), (3,))
     return ts, obj, run
@@ -52,7 +62,7 @@ def parity_jump_example():
     names = ["s0", "s1", "s2", "s3", "s4", "s5"]
     edges = [(0, 1), (0, 5), (1, 2), (1, 3), (2, 3), (3, 0), (3, 4), (4, 1),
              (4, 4), (5, 4)]
-    ts = TransitionSystem(names, 0, edges)
+    ts = system(names, edges)
     obj = Objective(PARITY, colours=(1, 1, 3, 1, 1, 2))
     run = LassoRun((0, 1, 2, 3), (4,))
     return ts, obj, run
@@ -62,7 +72,7 @@ def diamond_example():
     """Diamond with a looping run; the grouping examples live here."""
     names = ["s0", "s1", "s2", "s3"]
     edges = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 3), (2, 2), (2, 3), (3, 3)]
-    ts = TransitionSystem(names, 0, edges)
+    ts = system(names, edges)
     obj = Objective(REACHABILITY, target=frozenset({3}))
     run = LassoRun((), (0,))
     return ts, obj, run
@@ -74,7 +84,7 @@ def refinement_example():
     edges = [(0, 1), (0, 2), (1, 2), (2, 1), (2, 3), (3, 4), (3, 5), (3, 6),
              (4, 7), (5, 6), (6, 8), (6, 9), (7, 4), (8, 7), (8, 9), (9, 10),
              (10, 10)]
-    ts = TransitionSystem(names, 0, edges)
+    ts = system(names, edges)
     obj = Objective(SAFETY, target=frozenset({10}))
     run = LassoRun((0, 2, 3, 6, 9), (10,))
     return ts, obj, run
@@ -84,7 +94,7 @@ def decoy_frontier_example():
     """Frontier containing a state with zero responsibility."""
     names = ["s0", "s1", "s2", "bad"]
     edges = [(0, 1), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
-    ts = TransitionSystem(names, 0, edges)
+    ts = system(names, edges)
     obj = Objective(SAFETY, target=frozenset({3}))
     run = LassoRun((0, 1), (3,))
     return ts, obj, run
@@ -94,7 +104,7 @@ def empty_frontier_example():
     """Recurrence instance whose first witness has an empty frontier."""
     names = ["s0", "s1", "s2", "s3"]
     edges = [(0, 1), (1, 1), (1, 2), (1, 3), (2, 0), (3, 0)]
-    ts = TransitionSystem(names, 0, edges)
+    ts = system(names, edges)
     obj = Objective(BUECHI, target=frozenset({3}))
     run = LassoRun((0,), (1,))
     return ts, obj, run
@@ -111,7 +121,7 @@ def random_total_system(rng: random.Random, max_states: int = 9,
     for s in range(n):
         out = rng.randint(1, min(3, n))
         edges.extend((s, t) for t in rng.sample(range(n), out))
-    return TransitionSystem([f"q{i}" for i in range(n)], 0, edges)
+    return system([f"q{i}" for i in range(n)], edges)
 
 
 def random_objective(rng: random.Random, ts: TransitionSystem,

@@ -9,6 +9,7 @@ order, same updates, same errors.  The two must give equal models, or raise
 the same error with the same text.
 """
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -16,9 +17,9 @@ from hypothesis import given, settings
 
 from respgame import InputError, StateCapExceeded, parse_program
 from respgame.generators import lab_program_text
-from respgame.model import TransitionSystem
 from respgame.modlang import (DEFAULT_STATE_CAP, ExpandedModel, _Compiler,
                               _shown, expand_program)
+from conftest import system
 from test_fuzz import programs
 
 
@@ -115,9 +116,9 @@ def reference_expand(prog, max_states=DEFAULT_STATE_CAP):
                 order.append(nxt)
             row.append(index[nxt])
         adjacency.append(sorted(set(row)))
-    ts = TransitionSystem([name_of(v) for v in order], 0,
-                          [(s, t) for s, row in enumerate(adjacency)
-                           for t in row])
+    ts = system([name_of(v) for v in order],
+                [(s, t) for s, row in enumerate(adjacency)
+                 for t in row])
 
     def states(expr, what):
         holds = compiler.closure(expr, "bool", what)[0]
@@ -311,3 +312,95 @@ endmodule
 """)
     assert len(expand_program(prog).ts) == 501
     assert calls[0] == 501 * 2
+
+
+def test_synchronised_update_out_of_range_never_fires():
+    # `go` would drive x to 5, but b never enables it, so the action never
+    # fires and its update is never evaluated
+    text = """
+module a
+  x : [0..1] init 0;
+  [go] true -> (x' = x + 5);
+  [] true -> (x' = 1 - x);
+endmodule
+module b
+  y : [0..1] init 0;
+  [go] y = 2 -> true;
+  [] true -> (y' = 1 - y);
+endmodule
+"""
+    names = _same_as_reference(text)[0]
+    assert names == ("x=0,y=0", "x=1,y=0", "x=0,y=1", "x=1,y=1")
+
+
+def test_guard_error_of_a_later_module_before_a_synchronised_update():
+    # `go` fires at the initial state and its update leaves [0..0], but the
+    # synchronised update is evaluated only after every module's guards,
+    # and n's guard is an integer
+    text = """
+const int N = 1;
+module m
+  b : bool init true;
+  x : [0..0] init 0;
+  [go] !(!(b)) -> (x' = -(-(N)));
+endmodule
+module n
+  y : bool init false;
+  [] x -> true;
+endmodule
+"""
+    assert _same_as_reference(text) == (
+        InputError, "operator 'guard' needs boolean operands")
+
+
+def _predicate_calls(monkeypatch):
+    """Calls of each label and owner closure, by its `what name` tag, for
+    programs compiled from now on."""
+    calls = Counter()
+    closure = _Compiler.closure
+
+    def counting(self, expr, kind, op, where=""):
+        fn, slots = closure(self, expr, kind, op, where)
+        if not op.startswith(("label ", "owner ")):
+            return fn, slots
+
+        def counted(valuation):
+            calls[op] += 1
+            return fn(valuation)
+        return counted, slots
+
+    monkeypatch.setattr(_Compiler, "closure", counting)
+    return calls
+
+
+def test_labels_and_owners_are_evaluated_once_per_projection(monkeypatch):
+    calls = _predicate_calls(monkeypatch)
+    prog = parse_program(lab_program_text(4, bug=True))
+    expanded = expand_program(prog)
+    slots = {v.name: i for i, v in enumerate(expanded.variables)}
+    predicates = [("label", prog.labels), ("owner", prog.owners)]
+    for what, exprs in predicates:
+        for name, expr in exprs.items():
+            read = sorted(slots[v] for v in _guard_variables(expr)
+                          if v in slots)
+            projections = {tuple(v[i] for i in read)
+                           for v in expanded.valuations}
+            assert 0 < calls[f"{what} {name!r}"] <= len(projections) < 30
+    assert len(calls) == 6 and len(expanded.valuations) == 3083
+
+
+def test_predicates_reading_every_variable_are_evaluated_at_every_state(
+        monkeypatch):
+    calls = _predicate_calls(monkeypatch)
+    prog = parse_program("""
+module counter
+  x : [0..500] init 0;
+  [] x < 500 -> (x' = x + 1);
+  [] x = 500 -> (x' = 0);
+endmodule
+label "top" = x = 500;
+owner counter = x >= 0;
+""")
+    expanded = expand_program(prog)
+    assert expanded.labels["top"] == {500}
+    assert calls == {"label 'top'": 501, "owner 'counter'": 501}

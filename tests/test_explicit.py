@@ -312,3 +312,25 @@ def test_build_system_checks_a_document_made_in_code(fields, message):
     with pytest.raises(InputError) as info:
         build_system(_code_made(**fields))
     assert str(info.value) == message
+
+
+def test_repeated_edge_gives_one_successor():
+    doc = _base()
+    doc["transitions"] += [["a", "b"], ["c", "c"]]
+    ts = parse_explicit(json.dumps(doc)).system[0]
+    assert ts.succ == ((1,), (2,), (2,)) and ts.num_edges() == 3
+
+
+@pytest.mark.parametrize("end", [["a"], {"a": 1}])
+def test_unhashable_transition_end_names_the_first_bad_transition(end):
+    # the first bad end is unhashable, a later one merely unknown; the
+    # message names the first in document order, as each end is resolved
+    doc = _base()
+    doc["transitions"] = [["a", "b"], ["b", end], ["c", "z"], ["c", "c"]]
+    with pytest.raises(InputError) as info:
+        parse_explicit(json.dumps(doc))
+    assert str(info.value) == f"unknown state {end!r} in transition #1"
+    doc["transitions"][1:3] = [["c", "z"], ["b", end]]
+    with pytest.raises(InputError) as info:
+        parse_explicit(json.dumps(doc))
+    assert str(info.value) == "unknown state 'z' in transition #1"

@@ -7,11 +7,11 @@ import pytest
 from conftest import (engraving_example, enumerate_strategies, instances,
                       parity_jump_example, random_objective,
                       random_total_system, recurrence_example,
-                      refinement_example, _play_outcome)
+                      refinement_example, system, _play_outcome)
 
 from respgame import (BUECHI, FORWARD, OPTIMISTIC, PARITY, PESSIMISTIC,
                       REACHABILITY, SAFETY, LassoRun, Objective,
-                      TransitionSystem, arena_to_dot, build_game, engrave,
+                      arena_to_dot, build_game, engrave,
                       game_value, solve)
 from respgame.games import Game, GameArena, attractor
 
@@ -61,7 +61,7 @@ def test_optimistic_value_examples():
 
 
 def test_optimistic_empty_coalition_full_run_coverage():
-    ts = TransitionSystem(["a", "b"], 0, [(0, 1), (1, 0), (1, 1)])
+    ts = system(["a", "b"], [(0, 1), (1, 0), (1, 1)])
     run = LassoRun((), (0, 1))
     game = build_game(ts, Objective(SAFETY, target=frozenset()), run, set(),
                       OPTIMISTIC)
@@ -98,7 +98,7 @@ def test_solve_worked_example_regions():
 
 
 def test_solve_parity_single_even_loop():
-    ts = TransitionSystem(["a"], 0, [(0, 0)])
+    ts = system(["a"], [(0, 0)])
     game = build_game(ts, Objective(PARITY, colours=(2,)), None, {0}, FORWARD)
     assert solve(game) == frozenset({0})
 

@@ -2,26 +2,29 @@
 
 import pytest
 
+import json
 import random
 import time
 
 from conftest import (Budget, exhaustive_violation_exists, engraving_example, recurrence_example, parity_jump_example,
-                      random_objective, random_total_system)
+                      random_objective, random_total_system, system)
 
 from respgame import (BUECHI, PARITY, REACHABILITY, SAFETY, AnalysisTimeout,
                       InputError, LassoRun, NoViolation, Objective,
-                      TransitionSystem, find_violating_run, violates)
+                      TransitionSystem, expand_program, find_violating_run,
+                      parse_program, violates)
+from respgame.explicit import parse_explicit
 from respgame.model import require_valid_run
 
 
 def test_deadlocked_model_rejected():
     with pytest.raises(InputError, match="deadlocked states.*dead"):
-        TransitionSystem(["a", "dead"], 0, [(0, 0), (0, 1)])
+        system(["a", "dead"], [(0, 0), (0, 1)])
 
 
 def test_duplicate_names_rejected():
     with pytest.raises(InputError, match="duplicate"):
-        TransitionSystem(["a", "a"], 0, [(0, 1), (1, 0)])
+        system(["a", "a"], [(0, 1), (1, 0)])
 
 
 def test_duplicate_names_listed_in_one_pass():
@@ -30,13 +33,36 @@ def test_duplicate_names_listed_in_one_pass():
     t0 = time.monotonic()
     with pytest.raises(InputError,
                        match=r"^duplicate state names: s123, s7$"):
-        TransitionSystem(names, 0, [])
+        system(names, [])
     assert time.monotonic() - t0 < 1.0
 
 
 def test_successor_lists_sorted_and_unique():
-    ts = TransitionSystem(["a", "b"], 0, [(0, 1), (0, 0), (0, 1), (1, 1)])
-    assert ts.succ[0] == (0, 1)
+    # both loaders hand the constructor sorted, duplicate-free tuples
+    doc = {"states": ["a", "b"], "initial": "a",
+           "transitions": [["a", "b"], ["a", "a"], ["a", "b"], ["b", "b"]],
+           "objective": {"kind": "safety", "target": ["b"]}}
+    assert parse_explicit(json.dumps(doc)).system[0].succ == ((0, 1), (1,))
+    prog = parse_program("""
+module m
+  x : [0..1] init 0;
+  [] true -> (x' = 1);
+  [] true -> (x' = 0);
+  [] true -> (x' = 1);
+endmodule
+""")
+    assert expand_program(prog).ts.succ == ((0, 1), (0, 1))
+
+
+def test_successor_lists_are_checked_against_the_states():
+    with pytest.raises(TypeError):
+        TransitionSystem(["a", "b"], 0, [(0, 1), (1, 0)])  # an edge list
+    with pytest.raises(InputError, match="^3 successor lists for 2 states$"):
+        TransitionSystem(["a", "b"], 0, succ=[(1,), (0,), (0,)])
+    for bad in (2, -1):
+        with pytest.raises(InputError,
+                           match=r"^successor index out of range 0\.\.1$"):
+            TransitionSystem(["a", "b"], 0, succ=[(1,), (0, bad)])
 
 
 def test_objective_payload_exclusive():
@@ -54,7 +80,7 @@ def test_validate_run_accepts_known_example():
 
 
 def test_validate_run_minimal_self_loop():
-    ts = TransitionSystem(["a", "b"], 0, [(0, 0), (0, 1), (1, 1)])
+    ts = system(["a", "b"], [(0, 0), (0, 1), (1, 1)])
     require_valid_run(ts, LassoRun((), (0,)))
 
 
@@ -80,7 +106,7 @@ def test_violates_buechi_example():
 
 
 def test_violates_empty_reachability_target():
-    ts = TransitionSystem(["a"], 0, [(0, 0)])
+    ts = system(["a"], [(0, 0)])
     obj = Objective(REACHABILITY, target=frozenset())
     assert violates(ts, obj, LassoRun((), (0,)))
 
@@ -92,7 +118,7 @@ def test_violates_parity_example():
 
 def test_violates_buechi_ignores_prefix_visits():
     # the loop alone decides recurrence; a prefix visit is not enough
-    ts = TransitionSystem(["a", "f", "c"], 0, [(0, 1), (1, 2), (2, 2)])
+    ts = system(["a", "f", "c"], [(0, 1), (1, 2), (2, 2)])
     obj = Objective(BUECHI, target=frozenset({1}))
     assert violates(ts, obj, LassoRun((0, 1), (2,)))
 
@@ -104,7 +130,7 @@ def test_find_violating_run_safety_example():
 
 
 def test_find_violating_run_trivial_self_loop():
-    ts = TransitionSystem(["a"], 0, [(0, 0)])
+    ts = system(["a"], [(0, 0)])
     run = find_violating_run(ts, Objective(REACHABILITY, target=frozenset()))
     assert run == LassoRun((), (0,))
 
@@ -119,7 +145,7 @@ def test_find_violating_run_buechi_cross_checked():
 
 
 def test_find_violating_run_raises_on_satisfied_objective():
-    ts = TransitionSystem(["a"], 0, [(0, 0)])
+    ts = system(["a"], [(0, 0)])
     with pytest.raises(NoViolation):
         find_violating_run(ts, Objective(SAFETY, target=frozenset()))
     with pytest.raises(NoViolation):
@@ -191,8 +217,8 @@ def test_run_positions_unique_successor():
 def test_found_cycle_stays_inside_the_allowed_set():
     # the shortest cycle through q0 in the whole graph runs through the
     # target q3; the loop must keep to the states that avoid it
-    ts = TransitionSystem([f"q{i}" for i in range(5)], 0,
-                          [(0, 1), (1, 2), (1, 3), (2, 4), (4, 0), (3, 0)])
+    ts = system([f"q{i}" for i in range(5)],
+                [(0, 1), (1, 2), (1, 3), (2, 4), (4, 0), (3, 0)])
     for kind in (REACHABILITY, BUECHI):
         run = find_violating_run(ts, Objective(kind, target=frozenset({3})))
         assert run == LassoRun((), (0, 1, 2, 4))

@@ -5,11 +5,11 @@ from unittest import mock
 
 import pytest
 
-from conftest import Budget, recurrence_example, instances
+from conftest import Budget, recurrence_example, instances, system
 
 from respgame import (BUECHI, OPTIMISTIC, REACHABILITY, AnalysisTimeout,
                       LassoRun, Objective, PayoffGame, PlayerSet,
-                      TransitionSystem, generate, model, oracle_shapley,
+                      generate, model, oracle_shapley,
                       positivity, positivity_buechi_opt_all,
                       positivity_reach_opt, shapley, shapley_exact, solve)
 from respgame.explicit import build_system
@@ -25,7 +25,7 @@ def test_positivity_reach_clouds_instance():
 
 
 def test_positivity_reach_unreachable_target():
-    ts = TransitionSystem(["a", "island"], 0, [(0, 0), (1, 1)])
+    ts = system(["a", "island"], [(0, 0), (1, 1)])
     run = LassoRun((), (0,))
     assert positivity_reach_opt(ts, {1}, run) == frozenset()
 
@@ -72,8 +72,7 @@ def test_positivity_reach_matches_the_per_state_games():
     ([(0, 1), (0, 2), (1, 1), (2, 2)], {2}, (0,), (2,), set()),
 ], ids=["off-run-successor", "back-through-the-state", "run-reaches-target"])
 def test_positivity_reach_hand_built(edges, target, prefix, loop, positive):
-    ts = TransitionSystem([f"s{i}" for i in range(1 + max(map(max, edges)))],
-                          0, edges)
+    ts = system([f"s{i}" for i in range(1 + max(map(max, edges)))], edges)
     run = LassoRun(prefix, loop)
     assert (positivity_reach_opt(ts, target, run) == positive
             == reference_reach_opt(ts, target, run))
@@ -95,8 +94,8 @@ def _exact_reach_opt(ts, target, run):
 
 def test_values_reach_equal_share():
     # two states, each winning on its own, split the whole value
-    ts = TransitionSystem(["s0", "a", "f", "sink"], 0,
-                          [(0, 1), (0, 2), (1, 2), (1, 3), (2, 2), (3, 3)])
+    ts = system(["s0", "a", "f", "sink"],
+                [(0, 1), (0, 2), (1, 2), (1, 3), (2, 2), (3, 3)])
     run = LassoRun((0, 1), (3,))
     rep = _exact_reach_opt(ts, {2}, run)
     assert rep.value_of("s0") == Fraction(1, 2)
@@ -166,14 +165,14 @@ def _self_winning_top():
     """t loops through the target by itself, and s1 is a null player."""
     names = ["s0", "s1", "t", "z", "f", "f2"]
     edges = [(0, 1), (1, 2), (1, 5), (2, 3), (2, 4), (3, 3), (4, 2), (5, 2)]
-    ts = TransitionSystem(names, 0, edges)
+    ts = system(names, edges)
     return ts, frozenset({4, 5}), LassoRun((0, 1, 2), (3,))
 
 
 def _self_winning_between():
     """The loop lies above q0, and q1, q2 and q4 win alone."""
-    ts = TransitionSystem(
-        [f"q{i}" for i in range(9)], 0,
+    ts = system(
+        [f"q{i}" for i in range(9)],
         [(0, 1), (1, 2), (1, 5), (2, 3), (2, 4), (3, 3), (4, 0), (4, 7),
          (5, 7), (6, 2), (6, 6), (6, 8), (7, 1), (7, 4), (8, 1), (8, 4),
          (8, 7)])
@@ -261,9 +260,9 @@ def test_rho_order_masks_match_graph_search():
 def test_rho_order_detour_back_to_the_state_takes_its_lowest_jump():
     # freed s1 reaches the target f, which leads back to s1 itself; from
     # there s1's jump to s0 is open, so the detour rejoins the run at s0
-    ts = TransitionSystem(["s0", "s1", "l", "a", "f"], 0,
-                          [(0, 1), (1, 0), (1, 2), (1, 3), (2, 2), (3, 4),
-                           (4, 1)])
+    ts = system(["s0", "s1", "l", "a", "f"],
+                [(0, 1), (1, 0), (1, 2), (1, 3), (2, 2), (3, 4),
+                 (4, 1)])
     run = LassoRun((0, 1), (2,))
     order = rho_order(ts, run, {4})
     _leq, down, down_f = _reference_order(ts, run, {4})
@@ -359,8 +358,7 @@ NO_WAY_BACK = ([(0, 1), (1, 2), (1, 3), (2, 2), (3, 2)], {1}, (0, 1), (2,))
         "target-run-state-no-way-back"])
 def test_rho_order_solo_on_each_way_to_win_alone(edges, target, prefix,
                                                  loop, solo):
-    ts = TransitionSystem([f"s{i}" for i in range(1 + max(map(max, edges)))],
-                          0, edges)
+    ts = system([f"s{i}" for i in range(1 + max(map(max, edges)))], edges)
     run = LassoRun(prefix, loop)
     order = rho_order(ts, run, target)
     assert order.solo == _mask(solo) == _probed_solo(ts, target, run)
@@ -369,7 +367,7 @@ def test_rho_order_solo_on_each_way_to_win_alone(edges, target, prefix,
 def test_rho_order_solo_is_not_closes():
     # s1 is a target, so its own `closes` holds it, yet it loses alone
     edges, target, prefix, loop = NO_WAY_BACK
-    ts = TransitionSystem([f"s{i}" for i in range(4)], 0, edges)
+    ts = system([f"s{i}" for i in range(4)], edges)
     order = rho_order(ts, LassoRun(prefix, loop), target)
     assert order.closes[1] >> 1 & 1 and not order.solo >> 1 & 1
 

@@ -7,10 +7,11 @@ from unittest import mock
 import hypothesis.strategies as st
 from hypothesis import assume, given, settings
 
+from conftest import system
 from respgame import model
 from respgame import (BUECHI, MODES, OPTIMISTIC, PARITY, REACHABILITY,
                       SAFETY, NoViolation, Objective, PayoffGame, PlayerSet,
-                      TransitionSystem, build_game, engrave,
+                      build_game, engrave,
                       find_violating_run, game_value, oracle_shapley,
                       positivity_buechi_opt_all, shapley_exact, solve,
                       violates)
@@ -26,7 +27,7 @@ def total_systems(draw, max_states=7):
         succs = draw(st.sets(st.integers(min_value=0, max_value=n - 1),
                              min_size=1, max_size=3))
         edges.extend((s, t) for t in succs)
-    return TransitionSystem([f"q{i}" for i in range(n)], 0, edges)
+    return system([f"q{i}" for i in range(n)], edges)
 
 
 @st.composite

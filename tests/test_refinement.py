@@ -6,12 +6,13 @@ from unittest import mock
 import pytest
 
 from conftest import (Budget, refinement_example, decoy_frontier_example,
-                      empty_frontier_example, instances, is_switching_pair)
+                      empty_frontier_example, instances, is_switching_pair,
+                      system)
 
 from respgame import refinement
 from respgame import (PESSIMISTIC, REACHABILITY, SAFETY, AnalysisTimeout,
                       BlockCapExceeded, HeuristicsConfig, LassoRun, Objective,
-                      PlayerSet, TransitionSystem, oracle_shapley,
+                      PlayerSet, oracle_shapley,
                       prune_dummies, refine_loop,
                       responsibility_via_refinement, shapley, solve)
 from respgame.exports import records_document
@@ -61,7 +62,7 @@ def test_final_partition_witness_pairs():
 
 
 def test_no_witnesses_when_objective_unwinnable():
-    ts = TransitionSystem(["a", "island"], 0, [(0, 0), (1, 1)])
+    ts = system(["a", "island"], [(0, 0), (1, 1)])
     obj = Objective(REACHABILITY, target=frozenset({1}))
     pg = _full_pg(ts, obj, LassoRun((), (0,)), PESSIMISTIC)
     part = Partition([frozenset({0}), frozenset({1})])
@@ -202,7 +203,7 @@ def test_trace_names_the_children_of_a_split_coalition_block():
 
 
 def test_refine_loop_empty_universe():
-    ts = TransitionSystem(["a", "island"], 0, [(0, 0), (1, 1)])
+    ts = system(["a", "island"], [(0, 0), (1, 1)])
     obj = Objective(REACHABILITY, target=frozenset({1}))
     pg = PayoffGame(ts, obj, LassoRun((), (0,)), PESSIMISTIC,
                     PlayerSet.of_states(ts, []))

@@ -7,12 +7,13 @@ from unittest import mock
 import pytest
 
 from conftest import (Budget, recurrence_example, diamond_example,
-                      refinement_example, instances, is_switching_pair)
+                      refinement_example, instances, is_switching_pair,
+                      system)
 
 from respgame import (BUECHI, FORWARD, MODES, OPTIMISTIC, PARITY,
                       PESSIMISTIC, REACHABILITY, SAFETY, AnalysisTimeout,
                       LassoRun, Objective, PlayerCapExceeded, PlayerSet,
-                      TransitionSystem, find_violating_run, generate,
+                      find_violating_run, generate,
                       oracle_shapley, oracle_shapley_and_minimal,
                       prune_dummies, shapley_exact)
 from respgame import model, shapley
@@ -33,7 +34,7 @@ def test_gamma_examples():
     assert pg.gamma(1 << index("s0") | 1 << index("s1")) == 1
     assert pg.gamma(1 << index("s1")) == 0
     # a full coalition still loses an unwinnable objective
-    ts2 = TransitionSystem(["a", "island"], 0, [(0, 0), (1, 1)])
+    ts2 = system(["a", "island"], [(0, 0), (1, 1)])
     obj2 = Objective(REACHABILITY, target=frozenset({1}))
     pg2 = _pg(ts2, obj2, LassoRun((), (0,)), PESSIMISTIC)
     assert pg2.gamma(pg2.full_mask()) == 0
@@ -56,7 +57,7 @@ def test_switching_pair_examples():
     assert not is_switching_pair(pg, 0, 1)
     with pytest.raises(ValueError):
         is_switching_pair(pg, 1 << 1, 1)
-    ts2 = TransitionSystem(["a", "island"], 0, [(0, 0), (1, 1)])
+    ts2 = system(["a", "island"], [(0, 0), (1, 1)])
     pg2 = _pg(ts2, Objective(REACHABILITY, target=frozenset({1})),
               LassoRun((), (0,)), PESSIMISTIC)
     assert not is_switching_pair(pg2, pg2.full_mask() & ~1, 0)
@@ -109,20 +110,23 @@ def test_monotone_fill_matches_oracle_within_boundary_bound(size, mode):
 
 
 def test_unwinnable_grand_coalition_solves_one_game():
-    ts = TransitionSystem(["a", "b", "island"], 0,
-                          [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)])
+    ts = system(["a", "b", "island"],
+                [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)])
     obj = Objective(REACHABILITY, target=frozenset({2}))
     for mode in (OPTIMISTIC, PESSIMISTIC, FORWARD):
         pg = _pg(ts, obj, LassoRun((), (0,)), mode)
-        rep = shapley_exact(pg)
-        assert pg.games_solved == 1
+        # W(full) loses, so W(0), the seed, is never solved
+        with mock.patch.object(shapley, "build_game",
+                               wraps=build_game) as spy:
+            rep = shapley_exact(pg)
+        assert pg.games_solved == 1 and spy.call_count == 1
         assert rep.values == (0, 0, 0)
 
 
 def test_empty_coalition_winning_gives_zero_values():
     # every path reaches b, so Sat wins while controlling nothing
-    ts = TransitionSystem(["a", "b", "c"], 0,
-                          [(0, 1), (0, 2), (1, 0), (1, 1), (2, 1)])
+    ts = system(["a", "b", "c"],
+                [(0, 1), (0, 2), (1, 0), (1, 1), (2, 1)])
     obj = Objective(REACHABILITY, target=frozenset({1}))
     pg = _pg(ts, obj, None, FORWARD)
     assert pg.gamma(0) == 1
@@ -153,7 +157,7 @@ def test_prune_dummies_optimistic_restricted_to_run():
 
 
 def test_prune_dummies_deterministic_system_empty():
-    ts = TransitionSystem(["a", "b"], 0, [(0, 1), (1, 0)])
+    ts = system(["a", "b"], [(0, 1), (1, 0)])
     obj = Objective(REACHABILITY, target=frozenset())
     players = prune_dummies(ts, obj, LassoRun((), (0, 1)), PESSIMISTIC)
     assert len(players) == 0
@@ -267,14 +271,15 @@ def test_gamma_values_on_arenas_sharing_the_model_predecessor_lists():
     # d and e form a component that a, b and c never reach; it holds a
     # target of every objective and an edge back into the reachable part,
     # and every game is solved on the whole arena, d and e included
-    ts = TransitionSystem(["a", "b", "c", "d", "e"], 0,
-                          [(0, 1), (0, 2), (1, 0), (2, 2), (3, 3), (3, 4),
-                           (3, 0), (4, 3)])
+    ts = system(["a", "b", "c", "d", "e"],
+                [(0, 1), (0, 2), (1, 0), (2, 2), (3, 3), (3, 4),
+                 (3, 0), (4, 3)])
     objectives = (Objective(SAFETY, target=frozenset({2, 4})),
                   Objective(REACHABILITY, target=frozenset({4})),
                   Objective(BUECHI, target=frozenset({1, 3})),
                   Objective(PARITY, colours=(1, 0, 1, 2, 2)))
     arenas = []
+    expected = 0
 
     def recording(*args, **kwargs):
         game = build_game(*args, **kwargs)
@@ -295,9 +300,14 @@ def test_gamma_values_on_arenas_sharing_the_model_predecessor_lists():
                     assert game_value(cold) == value
                 prune_dummies(ts, obj, run, mode)
                 oracle_shapley(ts, obj, run, mode)
-        # 4 kinds x 3 modes x (32 gamma games, 2 pruning games, 32 oracle
-        # games), every one on the predecessor lists built once for ts
-        assert len(arenas) == 4 * 3 * (32 + 2 + 32)
+                # 32 gamma games, or only W(full) where a reachability or
+                # safety game's grand coalition loses; 2 pruning games and
+                # 32 oracle games
+                lost = (obj.kind in (REACHABILITY, SAFETY)
+                        and not pg.gamma(pg.full_mask()))
+                expected += (1 if lost else 32) + 2 + 32
+        # every game on the predecessor lists built once for ts
+        assert 0 < len(arenas) == expected
         assert all(arena.preds() is ts.preds() for arena in arenas)
         assert built.call_count == 1
 
@@ -323,8 +333,8 @@ def test_seeded_solves_equal_cold_solves(kind):
 
 def test_flatten_is_the_union_of_the_chosen_players_members():
     n = 150
-    ts = TransitionSystem([f"s{i}" for i in range(n)], 0,
-                          [(i, min(i + 1, n - 1)) for i in range(n)])
+    ts = system([f"s{i}" for i in range(n)],
+                [(i, min(i + 1, n - 1)) for i in range(n)])
     obj = Objective(REACHABILITY, target=frozenset({n - 1}))
     run = LassoRun(tuple(range(n - 1)), (n - 1,))
     blocks = [frozenset(range(i, min(i + 2, n))) for i in range(0, n, 2)]
