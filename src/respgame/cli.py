@@ -75,6 +75,8 @@ def _add_model_flags(sub):
                      help="write the result here instead of stdout")
 
 
+_HEURISTICS = HeuristicsConfig()
+
 # flags beyond the model flags; each command gets only those it reads
 _OWN_FLAGS = {
     "--player-cap": dict(type=_non_negative(int),
@@ -82,11 +84,11 @@ _OWN_FLAGS = {
     "--block-cap": dict(type=_non_negative(int), default=DEFAULT_BLOCK_CAP),
     "--oracle-cap": dict(type=_non_negative(int),
                          default=DEFAULT_ORACLE_CAP),
-    "--seed": dict(type=int, default=HeuristicsConfig.rng_seed),
+    "--seed": dict(type=int, default=_HEURISTICS.rng_seed),
     "--format": dict(choices=("table", "records", "dot"), default="table"),
-    "--initial-blocks": dict(type=int, default=HeuristicsConfig.initial_blocks),
-    "--select": dict(choices=SELECT_HEURISTICS, default=HeuristicsConfig.select),
-    "--refine": dict(choices=REFINE_HEURISTICS, default=HeuristicsConfig.refine),
+    "--initial-blocks": dict(type=int, default=_HEURISTICS.initial_blocks),
+    "--select": dict(choices=SELECT_HEURISTICS, default=_HEURISTICS.select),
+    "--refine": dict(choices=REFINE_HEURISTICS, default=_HEURISTICS.refine),
     "--explain": dict(action="store_true",
                       help="print the refinement trace (table format)"),
     "--no-values": dict(action="store_true",
@@ -102,6 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Backward responsibility values for lasso counterexamples "
                     "in finite transition systems.")
     subs = parser.add_subparsers(dest="command", required=True)
+    # declared once and shared by the four commands that read a model
+    model_flags = argparse.ArgumentParser(add_help=False)
+    _add_model_flags(model_flags)
     for name, helptext, own in (
             ("analyze", "exact Shapley responsibility for every player",
              ("--player-cap", "--format")),
@@ -113,8 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
               "--no-values")),
             ("oracle", "brute-force reference computation",
              ("--oracle-cap", "--minimal-coalitions"))):
-        sub = subs.add_parser(name, help=helptext)
-        _add_model_flags(sub)
+        sub = subs.add_parser(name, help=helptext, parents=[model_flags])
         for flag in own:
             sub.add_argument(flag, **_OWN_FLAGS[flag])
     gen = subs.add_parser("generate", help="emit a benchmark model document")

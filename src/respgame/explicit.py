@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Tuple
 
@@ -17,28 +16,43 @@ _OBJECTIVE_FIELDS = {"kind", "target", "colours"}
 _RUN_FIELDS = {"prefix", "loop"}
 
 
-@dataclass
 class ExplicitModelDoc:
     """Name-based surface of a model file; see README for the schema.
 
     Kept deliberately close to the wire format so parse -> serialize ->
-    parse is a fixpoint.  `system` is not part of the document: it is the
-    `build_system` result that `parse_explicit` made while validating, so
-    a loader need not build it again.  It is None for a document made in
-    code and is not updated when a field changes.
+    parse is a fixpoint.  The fields may be assigned after construction.
+    `system` is not part of the document: it is the `build_system` result
+    that `parse_explicit` made while validating, so a loader need not
+    build it again.  It is None for a document made in code, is not
+    updated when a field changes, and is left out of equality.
     """
 
-    states: List[str]
-    initial: str
-    transitions: List[Tuple[str, str]]
-    objective_kind: str
-    target: Optional[List[str]] = None
-    colours: Optional[Dict[str, int]] = None
-    run_prefix: Optional[List[str]] = None
-    run_loop: Optional[List[str]] = None
-    groups: Optional[Dict[str, List[str]]] = None
-    system: Optional[tuple] = field(default=None, init=False, compare=False,
-                                    repr=False)
+    _FIELDS = ("states", "initial", "transitions", "objective_kind", "target",
+               "colours", "run_prefix", "run_loop", "groups")
+
+    def __init__(self, states: List[str], initial: str,
+                 transitions: List[Tuple[str, str]], objective_kind: str,
+                 target: Optional[List[str]] = None,
+                 colours: Optional[Dict[str, int]] = None,
+                 run_prefix: Optional[List[str]] = None,
+                 run_loop: Optional[List[str]] = None,
+                 groups: Optional[Dict[str, List[str]]] = None):
+        self.states = states
+        self.initial = initial
+        self.transitions = transitions
+        self.objective_kind = objective_kind
+        self.target = target
+        self.colours = colours
+        self.run_prefix = run_prefix
+        self.run_loop = run_loop
+        self.groups = groups
+        self.system = None
+
+    def __eq__(self, other):
+        if other.__class__ is not ExplicitModelDoc:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self._FIELDS)
 
     def has_run(self) -> bool:
         return self.run_loop is not None

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import InputError
 from .model import (BUECHI, REACHABILITY, SAFETY, LassoRun, Objective,
@@ -45,8 +44,7 @@ class GameArena:
         return len(self.names)
 
 
-@dataclass(frozen=True)
-class Game:
+class Game(NamedTuple):
     arena: GameArena
     objective: Objective
 

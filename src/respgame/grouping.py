@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import InputError, decode_json, read_text
 from .model import TransitionSystem
@@ -14,8 +13,13 @@ BY_MODULE = "by-module"
 BY_LABEL = "by-label"
 
 
-@dataclass(frozen=True)
-class GroupingSpec:
+class _GroupingFields(NamedTuple):
+    mode: str
+    blocks: Optional[Dict[str, List[str]]] = None
+    label_names: Tuple[str, ...] = ()
+
+
+class GroupingSpec(_GroupingFields):
     """How to partition the state space into blocks.
 
     explicit-list: `blocks` maps block names to state-name lists.
@@ -24,13 +28,13 @@ class GroupingSpec:
     by-label: key states by the truth values of the named labels.
     """
 
-    mode: str
-    blocks: Optional[Dict[str, List[str]]] = None
-    label_names: Tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode not in (EXPLICIT_LIST, BY_MODULE, BY_LABEL):
             raise InputError(f"unknown grouping mode {self.mode!r}")
+        return self
 
 
 def resolve_grouping(spec: GroupingSpec, ts: TransitionSystem,

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError
 
@@ -108,8 +107,13 @@ def predecessors(succ) -> tuple:
     return tuple(map(tuple, pred))
 
 
-@dataclass(frozen=True)
-class Objective:
+class _ObjectiveFields(NamedTuple):
+    kind: str
+    target: Optional[frozenset] = None
+    colours: Optional[Tuple[int, ...]] = None
+
+
+class Objective(_ObjectiveFields):
     """Safety / reachability / Buechi target set, or a parity colouring.
 
     Exactly one payload is populated: `target` for the set-based kinds,
@@ -118,11 +122,10 @@ class Objective:
     infinitely often is even.
     """
 
-    kind: str
-    target: Optional[frozenset] = None
-    colours: Optional[Tuple[int, ...]] = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in OBJECTIVE_KINDS:
             raise InputError(f"unknown objective kind {self.kind!r}")
         if self.kind == PARITY:
@@ -133,6 +136,7 @@ class Objective:
         else:
             if self.target is None or self.colours is not None:
                 raise InputError(f"{self.kind} objectives take a target set only")
+        return self
 
     def check_against(self, ts: TransitionSystem):
         n = len(ts)
@@ -145,17 +149,26 @@ class Objective:
                 raise InputError(f"objective target out of range: {bad}")
 
 
-@dataclass(frozen=True)
 class LassoRun:
     """Simple lasso-shaped run: finite prefix followed by a repeated loop.
 
     The loop is non-empty and repeats no state; no loop state occurs in the
     prefix and the prefix itself is duplicate-free, so every state on the
-    run has a unique successor along it.
+    run has a unique successor along it.  A run is not changed after
+    construction; two runs are equal when their prefixes and loops are.
     """
 
-    prefix: Tuple[int, ...]
-    loop: Tuple[int, ...]
+    def __init__(self, prefix: Tuple[int, ...], loop: Tuple[int, ...]):
+        self.prefix = prefix
+        self.loop = loop
+
+    def __eq__(self, other):
+        if other.__class__ is not LassoRun:
+            return NotImplemented
+        return self.prefix == other.prefix and self.loop == other.loop
+
+    def __hash__(self):
+        return hash((self.prefix, self.loop))
 
     def states(self) -> frozenset:
         return frozenset(self.prefix) | frozenset(self.loop)

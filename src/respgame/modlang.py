@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass, field
 from itertools import product
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import InputError, StateCapExceeded, read_text
 from .model import TransitionSystem
@@ -37,8 +36,7 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | int | string | punct | keyword | eof
     text: str
     line: int
@@ -152,8 +150,7 @@ class _Parser:
             "in expression")
 
 
-@dataclass(frozen=True)
-class VarDecl:
+class VarDecl(NamedTuple):
     name: str
     kind: str  # int | bool
     lo: int
@@ -162,8 +159,7 @@ class VarDecl:
     module: str
 
 
-@dataclass
-class Command:
+class Command(NamedTuple):
     module: str
     action: Optional[str]
     guard: object
@@ -175,15 +171,25 @@ class Command:
         return f"{tag} command of module {self.module} (line {self.line})"
 
 
-@dataclass
 class ModuleDef:
-    name: str
-    variables: List[VarDecl] = field(default_factory=list)
-    commands: List[Command] = field(default_factory=list)
+    """A module's variables and commands; the parser appends to both
+    lists, and each module gets lists of its own.  Modules compare by
+    value, so that two parses of one program are equal."""
+
+    def __init__(self, name: str, variables: Optional[List[VarDecl]] = None,
+                 commands: Optional[List[Command]] = None):
+        self.name = name
+        self.variables = [] if variables is None else variables
+        self.commands = [] if commands is None else commands
+
+    def __eq__(self, other):
+        if other.__class__ is not ModuleDef:
+            return NotImplemented
+        return (self.name == other.name and self.variables == other.variables
+                and self.commands == other.commands)
 
 
-@dataclass
-class ModuleLangProgram:
+class ModuleLangProgram(NamedTuple):
     constants: Dict[str, object]
     formulas: Dict[str, object]
     modules: List[ModuleDef]
@@ -551,8 +557,7 @@ def _parse_command(p: _Parser, module_name, local_vars) -> Command:
     return Command(module_name, action, guard, updates, open_tok.line)
 
 
-@dataclass
-class ExpandedModel:
+class ExpandedModel(NamedTuple):
     """Explicit reachable state space of a program.
 
     State names are canonical `var=value` listings in declaration order;

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from .games import OPTIMISTIC, build_game, engrave, solve
 from .model import (BUECHI, REACHABILITY, LassoRun, Objective,
@@ -48,8 +47,7 @@ def bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
-class RhoOrder:
+class RhoOrder(NamedTuple):
     """Reachability preorder over run states plus the jump targets.
 
     Sets of run states are bitmasks, bit s for state s.  `pos` maps each
@@ -167,8 +165,7 @@ def rho_order(ts: TransitionSystem, run: LassoRun, target=()) -> RhoOrder:
                     {s: leq[s] & below[r] for s, r in rank.items()}, solo)
 
 
-@dataclass
-class BuechiSearch:
+class BuechiSearch(NamedTuple):
     """What the searches over one system, target and run share: the
     coalition game with its memo, and `order`, which holds the run order,
     the jump targets, the exclusion masks and the states that win alone,

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BlockCapExceeded, InputError, PlayerCapExceeded
 from .shapley import (DEFAULT_SHAPLEY_CAP, PayoffGame, ResponsibilityReport,
@@ -19,20 +18,25 @@ REFINE_HEURISTICS = ("random", "frontier-random", "frontier-first",
 DEFAULT_BLOCK_CAP = 24
 
 
-@dataclass(frozen=True)
-class HeuristicsConfig:
+class _HeuristicsFields(NamedTuple):
     initial_blocks: int = 1
     select: str = "random"
     refine: str = "frontier-random"
     rng_seed: int = 0
 
-    def __post_init__(self):
+
+class HeuristicsConfig(_HeuristicsFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.initial_blocks < 1:
             raise InputError("initial_blocks must be >= 1")
         if self.select not in SELECT_HEURISTICS:
             raise InputError(f"unknown select heuristic {self.select!r}")
         if self.refine not in REFINE_HEURISTICS:
             raise InputError(f"unknown refine heuristic {self.refine!r}")
+        return self
 
 
 class Partition:
@@ -89,8 +93,7 @@ class Partition:
         return {bid: tuple(sorted(b)) for bid, b in sorted(self.blocks.items())}
 
 
-@dataclass(frozen=True)
-class BspWitness:
+class BspWitness(NamedTuple):
     """Concrete block-switching pair with both winning regions.
 
     gamma of the player mask `coalition` is 0 and flips to 1 once
@@ -258,8 +261,7 @@ def select_blocks(pg: PayoffGame, partition: Partition,
     return min(ids, key=lambda b: (len(candidates[b].frontier_counts), b))
 
 
-@dataclass
-class IterationRecord:
+class IterationRecord(NamedTuple):
     """One loop pass: the partition seen, the witnesses known so far, and
     the split performed (absent on the terminal pass).  Player and state
     references are recorded by display name."""
@@ -273,8 +275,7 @@ class IterationRecord:
     split_state: Optional[str] = None
 
 
-@dataclass
-class RefinementResult:
+class RefinementResult(NamedTuple):
     responsible: frozenset  # player positions
     trace: List[IterationRecord]
     witnesses: Dict[int, BspWitness]
@@ -329,11 +330,11 @@ def refine_loop(pg: PayoffGame, config: HeuristicsConfig,
         witness = candidates[selected]
         chosen, fr, _, _ = refine_block(
             pg, partition, witness, config, iteration)
-        record.selected = selected
-        record.delta = tuple(state_names[s] for s in sorted(witness.delta))
-        record.frontier = tuple(state_names[s] for s in sorted(fr))
-        record.split_state = state_names[chosen]
-        trace.append(record)
+        trace.append(record._replace(
+            selected=selected,
+            delta=tuple(state_names[s] for s in sorted(witness.delta)),
+            frontier=tuple(state_names[s] for s in sorted(fr)),
+            split_state=state_names[chosen]))
         known.pop(selected, None)
     final = compute_has_bsp(pg, partition, known=known, cap=cap)
     witnesses = {bid: w for bid, w in final.items() if w is not None}

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress
@@ -23,22 +22,28 @@ DEFAULT_SHAPLEY_CAP = 24
 DEFAULT_ORACLE_CAP = 20
 
 
-@dataclass(frozen=True)
-class PlayerSet:
-    """Ordered player identities: individual states or blocks of states.
-
-    For block players, `members[i]` is the state set of player i and the
-    blocks partition the full state space.  For state players, `members[i]`
-    is the singleton of the state itself.
-    """
-
+class _PlayerFields(NamedTuple):
     kind: str
     names: Tuple[str, ...]
     members: Tuple[frozenset, ...]
 
-    def __post_init__(self):
+
+class PlayerSet(_PlayerFields):
+    """Ordered player identities: individual states or blocks of states.
+
+    For block players, `members[i]` is the state set of player i and the
+    blocks partition the full state space.  For state players, `members[i]`
+    is the singleton of the state itself.  `len` counts the players, not
+    the three fields.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.names) != len(set(self.names)):
             raise ValueError("duplicate player names")
+        return self
 
     def __len__(self):
         return len(self.names)
@@ -69,7 +74,6 @@ class _Band(NamedTuple):
     border: List[int]
 
 
-@dataclass
 class PayoffGame:
     """Monotone 0/1 coalition game induced by a model, objective and run.
 
@@ -89,14 +93,18 @@ class PayoffGame:
     games are solved whole.
     """
 
-    ts: TransitionSystem
-    objective: Objective
-    run: Optional[LassoRun]
-    mode: str
-    players: PlayerSet
-    deadline: Optional[Callable[[], None]] = None
-    memo: Dict[int, int] = field(default_factory=dict)
-    memo_hits: int = 0
+    def __init__(self, ts: TransitionSystem, objective: Objective,
+                 run: Optional[LassoRun], mode: str, players: PlayerSet,
+                 deadline: Optional[Callable[[], None]] = None,
+                 memo: Optional[Dict[int, int]] = None, memo_hits: int = 0):
+        self.ts = ts
+        self.objective = objective
+        self.run = run
+        self.mode = mode
+        self.players = players
+        self.deadline = deadline
+        self.memo = {} if memo is None else memo
+        self.memo_hits = memo_hits
 
     @property
     def games_solved(self) -> int:
@@ -212,8 +220,7 @@ class PayoffGame:
             m for i, m in enumerate(masks) if mask >> i & 1))
 
 
-@dataclass(frozen=True)
-class ResponsibilityReport:
+class ResponsibilityReport(NamedTuple):
     """Exact rational responsibility per player plus the positivity set."""
 
     player_kind: str
@@ -231,11 +238,6 @@ class ResponsibilityReport:
 
     def as_dict(self) -> Dict[str, Fraction]:
         return dict(zip(self.names, self.values))
-
-
-def _shapley_weights(n: int) -> List[Fraction]:
-    # k!(n-k-1)!/n! == 1 / (n * C(n-1, k)), kept exact via integers
-    return [Fraction(1, n * math.comb(n - 1, k)) for k in range(n)]
 
 
 def _subsets(mask: int) -> int:
@@ -325,14 +327,18 @@ def _swings(win: int, p: int, n: int) -> int:
 def shapley_values(win: int, n: int) -> Tuple[Fraction, ...]:
     """Exact Shapley values of the n players of the winning table `win`:
     switching coalitions per (player, coalition size), counted with
-    big-integer bit operations."""
+    big-integer bit operations.  A coalition of size k weighs
+    k!(n-1-k)!/n!, so each value is one fraction over n! of an integer
+    sum."""
     layers = _layers(n)
-    weights = _shapley_weights(n)
+    fact = math.factorial
+    weights = [fact(k) * fact(n - 1 - k) for k in range(n)]
     values = []
     for p in range(n):
         swings = _swings(win, p, n)
-        values.append(sum((weights[k] * (swings & layers[k]).bit_count()
-                           for k in range(n)), Fraction(0)))
+        values.append(Fraction(sum(w * (swings & layer).bit_count()
+                                   for w, layer in zip(weights, layers)),
+                               fact(n)))
     return tuple(values)
 
 

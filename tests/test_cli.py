@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour, exit codes and file outputs."""
 
+import argparse
 import json
 import re
 import time
@@ -563,3 +564,89 @@ def test_heuristic_flag_defaults_are_the_config_defaults():
         defaults.rng_seed)
     positivity = build_parser().parse_args(["positivity", "model.json"])
     assert positivity.seed == defaults.rng_seed
+
+
+def _reference_parser():
+    """The parser as `build_parser` made it before the model flags were
+    declared once and shared: every command that reads a model adds them
+    to itself."""
+    cli = respgame.cli
+    parser = argparse.ArgumentParser(
+        prog="respgame",
+        description="Backward responsibility values for lasso counterexamples "
+                    "in finite transition systems.")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, helptext, own in (
+            ("analyze", "exact Shapley responsibility for every player",
+             ("--player-cap", "--format")),
+            ("positivity", "the set of players with positive responsibility",
+             ("--block-cap", "--seed")),
+            ("refine", "positivity (and values) via partition refinement",
+             ("--player-cap", "--block-cap", "--seed", "--format",
+              "--initial-blocks", "--select", "--refine", "--explain",
+              "--no-values")),
+            ("oracle", "brute-force reference computation",
+             ("--oracle-cap", "--minimal-coalitions"))):
+        sub = subs.add_parser(name, help=helptext)
+        cli._add_model_flags(sub)
+        for flag in own:
+            sub.add_argument(flag, **cli._OWN_FLAGS[flag])
+    gen = subs.add_parser("generate", help="emit a benchmark model document")
+    gen.add_argument("--family", choices=cli.FAMILIES, required=True)
+    gen.add_argument("--size", type=int, default=0)
+    gen.add_argument("--clean", action="store_true",
+                     help="centrifuge-analog only: omit the injected bug")
+    gen.add_argument("-o", "--output", metavar="FILE")
+    return parser
+
+
+def _help_texts(parser):
+    subs = next(a for a in parser._actions if a.choices)
+    texts = [parser.format_help(), parser.format_usage()]
+    for sub in subs.choices.values():
+        texts += [sub.format_help(), sub.format_usage()]
+    return texts
+
+
+# parsed in this order by one parser, so that a flag's state leaking from
+# one command or line into the next shows
+_ARGV_TABLE = [
+    ["analyze", "m.json"],
+    ["analyze", "m.json", "--mode", "optimistic", "--player-cap", "5",
+     "--format", "records", "--target", "a"],
+    ["positivity", "m.json", "--objective", "reachability", "--target", "a",
+     "--target", "b", "--seed", "3", "--block-cap", "0"],
+    ["refine", "m.json", "--objective", "parity", "--colour", "x=1",
+     "--colour", "y=2", "--select", "max-delta", "--refine",
+     "frontier-first", "--initial-blocks", "4", "--explain", "--no-values"],
+    ["refine", "m.json", "--target", "c"],
+    ["oracle", "m.json", "--group-by-label", "a", "--group-by-label", "b",
+     "--minimal-coalitions", "--oracle-cap", "7", "--timeout-s", "1.5",
+     "--state-cap", "10"],
+    ["analyze", "m.json", "--run-prefix", "a,b", "--run-loop", "c",
+     "--find-run", "--no-prune", "-o", "out.txt", "--groups", "g.json",
+     "--group-by-module", "--target-label", "bad"],
+    ["oracle", "m.json"],
+    ["generate", "--family", "clouds", "--size", "3", "--clean"],
+    ["analyze", "m.json", "--mode", "sideways"],
+    ["refine", "m.json", "--timeout-s", "nan"],
+    ["positivity", "m.json", "--player-cap", "3"],
+    ["oracle"],
+]
+
+
+def _parsed(parser, argv, capsys):
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr().err
+
+
+def test_shared_model_flags_parse_and_print_as_per_command_flags(
+        capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")
+    shared, reference = build_parser(), _reference_parser()
+    assert _help_texts(shared) == _help_texts(reference)
+    for argv in _ARGV_TABLE:
+        assert _parsed(shared, argv, capsys) == _parsed(
+            reference, argv, capsys), argv

@@ -1,5 +1,6 @@
 """Coalition games, exact Shapley values, pruning and the oracle."""
 
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -398,3 +399,30 @@ def test_oracle_sum_and_minimal_scan_honour_the_budget():
                                        deadline=Budget(table + terms))
     oracle_shapley_and_minimal(ts, obj, run, OPTIMISTIC,
                                deadline=Budget(2 * table + terms))
+
+
+def _per_size_values(win, n):
+    """Reference: the Shapley sum with one `Fraction` weight per coalition
+    size, 1 / (n * C(n-1, k)), summed term by term."""
+    weights = [Fraction(1, n * math.comb(n - 1, k)) for k in range(n)]
+    layers = shapley._layers(n)
+    return tuple(
+        sum((weights[k] * (shapley._swings(win, p, n) & layers[k]).bit_count()
+             for k in range(n)), Fraction(0))
+        for p in range(n))
+
+
+def _random_monotone_table(rng, n):
+    """Bit table of the up-closure of a few random coalitions of n players
+    (empty, everything or in between)."""
+    generators = [rng.getrandbits(n) for _ in range(rng.randrange(4))]
+    return sum(1 << mask for mask in range(1 << n)
+               if any(g & mask == g for g in generators))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_shapley_values_equal_the_per_size_fraction_sum(n):
+    rng = random.Random(n)
+    for _ in range(8):
+        win = _random_monotone_table(rng, n)
+        assert shapley.shapley_values(win, n) == _per_size_values(win, n)

@@ -1,10 +1,22 @@
-"""The package's public surface: what `respgame` exports and the README's
-library example."""
+"""The package's public surface: what `respgame` exports, the README's
+library example, what importing the CLI loads, and the contracts of the
+record classes."""
 
 import ast
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+from respgame import (BUECHI, PARITY, SAFETY, ExplicitModelDoc,
+                      HeuristicsConfig, InputError, LassoRun, Objective,
+                      PlayerSet, ResponsibilityReport, cli, parse_program)
+from respgame.games import Game, GameArena
+from respgame.grouping import BY_LABEL, EXPLICIT_LIST, GroupingSpec
+from respgame.modlang import ModuleDef, Token, VarDecl
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "respgame"
@@ -61,3 +73,144 @@ def test_readme_library_example(capsys, monkeypatch):
                 "s2": Fraction(2, 3)}
     assert namespace["report"].as_dict() == expected
     assert capsys.readouterr().out == f"{expected!r}\n"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """`import dataclasses` pulls in `inspect`, `ast`, `dis` and
+    `tokenize`, which every command would pay for at start-up."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import respgame.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-c", code, str(SRC.parent)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
+def test_no_module_imports_dataclasses():
+    importers = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            if "dataclasses" in roots:
+                importers.add(path.name)
+    assert not importers
+
+
+def test_heuristics_config_checks_its_values_at_construction():
+    for bad in (dict(initial_blocks=0), dict(select="widest"),
+                dict(refine="frontier-last")):
+        with pytest.raises(InputError):
+            HeuristicsConfig(**bad)
+    defaults = HeuristicsConfig()
+    assert defaults == HeuristicsConfig(1, "random", "frontier-random", 0)
+    flags = cli._OWN_FLAGS
+    assert (flags["--initial-blocks"]["default"], flags["--select"]["default"],
+            flags["--refine"]["default"], flags["--seed"]["default"]) == (
+        defaults.initial_blocks, defaults.select, defaults.refine,
+        defaults.rng_seed)
+
+
+def test_objective_checks_its_payload_at_construction():
+    for kind, payload, message in (
+            ("liveness", dict(target=frozenset()), "unknown objective kind"),
+            (SAFETY, dict(colours=(0,)), "take a target set only"),
+            (BUECHI, {}, "take a target set only"),
+            (PARITY, dict(colours=(0,), target=frozenset()),
+             "take a colour map only"),
+            (PARITY, dict(colours=(1, -1)), "must be non-negative")):
+        with pytest.raises(InputError, match=message):
+            Objective(kind, **payload)
+    assert Objective(PARITY, None, (0, 2)).colours == (0, 2)
+
+
+def test_player_set_rejects_duplicate_names_and_counts_players():
+    with pytest.raises(ValueError):
+        PlayerSet("blocks", ("a", "a"), (frozenset([0]), frozenset([1])))
+    names = tuple("abcde")
+    players = PlayerSet("states", names,
+                        tuple(frozenset([i]) for i in range(5)))
+    assert len(players) == 5
+    assert len(PlayerSet("states", (), ())) == 0
+
+
+def _frozen_records():
+    """(maker, record) pairs: the maker builds a fresh record each call and
+    `record` is of the same class but differs in one field; one pair or
+    two per immutable record class."""
+    arena = GameArena(("a",), 0, ((0,),), ())
+    target = frozenset([1])
+    return [
+        (lambda: Objective(SAFETY, target=target),
+         Objective(BUECHI, target=target)),
+        (lambda: Objective(PARITY, colours=(0, 1)),
+         Objective(PARITY, colours=(1, 1))),
+        (lambda: LassoRun((0,), (1, 2)), LassoRun((0, 1), (2,))),
+        (lambda: PlayerSet("states", ("a",), (frozenset([0]),)),
+         PlayerSet("blocks", ("a",), (frozenset([0]),))),
+        (lambda: GroupingSpec(BY_LABEL, label_names=("x",)),
+         GroupingSpec(BY_LABEL, label_names=("y",))),
+        (lambda: HeuristicsConfig(rng_seed=3), HeuristicsConfig(rng_seed=4)),
+        (lambda: Game(arena, Objective(SAFETY, target=target)),
+         Game(arena, Objective(SAFETY, target=frozenset()))),
+        (lambda: ResponsibilityReport("states", "optimistic", ("a",),
+                                      (Fraction(1, 2),), 3, 1),
+         ResponsibilityReport("states", "optimistic", ("a",),
+                              (Fraction(1, 2),), 3, 2)),
+        (lambda: Token("ident", "x", 1, 2), Token("ident", "x", 1, 3)),
+        (lambda: VarDecl("x", "int", 0, 3, ("int", 0), "m"),
+         VarDecl("x", "int", 0, 4, ("int", 0), "m")),
+    ]
+
+
+@pytest.mark.parametrize("make, other", _frozen_records(),
+                         ids=[type(r).__name__ for _, r in _frozen_records()])
+def test_formerly_frozen_records_compare_and_hash_by_value(make, other):
+    first, second = make(), make()
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert first != other
+    assert len({first, second, other}) == 2
+
+
+def test_grouping_spec_checks_its_mode_and_compares_blocks_by_value():
+    spec = GroupingSpec(EXPLICIT_LIST, blocks={"b": ["a"]})
+    assert spec == GroupingSpec(EXPLICIT_LIST, blocks={"b": ["a"]})
+    with pytest.raises(InputError):
+        GroupingSpec("by-colour")
+
+
+def test_explicit_document_equality_ignores_the_built_system():
+    def doc():
+        return ExplicitModelDoc(["a", "b"], "a", [("a", "b"), ("b", "a")],
+                                SAFETY, target=["b"])
+    built, plain = doc(), doc()
+    built.system = ("a system",)
+    assert built == plain and plain.system is None
+    # the fields stay assignable, and equality follows them
+    plain.states = ["b", "a"]
+    assert built != plain
+    with pytest.raises(TypeError):
+        hash(built)
+
+
+def test_module_definitions_own_their_lists():
+    first, second = ModuleDef("m"), ModuleDef("n")
+    first.variables.append("x")
+    first.commands.append("c")
+    assert second.variables == [] and second.commands == []
+    assert ModuleDef("n") == second != ModuleDef("m")
+    prog = parse_program("module m x : [0..1] init 0; [] x=0 -> (x'=1); "
+                         "endmodule module n y : bool init false; endmodule")
+    assert [len(mod.commands) for mod in prog.modules] == [1, 0]
+
+
+def test_lasso_run_builds_its_forced_map_once():
+    run = LassoRun((0, 1), (2, 3))
+    forced = run.forced
+    assert forced == {0: (1,), 1: (2,), 2: (3,), 3: (2,)}
+    assert run.forced is forced
+    assert LassoRun((0, 1), (2, 3)).forced is not forced
