@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InputError
@@ -15,15 +16,55 @@ FORWARD = "forward"
 MODES = (OPTIMISTIC, PESSIMISTIC, FORWARD)
 
 
+class Engraved(Sequence):
+    """Read-only view of an engraved graph's successor lists (`engrave`).
+
+    A run state outside `owners` has only its run edge, `forced[s]`; every
+    other state has the model's own tuple `base[s]`.  Indexing reads one
+    entry; iterating materialises every list.
+    """
+
+    __slots__ = ("base", "forced", "owners")
+
+    def __init__(self, base, forced, owners):
+        self.base = base
+        self.forced = forced
+        self.owners = owners
+
+    def __len__(self):
+        return len(self.base)
+
+    def __getitem__(self, s):
+        if isinstance(s, slice) or s < 0:
+            return tuple(self)[s]
+        if s in self.forced and s not in self.owners:
+            return self.forced[s]
+        return self.base[s]
+
+    def __iter__(self):
+        out = list(self.base)
+        owners = self.owners
+        for s, cut in self.forced.items():
+            if s not in owners:
+                out[s] = cut
+        return iter(out)
+
+
 class GameArena:
     """Two-player ownership partition over a (possibly engraved) graph.
 
     `sat` holds the indices controlled by the player trying to satisfy the
-    objective; every other state belongs to the opponent.  `preds` may be
-    the predecessor lists of the graph the arena was engraved from, shared
-    by every arena on it: engraving only cuts a run state down to its run
-    edge, so the attractor skips an edge p -> s whenever `succ[p]` is a
-    single state other than s.  Without them the arena builds its own.
+    objective; every other state belongs to the opponent.  `preds` are the
+    predecessor lists of the graph: of `succ` itself, or, when `succ` is an
+    engraved view, those of the model it was engraved from, shared by every
+    arena on it.  Without them the arena builds its own from `succ`.
+
+    A view is kept only when its `owners` is `sat` itself, so that the cut
+    follows ownership: a state is cut down to its run edge exactly when it
+    is a run state outside `sat`, and no cut state is Sat's.  The attractor
+    relies on this to skip the edges engraving cut without reading a
+    successor list.  A view engraved for another owner set is
+    materialised, with predecessor lists of its own.
     """
 
     __slots__ = ("names", "initial", "succ", "sat", "_preds")
@@ -31,8 +72,10 @@ class GameArena:
     def __init__(self, names, initial, succ, sat, preds=None):
         self.names = names
         self.initial = initial
-        self.succ = succ
         self.sat = frozenset(sat)
+        if isinstance(succ, Engraved) and succ.owners is not self.sat:
+            succ, preds = tuple(succ), None
+        self.succ = succ
         self._preds = preds
 
     def preds(self):
@@ -49,21 +92,18 @@ class Game(NamedTuple):
     objective: Objective
 
 
-def engrave(succ, run: LassoRun, coalition) -> tuple:
+def engrave(succ, run: LassoRun, coalition) -> Engraved:
     """Successor lists of the engraved graph: every run state outside the
     coalition keeps only the transition the run takes.
 
-    The forced entries are the run's own `(t,)` tuples (`LassoRun.forced`),
-    and only the run states outside the coalition are visited.  Every
-    other entry is the very tuple from `succ`, shared rather than copied,
-    so all lists stay sorted and duplicate-free without a re-check.  `run`
-    must be a valid run of the graph (see `require_valid_run`).
+    The result is a view over `succ`, made in O(1) without reading a
+    list: a run state outside `coalition` gives its run's own `(t,)` tuple
+    (`LassoRun.forced`), every other state the very tuple from `succ`, so
+    all lists stay sorted and duplicate-free.  States off the run in
+    `coalition` change nothing.  `run` must be a valid run of the graph
+    (see `require_valid_run`).
     """
-    out = list(succ)
-    forced = run.forced
-    for s in forced.keys() - coalition:
-        out[s] = forced[s]
-    return tuple(out)
+    return Engraved(succ, run.forced, coalition)
 
 
 def off_run_states(ts: TransitionSystem, run: LassoRun) -> frozenset:
@@ -79,7 +119,9 @@ def build_game(ts: TransitionSystem, obj: Objective, run: Optional[LassoRun],
     the run; a caller building many games passes `off_run_states(ts, run)`
     as `off_run` so that it is not recomputed for each.  Forward: original
     graph (no engraving), Sat = coalition.  Every arena shares the
-    predecessor lists of `ts`.
+    predecessor lists of `ts`, and no successor list is read: the engraved
+    graph is a view engraved for Sat's states, which cuts the same run
+    states as the coalition does.
     """
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
@@ -95,7 +137,7 @@ def build_game(ts: TransitionSystem, obj: Objective, run: Optional[LassoRun],
         if off_run is None:
             off_run = off_run_states(ts, run)
         sat = coalition | off_run
-    succ = engrave(ts.succ, run, coalition)
+    succ = engrave(ts.succ, run, sat)
     return Game(GameArena(ts.names, ts.initial, succ, sat, ts.preds()), obj)
 
 
@@ -104,13 +146,12 @@ def attractor(arena: GameArena, target, for_sat: bool, alive=None,
     """Least set containing `target` closed under forced one-step moves.
 
     A state owned by the attracting player joins as soon as one successor
-    is inside; an opponent state joins once all its successors are, and a
-    state with one successor once that one is.  The least fixpoint does
-    not depend on the order in which states join.  With `alive`, the game
-    is the subgame on those states: no other state joins or counts as a
-    successor, and `target` must lie inside it.  With `until`, the pass
-    stops as soon as that state joins, so the set holds it exactly when
-    the least fixpoint does.
+    is inside; an opponent state joins once all its successors are.  The
+    least fixpoint does not depend on the order in which states join.
+    With `alive`, the game is the subgame on those states: no other state
+    joins or counts as a successor, and `target` must lie inside it.  With
+    `until`, the pass stops as soon as that state joins, so the set holds
+    it exactly when the least fixpoint does.
 
     With `border`, `target` may be any set between the real target and
     the least fixpoint, such as the region the attracting player wins in
@@ -118,8 +159,20 @@ def attractor(arena: GameArena, target, for_sat: bool, alive=None,
     worklist then starts from `border` alone, which must hold every state
     of `target` with a predecessor outside it, so that each state outside
     still counts all of its successors inside.
+
+    On an engraved view the predecessor lists are the model's, so they
+    keep the edges engraving cut.  Ownership is tested first: a Sat state
+    is never cut (see `GameArena`), and a state outside `sat` that the
+    run forces has one successor, its run edge, so an edge p -> s from it
+    counts only when s is that successor.  The loop reads the model's
+    lists and `run.forced` directly, and a list only to count an
+    opponent state's successors.
     """
     succ = arena.succ
+    if isinstance(succ, Engraved):
+        base, forced = succ.base, succ.forced
+    else:
+        base, forced = succ, {}
     preds = arena.preds()
     sat = arena.sat
     attr = set(target)
@@ -132,13 +185,18 @@ def attractor(arena: GameArena, target, for_sat: bool, alive=None,
         for p in preds[s]:
             if p in attr or (alive is not None and p not in alive):
                 continue
-            ts = succ[p]
-            if len(ts) == 1:
-                if ts[0] != s:
+            if p in sat:
+                counted = not for_sat
+            elif p in forced:
+                if forced[p][0] != s:
                     continue  # engraving cut the edge p -> s
-            elif (p in sat) != for_sat:
+                counted = False
+            else:
+                counted = for_sat
+            if counted:
                 c = count.get(p)
                 if c is None:
+                    ts = base[p]
                     c = (len(ts) if alive is None
                          else sum(1 for t in ts if t in alive))
                 c -= 1
@@ -155,19 +213,18 @@ def attractor(arena: GameArena, target, for_sat: bool, alive=None,
 def _solve_buechi(arena: GameArena, target) -> frozenset:
     """Recurrence fixpoint: shrink the target to states that can re-force a
     visit, then take Sat's attractor of what is left."""
-    succ = arena.succ
+    succ, sat = arena.succ, arena.sat
     recur = set(target)
     while True:
         attr = attractor(arena, recur, for_sat=True)
         kept = set()
         for f in recur:
-            ts_in = [t for t in succ[f] if t in attr]
-            if f in arena.sat:
-                if ts_in:
+            ts = succ[f]
+            if f in sat:
+                if not attr.isdisjoint(ts):
                     kept.add(f)
-            else:
-                if len(ts_in) == len(succ[f]):
-                    kept.add(f)
+            elif attr.issuperset(ts):
+                kept.add(f)
         if kept == recur:
             return frozenset(attr)
         recur = kept

@@ -123,7 +123,7 @@ def rho_order(ts: TransitionSystem, run: LassoRun, target=()) -> RhoOrder:
         at_least[r] |= at_least[r + 1]
     leq = {s: at_least[r] for s, r in rank.items()}
     geq = {s: at_least[0] & ~at_least[r + 1] for s, r in rank.items()}
-    succ = engrave(ts.succ, run, ())
+    succ = tuple(engrave(ts.succ, run, ()))
     comp = _sccs(succ, range(len(ts)))
     target = frozenset(target)
     # per component: the least rank reached, and the least reached after a

@@ -35,9 +35,13 @@ class PlayerSet(_PlayerFields):
     blocks partition the full state space.  For state players, `members[i]`
     is the singleton of the state itself.  `len` counts the players, not
     the three fields.
+
+    A set made by `prune_dummies` also carries the two regions it solved
+    (`_bounds`), which a payoff game over it reads as its own W(0) and
+    W(full); equality and hashing ignore them.
     """
 
-    __slots__ = ()
+    _bounds: Optional[_Bounds] = None
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -61,6 +65,18 @@ class PlayerSet(_PlayerFields):
         return PlayerSet(BLOCK_PLAYERS,
                          tuple(names[i] for i in order),
                          tuple(frozenset(members[i]) for i in order))
+
+
+class _Bounds(NamedTuple):
+    """Sat's winning regions W(0) and W(all states), as `prune_dummies`
+    solved them for the game of `ts`, `objective`, `run` and `mode`."""
+
+    ts: TransitionSystem
+    objective: Objective
+    run: Optional[LassoRun]
+    mode: str
+    empty: frozenset
+    full: frozenset
 
 
 class _Band(NamedTuple):
@@ -91,6 +107,16 @@ class PayoffGame:
     (reachability, solved once when first needed) or from the complement
     of W(full) (the opponent's attractor, for safety).  Buechi and parity
     games are solved whole.
+
+    Over players from `prune_dummies` neither bound is solved again: the
+    two regions it solved are W(0) and W(full) of this game, because
+    every pruned state is a null player for regions, not only for the
+    initial state's value.  Owning a state with one successor changes
+    nothing, and engraving it cuts nothing.  A play that reaches a state
+    of W(0) can switch to a strategy that wins from there.  A positional
+    winning strategy never leaves its region, so it never visits a state
+    outside W(all states) (for reachability, never before the target).
+    And a state off the run in optimistic mode is Sat's in every game.
     """
 
     def __init__(self, ts: TransitionSystem, objective: Objective,
@@ -174,8 +200,20 @@ class PayoffGame:
         return self.objective.kind in (REACHABILITY, SAFETY)
 
     @cached_property
+    def _pruned(self) -> Optional[_Bounds]:
+        """The regions `prune_dummies` solved for these players, if it
+        solved them for this model, objective, run and mode."""
+        b = self.players._bounds
+        if (b is not None and b.ts is self.ts and b.mode == self.mode
+                and b.objective == self.objective and b.run == self.run):
+            return b
+        return None
+
+    @cached_property
     def _top(self) -> frozenset:
         """W(full) of a reachability or safety game, solved once."""
+        if self._pruned is not None:
+            return self._pruned.full
         if self.deadline is not None:
             self.deadline()
         return solve(self.game(self.full_mask()))
@@ -183,14 +221,16 @@ class PayoffGame:
     @cached_property
     def _band(self) -> _Band:
         """The seed and border of a reachability or safety game: W(0),
-        solved here, for reachability, the complement of W(full) for
-        safety."""
-        if self._reach:
+        solved here unless pruning did, for reachability, the complement
+        of W(full) for safety."""
+        if not self._reach:
+            seed = frozenset(range(len(self.ts))) - self._top
+        elif self._pruned is not None:
+            seed = self._pruned.empty
+        else:
             if self.deadline is not None:
                 self.deadline()
             seed = solve(self.game(0))
-        else:
-            seed = frozenset(range(len(self.ts))) - self._top
         preds = self.ts.preds()
         return _Band(seed,
                      [s for s in seed if any(p not in seed for p in preds[s])])
@@ -375,22 +415,26 @@ def prune_dummies(ts: TransitionSystem, obj: Objective, run: Optional[LassoRun],
     controls nothing or outside it when Sat controls everything.  Every
     removed state is a null player, so the Shapley values of the remaining
     players are unchanged.  `deadline`, when given, is called before each
-    of the two games and may abort by raising.
+    of the two games and may abort by raising.  The two regions ride on
+    the result as a payoff game's bounds (`PlayerSet`, `PayoffGame`).
     """
     n = len(ts)
     candidates = set(range(n))
     if mode == OPTIMISTIC and run is not None:
         candidates &= run.states()
     candidates = {s for s in candidates if len(ts.succ[s]) > 1}
-    if candidates:
-        regions = []
-        for coalition in (frozenset(), frozenset(range(n))):
-            if deadline is not None:
-                deadline()
-            regions.append(solve(build_game(ts, obj, run, coalition, mode)))
-        empty, full = regions
-        candidates = {s for s in candidates if s not in empty and s in full}
-    return PlayerSet.of_states(ts, sorted(candidates))
+    if not candidates:
+        return PlayerSet.of_states(ts, ())
+    regions = []
+    for coalition in (frozenset(), frozenset(range(n))):
+        if deadline is not None:
+            deadline()
+        regions.append(solve(build_game(ts, obj, run, coalition, mode)))
+    empty, full = regions
+    players = PlayerSet.of_states(
+        ts, [s for s in candidates if s not in empty and s in full])
+    players._bounds = _Bounds(ts, obj, run, mode, empty, full)
+    return players
 
 
 def _naive_gamma_table(ts: TransitionSystem, obj: Objective,

@@ -114,6 +114,24 @@ FIXTURES = {"engraving_example": engraving_example, "recurrence_example": recurr
             "refinement_example": refinement_example, "decoy_frontier_example": decoy_frontier_example, "empty_frontier_example": empty_frontier_example}
 
 
+def reference_engrave(succ, run, coalition) -> tuple:
+    """The engraved graph's successor lists as a copy: every run state
+    outside the coalition keeps only its run edge.  What the view that
+    `engrave` returns must list."""
+    out = list(succ)
+    forced = run.forced
+    for s in forced.keys() - coalition:
+        out[s] = forced[s]
+    return tuple(out)
+
+
+def reference_lists(ts, run, coalition, mode) -> tuple:
+    """The successor lists of the arena `build_game` makes in `mode`."""
+    if mode == FORWARD:
+        return ts.succ
+    return reference_engrave(ts.succ, run, coalition)
+
+
 def random_total_system(rng: random.Random, max_states: int = 9,
                         min_states: int = 2) -> TransitionSystem:
     n = rng.randint(min_states, max_states)

@@ -3,6 +3,7 @@
 import argparse
 import json
 import re
+import sys
 import time
 from pathlib import Path
 from unittest import mock
@@ -11,8 +12,9 @@ import pytest
 
 import respgame.cli
 import respgame.explicit
+import respgame.games
 import respgame.shapley
-from respgame import HeuristicsConfig
+from respgame import HeuristicsConfig, generate, serialize_explicit
 from respgame.cli import build_parser, run_cli
 from respgame.model import require_valid_run
 
@@ -650,3 +652,26 @@ def test_shared_model_flags_parse_and_print_as_per_command_flags(
     for argv in _ARGV_TABLE:
         assert _parsed(shared, argv, capsys) == _parsed(
             reference, argv, capsys), argv
+
+
+def test_refine_solves_only_the_two_pruning_games(capsys, monkeypatch,
+                                                   tmp_path):
+    # the payoff game reads W(0) and W(full) off the regions prune_dummies
+    # solved, and every other game is a seeded attractor, so the only
+    # solves are the pruning games
+    model = tmp_path / "clouds6.json"
+    model.write_text(serialize_explicit(generate("clouds", 6)))
+    solve = respgame.games.solve
+    calls = []
+
+    def counting(game):
+        calls.append(game)
+        return solve(game)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "respgame" \
+                and getattr(module, "solve", None) is solve:
+            monkeypatch.setattr(module, "solve", counting)
+    code, out, _ = run(capsys, "refine", str(model), "--format", "records")
+    assert code == 0 and json.loads(out)["players"]
+    assert len(calls) == 2

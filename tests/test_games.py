@@ -7,12 +7,13 @@ import pytest
 from conftest import (engraving_example, enumerate_strategies, instances,
                       parity_jump_example, random_objective,
                       random_total_system, recurrence_example,
-                      refinement_example, system, _play_outcome)
+                      reference_engrave, reference_lists, refinement_example,
+                      system, _play_outcome)
 
-from respgame import (BUECHI, FORWARD, OPTIMISTIC, PARITY, PESSIMISTIC,
-                      REACHABILITY, SAFETY, LassoRun, Objective,
-                      arena_to_dot, build_game, engrave,
-                      game_value, solve)
+from respgame import (BUECHI, FORWARD, MODES, OPTIMISTIC, PARITY,
+                      PESSIMISTIC, REACHABILITY, SAFETY, LassoRun, Objective,
+                      PayoffGame, PlayerSet, arena_to_dot, build_game,
+                      engrave, game_value, solve)
 from respgame.games import Game, GameArena, attractor
 
 
@@ -32,7 +33,9 @@ def test_engrave_keeps_coalition_choices():
 def test_engrave_full_coalition_is_identity():
     ts, _obj, run = engraving_example()
     out = engrave(ts.succ, run, set(range(len(ts))))
-    assert out == ts.succ
+    # a view over the model's tuples, not a copy of them
+    assert tuple(out) == ts.succ
+    assert all(out[s] is ts.succ[s] for s in range(len(ts)))
 
 
 def test_engrave_empty_coalition_forces_run():
@@ -41,6 +44,76 @@ def test_engrave_empty_coalition_forces_run():
     run_next = dict(run.edges())
     for s in run.states():
         assert out[s] == (run_next[s],)
+
+
+@pytest.mark.parametrize("kind", [SAFETY, REACHABILITY, BUECHI, PARITY])
+def test_built_arenas_solve_as_arenas_over_the_reference_lists(kind):
+    # the view build_game engraves lists what reference_engrave copies, and
+    # every solver reads it as it reads the copies with predecessor lists
+    # of their own: solve, game_value and the payoff game's seeded gamma
+    # and region, in every mode and for every coalition
+    for ts, obj, run, _ in instances(71 + len(kind), 12, max_states=6,
+                                     kind=kind):
+        players = PlayerSet.of_states(ts, range(len(ts)))
+        for mode in MODES:
+            pg = PayoffGame(ts, obj, run, mode, players)
+            for mask in range(1 << len(ts)):
+                coalition = pg.flatten(mask)
+                game = build_game(ts, obj, run, coalition, mode)
+                lists = reference_lists(ts, run, coalition, mode)
+                assert list(game.arena.succ) == list(lists)
+                ref = Game(GameArena(ts.names, ts.initial, lists,
+                                     game.arena.sat), obj)
+                region = solve(ref)
+                assert solve(game) == region, (mode, mask)
+                assert game_value(game) == int(ts.initial in region)
+                assert pg.region(pg.game(mask)) == region, (mode, mask)
+                assert pg.gamma(mask) == int(ts.initial in region)
+
+
+@pytest.mark.parametrize("kind", [SAFETY, REACHABILITY, BUECHI, PARITY])
+def test_an_arena_on_a_view_engraved_for_other_owners_solves_as_its_lists(
+        kind):
+    # the attractor reads the cut off ownership, so an arena whose owners
+    # are not the view's own (the swapped players, an equal set that is
+    # another object, a random set) must still solve as the copied lists
+    rng = random.Random(len(kind))
+    for ts, obj, run, _ in instances(83 + len(kind), 60, max_states=7,
+                                     kind=kind):
+        n = len(ts)
+        coalition = frozenset(s for s in range(n) if rng.random() < 0.5)
+        view = engrave(ts.succ, run, coalition)
+        lists = reference_engrave(ts.succ, run, coalition)
+        owner_sets = (coalition, frozenset(range(n)) - coalition,
+                      set(coalition),
+                      {s for s in range(n) if rng.random() < 0.5})
+        for sat in owner_sets:
+            arena = GameArena(ts.names, ts.initial, view, sat, ts.preds())
+            own = GameArena(ts.names, ts.initial, lists, sat)
+            assert list(arena.succ) == list(lists)
+            assert solve(Game(arena, obj)) == solve(Game(own, obj)), sat
+
+
+def test_build_game_reads_no_successor_list():
+    ts, obj, run = engraving_example()
+    ts.preds()  # the model's predecessor lists are built once, up front
+    reads = []
+
+    class Counting(tuple):
+        def __iter__(self):
+            reads.append("iter")
+            return super().__iter__()
+
+        def __getitem__(self, index):
+            reads.append(index)
+            return super().__getitem__(index)
+
+    ts.succ = Counting(ts.succ)
+    for mode in MODES:
+        for coalition in ((), {2}, {4}, range(len(ts))):
+            game = build_game(ts, obj, run, coalition, mode)
+            assert len(game.arena.succ) == len(ts)
+    assert reads == []
 
 
 def test_build_game_modes_assign_owners():

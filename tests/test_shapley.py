@@ -332,6 +332,42 @@ def test_seeded_solves_equal_cold_solves(kind):
                 assert pg.gamma(mask) == game_value(cold), (mode, mask)
 
 
+@pytest.mark.parametrize("kind", (REACHABILITY, SAFETY))
+def test_pruned_players_hand_their_regions_to_the_payoff_game(kind):
+    # prune_dummies solves W(0) and W(all states); every pruned state is a
+    # null player for regions, so over the players it keeps they are this
+    # game's W(0) and W(full), and no bound is solved again
+    handed = 0
+    for ts, obj, run, _ in instances(37, 100, max_states=8, kind=kind):
+        for mode in MODES:
+            players = prune_dummies(ts, obj, run, mode)
+            pg = PayoffGame(ts, obj, run, mode, players)
+            fresh = _pg(ts, obj, run, mode,
+                        [ts.index_of(name) for name in players.names])
+            with mock.patch.object(shapley, "solve", wraps=solve) as spy:
+                top, band = pg._top, pg._band
+            if players._bounds is not None:
+                handed += 1
+                assert spy.call_count == 0
+            full = solve(fresh.game(fresh.full_mask()))
+            assert top == full, mode
+            if kind == REACHABILITY:
+                assert band.seed == solve(fresh.game(0)), mode
+            else:
+                assert band.seed == frozenset(range(len(ts))) - full, mode
+            assert sorted(band.border) == sorted(fresh._band.border)
+            for mask in range(pg.full_mask() + 1):
+                cold = build_game(ts, obj, run, pg.flatten(mask), mode)
+                assert pg.gamma(mask) == game_value(cold), (mode, mask)
+                assert pg.region(pg.game(mask)) == solve(cold), (mode, mask)
+            # regions solved for another mode are not this game's
+            for other in MODES:
+                if other != mode:
+                    assert PayoffGame(ts, obj, run, other,
+                                      players)._pruned is None
+    assert handed > 200
+
+
 def test_flatten_is_the_union_of_the_chosen_players_members():
     n = 150
     ts = system([f"s{i}" for i in range(n)],

@@ -12,10 +12,11 @@ import importlib
 import importlib.util
 from collections.abc import Sequence
 from pathlib import Path
+from unittest import mock
 
-from conftest import instances
+from conftest import instances, reference_lists
 
-from respgame import build_game
+from respgame import FORWARD, build_game, games
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -51,6 +52,21 @@ def test_built_arenas_have_one_successor_sequence_per_state():
         assert all(isinstance(ts_, Sequence) and ts_ for ts_ in succ)
         assert tracer._arena_size((), game) == (len(ts),
                                                 sum(map(len, succ)))
+
+
+def test_build_game_engraves_once_per_engraved_arena():
+    # games.engrave_s times these calls, and games.arena_edges_total counts
+    # the edges of the engraved graph, not of the model
+    tracer = _tracer()
+    for ts, obj, run, mode in instances(67, 40):
+        coalition = frozenset(range(1, len(ts), 2))
+        with mock.patch.object(games, "engrave",
+                               wraps=games.engrave) as spy:
+            game = build_game(ts, obj, run, coalition, mode)
+        assert spy.call_count == (0 if mode == FORWARD else 1)
+        lists = reference_lists(ts, run, coalition, mode)
+        assert tracer._arena_size((), game) == (len(lists),
+                                                sum(map(len, lists)))
 
 
 def test_every_name_the_workloads_import_resolves_in_the_package():
