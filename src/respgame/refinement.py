@@ -118,18 +118,15 @@ class BspWitness(NamedTuple):
 def _witness(pg: PayoffGame, partition: Partition, block_id: int,
              coalition: int) -> BspWitness:
     """Solve both games of the pair through `pg.region`, which seeds them
-    like gamma; the frontier is read off the engraved graph of the
-    larger-coalition game, solved second so that only one arena is alive
-    at a time."""
+    like gamma.  The frontier reads the model's successor lists: every
+    block state is Sat's in the larger game, so engraving cut none."""
     block = partition.mask_of((block_id,))
-    block_states = pg.flatten(block)
-    win_without = pg.region(pg.game(coalition))
-    game = pg.game(coalition | block)
-    win_with = pg.region(game)
+    win_without = pg.region(coalition)
+    win_with = pg.region(coalition | block)
     delta = win_with - win_without
     counts = {}
-    for s in sorted(delta & block_states):
-        succ = game.arena.succ[s]
+    for s in sorted(delta & pg.flatten(block)):
+        succ = pg.ts.succ[s]
         if any(t not in delta for t in succ):
             counts[s] = (sum(1 for t in succ if t in win_without),
                          sum(1 for t in succ if t not in win_with))
@@ -243,8 +240,7 @@ def refine_block(pg: PayoffGame, partition: Partition, witness: BspWitness,
     return chosen, fr, single_id, rest_id
 
 
-def select_blocks(pg: PayoffGame, partition: Partition,
-                  candidates: Dict[int, BspWitness],
+def select_blocks(candidates: Dict[int, BspWitness],
                   config: HeuristicsConfig, iteration: int) -> int:
     """The id of the one non-singleton witness block to refine next."""
     if not candidates:
@@ -326,7 +322,7 @@ def refine_loop(pg: PayoffGame, config: HeuristicsConfig,
         if not candidates:
             trace.append(record)
             break
-        selected = select_blocks(pg, partition, candidates, config, iteration)
+        selected = select_blocks(candidates, config, iteration)
         witness = candidates[selected]
         chosen, fr, _, _ = refine_block(
             pg, partition, witness, config, iteration)

@@ -36,12 +36,12 @@ class PlayerSet(_PlayerFields):
     is the singleton of the state itself.  `len` counts the players, not
     the three fields.
 
-    A set made by `prune_dummies` also carries the two regions it solved
-    (`_bounds`), which a payoff game over it reads as its own W(0) and
-    W(full); equality and hashing ignore them.
+    A set made by `prune_dummies` also carries the bounds it solved
+    (`_bounds`), next to the model, objective, run and mode they were
+    solved for; equality and hashing ignore them.
     """
 
-    _bounds: Optional[_Bounds] = None
+    _bounds: Optional[Tuple[tuple, _Bounds]] = None
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -68,26 +68,52 @@ class PlayerSet(_PlayerFields):
 
 
 class _Bounds(NamedTuple):
-    """Sat's winning regions W(0) and W(all states), as `prune_dummies`
-    solved them for the game of `ts`, `objective`, `run` and `mode`."""
+    """Sat's winning regions W(0) and W(full) of a coalition game and, for
+    reachability and safety, the seed every coalition game's attractor
+    contains and its border (`_solve_bounds`); None for the other kinds."""
 
-    ts: TransitionSystem
-    objective: Objective
-    run: Optional[LassoRun]
-    mode: str
     empty: frozenset
     full: frozenset
+    seed: Optional[frozenset]
+    border: Optional[List[int]]
 
 
-class _Band(NamedTuple):
-    """What a reachability or safety payoff game keeps of its bounding
-    regions W(0) and W(full): the seed every coalition game's attractor
-    contains (W(0) for reachability, the complement of W(full) for
-    safety), and the border, the seed states with a predecessor in the
-    model outside the seed."""
+def _solve_bounds(ts: TransitionSystem, obj: Objective,
+                  run: Optional[LassoRun], mode: str, full_states: frozenset,
+                  deadline=None, off_run=None) -> _Bounds:
+    """Sat's winning regions when Sat controls no state, W(0), and when it
+    controls `full_states`, W(full), the second seeded from the first.
 
-    seed: frozenset
-    border: List[int]
+    The coalition game is monotone: state by state, W(0) <= W(C) <=
+    W(full) for every coalition C within `full_states` (Graedel, Thomas and
+    Wilke (eds.), Automata, Logics, and Infinite Games, LNCS 2500, ch. 2).
+    So for reachability W(0), solved cold, is the seed of Sat's attractor
+    in every larger game, W(full) included; for safety the complement of
+    W(full), solved cold, is the seed of the opponent's attractor in every
+    smaller game.  The border is the seed states with a model predecessor
+    outside the seed, where such an attractor's worklist starts.  Buechi
+    and parity solve both regions cold.  `deadline`, when given, is called
+    before each of the two games and may abort by raising.
+    """
+    def game(states):
+        if deadline is not None:
+            deadline()
+        return build_game(ts, obj, run, states, mode, off_run)
+
+    if obj.kind not in (REACHABILITY, SAFETY):
+        return _Bounds(solve(game(frozenset())), solve(game(full_states)),
+                       None, None)
+    reach = obj.kind == REACHABILITY
+    everything = frozenset(range(len(ts)))
+    first = solve(game(frozenset() if reach else full_states))
+    seed = first if reach else everything - first
+    preds = ts.preds()
+    border = [s for s in seed if any(p not in seed for p in preds[s])]
+    attr = attractor(game(full_states if reach else frozenset()).arena,
+                     seed, reach, border=border)
+    if reach:
+        return _Bounds(first, frozenset(attr), seed, border)
+    return _Bounds(everything - attr, first, seed, border)
 
 
 class PayoffGame:
@@ -96,41 +122,27 @@ class PayoffGame:
     gamma() is memoised per coalition bitmask; the memo is shared by every
     caller holding this object (Shapley enumeration, refinement, the
     polynomial positivity algorithms).  `deadline`, when given, is called
-    before every gamma query and before each of the two bounding solves,
+    before every gamma query and before each of the two bounding games,
     and may abort the caller's search by raising.
 
-    A reachability or safety game is decided on its undecided band.  By
-    monotonicity, state by state, W(0) <= W(C) <= W(full) for every
-    coalition C, where W(C) is Sat's winning region when Sat controls C.
-    So W(full) is solved once, on the first query: where it loses, every
-    coalition loses.  Every other game starts its attractor from W(0)
-    (reachability, solved once when first needed) or from the complement
-    of W(full) (the opponent's attractor, for safety).  Buechi and parity
-    games are solved whole.
-
-    Over players from `prune_dummies` neither bound is solved again: the
-    two regions it solved are W(0) and W(full) of this game, because
-    every pruned state is a null player for regions, not only for the
-    initial state's value.  Owning a state with one successor changes
-    nothing, and engraving it cuts nothing.  A play that reaches a state
-    of W(0) can switch to a strategy that wins from there.  A positional
-    winning strategy never leaves its region, so it never visits a state
-    outside W(all states) (for reachability, never before the target).
-    And a state off the run in optimistic mode is Sat's in every game.
+    A reachability or safety game reads gamma of the grand and the empty
+    coalition off its bounds (`_bounds`), and of every coalition where the
+    grand coalition loses; every other coalition's game runs an attractor
+    started from the bounds' seed.  Buechi and parity games are solved
+    whole.
     """
 
     def __init__(self, ts: TransitionSystem, objective: Objective,
                  run: Optional[LassoRun], mode: str, players: PlayerSet,
-                 deadline: Optional[Callable[[], None]] = None,
-                 memo: Optional[Dict[int, int]] = None, memo_hits: int = 0):
+                 deadline: Optional[Callable[[], None]] = None):
         self.ts = ts
         self.objective = objective
         self.run = run
         self.mode = mode
         self.players = players
         self.deadline = deadline
-        self.memo = {} if memo is None else memo
-        self.memo_hits = memo_hits
+        self.memo: Dict[int, int] = {}
+        self.memo_hits = 0
 
     @property
     def games_solved(self) -> int:
@@ -159,7 +171,7 @@ class PayoffGame:
     def game(self, mask: int) -> Game:
         """The engraved game in which Sat controls the coalition `mask`."""
         return build_game(self.ts, self.objective, self.run,
-                          self.flatten(mask), self.mode, off_run=self.off_run)
+                          self.flatten(mask), self.mode, self.off_run)
 
     def gamma(self, mask: int) -> int:
         if self.deadline is not None:
@@ -168,25 +180,26 @@ class PayoffGame:
         if hit is not None:
             self.memo_hits += 1
             return hit
+        initial = self.ts.initial
         if not self._banded:
             value = game_value(self.game(mask))
-        elif mask == self.full_mask() or self.ts.initial not in self._top:
+        elif mask == self.full_mask() or initial not in self._bounds.full:
             # no coalition wins where the grand coalition loses
-            value = int(self.ts.initial in self._top)
-        elif mask == 0 and self._reach:
-            value = int(self.ts.initial in self._band.seed)
+            value = int(initial in self._bounds.full)
+        elif mask == 0:
+            value = int(initial in self._bounds.empty)
         else:
-            attr = self._seeded(self.game(mask), until=self.ts.initial)
-            value = int((self.ts.initial in attr) == self._reach)
+            value = int((initial in self._seeded(mask, initial))
+                        == self._reach)
         self.memo[mask] = value
         return value
 
-    def region(self, game: Game) -> frozenset:
-        """Sat's winning region in `game`, one of this payoff game's
-        coalition games (`game(mask)`); seeded like gamma."""
+    def region(self, mask: int) -> frozenset:
+        """Sat's winning region when it controls the coalition `mask`;
+        seeded like gamma."""
         if not self._banded:
-            return solve(game)
-        attr = self._seeded(game)
+            return solve(self.game(mask))
+        attr = self._seeded(mask)
         if self._reach:
             return frozenset(attr)
         return frozenset(range(len(self.ts))) - attr
@@ -200,47 +213,36 @@ class PayoffGame:
         return self.objective.kind in (REACHABILITY, SAFETY)
 
     @cached_property
-    def _pruned(self) -> Optional[_Bounds]:
-        """The regions `prune_dummies` solved for these players, if it
-        solved them for this model, objective, run and mode."""
-        b = self.players._bounds
-        if (b is not None and b.ts is self.ts and b.mode == self.mode
-                and b.objective == self.objective and b.run == self.run):
-            return b
-        return None
+    def _bounds(self) -> _Bounds:
+        """W(0) and W(full), solved once by `_solve_bounds` unless
+        `prune_dummies` solved them for this model, objective, run and mode.
 
-    @cached_property
-    def _top(self) -> frozenset:
-        """W(full) of a reachability or safety game, solved once."""
-        if self._pruned is not None:
-            return self._pruned.full
-        if self.deadline is not None:
-            self.deadline()
-        return solve(self.game(self.full_mask()))
+        Pruning solves W(0) and W(all states), and those are this game's
+        bounds, because every pruned state is a null player for regions,
+        not only for the initial state's value.  Owning a state with one
+        successor changes nothing, and engraving it cuts nothing.  A play
+        that reaches a state of W(0) can switch to a strategy that wins
+        from there.  A positional winning strategy never leaves its
+        region, so it never visits a state outside W(all states) (for
+        reachability, never before the target).  And a state off the run
+        in optimistic mode is Sat's in every game.
+        """
+        handed = self.players._bounds
+        if handed is not None:
+            (ts, objective, run, mode), bounds = handed
+            if ts is self.ts and (objective, run, mode) == (
+                    self.objective, self.run, self.mode):
+                return bounds
+        return _solve_bounds(self.ts, self.objective, self.run, self.mode,
+                             self.flatten(self.full_mask()), self.deadline,
+                             self.off_run)
 
-    @cached_property
-    def _band(self) -> _Band:
-        """The seed and border of a reachability or safety game: W(0),
-        solved here unless pruning did, for reachability, the complement
-        of W(full) for safety."""
-        if not self._reach:
-            seed = frozenset(range(len(self.ts))) - self._top
-        elif self._pruned is not None:
-            seed = self._pruned.empty
-        else:
-            if self.deadline is not None:
-                self.deadline()
-            seed = solve(self.game(0))
-        preds = self.ts.preds()
-        return _Band(seed,
-                     [s for s in seed if any(p not in seed for p in preds[s])])
-
-    def _seeded(self, game: Game, until=None) -> set:
-        """The attractor that decides `game`: Sat's for reachability, the
-        opponent's for safety, started from the seed."""
-        band = self._band
-        return attractor(game.arena, band.seed, self._reach, until=until,
-                         border=band.border)
+    def _seeded(self, mask: int, until=None) -> set:
+        """The attractor that decides the game of `mask`: Sat's for
+        reachability, the opponent's for safety, started from the seed."""
+        bounds = self._bounds
+        return attractor(self.game(mask).arena, bounds.seed, self._reach,
+                         until=until, border=bounds.border)
 
     @cached_property
     def off_run(self) -> Optional[frozenset]:
@@ -416,7 +418,7 @@ def prune_dummies(ts: TransitionSystem, obj: Objective, run: Optional[LassoRun],
     removed state is a null player, so the Shapley values of the remaining
     players are unchanged.  `deadline`, when given, is called before each
     of the two games and may abort by raising.  The two regions ride on
-    the result as a payoff game's bounds (`PlayerSet`, `PayoffGame`).
+    the result as a payoff game's bounds (`PayoffGame._bounds`).
     """
     n = len(ts)
     candidates = set(range(n))
@@ -425,15 +427,11 @@ def prune_dummies(ts: TransitionSystem, obj: Objective, run: Optional[LassoRun],
     candidates = {s for s in candidates if len(ts.succ[s]) > 1}
     if not candidates:
         return PlayerSet.of_states(ts, ())
-    regions = []
-    for coalition in (frozenset(), frozenset(range(n))):
-        if deadline is not None:
-            deadline()
-        regions.append(solve(build_game(ts, obj, run, coalition, mode)))
-    empty, full = regions
-    players = PlayerSet.of_states(
-        ts, [s for s in candidates if s not in empty and s in full])
-    players._bounds = _Bounds(ts, obj, run, mode, empty, full)
+    bounds = _solve_bounds(ts, obj, run, mode, frozenset(range(n)), deadline)
+    players = PlayerSet.of_states(ts, [s for s in candidates
+                                       if s not in bounds.empty
+                                       and s in bounds.full])
+    players._bounds = (ts, obj, run, mode), bounds
     return players
 
 

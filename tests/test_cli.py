@@ -654,11 +654,11 @@ def test_shared_model_flags_parse_and_print_as_per_command_flags(
             reference, argv, capsys), argv
 
 
-def test_refine_solves_only_the_two_pruning_games(capsys, monkeypatch,
+def test_refine_solves_only_the_first_pruning_game(capsys, monkeypatch,
                                                    tmp_path):
-    # the payoff game reads W(0) and W(full) off the regions prune_dummies
-    # solved, and every other game is a seeded attractor, so the only
-    # solves are the pruning games
+    # pruning solves W(0) and seeds W(all states) from it, the payoff game
+    # reads both off the pruning result, and every other game is a seeded
+    # attractor, so the only solve is the first pruning game
     model = tmp_path / "clouds6.json"
     model.write_text(serialize_explicit(generate("clouds", 6)))
     solve = respgame.games.solve
@@ -674,4 +674,4 @@ def test_refine_solves_only_the_two_pruning_games(capsys, monkeypatch,
             monkeypatch.setattr(module, "solve", counting)
     code, out, _ = run(capsys, "refine", str(model), "--format", "records")
     assert code == 0 and json.loads(out)["players"]
-    assert len(calls) == 2
+    assert len(calls) == 1

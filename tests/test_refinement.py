@@ -166,15 +166,15 @@ def test_select_blocks_heuristics():
              if w is not None}
     big = {bid: len(found[bid].delta) for bid in found}
     cfg = HeuristicsConfig(select="max-delta")
-    pick = select_blocks(pg, part, found, cfg, 1)
+    pick = select_blocks(found, cfg, 1)
     assert big[pick] == max(big.values())
     cfg = HeuristicsConfig(select="min-delta")
-    pick = select_blocks(pg, part, found, cfg, 1)
+    pick = select_blocks(found, cfg, 1)
     assert big[pick] == min(big.values())
     only = {pick: found[pick]}
     for select in ("random", "max-delta", "min-delta", "min-frontier"):
-        assert select_blocks(pg, part, only,
-                             HeuristicsConfig(select=select), 2) == pick
+        assert select_blocks(only, HeuristicsConfig(select=select),
+                             2) == pick
 
 
 def test_refine_loop_worked_example():

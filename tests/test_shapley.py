@@ -110,17 +110,18 @@ def test_monotone_fill_matches_oracle_within_boundary_bound(size, mode):
     assert pg.games_solved < 1 << n
 
 
-def test_unwinnable_grand_coalition_solves_one_game():
+def test_unwinnable_grand_coalition_builds_only_the_two_bounds():
     ts = system(["a", "b", "island"],
                 [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)])
     obj = Objective(REACHABILITY, target=frozenset({2}))
     for mode in (OPTIMISTIC, PESSIMISTIC, FORWARD):
         pg = _pg(ts, obj, LassoRun((), (0,)), mode)
-        # W(full) loses, so W(0), the seed, is never solved
+        # W(full) loses, so the one gamma query reads it and no coalition
+        # game is built beyond the two bounds
         with mock.patch.object(shapley, "build_game",
                                wraps=build_game) as spy:
             rep = shapley_exact(pg)
-        assert pg.games_solved == 1 and spy.call_count == 1
+        assert pg.games_solved == 1 and spy.call_count == 2
         assert rep.values == (0, 0, 0)
 
 
@@ -301,12 +302,12 @@ def test_gamma_values_on_arenas_sharing_the_model_predecessor_lists():
                     assert game_value(cold) == value
                 prune_dummies(ts, obj, run, mode)
                 oracle_shapley(ts, obj, run, mode)
-                # 32 gamma games, or only W(full) where a reachability or
-                # safety game's grand coalition loses; 2 pruning games and
-                # 32 oracle games
+                # 32 gamma games, or only the two bounds where a
+                # reachability or safety game's grand coalition loses; 2
+                # pruning games and 32 oracle games
                 lost = (obj.kind in (REACHABILITY, SAFETY)
                         and not pg.gamma(pg.full_mask()))
-                expected += (1 if lost else 32) + 2 + 32
+                expected += (2 if lost else 32) + 2 + 32
         # every game on the predecessor lists built once for ts
         assert 0 < len(arenas) == expected
         assert all(arena.preds() is ts.preds() for arena in arenas)
@@ -328,8 +329,38 @@ def test_seeded_solves_equal_cold_solves(kind):
             rng.shuffle(masks)
             for mask in masks:
                 cold = build_game(ts, obj, run, pg.flatten(mask), mode)
-                assert pg.region(pg.game(mask)) == solve(cold), (mode, mask)
+                assert pg.region(mask) == solve(cold), (mode, mask)
                 assert pg.gamma(mask) == game_value(cold), (mode, mask)
+
+
+@pytest.mark.parametrize("kind", (REACHABILITY, SAFETY, BUECHI, PARITY))
+def test_solve_bounds_equal_cold_solves(kind):
+    # W(0) and W(full) against cold solves, for full = every state and a
+    # random subset of them; for reachability and safety the seed is W(0)
+    # or the complement of W(full), and the border is the seed states with
+    # a model predecessor outside the seed
+    rng = random.Random(len(kind))
+    for ts, obj, run, _ in instances(43, 40, max_states=8, kind=kind):
+        everything = frozenset(range(len(ts)))
+        preds = ts.preds()
+        for mode in MODES:
+            subset = frozenset(rng.sample(sorted(everything),
+                                          rng.randint(0, len(ts))))
+            for full_states in (everything, subset):
+                bounds = shapley._solve_bounds(ts, obj, run, mode,
+                                               full_states)
+                assert bounds.empty == solve(
+                    build_game(ts, obj, run, (), mode)), mode
+                assert bounds.full == solve(
+                    build_game(ts, obj, run, full_states, mode)), mode
+                if kind in (BUECHI, PARITY):
+                    assert bounds.seed is bounds.border is None
+                    continue
+                seed = (bounds.empty if kind == REACHABILITY
+                        else everything - bounds.full)
+                assert bounds.seed == seed, mode
+                assert sorted(bounds.border) == [
+                    s for s in sorted(seed) if set(preds[s]) - seed], mode
 
 
 @pytest.mark.parametrize("kind", (REACHABILITY, SAFETY))
@@ -344,27 +375,29 @@ def test_pruned_players_hand_their_regions_to_the_payoff_game(kind):
             pg = PayoffGame(ts, obj, run, mode, players)
             fresh = _pg(ts, obj, run, mode,
                         [ts.index_of(name) for name in players.names])
-            with mock.patch.object(shapley, "solve", wraps=solve) as spy:
-                top, band = pg._top, pg._band
+            with mock.patch.object(shapley, "build_game",
+                                   wraps=build_game) as spy:
+                bounds = pg._bounds
             if players._bounds is not None:
                 handed += 1
                 assert spy.call_count == 0
             full = solve(fresh.game(fresh.full_mask()))
-            assert top == full, mode
-            if kind == REACHABILITY:
-                assert band.seed == solve(fresh.game(0)), mode
-            else:
-                assert band.seed == frozenset(range(len(ts))) - full, mode
-            assert sorted(band.border) == sorted(fresh._band.border)
+            assert bounds.full == full, mode
+            assert bounds.empty == solve(fresh.game(0)), mode
+            assert bounds.seed == fresh._bounds.seed, mode
+            assert sorted(bounds.border) == sorted(fresh._bounds.border)
             for mask in range(pg.full_mask() + 1):
                 cold = build_game(ts, obj, run, pg.flatten(mask), mode)
                 assert pg.gamma(mask) == game_value(cold), (mode, mask)
-                assert pg.region(pg.game(mask)) == solve(cold), (mode, mask)
-            # regions solved for another mode are not this game's
+                assert pg.region(mask) == solve(cold), (mode, mask)
+            # regions solved for another mode are not this game's: it
+            # builds its own two bounding games
             for other in MODES:
                 if other != mode:
-                    assert PayoffGame(ts, obj, run, other,
-                                      players)._pruned is None
+                    with mock.patch.object(shapley, "build_game",
+                                           wraps=build_game) as spy:
+                        PayoffGame(ts, obj, run, other, players)._bounds
+                    assert spy.call_count == 2
     assert handed > 200
 
 
@@ -392,20 +425,26 @@ def test_flatten_is_the_union_of_the_chosen_players_members():
 
 
 def test_prune_dummies_checks_the_deadline_before_each_game():
-    ts, obj, run = recurrence_example()
-    ticks = []
+    # Buechi solves both games cold; reachability and safety seed the
+    # second game's attractor from the first game's region
+    ts, buechi, run = recurrence_example()
 
     def expired():
         raise AnalysisTimeout("timeout")
 
-    with mock.patch.object(shapley, "solve", wraps=solve) as spy:
-        with pytest.raises(AnalysisTimeout):
-            prune_dummies(ts, obj, run, PESSIMISTIC, deadline=expired)
-        assert spy.call_count == 0
-        players = prune_dummies(ts, obj, run, PESSIMISTIC,
-                                deadline=lambda: ticks.append(spy.call_count))
-    assert ticks == [0, 1]
-    assert players == prune_dummies(ts, obj, run, PESSIMISTIC)
+    for kind in (BUECHI, REACHABILITY, SAFETY):
+        obj = Objective(kind, target=buechi.target)
+        ticks = []
+        with mock.patch.object(shapley, "build_game",
+                               wraps=build_game) as spy:
+            with pytest.raises(AnalysisTimeout):
+                prune_dummies(ts, obj, run, PESSIMISTIC, deadline=expired)
+            assert spy.call_count == 0
+            players = prune_dummies(
+                ts, obj, run, PESSIMISTIC,
+                deadline=lambda: ticks.append(spy.call_count))
+        assert ticks == [0, 1], kind
+        assert players == prune_dummies(ts, obj, run, PESSIMISTIC)
 
 
 def test_shapley_exact_stops_within_its_budget():

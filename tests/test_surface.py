@@ -1,6 +1,6 @@
 """The package's public surface: what `respgame` exports, the README's
-library example, what importing the CLI loads, and the contracts of the
-record classes."""
+library example, what importing the CLI loads, the contracts of the
+record classes, and that the checkout tracks no ignored artifact."""
 
 import ast
 import re
@@ -98,6 +98,19 @@ def test_no_module_imports_dataclasses():
             if "dataclasses" in roots:
                 importers.add(path.name)
     assert not importers
+
+
+def test_no_tracked_file_matches_the_ignore_rules():
+    """Build and run artifacts are ignored, so none may be committed."""
+    if not (ROOT / ".git").exists():
+        pytest.skip("not a git checkout")
+    try:
+        out = subprocess.run(["git", "ls-files", "-ci", "--exclude-standard"],
+                             cwd=ROOT, capture_output=True, text=True,
+                             check=True)
+    except (OSError, subprocess.CalledProcessError):
+        pytest.skip("git cannot list this checkout")
+    assert out.stdout == ""
 
 
 def test_heuristics_config_checks_its_values_at_construction():
