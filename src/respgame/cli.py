@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 from fractions import Fraction
@@ -376,8 +377,22 @@ _COMMANDS = {
 
 
 def run_cli(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; its exit code.
+
+    The cyclic collector is paused for the command and the caller's setting
+    restored after it: the program builds no reference cycles, so a
+    collection would only re-walk the model's tuples and sets."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except NoViolation as exc:

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import json
+from itertools import compress, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
-from operator import itemgetter
+from operator import itemgetter, not_
 from typing import Optional
 
 from .games import arena_to_dot, build_game
@@ -14,36 +15,59 @@ from .shapley import PayoffGame, ResponsibilityReport
 REPORT_SCHEMA = "respgame-report-v1"
 
 
-def sorted_rows(report: ResponsibilityReport):
-    """(name, value) rows sorted by descending value, then by player order.
+def _by_sign(report: ResponsibilityReport):
+    """(positive, zero, negative): the positive and the negative (name,
+    value) rows, each sorted by descending value, and one flag per row,
+    true where the value is zero.
 
-    Rows are split by the sign of the value first, so the zero rows, most
-    of a large report, keep their player order without a `Fraction`
-    comparison each.  A reverse sort is stable, so equal values keep their
-    player order."""
-    positive, zero, negative = [], [], []
-    for row in zip(report.names, report.values):
-        sign = row[1].numerator
-        (positive if sign > 0 else negative if sign else zero).append(row)
+    A reverse sort is stable, so equal values keep their player order.
+    The zero rows, most of a large report, are neither sorted nor made
+    into rows: `compress` picks them out in player order."""
+    zero = [not value.numerator for value in report.values]
+    positive, negative = [], []
+    for row in compress(zip(report.names, report.values), map(not_, zero)):
+        (positive if row[1].numerator > 0 else negative).append(row)
     positive.sort(key=itemgetter(1), reverse=True)
     negative.sort(key=itemgetter(1), reverse=True)
-    return positive + zero + negative
+    return positive, zero, negative
+
+
+def sorted_rows(report: ResponsibilityReport):
+    """(name, value) rows sorted by descending value, then by player order."""
+    positive, zero, negative = _by_sign(report)
+    rows = zip(report.names, report.values)
+    return positive + list(compress(rows, zero)) + negative
+
+
+# the columns of a zero row after its padded name
+_ZERO_COLUMNS = f"  {'0':>10}  {'0.000000':>10}  no\n"
+
+
+def _table_row(name: str, value, width: int, mark: str) -> str:
+    dec = f"{float(value):.6f}"
+    return f"{name:<{width}}  {str(value):>10}  {dec:>10}  {mark}\n"
 
 
 def render_table(report: ResponsibilityReport,
                  note: Optional[str] = None) -> str:
-    lines = []
-    if note:
-        lines.append(f"note: {note}")
-    width = max([len(n) for n in report.names] + [len("player")])
-    lines.append(f"{'player':<{width}}  {'value':>10}  {'decimal':>10}  positive")
-    for name, value in sorted_rows(report):
-        dec = f"{float(value):.6f}"
-        lines.append(f"{name:<{width}}  {str(value):>10}  {dec:>10}  "
-                     f"{'yes' if value > 0 else 'no'}")
+    """Human-oriented table; layout in docs/report.md.  The zero rows are
+    written in one join over their padded names."""
+    positive, zero, negative = _by_sign(report)
+    width = max(len("player"), max(map(len, report.names), default=0))
+    lines = [f"note: {note}\n"] if note else []
+    lines.append(f"{'player':<{width}}  {'value':>10}  {'decimal':>10}  "
+                 f"positive\n")
+    lines += [_table_row(name, value, width, "yes")
+              for name, value in positive]
+    zero_names = list(compress(report.names, zero))
+    if zero_names:
+        padded = map(str.ljust, zero_names, repeat(width))
+        lines += (_ZERO_COLUMNS.join(padded), _ZERO_COLUMNS)
+    lines += [_table_row(name, value, width, "no")
+              for name, value in negative]
     lines.append(f"games solved: {report.games_solved}, "
-                 f"memo hits: {report.memo_hits}")
-    return "\n".join(lines) + "\n"
+                 f"memo hits: {report.memo_hits}\n")
+    return "".join(lines)
 
 
 def trace_records(trace):
@@ -69,36 +93,63 @@ def _member(key: str, value) -> str:
     return f'  "{key}": ' + json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
-def _players_member(rows) -> str:
-    """The players array, byte for byte as json.dumps(indent=2) writes it.
+def _record(name: str, value) -> str:
+    """One players record, as json.dumps(indent=2) writes it in the array."""
+    return (f'    {{\n      "name": {_encode_str(name)},\n'
+            f'      "numerator": {value.numerator},\n'
+            f'      "denominator": {value.denominator},\n'
+            f'      "positive": {"true" if value.numerator > 0 else "false"}\n'
+            f'    }}')
+
+
+# a zero row's record is these two texts around its encoded name
+_ZERO_HEAD = '    {\n      "name": '
+_ZERO_TAIL = (',\n      "numerator": 0,\n      "denominator": 1,\n'
+              '      "positive": false\n    }')
+
+
+def _players_pieces(positive, zero_names, negative) -> list:
+    """The players member as pieces to concatenate, byte for byte as
+    json.dumps(indent=2) writes it.
 
     Written record by record because json.dumps with an indent runs the
-    pure-Python encoder, and this array is nearly the whole document."""
-    if not rows:
-        return '  "players": []'
-    records = ",\n".join([
-        f'    {{\n      "name": {_encode_str(name)},\n'
-        f'      "numerator": {value.numerator},\n'
-        f'      "denominator": {value.denominator},\n'
-        f'      "positive": {"true" if value.numerator > 0 else "false"}\n'
-        f'    }}' for name, value in rows])
-    return f'  "players": [\n{records}\n  ]'
+    pure-Python encoder, and this array is nearly the whole document; the
+    zero rows are one join of their encoded names between the zero-record
+    texts."""
+    pieces = []
+    for name, value in positive:
+        pieces += (",\n", _record(name, value))
+    if zero_names:
+        names = map(_encode_str, zero_names)
+        pieces += (",\n", _ZERO_HEAD,
+                   (_ZERO_TAIL + ",\n" + _ZERO_HEAD).join(names), _ZERO_TAIL)
+    for name, value in negative:
+        pieces += (",\n", _record(name, value))
+    if not pieces:
+        return ['  "players": []']
+    pieces[0] = '  "players": [\n'  # in place of the first separator
+    pieces.append("\n  ]")
+    return pieces
 
 
 def records_document(report: ResponsibilityReport,
                      refinement: Optional[RefinementResult] = None) -> str:
-    """Machine-readable report; schema and layout in docs/report.md."""
-    members = [
-        _member("schema", REPORT_SCHEMA),
-        _member("mode", report.mode),
-        _member("player_kind", report.player_kind),
-        _players_member(sorted_rows(report)),
-        _member("stats", {"games_solved": report.games_solved,
-                          "memo_hits": report.memo_hits}),
-    ]
+    """Machine-readable report; schema and layout in docs/report.md.
+
+    The members are pieces of one list, joined once into the document."""
+    pieces = ["{\n"]
+    for key, value in (("schema", REPORT_SCHEMA), ("mode", report.mode),
+                       ("player_kind", report.player_kind)):
+        pieces += (_member(key, value), ",\n")
+    positive, zero, negative = _by_sign(report)
+    pieces += _players_pieces(positive, list(compress(report.names, zero)),
+                              negative)
+    pieces += (",\n", _member("stats", {"games_solved": report.games_solved,
+                                        "memo_hits": report.memo_hits}))
     if refinement is not None:
-        members.append(_member("trace", trace_records(refinement.trace)))
-    return "{\n" + ",\n".join(members) + "\n}\n"
+        pieces += (",\n", _member("trace", trace_records(refinement.trace)))
+    pieces.append("\n}\n")
+    return "".join(pieces)
 
 
 def render_trace_text(trace) -> str:

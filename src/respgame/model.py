@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
+from itertools import chain
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError
@@ -54,7 +55,8 @@ class TransitionSystem:
             dead = [names[s] for s, ends in enumerate(succ) if not ends]
             raise InputError(
                 "deadlocked states (no outgoing transition): " + ", ".join(dead))
-        if min(map(min, succ)) < 0 or max(map(max, succ)) >= n:
+        if (min(chain.from_iterable(succ)) < 0
+                or max(chain.from_iterable(succ)) >= n):
             raise InputError(f"successor index out of range 0..{n - 1}")
         self.names = names
         self.initial = initial

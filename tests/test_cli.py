@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour, exit codes and file outputs."""
 
 import argparse
+import gc
 import json
 import re
 import sys
@@ -675,3 +676,65 @@ def test_refine_solves_only_the_first_pruning_game(capsys, monkeypatch,
     code, out, _ = run(capsys, "refine", str(model), "--format", "records")
     assert code == 0 and json.loads(out)["players"]
     assert len(calls) == 1
+
+
+@pytest.fixture
+def collector():
+    """Yields a function that sets the collector on or off; the setting
+    the test found is restored afterwards."""
+    enabled = gc.isenabled()
+
+    def set_collector(on):
+        (gc.enable if on else gc.disable)()
+
+    yield set_collector
+    set_collector(enabled)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_setting_is_restored_on_every_exit(capsys, tmp_path,
+                                                     monkeypatch, collector,
+                                                     enabled):
+    fine = tmp_path / "fine.json"
+    fine.write_text(json.dumps({
+        "states": ["a"], "initial": "a", "transitions": [["a", "a"]],
+        "objective": {"kind": "safety", "target": []}}))
+    demo = str(MODELS / "recurrence_demo.json")
+    collector(enabled)
+    for argv, code, stream in (
+            (["analyze", demo], 0, "out"),
+            (["analyze", str(fine)], 0, "out"),  # nothing to explain
+            (["analyze", demo, "--player-cap", "0"], 1, "err"),
+            (["analyze", str(tmp_path / "missing.json")], 2, "err"),
+            (["analyze", demo, "--seed", "1"], 2, "err")):  # usage error
+        assert _exit_code(argv) == code, argv
+        assert getattr(capsys.readouterr(), stream)
+        assert gc.isenabled() is enabled, argv
+    seen = []
+
+    def failing(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("escapes")
+
+    monkeypatch.setitem(respgame.cli._COMMANDS, "analyze", failing)
+    with pytest.raises(RuntimeError, match="escapes"):
+        run_cli(["analyze", demo])
+    assert seen == [False]  # the command itself ran with the collector off
+    assert gc.isenabled() is enabled
+
+
+def test_cyclic_garbage_does_not_grow_with_the_model(capsys, tmp_path,
+                                                     collector):
+    # The collector is paused for a whole command, which is safe only while
+    # the command's cyclic garbage stays a small constant (the parser)
+    # rather than growing with the model.
+    found = {}
+    collector(False)
+    for size in (50, 50, 2000):  # the first run also warms up caches
+        model = tmp_path / f"clouds{size}.json"
+        model.write_text(serialize_explicit(generate("clouds", size)))
+        gc.collect()
+        assert run_cli(["refine", str(model), "--format", "records"]) == 0
+        found[size] = gc.collect()
+        assert json.loads(capsys.readouterr().out)["players"]
+    assert abs(found[2000] - found[50]) <= 20, found

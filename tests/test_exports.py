@@ -1,4 +1,5 @@
-"""The records document: its exact bytes, its row order and `positive`."""
+"""The records document and the table: their exact bytes, their row order
+and `positive`."""
 
 import json
 import random
@@ -12,7 +13,7 @@ import pytest
 from respgame import exports
 from respgame.cli import run_cli
 from respgame.explicit import serialize_explicit
-from respgame.exports import records_document, sorted_rows
+from respgame.exports import records_document, render_table, sorted_rows
 from respgame.generators import generate
 from respgame.refinement import IterationRecord, RefinementResult
 from respgame.shapley import ResponsibilityReport
@@ -21,12 +22,17 @@ ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
 
 
+def reference_rows(report):
+    """(name, value) rows by descending value, then player order."""
+    order = {name: i for i, name in enumerate(report.names)}
+    return sorted(zip(report.names, report.values),
+                  key=lambda row: (-row[1], order[row[0]]))
+
+
 def reference_document(report, refinement=None):
     """The records document built as a dict of dicts and laid out by
     json.dumps(indent=2), the layout docs/report.md specifies."""
-    order = {name: i for i, name in enumerate(report.names)}
-    rows = sorted(zip(report.names, report.values),
-                  key=lambda row: (-row[1], order[row[0]]))
+    rows = reference_rows(report)
     doc = {
         "schema": exports.REPORT_SCHEMA,
         "mode": report.mode,
@@ -41,6 +47,48 @@ def reference_document(report, refinement=None):
     if refinement is not None:
         doc["trace"] = exports.trace_records(refinement.trace)
     return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_table(report, note=None):
+    """The table formatted row by row, the layout docs/report.md gives."""
+    lines = []
+    if note:
+        lines.append(f"note: {note}")
+    width = max([len(n) for n in report.names] + [len("player")])
+    lines.append(f"{'player':<{width}}  {'value':>10}  {'decimal':>10}  "
+                 f"positive")
+    for name, value in reference_rows(report):
+        dec = f"{float(value):.6f}"
+        lines.append(f"{name:<{width}}  {str(value):>10}  {dec:>10}  "
+                     f"{'yes' if value > 0 else 'no'}")
+    lines.append(f"games solved: {report.games_solved}, "
+                 f"memo hits: {report.memo_hits}")
+    return "\n".join(lines) + "\n"
+
+
+_NAMES = ("s{}", "x{}", "café{}", 'q"uote{}', "back\\slash{}", "new\nline{}",
+          "a-long-player-name-{}")
+
+
+def random_report(rng):
+    """A report with long runs of zero rows (`Fraction(0)` shared and
+    `Fraction(0, 5)` apart), ties, negative values and escaped names."""
+    shared_zero = Fraction(0)
+    values = []
+    n = rng.choice((0, 1, 5, 40, 300))
+    while len(values) < n:
+        if rng.random() < 0.6:
+            values += [rng.choice((shared_zero, Fraction(0, 5)))
+                       for _ in range(rng.randrange(1, 60))]
+        else:
+            numerator = rng.randrange(-4, 5) * 3 ** rng.randrange(20)
+            values.append(Fraction(numerator, rng.choice((1, 2, 3, 12))))
+    values = tuple(values[:n])
+    names = tuple(rng.choice(_NAMES).format(i) for i in range(n))
+    return ResponsibilityReport(rng.choice(("states", "blocks")),
+                                rng.choice(("optimistic", "pessimistic")),
+                                names, values, rng.randrange(100),
+                                rng.randrange(100))
 
 
 def _cli_documents(monkeypatch, capsys, *argv):
@@ -195,6 +243,36 @@ def test_positive_is_value_above_zero():
         assert record["positive"] is (by_name[record["name"]] > 0)
 
 
+def test_random_reports_match_the_references():
+    rng = random.Random(31)
+    zero_rows = 0
+    for _ in range(300):
+        report = random_report(rng)
+        zero_rows += sum(value == 0 for value in report.values)
+        note = rng.choice((None, "", "objective unsatisfiable; "
+                                     "all responsibilities 0"))
+        assert render_table(report, note=note) == \
+            reference_table(report, note), report
+        assert records_document(report) == reference_document(report), report
+    assert zero_rows > 10_000
+
+
+def test_table_rows_and_note():
+    report = ResponsibilityReport(
+        "states", "pessimistic", ("p", "é", "a-long-name"),
+        (Fraction(0, 5), Fraction(-1, 3), Fraction(2, 3)), 4, 2)
+    assert render_table(report, note="unsatisfiable") == (
+        "note: unsatisfiable\n"
+        "player            value     decimal  positive\n"
+        "a-long-name         2/3    0.666667  yes\n"
+        "p                     0    0.000000  no\n"
+        "é                  -1/3   -0.333333  no\n"
+        "games solved: 4, memo hits: 2\n")
+    empty = ResponsibilityReport("states", "optimistic", (), ())
+    assert render_table(empty) == reference_table(empty) == (
+        "player       value     decimal  positive\n"
+        "games solved: 0, memo hits: 0\n")
+
 
 def test_doc_examples_are_what_the_tool_prints(capsys, tmp_path):
     docs = ROOT / "docs"
@@ -211,3 +289,10 @@ def test_doc_examples_are_what_the_tool_prints(capsys, tmp_path):
     assert run_cli(["refine", *argv]) == 0
     first = json.loads(capsys.readouterr().out)["trace"][0]
     assert json.dumps(first, indent=2) + "\n" == example
+    command, example = re.search(r"`(respgame analyze [^`]*)` prints "
+                                 r"exactly:\n\n```text\n(.*?)```",
+                                 report_md, re.S).groups()
+    argv = [str(ROOT / arg) if arg.startswith("models/") else arg
+            for arg in command.split()[1:]]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == example
