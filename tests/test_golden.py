@@ -1,0 +1,141 @@
+"""Byte-for-byte command output on a fixed corpus of models and flags.
+
+Each case runs one command in-process through `run_cli` and compares its
+exit code, stdout and stderr with `tests/golden/<case>.txt`, so a change
+in any output byte fails with a diff.  The corpus covers every model in
+`models/` and each generator family at size 6.
+
+To write the files again after a deliberate output change:
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import contextlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from respgame.cli import run_cli
+from respgame.generators import FAMILIES
+
+ROOT = Path(__file__).resolve().parent.parent
+MODELS = ROOT / "models"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+MODES = ("optimistic", "pessimistic", "forward")
+
+# command name in the case id -> the command's own flags
+DOCUMENT_COMMANDS = {
+    "analyze-table": ("analyze",),
+    "analyze-records": ("analyze", "--format", "records"),
+    "analyze-dot": ("analyze", "--format", "dot"),
+    "refine-records": ("refine", "--format", "records", "--seed", "3"),
+    "refine-explain": ("refine", "--explain", "--seed", "1",
+                       "--initial-blocks", "2"),
+    "positivity": ("positivity",),
+    "oracle-minimal": ("oracle", "--minimal-coalitions"),
+}
+
+PROGRAM_COMMANDS = {
+    "analyze": ("analyze",),
+    "refine-explain": ("refine", "--explain", "--seed", "1"),
+    "positivity": ("positivity",),
+}
+
+GENERATED_COMMANDS = {
+    "analyze": ("analyze",),
+    "refine-explain": ("refine", "--explain"),
+    "positivity": ("positivity",),
+}
+
+TOGGLE_OBJECTIVES = {
+    "buechi-modules": ("--objective", "buechi", "--target-label", "both",
+                       "--group-by-module"),
+    "safety": ("--objective", "safety", "--target-label", "both"),
+    "parity": ("--objective", "parity", "--colour", "both=2"),
+}
+
+
+def cases(generated: Path):
+    """Case id -> argv; generated models are read from `generated`."""
+    out = {}
+    for model in sorted(MODELS.glob("*.json")):
+        for mode in MODES:
+            for name, command in DOCUMENT_COMMANDS.items():
+                out[f"{model.stem}-{mode}-{name}"] = (
+                    command[0], str(model), "--mode", mode, *command[1:])
+    for kind in ("reachability", "safety", "buechi"):
+        for mode in ("optimistic", "pessimistic"):
+            for name, command in PROGRAM_COMMANDS.items():
+                out[f"clouds_prism-{kind}-{mode}-{name}"] = (
+                    command[0], str(MODELS / "clouds.prism"), "--objective",
+                    kind, "--target-label", "crit", "--mode", mode,
+                    *command[1:])
+    for label, flags in TOGGLE_OBJECTIVES.items():
+        for name, command in PROGRAM_COMMANDS.items():
+            out[f"toggle_prism-{label}-{name}"] = (
+                command[0], str(MODELS / "toggle.prism"), *flags,
+                *command[1:])
+    for family in FAMILIES:
+        for name, command in GENERATED_COMMANDS.items():
+            out[f"{family}-6-{name}"] = (
+                command[0], str(generated / f"{family}.json"), *command[1:])
+    return out
+
+
+def generate_models(directory: Path) -> None:
+    """Write each generator family's size-6 document into `directory`."""
+    for family in FAMILIES:
+        code = run_cli(["generate", "--family", family, "--size", "6",
+                        "-o", str(directory / f"{family}.json")])
+        assert code == 0, family
+
+
+def transcript(argv) -> str:
+    """Exit code, stdout and stderr of one command, as one text."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(list(argv))
+    return (f"exit: {code}\n--- stdout\n{out.getvalue()}"
+            f"--- stderr\n{err.getvalue()}")
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("generated")
+    generate_models(directory)
+    return directory
+
+
+CASES = sorted(cases(Path("generated")))
+
+
+def test_the_corpus_has_a_file_for_every_case_and_no_other():
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == CASES
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_output_matches_the_golden_file(case, generated):
+    expected = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
+    assert transcript(cases(generated)[case]) == expected
+
+
+def write_corpus() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for old in GOLDEN.glob("*.txt"):
+        old.unlink()
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        generate_models(directory)
+        for case, argv in cases(directory).items():
+            (GOLDEN / f"{case}.txt").write_text(transcript(argv),
+                                                encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_golden.py --write")
+    write_corpus()
