@@ -9,7 +9,8 @@ import time
 from fractions import Fraction
 
 from . import exports
-from .errors import AnalysisTimeout, InputError, RefusalError, read_text
+from .errors import (AnalysisTimeout, InputError, RefusalError, no_deadline,
+                     read_text)
 from .explicit import load_explicit, serialize_explicit
 from .games import FORWARD, MODES, OPTIMISTIC, PESSIMISTIC
 from .generators import FAMILIES, generate
@@ -137,7 +138,7 @@ class _Deadline:
         self.seconds = seconds
 
     def __call__(self):
-        if self.seconds is not None and time.monotonic() - self.t0 > self.seconds:
+        if time.monotonic() - self.t0 > self.seconds:
             raise AnalysisTimeout(f"timeout after {self.seconds} s")
 
 
@@ -148,7 +149,8 @@ def _split_names(text):
 def _load_model(args, unpruned=()) -> PayoffGame:
     """The game of the model and flags; ungrouped state players are pruned
     unless `--no-prune` is given or the objective kind is in `unpruned`."""
-    deadline = _Deadline(args.timeout_s)
+    deadline = (no_deadline if args.timeout_s is None
+                else _Deadline(args.timeout_s))
     labels = {}
     owners = {}
     doc_run = None

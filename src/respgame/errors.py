@@ -37,6 +37,11 @@ class AnalysisTimeout(RefusalError):
     pass
 
 
+def no_deadline() -> None:
+    """The budget of an analysis without a time limit: calling it never
+    raises.  Every `deadline` parameter defaults to it."""
+
+
 def read_text(path, size: int = -1) -> str:
     """The UTF-8 text of the file at `path`, or its first `size` characters."""
     try:

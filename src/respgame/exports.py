@@ -32,13 +32,6 @@ def _by_sign(report: ResponsibilityReport):
     return positive, zero, negative
 
 
-def sorted_rows(report: ResponsibilityReport):
-    """(name, value) rows sorted by descending value, then by player order."""
-    positive, zero, negative = _by_sign(report)
-    rows = zip(report.names, report.values)
-    return positive + list(compress(rows, zero)) + negative
-
-
 # the columns of a zero row after its padded name
 _ZERO_COLUMNS = f"  {'0':>10}  {'0.000000':>10}  no\n"
 

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, List, NamedTuple, Optional
 
-from .errors import InputError
+from .errors import InputError, no_deadline
 from .model import (BUECHI, REACHABILITY, SAFETY, LassoRun, Objective,
                     TransitionSystem, predecessors)
 
@@ -253,38 +253,99 @@ def _zielonka(arena: GameArena, colours, alive):
     return w_even | opp_attr, w_odd
 
 
-def solve(game: Game) -> frozenset:
+def _attract(game: Game, until=None, seed=None, border=None) -> set:
+    """The attractor that decides a reachability or safety game: Sat's
+    attractor of the target for reachability, the opponent's for safety.
+
+    With `seed` and `border` it starts from the seed instead of the
+    target (see `attractor`): a region that every game between the two
+    bounds holds (`solve_bounds`).  `until` stops it early.
+    """
+    obj = game.objective
+    return attractor(game.arena, obj.target if seed is None else seed,
+                     obj.kind == REACHABILITY, until=until, border=border)
+
+
+def solve(game: Game, seed=None, border=None) -> frozenset:
     """Exact Sat winning region.
 
     Safety is the complement of the opponent's attractor, reachability the
     Sat attractor, Buechi the recurrence fixpoint, parity a Zielonka
     recursion.  States outside the region are winning for the opponent.
+    The optional `seed` and `border` of a game's bounds start a
+    reachability or safety attractor from the seed; Buechi and parity
+    ignore them.
     """
     arena, obj = game.arena, game.objective
     if obj.kind == SAFETY:
-        return frozenset(range(len(arena))) - attractor(arena, obj.target,
-                                                         for_sat=False)
+        attr = _attract(game, seed=seed, border=border)
+        return frozenset(range(len(arena))) - attr
     if obj.kind == REACHABILITY:
-        return frozenset(attractor(arena, obj.target, for_sat=True))
+        return frozenset(_attract(game, seed=seed, border=border))
     if obj.kind == BUECHI:
         return _solve_buechi(arena, obj.target)
     return frozenset(_zielonka(arena, obj.colours, set(range(len(arena))))[0])
 
 
-def game_value(game: Game) -> int:
+def game_value(game: Game, seed=None, border=None) -> int:
     """1 iff the initial state lies in Sat's winning region.
 
     Reachability and safety stop their attractor as soon as the initial
-    state joins it; Buechi and parity read the whole region off `solve`.
+    state joins it, started from `seed` when given, as in `solve`; Buechi
+    and parity read the whole region off `solve`.
     """
     arena, obj = game.arena, game.objective
-    if obj.kind == REACHABILITY:
-        return int(arena.initial in attractor(arena, obj.target, True,
-                                              until=arena.initial))
-    if obj.kind == SAFETY:
-        return int(arena.initial not in attractor(arena, obj.target, False,
-                                                  until=arena.initial))
+    if obj.kind in (REACHABILITY, SAFETY):
+        attr = _attract(game, arena.initial, seed, border)
+        return int((arena.initial in attr) == (obj.kind == REACHABILITY))
     return int(arena.initial in solve(game))
+
+
+class Bounds(NamedTuple):
+    """Sat's winning regions W(0) and W(full) of a coalition game
+    (`solve_bounds`), and the `seed` and `border` that `solve` and
+    `game_value` take for every game between them: set for reachability
+    and safety, None for Buechi and parity, which are solved whole."""
+
+    empty: frozenset
+    full: frozenset
+    seed: Optional[frozenset]
+    border: Optional[List[int]]
+
+
+def solve_bounds(ts: TransitionSystem, obj: Objective,
+                 run: Optional[LassoRun], mode: str, full_states: frozenset,
+                 deadline=no_deadline, off_run=None) -> Bounds:
+    """Sat's winning regions when Sat controls no state, W(0), and when it
+    controls `full_states`, W(full), the second seeded from the first.
+
+    The coalition game is monotone: state by state, W(0) <= W(C) <=
+    W(full) for every coalition C within `full_states` (Graedel, Thomas and
+    Wilke (eds.), Automata, Logics, and Infinite Games, LNCS 2500, ch. 2).
+    So for reachability W(0), solved cold, is the seed of Sat's attractor
+    in every larger game, W(full) included; for safety the complement of
+    W(full), solved cold, is the seed of the opponent's attractor in every
+    smaller game.  The border is the seed states with a model predecessor
+    outside the seed, where such an attractor's worklist starts.  Buechi
+    and parity solve both regions cold.  `deadline` is called before each
+    of the two games and may abort by raising.
+    """
+    def game(states):
+        deadline()
+        return build_game(ts, obj, run, states, mode, off_run)
+
+    if obj.kind not in (REACHABILITY, SAFETY):
+        return Bounds(solve(game(frozenset())), solve(game(full_states)),
+                      None, None)
+    reach = obj.kind == REACHABILITY
+    first = solve(game(frozenset() if reach else full_states))
+    seed = first if reach else frozenset(range(len(ts))) - first
+    preds = ts.preds()
+    border = [s for s in seed if any(p not in seed for p in preds[s])]
+    second = solve(game(full_states if reach else frozenset()), seed, border)
+    if reach:
+        return Bounds(first, second, seed, border)
+    return Bounds(second, first, seed, border)
 
 
 def arena_to_dot(game: Game, run: Optional[LassoRun] = None,

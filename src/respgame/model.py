@@ -7,7 +7,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import InputError
+from .errors import InputError, no_deadline
 
 SAFETY = "safety"
 REACHABILITY = "reachability"
@@ -281,13 +281,13 @@ def _reachable(succ, source: int, allowed=None):
     return seen
 
 
-def _sccs(succ, allowed, deadline=None):
+def _sccs(succ, allowed, deadline=no_deadline):
     """Tarjan over the subgraph induced by `allowed`; returns state -> scc id.
 
     Components are numbered as they complete, so every edge leads to an
     equal or smaller id, and the result lists the states component by
-    component in that order.  `deadline`, when given, is called before each
-    state is numbered.
+    component in that order.  `deadline` is called before each state is
+    numbered.
     """
     allowed = set(allowed)
     index = {}
@@ -299,8 +299,7 @@ def _sccs(succ, allowed, deadline=None):
     ncomp = 0
 
     def number(v):
-        if deadline is not None:
-            deadline()
+        deadline()
         index[v] = low[v] = len(index)
         stack.append(v)
         on_stack.add(v)
@@ -334,7 +333,7 @@ def _sccs(succ, allowed, deadline=None):
     return comp
 
 
-def _cycle_finder(succ, allowed, deadline=None):
+def _cycle_finder(succ, allowed, deadline=no_deadline):
     """Shortest cycles inside `allowed`, from one Tarjan pass over it.
 
     Returns `cycle(state)` for states in `allowed`: the shortest cycle
@@ -381,13 +380,13 @@ def _canonical_lasso(seq_prefix, cycle) -> LassoRun:
 
 
 def find_violating_run(ts: TransitionSystem, obj: Objective,
-                       deadline=None) -> LassoRun:
+                       deadline=no_deadline) -> LassoRun:
     """Deterministically construct a simple lasso run violating `obj`.
 
     Search order is by ascending state index throughout, so the result is
     reproducible.  Raises NoViolation when every run satisfies the
-    objective.  `deadline`, when given, is called before each state the
-    SCC passes number.
+    objective.  `deadline` is called before each state the SCC passes
+    number.
     """
     obj.check_against(ts)
     succ = ts.succ

@@ -14,7 +14,7 @@ import re
 from itertools import product
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .errors import InputError, StateCapExceeded, read_text
+from .errors import InputError, StateCapExceeded, no_deadline, read_text
 from .model import TransitionSystem
 
 DEFAULT_STATE_CAP = 10_000_000
@@ -594,15 +594,15 @@ class _Pieces(dict):
 
 def expand_program(prog: ModuleLangProgram,
                    max_states: int = DEFAULT_STATE_CAP,
-                   deadline=None) -> ExpandedModel:
+                   deadline=no_deadline) -> ExpandedModel:
     """Breadth-first expansion under interleaving + synchronisation.
 
     A command without an action interleaves on its own; commands sharing an
     action fire together, one enabled command per module owning the action.
     Updates read the pre-state (snapshot semantics).  Updates leaving a
     variable's range and reachable deadlock valuations are errors, and more
-    than `max_states` states are refused.  `deadline`, when given, is called
-    before each state is expanded and may abort the expansion by raising.
+    than `max_states` states are refused.  `deadline` is called before each
+    state is expanded and may abort the expansion by raising.
 
     A module's guards and updates are evaluated once per distinct
     valuation of the variables they read: the module's plan, its enabled
@@ -753,8 +753,7 @@ def expand_program(prog: ModuleLangProgram,
     while frontier:
         next_frontier = []
         for valuation in frontier:
-            if deadline is not None:
-                deadline()
+            deadline()
             succs = successors(valuation)
             if not succs:
                 raise InputError(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional
 
+from .errors import no_deadline
 from .games import OPTIMISTIC, build_game, engrave, solve
 from .model import (BUECHI, REACHABILITY, LassoRun, Objective,
                     TransitionSystem, _sccs)
@@ -11,7 +12,7 @@ from .shapley import PayoffGame, PlayerSet
 
 
 def positivity_reach_opt(ts: TransitionSystem, target, run: LassoRun,
-                         deadline=None) -> frozenset:
+                         deadline=no_deadline) -> frozenset:
     """States with positive optimistic responsibility for a reachability
     objective, read off the winning region W of one game: the empty
     coalition's, on the fully engraved system.
@@ -30,8 +31,7 @@ def positivity_reach_opt(ts: TransitionSystem, target, run: LassoRun,
     and one region answers every run state.
     """
     obj = Objective(REACHABILITY, target=frozenset(target))
-    if deadline is not None:
-        deadline()
+    deadline()
     won = solve(build_game(ts, obj, run, (), OPTIMISTIC))
     if ts.initial in won:
         return frozenset()
@@ -177,7 +177,7 @@ class BuechiSearch(NamedTuple):
 
     @staticmethod
     def of(ts: TransitionSystem, target, run: LassoRun,
-           deadline=None) -> "BuechiSearch":
+           deadline=no_deadline) -> "BuechiSearch":
         obj = Objective(BUECHI, target=frozenset(target))
         pg = PayoffGame(ts, obj, run, OPTIMISTIC,
                         PlayerSet.of_states(ts, range(len(ts))), deadline)
@@ -231,7 +231,7 @@ def positivity_buechi_opt(search: BuechiSearch, state: int) -> bool:
 
 
 def positivity_buechi_opt_all(ts: TransitionSystem, target, run: LassoRun,
-                              deadline=None) -> frozenset:
+                              deadline=no_deadline) -> frozenset:
     """Positivity set for the whole system (names), from searches that
     share one coalition game, its memo and the states that win alone."""
     search = BuechiSearch.of(ts, target, run, deadline)

@@ -117,8 +117,8 @@ class BspWitness(NamedTuple):
 
 def _witness(pg: PayoffGame, partition: Partition, block_id: int,
              coalition: int) -> BspWitness:
-    """Solve both games of the pair through `pg.region`, which seeds them
-    like gamma.  The frontier reads the model's successor lists: every
+    """Solve both games of the pair through `pg.region`, which reads them
+    off the bounds or seeds them like gamma.  The frontier reads the model's successor lists: every
     block state is Sat's in the larger game, so engraving cut none."""
     block = partition.mask_of((block_id,))
     win_without = pg.region(coalition)

@@ -9,11 +9,10 @@ from itertools import compress
 from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
-from .errors import PlayerCapExceeded
-from .games import (OPTIMISTIC, Game, attractor, build_game, game_value,
-                    off_run_states, solve)
-from .model import (REACHABILITY, SAFETY, LassoRun, Objective,
-                    TransitionSystem)
+from .errors import PlayerCapExceeded, no_deadline
+from .games import (OPTIMISTIC, Bounds, Game, build_game, game_value,
+                    off_run_states, solve, solve_bounds)
+from .model import LassoRun, Objective, TransitionSystem
 
 STATE_PLAYERS = "states"
 BLOCK_PLAYERS = "blocks"
@@ -41,7 +40,7 @@ class PlayerSet(_PlayerFields):
     solved for; equality and hashing ignore them.
     """
 
-    _bounds: Optional[Tuple[tuple, _Bounds]] = None
+    _bounds: Optional[Tuple[tuple, Bounds]] = None
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -67,74 +66,25 @@ class PlayerSet(_PlayerFields):
                          tuple(frozenset(members[i]) for i in order))
 
 
-class _Bounds(NamedTuple):
-    """Sat's winning regions W(0) and W(full) of a coalition game and, for
-    reachability and safety, the seed every coalition game's attractor
-    contains and its border (`_solve_bounds`); None for the other kinds."""
-
-    empty: frozenset
-    full: frozenset
-    seed: Optional[frozenset]
-    border: Optional[List[int]]
-
-
-def _solve_bounds(ts: TransitionSystem, obj: Objective,
-                  run: Optional[LassoRun], mode: str, full_states: frozenset,
-                  deadline=None, off_run=None) -> _Bounds:
-    """Sat's winning regions when Sat controls no state, W(0), and when it
-    controls `full_states`, W(full), the second seeded from the first.
-
-    The coalition game is monotone: state by state, W(0) <= W(C) <=
-    W(full) for every coalition C within `full_states` (Graedel, Thomas and
-    Wilke (eds.), Automata, Logics, and Infinite Games, LNCS 2500, ch. 2).
-    So for reachability W(0), solved cold, is the seed of Sat's attractor
-    in every larger game, W(full) included; for safety the complement of
-    W(full), solved cold, is the seed of the opponent's attractor in every
-    smaller game.  The border is the seed states with a model predecessor
-    outside the seed, where such an attractor's worklist starts.  Buechi
-    and parity solve both regions cold.  `deadline`, when given, is called
-    before each of the two games and may abort by raising.
-    """
-    def game(states):
-        if deadline is not None:
-            deadline()
-        return build_game(ts, obj, run, states, mode, off_run)
-
-    if obj.kind not in (REACHABILITY, SAFETY):
-        return _Bounds(solve(game(frozenset())), solve(game(full_states)),
-                       None, None)
-    reach = obj.kind == REACHABILITY
-    everything = frozenset(range(len(ts)))
-    first = solve(game(frozenset() if reach else full_states))
-    seed = first if reach else everything - first
-    preds = ts.preds()
-    border = [s for s in seed if any(p not in seed for p in preds[s])]
-    attr = attractor(game(full_states if reach else frozenset()).arena,
-                     seed, reach, border=border)
-    if reach:
-        return _Bounds(first, frozenset(attr), seed, border)
-    return _Bounds(everything - attr, first, seed, border)
-
-
 class PayoffGame:
     """Monotone 0/1 coalition game induced by a model, objective and run.
 
     gamma() is memoised per coalition bitmask; the memo is shared by every
     caller holding this object (Shapley enumeration, refinement, the
-    polynomial positivity algorithms).  `deadline`, when given, is called
-    before every gamma query and before each of the two bounding games,
-    and may abort the caller's search by raising.
+    polynomial positivity algorithms).  `deadline` is called before every
+    gamma query and before each of the two bounding games, and may abort
+    the caller's search by raising.
 
-    A reachability or safety game reads gamma of the grand and the empty
-    coalition off its bounds (`_bounds`), and of every coalition where the
-    grand coalition loses; every other coalition's game runs an attractor
-    started from the bounds' seed.  Buechi and parity games are solved
-    whole.
+    Gamma of the grand and the empty coalition, and of every coalition
+    where the grand coalition loses, is read off the game's bounds
+    (`_bounds`), as are the grand and the empty coalition's regions.
+    Every other coalition's game goes to `game_value` or `solve` with the
+    bounds' seed and border, whatever the objective kind.
     """
 
     def __init__(self, ts: TransitionSystem, objective: Objective,
                  run: Optional[LassoRun], mode: str, players: PlayerSet,
-                 deadline: Optional[Callable[[], None]] = None):
+                 deadline: Callable[[], None] = no_deadline):
         self.ts = ts
         self.objective = objective
         self.run = run
@@ -174,58 +124,52 @@ class PayoffGame:
                           self.flatten(mask), self.mode, self.off_run)
 
     def gamma(self, mask: int) -> int:
-        if self.deadline is not None:
-            self.deadline()
+        self.deadline()
         hit = self.memo.get(mask)
         if hit is not None:
             self.memo_hits += 1
             return hit
+        bounds = self._bounds
         initial = self.ts.initial
-        if not self._banded:
-            value = game_value(self.game(mask))
-        elif mask == self.full_mask() or initial not in self._bounds.full:
+        if mask == self.full_mask() or initial not in bounds.full:
             # no coalition wins where the grand coalition loses
-            value = int(initial in self._bounds.full)
+            value = int(initial in bounds.full)
         elif mask == 0:
-            value = int(initial in self._bounds.empty)
+            value = int(initial in bounds.empty)
         else:
-            value = int((initial in self._seeded(mask, initial))
-                        == self._reach)
+            value = game_value(self.game(mask), bounds.seed, bounds.border)
         self.memo[mask] = value
         return value
 
     def region(self, mask: int) -> frozenset:
         """Sat's winning region when it controls the coalition `mask`;
-        seeded like gamma."""
-        if not self._banded:
-            return solve(self.game(mask))
-        attr = self._seeded(mask)
-        if self._reach:
-            return frozenset(attr)
-        return frozenset(range(len(self.ts))) - attr
-
-    @property
-    def _reach(self) -> bool:
-        return self.objective.kind == REACHABILITY
-
-    @property
-    def _banded(self) -> bool:
-        return self.objective.kind in (REACHABILITY, SAFETY)
+        read off the bounds or seeded like gamma."""
+        bounds = self._bounds
+        if mask == self.full_mask():
+            return bounds.full
+        if mask == 0:
+            return bounds.empty
+        return solve(self.game(mask), bounds.seed, bounds.border)
 
     @cached_property
-    def _bounds(self) -> _Bounds:
-        """W(0) and W(full), solved once by `_solve_bounds` unless
+    def _bounds(self) -> Bounds:
+        """W(0) and W(full), solved once by `solve_bounds` unless
         `prune_dummies` solved them for this model, objective, run and mode.
 
         Pruning solves W(0) and W(all states), and those are this game's
         bounds, because every pruned state is a null player for regions,
-        not only for the initial state's value.  Owning a state with one
-        successor changes nothing, and engraving it cuts nothing.  A play
-        that reaches a state of W(0) can switch to a strategy that wins
-        from there.  A positional winning strategy never leaves its
-        region, so it never visits a state outside W(all states) (for
-        reachability, never before the target).  And a state off the run
-        in optimistic mode is Sat's in every game.
+        not only for the initial state's value.  That holds for every
+        objective kind: all four games are positionally determined, and
+        Buechi and parity are prefix-independent, so who wins from a state
+        does not depend on how the play got there (Graedel, Thomas and
+        Wilke (eds.), Automata, Logics, and Infinite Games, LNCS 2500,
+        ch. 2).  Owning a state with one successor changes nothing, and
+        engraving it cuts nothing.  A play that reaches a state of W(0)
+        can switch to a strategy that wins from there.  A positional
+        winning strategy never leaves its region, so it never visits a
+        state outside W(all states) (for reachability, never before the
+        target).  And a state off the run in optimistic mode is Sat's in
+        every game.
         """
         handed = self.players._bounds
         if handed is not None:
@@ -233,16 +177,9 @@ class PayoffGame:
             if ts is self.ts and (objective, run, mode) == (
                     self.objective, self.run, self.mode):
                 return bounds
-        return _solve_bounds(self.ts, self.objective, self.run, self.mode,
-                             self.flatten(self.full_mask()), self.deadline,
-                             self.off_run)
-
-    def _seeded(self, mask: int, until=None) -> set:
-        """The attractor that decides the game of `mask`: Sat's for
-        reachability, the opponent's for safety, started from the seed."""
-        bounds = self._bounds
-        return attractor(self.game(mask).arena, bounds.seed, self._reach,
-                         until=until, border=bounds.border)
+        return solve_bounds(self.ts, self.objective, self.run, self.mode,
+                            self.flatten(self.full_mask()), self.deadline,
+                            self.off_run)
 
     @cached_property
     def off_run(self) -> Optional[frozenset]:
@@ -409,15 +346,15 @@ def shapley_exact(pg: PayoffGame,
 
 
 def prune_dummies(ts: TransitionSystem, obj: Objective, run: Optional[LassoRun],
-                  mode: str, deadline=None) -> PlayerSet:
+                  mode: str, deadline=no_deadline) -> PlayerSet:
     """Player set with provably-null states removed.
 
     Removes states with a single outgoing transition, states off the run in
     optimistic mode, and states inside Sat's winning region when Sat
     controls nothing or outside it when Sat controls everything.  Every
     removed state is a null player, so the Shapley values of the remaining
-    players are unchanged.  `deadline`, when given, is called before each
-    of the two games and may abort by raising.  The two regions ride on
+    players are unchanged.  `deadline` is called before each of the two
+    games and may abort by raising.  The two regions ride on
     the result as a payoff game's bounds (`PayoffGame._bounds`).
     """
     n = len(ts)
@@ -427,7 +364,7 @@ def prune_dummies(ts: TransitionSystem, obj: Objective, run: Optional[LassoRun],
     candidates = {s for s in candidates if len(ts.succ[s]) > 1}
     if not candidates:
         return PlayerSet.of_states(ts, ())
-    bounds = _solve_bounds(ts, obj, run, mode, frozenset(range(n)), deadline)
+    bounds = solve_bounds(ts, obj, run, mode, frozenset(range(n)), deadline)
     players = PlayerSet.of_states(ts, [s for s in candidates
                                        if s not in bounds.empty
                                        and s in bounds.full])
@@ -437,14 +374,14 @@ def prune_dummies(ts: TransitionSystem, obj: Objective, run: Optional[LassoRun],
 
 def _naive_gamma_table(ts: TransitionSystem, obj: Objective,
                        run: Optional[LassoRun], mode: str,
-                       player_indices: Optional[Sequence[int]],
-                       cap: int, deadline=None) -> Tuple[PlayerSet, List[int]]:
+                       player_indices: Optional[Sequence[int]], cap: int,
+                       deadline=no_deadline) -> Tuple[PlayerSet, List[int]]:
     """Solve every coalition game, with no memo and no inference.
 
     The oracle's gamma table: independent of `PayoffGame` and of the
     monotone fill in `shapley_exact`, which it is the reference for.
-    `deadline`, when given, is called before each game and may abort the
-    table by raising.
+    `deadline` is called before each game and may abort the table by
+    raising.
     """
     if player_indices is None:
         player_indices = range(len(ts))
@@ -454,8 +391,7 @@ def _naive_gamma_table(ts: TransitionSystem, obj: Objective,
         raise PlayerCapExceeded(f"{n} players exceed the oracle cap of {cap}")
     table = []
     for mask in range(1 << n):
-        if deadline is not None:
-            deadline()
+        deadline()
         states = set()
         for i in range(n):
             if mask >> i & 1:
@@ -465,9 +401,9 @@ def _naive_gamma_table(ts: TransitionSystem, obj: Objective,
 
 
 def _oracle_values(players: PlayerSet, mode: str, gamma: List[int],
-                   deadline=None) -> ResponsibilityReport:
-    """The defining sum applied term by term to a naive table; `deadline`,
-    when given, is called before each term."""
+                   deadline=no_deadline) -> ResponsibilityReport:
+    """The defining sum applied term by term to a naive table; `deadline`
+    is called before each term."""
     n = len(players)
     if n == 0:
         return ResponsibilityReport(players.kind, mode, (), ())
@@ -479,8 +415,7 @@ def _oracle_values(players: PlayerSet, mode: str, gamma: List[int],
         for mask in range(1 << n):
             if mask & bit:
                 continue
-            if deadline is not None:
-                deadline()
+            deadline()
             k = mask.bit_count()
             acc += Fraction(fact(k) * fact(n - k - 1), fact(n)) * (
                 gamma[mask | bit] - gamma[mask])
@@ -490,12 +425,11 @@ def _oracle_values(players: PlayerSet, mode: str, gamma: List[int],
 
 
 def _minimal_winning(players: PlayerSet, gamma: List[int],
-                     deadline=None) -> List[frozenset]:
+                     deadline=no_deadline) -> List[frozenset]:
     n = len(players)
     minimal = []
     for mask in range(1 << n):
-        if deadline is not None:
-            deadline()
+        deadline()
         if not gamma[mask]:
             continue
         if all(gamma[mask & ~(1 << p)] == 0
@@ -509,7 +443,7 @@ def oracle_shapley(ts: TransitionSystem, obj: Objective,
                    run: Optional[LassoRun], mode: str,
                    player_indices: Optional[Sequence[int]] = None,
                    cap: int = DEFAULT_ORACLE_CAP,
-                   deadline=None) -> ResponsibilityReport:
+                   deadline=no_deadline) -> ResponsibilityReport:
     """Reference implementation: direct evaluation of the defining sum.
 
     Deliberately naive and independent of the production path: it solves
@@ -525,7 +459,8 @@ def oracle_shapley(ts: TransitionSystem, obj: Objective,
 def oracle_shapley_and_minimal(ts: TransitionSystem, obj: Objective,
                                run: Optional[LassoRun], mode: str,
                                player_indices: Optional[Sequence[int]] = None,
-                               cap: int = DEFAULT_ORACLE_CAP, deadline=None,
+                               cap: int = DEFAULT_ORACLE_CAP,
+                               deadline=no_deadline,
                                ) -> Tuple[ResponsibilityReport, List[frozenset]]:
     """`oracle_shapley` and all minimal winning coalitions, as sets of
     player names, from one naive table."""

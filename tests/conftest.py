@@ -2,7 +2,10 @@
 exhaustive oracles the derived expectations are computed with."""
 
 import random
+import sys
+from contextlib import ExitStack, contextmanager
 from itertools import product
+from unittest import mock
 
 from respgame import (BUECHI, PARITY, REACHABILITY, SAFETY, FORWARD,
                       OPTIMISTIC, PESSIMISTIC, AnalysisTimeout, LassoRun,
@@ -23,6 +26,22 @@ class Budget:
         self.calls += 1
         if self.calls > self.k:
             raise AnalysisTimeout(f"budget of {self.k} calls spent")
+
+
+@contextmanager
+def spy_everywhere(module, name):
+    """One `mock` spy on `module.name` under every `respgame` module that
+    binds that function, so a call counts whichever module makes it: a
+    payoff game's coalition games are built in `shapley`, its bounds in
+    `games`."""
+    original = getattr(module, name)
+    spy = mock.Mock(wraps=original)
+    with ExitStack() as stack:
+        for key, bound in list(sys.modules.items()):
+            if (key == "respgame" or key.startswith("respgame.")) \
+                    and getattr(bound, name, None) is original:
+                stack.enter_context(mock.patch.object(bound, name, spy))
+        yield spy
 
 
 def system(names, edges):

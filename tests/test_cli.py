@@ -11,6 +11,8 @@ from unittest import mock
 
 import pytest
 
+from conftest import spy_everywhere
+
 import respgame.cli
 import respgame.explicit
 import respgame.games
@@ -132,8 +134,9 @@ def test_oracle_minimal_coalitions_solve_one_table(capsys, monkeypatch):
     # two pruning games, then one game per coalition of the four players
     builds = []
     real = respgame.shapley.build_game
-    monkeypatch.setattr(respgame.shapley, "build_game",
-                        lambda *a: builds.append(a) or real(*a))
+    for module in (respgame.games, respgame.shapley):
+        monkeypatch.setattr(module, "build_game",
+                            lambda *a: builds.append(a) or real(*a))
     code, out, _ = run(capsys, "oracle", str(MODELS / "recurrence_demo.json"),
                        "--minimal-coalitions")
     assert code == 0 and "minimal winning coalitions:" in out
@@ -221,8 +224,7 @@ def test_analyze_timeout_refusal(capsys, tmp_path):
     run(capsys, "generate", "--family", "exp-coalitions", "--size", "4",
         "-o", str(model))
     # the budget covers pruning too, so not even its two games are solved
-    with mock.patch.object(respgame.shapley, "solve",
-                           wraps=respgame.shapley.solve) as solve:
+    with spy_everywhere(respgame.games, "solve") as solve:
         code, _, err = run(capsys, "analyze", str(model), "--timeout-s", "0")
     assert code == 1 and "timeout" in err and solve.call_count == 0
 
@@ -657,17 +659,19 @@ def test_shared_model_flags_parse_and_print_as_per_command_flags(
 
 def test_refine_solves_only_the_first_pruning_game(capsys, monkeypatch,
                                                    tmp_path):
-    # pruning solves W(0) and seeds W(all states) from it, the payoff game
-    # reads both off the pruning result, and every other game is a seeded
-    # attractor, so the only solve is the first pruning game
+    # pruning solves W(0) cold and seeds W(all states) from it, and the
+    # payoff game reads both off the pruning result.  The two witnesses
+    # read the regions of the empty and the grand coalition, which are
+    # those bounds, and of one other coalition, solved from the seed; so
+    # the only cold solve is the first pruning game
     model = tmp_path / "clouds6.json"
     model.write_text(serialize_explicit(generate("clouds", 6)))
     solve = respgame.games.solve
     calls = []
 
-    def counting(game):
-        calls.append(game)
-        return solve(game)
+    def counting(game, *seeded):
+        calls.append(seeded)
+        return solve(game, *seeded)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "respgame" \
@@ -675,7 +679,7 @@ def test_refine_solves_only_the_first_pruning_game(capsys, monkeypatch,
             monkeypatch.setattr(module, "solve", counting)
     code, out, _ = run(capsys, "refine", str(model), "--format", "records")
     assert code == 0 and json.loads(out)["players"]
-    assert len(calls) == 1
+    assert [bool(seeded) for seeded in calls] == [False, True, True]
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import json
 import random
 import re
 from fractions import Fraction
-from operator import itemgetter
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -13,7 +13,7 @@ import pytest
 from respgame import exports
 from respgame.cli import run_cli
 from respgame.explicit import serialize_explicit
-from respgame.exports import records_document, render_table, sorted_rows
+from respgame.exports import records_document, render_table
 from respgame.generators import generate
 from respgame.refinement import IterationRecord, RefinementResult
 from respgame.shapley import ResponsibilityReport
@@ -188,49 +188,6 @@ def test_values_past_64_bits_match_reference():
     assert players[1]["denominator"] == 2 ** 64 + 7
 
 
-def test_sorted_rows_keeps_player_order_among_equal_values():
-    values = (Fraction(1, 3), Fraction(0), Fraction(2, 6), Fraction(0, 5),
-              Fraction(1, 2), Fraction(3, 9))
-    assert values[0] == values[2] and values[0] is not values[2]
-    report = ResponsibilityReport("states", "pessimistic",
-                                  tuple(f"p{i}" for i in range(6)), values)
-    names = [name for name, _ in sorted_rows(report)]
-    assert names == ["p4", "p0", "p2", "p5", "p1", "p3"]
-
-
-def test_sorted_rows_is_descending_then_player_order():
-    rng = random.Random(17)
-    for _ in range(50):
-        n = rng.randrange(0, 40)
-        # fresh objects, so equal values are never the same Fraction
-        values = tuple(Fraction(rng.randrange(4), rng.choice((1, 2, 4)))
-                       for _ in range(n))
-        names = tuple(f"s{i}" for i in range(n))
-        rows = sorted_rows(ResponsibilityReport("states", "optimistic",
-                                                names, values))
-        expected = sorted(range(n), key=lambda i: (-values[i], i))
-        assert rows == [(names[i], values[i]) for i in expected]
-        assert all(a[1] >= b[1] for a, b in zip(rows, rows[1:]))
-
-
-def test_sorted_rows_equals_one_stable_reverse_sort():
-    # the sign split must give exactly the single sort it replaces, with
-    # ties, zeros of either form and negative values mixed in
-    rng = random.Random(23)
-    for _ in range(200):
-        n = rng.randrange(0, 60)
-        values = tuple(Fraction(rng.randrange(-3, 4) * rng.randrange(2),
-                                rng.choice((1, 2, 3, 6)))
-                       for _ in range(n))
-        names = tuple(f"s{i}" for i in range(n))
-        expected = list(zip(names, values))
-        expected.sort(key=itemgetter(1), reverse=True)
-        rows = sorted_rows(ResponsibilityReport("states", "optimistic",
-                                                names, values))
-        assert [name for name, _ in rows] == [name for name, _ in expected]
-        assert all(a[1] is b[1] for a, b in zip(rows, expected))
-
-
 def test_positive_is_value_above_zero():
     values = (Fraction(0), Fraction(0, 7), Fraction(1, 9), Fraction(5, 3),
               Fraction(-1, 4))
@@ -244,10 +201,18 @@ def test_positive_is_value_above_zero():
 
 
 def test_random_reports_match_the_references():
+    # after the random reports, a hand-picked tie: equal values as distinct
+    # Fractions and both zero forms keep player order among themselves
+    values = (Fraction(1, 3), Fraction(0), Fraction(2, 6), Fraction(0, 5),
+              Fraction(1, 2), Fraction(3, 9))
+    assert values[0] == values[2] and values[0] is not values[2]
+    tie = ResponsibilityReport("states", "pessimistic",
+                               tuple(f"p{i}" for i in range(6)), values)
+    assert [name for name, _ in reference_rows(tie)] == [
+        "p4", "p0", "p2", "p5", "p1", "p3"]
     rng = random.Random(31)
     zero_rows = 0
-    for _ in range(300):
-        report = random_report(rng)
+    for report in chain((random_report(rng) for _ in range(300)), [tie]):
         zero_rows += sum(value == 0 for value in report.values)
         note = rng.choice((None, "", "objective unsatisfiable; "
                                      "all responsibilities 0"))

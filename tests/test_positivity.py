@@ -5,13 +5,14 @@ from unittest import mock
 
 import pytest
 
-from conftest import Budget, recurrence_example, instances, system
+from conftest import (Budget, recurrence_example, instances, spy_everywhere,
+                      system)
 
 from respgame import (BUECHI, OPTIMISTIC, REACHABILITY, AnalysisTimeout,
                       LassoRun, Objective, PayoffGame, PlayerSet,
-                      generate, model, oracle_shapley,
+                      games, generate, model, oracle_shapley,
                       positivity, positivity_buechi_opt_all,
-                      positivity_reach_opt, shapley, shapley_exact, solve)
+                      positivity_reach_opt, shapley_exact, solve)
 from respgame.explicit import build_system
 from respgame.games import engrave
 from respgame.positivity import (BuechiSearch, bits, positivity_buechi_opt,
@@ -386,7 +387,7 @@ def test_polynomial_searches_stop_within_their_budget():
     buechi = build_system(generate("exp-coalitions", 30))
     for search, (ts, obj, run), k in ((positivity_buechi_opt_all, buechi, 0),
                                       (positivity_buechi_opt_all, buechi, 40)):
-        with mock.patch.object(shapley, "solve", wraps=solve) as spy:
+        with spy_everywhere(games, "solve") as spy:
             with pytest.raises(AnalysisTimeout):
                 search(ts, obj.target, run, deadline=Budget(k))
         assert spy.call_count <= k

@@ -7,14 +7,14 @@ import pytest
 
 from conftest import (Budget, refinement_example, decoy_frontier_example,
                       empty_frontier_example, instances, is_switching_pair,
-                      system)
+                      spy_everywhere, system)
 
-from respgame import refinement
+from respgame import games, refinement
 from respgame import (PESSIMISTIC, REACHABILITY, SAFETY, AnalysisTimeout,
                       BlockCapExceeded, HeuristicsConfig, LassoRun, Objective,
                       PlayerSet, oracle_shapley,
                       prune_dummies, refine_loop,
-                      responsibility_via_refinement, shapley, solve)
+                      responsibility_via_refinement, shapley)
 from respgame.exports import records_document
 from respgame.refinement import (Partition, compute_has_bsp,
                                  refine_block, select_blocks)
@@ -357,7 +357,7 @@ def test_refinement_stops_within_its_budget():
     # phase must raise: its sub-game inherits the deadline
     for search, k in ((refine_loop, 3),
                       (responsibility_via_refinement, spent.calls)):
-        with mock.patch.object(shapley, "solve", wraps=solve) as spy:
+        with spy_everywhere(games, "solve") as spy:
             with pytest.raises(AnalysisTimeout):
                 search(PayoffGame(ts, obj, run, PESSIMISTIC, players,
                                   deadline=Budget(k)), config)

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import (Budget, recurrence_example, diamond_example,
                       refinement_example, instances, is_switching_pair,
-                      system)
+                      spy_everywhere, system)
 
 from respgame import (BUECHI, FORWARD, MODES, OPTIMISTIC, PARITY,
                       PESSIMISTIC, REACHABILITY, SAFETY, AnalysisTimeout,
@@ -17,9 +17,9 @@ from respgame import (BUECHI, FORWARD, MODES, OPTIMISTIC, PARITY,
                       find_violating_run, generate,
                       oracle_shapley, oracle_shapley_and_minimal,
                       prune_dummies, shapley_exact)
-from respgame import model, shapley
+from respgame import games, model, shapley
 from respgame.explicit import build_system
-from respgame.games import build_game, game_value, solve
+from respgame.games import build_game, game_value, solve, solve_bounds
 from respgame.shapley import PayoffGame
 
 
@@ -118,8 +118,7 @@ def test_unwinnable_grand_coalition_builds_only_the_two_bounds():
         pg = _pg(ts, obj, LassoRun((), (0,)), mode)
         # W(full) loses, so the one gamma query reads it and no coalition
         # game is built beyond the two bounds
-        with mock.patch.object(shapley, "build_game",
-                               wraps=build_game) as spy:
+        with spy_everywhere(games, "build_game") as spy:
             rep = shapley_exact(pg)
         assert pg.games_solved == 1 and spy.call_count == 2
         assert rep.values == (0, 0, 0)
@@ -290,6 +289,7 @@ def test_gamma_values_on_arenas_sharing_the_model_predecessor_lists():
 
     with mock.patch.object(model, "predecessors",
                            wraps=model.predecessors) as built, \
+            mock.patch.object(games, "build_game", recording), \
             mock.patch.object(shapley, "build_game", recording):
         for obj in objectives:
             run = find_violating_run(ts, obj)
@@ -302,11 +302,10 @@ def test_gamma_values_on_arenas_sharing_the_model_predecessor_lists():
                     assert game_value(cold) == value
                 prune_dummies(ts, obj, run, mode)
                 oracle_shapley(ts, obj, run, mode)
-                # 32 gamma games, or only the two bounds where a
-                # reachability or safety game's grand coalition loses; 2
-                # pruning games and 32 oracle games
-                lost = (obj.kind in (REACHABILITY, SAFETY)
-                        and not pg.gamma(pg.full_mask()))
+                # the two bounds and the 30 other gamma games, or only the
+                # two bounds where the grand coalition loses; 2 pruning
+                # games and 32 oracle games
+                lost = not pg.gamma(pg.full_mask())
                 expected += (2 if lost else 32) + 2 + 32
         # every game on the predecessor lists built once for ts
         assert 0 < len(arenas) == expected
@@ -314,11 +313,12 @@ def test_gamma_values_on_arenas_sharing_the_model_predecessor_lists():
         assert built.call_count == 1
 
 
-@pytest.mark.parametrize("kind", (REACHABILITY, SAFETY))
+@pytest.mark.parametrize("kind", (REACHABILITY, SAFETY, BUECHI, PARITY))
 def test_seeded_solves_equal_cold_solves(kind):
-    # pg.region and pg.gamma start each attractor from W(0) or from the
-    # complement of W(full); the players are a random subset of the states
-    # (possibly none), so W(full) need not be the all-states region
+    # pg.region and pg.gamma read the extreme coalitions off the bounds,
+    # and start each reachability or safety attractor from W(0) or from
+    # the complement of W(full); the players are a random subset of the
+    # states (possibly none), so W(full) need not be the all-states region
     rng = random.Random(11)
     for ts, obj, run, _ in instances(29, 150, max_states=8, kind=kind):
         indices = sorted(rng.sample(range(len(ts)),
@@ -347,8 +347,7 @@ def test_solve_bounds_equal_cold_solves(kind):
             subset = frozenset(rng.sample(sorted(everything),
                                           rng.randint(0, len(ts))))
             for full_states in (everything, subset):
-                bounds = shapley._solve_bounds(ts, obj, run, mode,
-                                               full_states)
+                bounds = solve_bounds(ts, obj, run, mode, full_states)
                 assert bounds.empty == solve(
                     build_game(ts, obj, run, (), mode)), mode
                 assert bounds.full == solve(
@@ -363,11 +362,14 @@ def test_solve_bounds_equal_cold_solves(kind):
                     s for s in sorted(seed) if set(preds[s]) - seed], mode
 
 
-@pytest.mark.parametrize("kind", (REACHABILITY, SAFETY))
+@pytest.mark.parametrize("kind", (REACHABILITY, SAFETY, BUECHI, PARITY))
 def test_pruned_players_hand_their_regions_to_the_payoff_game(kind):
     # prune_dummies solves W(0) and W(all states); every pruned state is a
     # null player for regions, so over the players it keeps they are this
     # game's W(0) and W(full), and no bound is solved again
+    def border(bounds):
+        return None if bounds.border is None else sorted(bounds.border)
+
     handed = 0
     for ts, obj, run, _ in instances(37, 100, max_states=8, kind=kind):
         for mode in MODES:
@@ -375,8 +377,7 @@ def test_pruned_players_hand_their_regions_to_the_payoff_game(kind):
             pg = PayoffGame(ts, obj, run, mode, players)
             fresh = _pg(ts, obj, run, mode,
                         [ts.index_of(name) for name in players.names])
-            with mock.patch.object(shapley, "build_game",
-                                   wraps=build_game) as spy:
+            with spy_everywhere(games, "build_game") as spy:
                 bounds = pg._bounds
             if players._bounds is not None:
                 handed += 1
@@ -385,7 +386,7 @@ def test_pruned_players_hand_their_regions_to_the_payoff_game(kind):
             assert bounds.full == full, mode
             assert bounds.empty == solve(fresh.game(0)), mode
             assert bounds.seed == fresh._bounds.seed, mode
-            assert sorted(bounds.border) == sorted(fresh._bounds.border)
+            assert border(bounds) == border(fresh._bounds), mode
             for mask in range(pg.full_mask() + 1):
                 cold = build_game(ts, obj, run, pg.flatten(mask), mode)
                 assert pg.gamma(mask) == game_value(cold), (mode, mask)
@@ -394,8 +395,7 @@ def test_pruned_players_hand_their_regions_to_the_payoff_game(kind):
             # builds its own two bounding games
             for other in MODES:
                 if other != mode:
-                    with mock.patch.object(shapley, "build_game",
-                                           wraps=build_game) as spy:
+                    with spy_everywhere(games, "build_game") as spy:
                         PayoffGame(ts, obj, run, other, players)._bounds
                     assert spy.call_count == 2
     assert handed > 200
@@ -435,8 +435,7 @@ def test_prune_dummies_checks_the_deadline_before_each_game():
     for kind in (BUECHI, REACHABILITY, SAFETY):
         obj = Objective(kind, target=buechi.target)
         ticks = []
-        with mock.patch.object(shapley, "build_game",
-                               wraps=build_game) as spy:
+        with spy_everywhere(games, "build_game") as spy:
             with pytest.raises(AnalysisTimeout):
                 prune_dummies(ts, obj, run, PESSIMISTIC, deadline=expired)
             assert spy.call_count == 0
@@ -452,7 +451,7 @@ def test_shapley_exact_stops_within_its_budget():
     ts, obj, run = build_system(generate("exp-coalitions", 3))
     players = PlayerSet.of_states(ts, range(len(ts)))
     for k in (0, 5):
-        with mock.patch.object(shapley, "solve", wraps=solve) as spy:
+        with spy_everywhere(games, "solve") as spy:
             with pytest.raises(AnalysisTimeout):
                 shapley_exact(PayoffGame(ts, obj, run, PESSIMISTIC, players,
                                          deadline=Budget(k)))
