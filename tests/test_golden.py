@@ -3,7 +3,8 @@
 Each case runs one command in-process through `run_cli` and compares its
 exit code, stdout and stderr with `tests/golden/<case>.txt`, so a change
 in any output byte fails with a diff.  The corpus covers every model in
-`models/` and each generator family at size 6.
+`models/` and each generator family at size 6, and every pair of
+refinement heuristics on two generated models.
 
 To write the files again after a deliberate output change:
 
@@ -20,6 +21,7 @@ import pytest
 
 from respgame.cli import run_cli
 from respgame.generators import FAMILIES
+from respgame.refinement import REFINE_HEURISTICS, SELECT_HEURISTICS
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"
@@ -50,6 +52,12 @@ GENERATED_COMMANDS = {
     "refine-explain": ("refine", "--explain"),
     "positivity": ("positivity",),
 }
+
+# generated models that run every --select x --refine pair, with their sizes
+HEURISTIC_MODELS = (("frontier-stress-reach", 6), ("exp-coalitions", 5))
+
+HEURISTIC_FLAGS = ("--explain", "--no-values", "--initial-blocks", "3",
+                   "--seed", "2")
 
 TOGGLE_OBJECTIVES = {
     "buechi-modules": ("--objective", "buechi", "--target-label", "both",
@@ -82,15 +90,23 @@ def cases(generated: Path):
     for family in FAMILIES:
         for name, command in GENERATED_COMMANDS.items():
             out[f"{family}-6-{name}"] = (
-                command[0], str(generated / f"{family}.json"), *command[1:])
+                command[0], str(generated / f"{family}-6.json"),
+                *command[1:])
+    for family, size in HEURISTIC_MODELS:
+        for select in SELECT_HEURISTICS:
+            for refine in REFINE_HEURISTICS:
+                out[f"{family}-{size}-refine-{select}-{refine}"] = (
+                    "refine", str(generated / f"{family}-{size}.json"),
+                    *HEURISTIC_FLAGS, "--select", select, "--refine", refine)
     return out
 
 
 def generate_models(directory: Path) -> None:
-    """Write each generator family's size-6 document into `directory`."""
-    for family in FAMILIES:
-        code = run_cli(["generate", "--family", family, "--size", "6",
-                        "-o", str(directory / f"{family}.json")])
+    """Write each generator family's size-6 document, and the heuristic
+    models, into `directory` as `<family>-<size>.json`."""
+    for family, size in ({(f, 6) for f in FAMILIES} | set(HEURISTIC_MODELS)):
+        code = run_cli(["generate", "--family", family, "--size", str(size),
+                        "-o", str(directory / f"{family}-{size}.json")])
         assert code == 0, family
 
 
