@@ -7,8 +7,7 @@ everything else is imported from its submodule."""
 
 from .errors import (AnalysisTimeout, BlockCapExceeded, InputError,
                      PlayerCapExceeded, RefusalError, StateCapExceeded)
-from .explicit import (ExplicitModelDoc, build_system, load_explicit,
-                       serialize_explicit)
+from .explicit import ExplicitModelDoc, build_system, serialize_explicit
 from .games import (FORWARD, MODES, OPTIMISTIC, PESSIMISTIC, arena_to_dot,
                     build_game, engrave, game_value, solve)
 from .generators import generate
@@ -16,7 +15,7 @@ from .grouping import GroupingSpec, resolve_grouping
 from .model import (BUECHI, OBJECTIVE_KINDS, PARITY, REACHABILITY, SAFETY,
                     LassoRun, NoViolation, Objective, TransitionSystem,
                     find_violating_run, violates)
-from .modlang import expand_program, load_program, parse_program
+from .modlang import expand_program, parse_program
 from .positivity import positivity_buechi_opt_all, positivity_reach_opt
 from .refinement import (HeuristicsConfig, RefinementResult, refine_loop,
                          responsibility_via_refinement)

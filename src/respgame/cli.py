@@ -11,7 +11,7 @@ from fractions import Fraction
 from . import exports
 from .errors import (AnalysisTimeout, InputError, RefusalError, no_deadline,
                      read_text)
-from .explicit import load_explicit, serialize_explicit
+from .explicit import parse_explicit, serialize_explicit
 from .games import FORWARD, MODES, OPTIMISTIC, PESSIMISTIC
 from .generators import FAMILIES, generate
 from .grouping import (BY_LABEL, BY_MODULE, EXPLICIT_LIST, GroupingSpec,
@@ -19,15 +19,15 @@ from .grouping import (BY_LABEL, BY_MODULE, EXPLICIT_LIST, GroupingSpec,
 from .model import (BUECHI, OBJECTIVE_KINDS, PARITY, REACHABILITY,
                     LassoRun, NoViolation, Objective, find_violating_run,
                     require_valid_run, violates)
-from .modlang import DEFAULT_STATE_CAP, expand_program, load_program
+from .modlang import DEFAULT_STATE_CAP, expand_program, parse_program
 from .positivity import positivity_buechi_opt_all, positivity_reach_opt
 from .refinement import (DEFAULT_BLOCK_CAP, HeuristicsConfig,
                          REFINE_HEURISTICS, SELECT_HEURISTICS, refine_loop,
                          responsibility_via_refinement)
-from .shapley import (DEFAULT_ORACLE_CAP, DEFAULT_SHAPLEY_CAP, PayoffGame,
-                      PlayerSet, ResponsibilityReport, oracle_shapley,
-                      oracle_shapley_and_minimal, prune_dummies,
-                      shapley_exact)
+from .shapley import (DEFAULT_ORACLE_CAP, DEFAULT_SHAPLEY_CAP, STATE_PLAYERS,
+                      PayoffGame, PlayerSet, ResponsibilityReport,
+                      oracle_shapley, oracle_shapley_and_minimal,
+                      prune_dummies, shapley_exact)
 
 
 def _non_negative(kind):
@@ -155,14 +155,16 @@ def _load_model(args, unpruned=()) -> PayoffGame:
     owners = {}
     doc_run = None
     group_doc = None
-    # an explicit document is a JSON object; no program starts with "{"
-    if read_text(args.model, 4096).lstrip().startswith("{"):
-        doc = load_explicit(args.model)
+    # read once, so a pipe works too; an explicit document is a JSON
+    # object, and no program starts with "{"
+    text = read_text(args.model)
+    if text.lstrip().startswith("{"):
+        doc = parse_explicit(text)
         ts, objective, doc_run = doc.system
         group_doc = doc.groups
     else:
-        prog = load_program(args.model)
-        expanded = expand_program(prog, args.state_cap, deadline)
+        expanded = expand_program(parse_program(text), args.state_cap,
+                                  deadline)
         ts = expanded.ts
         labels = expanded.labels
         owners = expanded.owners
@@ -266,15 +268,23 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
-def _full_report(ts, report) -> ResponsibilityReport:
-    """Extend a state-player report with zero rows for pruned states."""
-    if report.player_kind != "states":
-        return report
-    have = dict(zip(report.names, report.values))
-    zero = Fraction(0)
-    values = tuple([have.get(name, zero) for name in ts.names])
-    return ResponsibilityReport("states", report.mode, ts.names, values,
-                                report.games_solved, report.memo_hits)
+def _report_text(args, pg, report, refinement=None, note=None) -> str:
+    """The report in the command's `--format` (a table if it has none); a
+    state-player report gets zero rows for the pruned states."""
+    ts = pg.ts
+    if report.player_kind == STATE_PLAYERS:
+        have = dict(zip(report.names, report.values))
+        zero = Fraction(0)
+        values = tuple([have.get(name, zero) for name in ts.names])
+        report = ResponsibilityReport(STATE_PLAYERS, report.mode, ts.names,
+                                      values, report.games_solved,
+                                      report.memo_hits)
+    form = getattr(args, "format", "table")
+    if form == "records":
+        return exports.records_document(report, refinement=refinement)
+    if form == "dot":
+        return exports.dot_document(pg, report)
+    return exports.render_table(report, note=note)
 
 
 def _cmd_analyze(args) -> int:
@@ -283,13 +293,7 @@ def _cmd_analyze(args) -> int:
     report = shapley_exact(pg, cap=args.player_cap)
     if pg.gamma(pg.full_mask()) == 0:
         note = "objective unsatisfiable; all responsibilities 0"
-    report = _full_report(pg.ts, report)
-    if args.format == "table":
-        _emit(args, exports.render_table(report, note=note))
-    elif args.format == "records":
-        _emit(args, exports.records_document(report))
-    else:
-        _emit(args, exports.dot_document(pg, report))
+    _emit(args, _report_text(args, pg, report, note=note))
     return 0
 
 
@@ -299,7 +303,7 @@ def _cmd_positivity(args) -> int:
     # the polynomial searches read no players, so they need no pruning games
     pg = _load_model(args, unpruned=polynomial)
     search = polynomial.get(pg.objective.kind)
-    if search and pg.players.kind == "states":
+    if search and pg.players.kind == STATE_PLAYERS:
         positive = search(pg.ts, pg.objective.target, pg.run,
                           deadline=pg.deadline)
     else:
@@ -321,32 +325,22 @@ def _cmd_refine(args) -> int:
     if args.no_values:
         result = refine_loop(pg, config, cap=args.block_cap)
         names = sorted(pg.players.names[p] for p in result.responsible)
-        text = ""
-        if args.explain:
-            text += exports.render_trace_text(result.trace)
-        text += (f"responsible ({len(names)} of {len(pg.players)} players, "
-                 f"{result.split_count} splits): {{{', '.join(names)}}}\n")
-        _emit(args, text)
-        return 0
-    report, result = responsibility_via_refinement(
-        pg, config, block_cap=args.block_cap, shapley_cap=args.player_cap)
-    report = _full_report(pg.ts, report)
-    if args.format == "records":
-        _emit(args, exports.records_document(report, refinement=result))
-    elif args.format == "dot":
-        _emit(args, exports.dot_document(pg, report))
+        text = (f"responsible ({len(names)} of {len(pg.players)} players, "
+                f"{result.split_count} splits): {{{', '.join(names)}}}\n")
     else:
-        text = ""
-        if args.explain:
-            text = exports.render_trace_text(result.trace)
-        text += exports.render_table(report)
-        _emit(args, text)
+        report, result = responsibility_via_refinement(
+            pg, config, block_cap=args.block_cap,
+            shapley_cap=args.player_cap)
+        text = _report_text(args, pg, report, refinement=result)
+    if args.explain:
+        text = exports.render_trace_text(result.trace) + text
+    _emit(args, text)
     return 0
 
 
 def _cmd_oracle(args) -> int:
     pg = _load_model(args)
-    if pg.players.kind != "states":
+    if pg.players.kind != STATE_PLAYERS:
         raise InputError("the oracle works on state players")
     indices = [pg.ts.index_of(n) for n in pg.players.names]
     problem = (pg.ts, pg.objective, pg.run, args.mode, indices)
@@ -356,7 +350,7 @@ def _cmd_oracle(args) -> int:
     else:
         report = oracle_shapley(*problem, cap=args.oracle_cap,
                                 deadline=pg.deadline)
-    text = exports.render_table(_full_report(pg.ts, report))
+    text = _report_text(args, pg, report)
     if args.minimal_coalitions:
         text += f"minimal winning coalitions: {len(minimal)}\n"
     _emit(args, text)

@@ -42,11 +42,11 @@ def no_deadline() -> None:
     raises.  Every `deadline` parameter defaults to it."""
 
 
-def read_text(path, size: int = -1) -> str:
-    """The UTF-8 text of the file at `path`, or its first `size` characters."""
+def read_text(path) -> str:
+    """The UTF-8 text of the file at `path`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read(size)
+            return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:

@@ -10,7 +10,7 @@ from typing import Optional
 
 from .games import arena_to_dot, build_game
 from .refinement import RefinementResult
-from .shapley import PayoffGame, ResponsibilityReport
+from .shapley import STATE_PLAYERS, PayoffGame, ResponsibilityReport
 
 REPORT_SCHEMA = "respgame-report-v1"
 
@@ -73,7 +73,7 @@ def trace_records(trace):
             "witnesses": {str(bid): sorted(map(int, coalition))
                           for bid, coalition in sorted(rec.witnesses.items())},
             "selected": rec.selected,
-            "delta_size": len(rec.delta),
+            "delta_size": rec.delta_size,
             "frontier": sorted(rec.frontier),
             "split": rec.split_state,
         })
@@ -177,7 +177,7 @@ def dot_document(pg: PayoffGame, report: ResponsibilityReport) -> str:
     for name, value in zip(report.names, report.values):
         states = name_to_states.get(name)
         if states is None:
-            if report.player_kind != "states":
+            if report.player_kind != STATE_PLAYERS:
                 continue
             states = (pg.ts.index_of(name),)  # zero row for a pruned state
         for s in states:

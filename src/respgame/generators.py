@@ -51,6 +51,29 @@ def _lowest_walk(succ: Dict[int, List[int]], start: int, stop: int) -> List[int]
     return path
 
 
+def _to_goal_or_sink(chain: List[int], goal: int, sink: int):
+    """Edges from each state of `chain` to `goal`, to `sink` and on to the
+    next state of the chain."""
+    return ([(s, goal) for s in chain] + [(s, sink) for s in chain]
+            + list(zip(chain, chain[1:])))
+
+
+def _document(names: List[str], edges: List[Tuple[int, int]], kind: str,
+              target: List[int], prefix: List[int],
+              loop: List[int]) -> ExplicitModelDoc:
+    """The document over `names`, started in the first state; `target` and
+    the run are state indices, and the transitions are the distinct edges
+    sorted by name."""
+    def named(indices):
+        return [names[s] for s in indices]
+
+    return ExplicitModelDoc(
+        states=list(names), initial=names[0],
+        transitions=sorted((names[s], names[t]) for s, t in set(edges)),
+        objective_kind=kind, target=named(target),
+        run_prefix=named(prefix), run_loop=named(loop))
+
+
 def generate_clouds(k: int) -> ExplicitModelDoc:
     """Three acyclic diamond clouds of k states around a single critical
     choice state; reaching the good sink is decided there alone."""
@@ -81,11 +104,7 @@ def generate_clouds(k: int) -> ExplicitModelDoc:
     prefix = [s0] + _lowest_walk(succ, cloud1[0], crit) + [crit]
     if cloud3:
         prefix += _lowest_walk(succ, cloud3[0], minus)
-    return ExplicitModelDoc(
-        states=list(names), initial="s0",
-        transitions=sorted((names[s], names[t]) for s, t in set(edges)),
-        objective_kind=REACHABILITY, target=["plus"],
-        run_prefix=[names[s] for s in prefix], run_loop=["minus"])
+    return _document(names, edges, REACHABILITY, [plus], prefix, [minus])
 
 
 def generate_exp_coalitions(n: int) -> ExplicitModelDoc:
@@ -115,11 +134,7 @@ def generate_exp_coalitions(n: int) -> ExplicitModelDoc:
         prefix.append(a[i])
         if i < n:
             prefix.append(b[i])
-    return ExplicitModelDoc(
-        states=names, initial="s0",
-        transitions=sorted((names[s], names[t]) for s, t in set(edges)),
-        objective_kind=BUECHI, target=["sf"],
-        run_prefix=[names[s] for s in prefix], run_loop=[names[b[n]]])
+    return _document(names, edges, BUECHI, [sf], prefix, [b[n]])
 
 
 def generate_frontier_stress_reach(k: int) -> ExplicitModelDoc:
@@ -135,25 +150,12 @@ def generate_frontier_stress_reach(k: int) -> ExplicitModelDoc:
     bs = list(range(k + 1, 2 * k + 1))
     goal, sink = 2 * k + 1, 2 * k + 2
     edges = [(0, r)] + [(0, bi) for bi in bs]
-    chain = zs + []
-    edges.append((r, goal))
-    edges.append((r, sink))
-    if chain:
-        edges.append((r, chain[0]))
-    for j, z in enumerate(chain):
-        edges.append((z, goal))
-        edges.append((z, sink))
-        if j + 1 < len(chain):
-            edges.append((z, chain[j + 1]))
+    edges += _to_goal_or_sink([r] + zs, goal, sink)
     for bi in bs:
         edges.append((bi, r))
         edges.append((bi, sink))
     edges += [(goal, goal), (sink, sink)]
-    return ExplicitModelDoc(
-        states=names, initial="s0",
-        transitions=sorted((names[s], names[t]) for s, t in set(edges)),
-        objective_kind=REACHABILITY, target=["goal"],
-        run_prefix=["s0", "r"], run_loop=["sink"])
+    return _document(names, edges, REACHABILITY, [goal], [0, r], [sink])
 
 
 def generate_frontier_stress_safety(k: int) -> ExplicitModelDoc:
@@ -175,11 +177,7 @@ def generate_frontier_stress_safety(k: int) -> ExplicitModelDoc:
         edges.append((w, safe))
         edges.append((w, ws[j + 1] if j + 1 < len(ws) else r))
     edges += [(safe, safe), (bad, bad)]
-    return ExplicitModelDoc(
-        states=names, initial="s0",
-        transitions=sorted((names[s], names[t]) for s, t in set(edges)),
-        objective_kind=SAFETY, target=["bad"],
-        run_prefix=["s0", "r"], run_loop=["bad"])
+    return _document(names, edges, SAFETY, [bad], [0, r], [bad])
 
 
 def generate_almost_empty_frontier(k: int) -> ExplicitModelDoc:
@@ -192,20 +190,9 @@ def generate_almost_empty_frontier(k: int) -> ExplicitModelDoc:
     ds = list(range(1, k))
     r = k
     goal, sink = k + 1, k + 2
-    edges = [(0, r), (r, goal), (r, sink)]
-    if ds:
-        edges.append((r, ds[0]))
-    for j, d in enumerate(ds):
-        edges.append((d, goal))
-        edges.append((d, sink))
-        if j + 1 < len(ds):
-            edges.append((d, ds[j + 1]))
+    edges = [(0, r)] + _to_goal_or_sink([r] + ds, goal, sink)
     edges += [(goal, goal), (sink, sink)]
-    return ExplicitModelDoc(
-        states=names, initial="s0",
-        transitions=sorted((names[s], names[t]) for s, t in set(edges)),
-        objective_kind=REACHABILITY, target=["goal"],
-        run_prefix=["s0", "r"], run_loop=["sink"])
+    return _document(names, edges, REACHABILITY, [goal], [0, r], [sink])
 
 
 # the analyser whose completion test `lab_program_text` gets wrong

@@ -163,17 +163,14 @@ def find_witness(pg: PayoffGame, partition: Partition, block_id: int,
 
 def compute_has_bsp(pg: PayoffGame, partition: Partition,
                     skip: Sequence[int] = (),
-                    known: Optional[Dict[int, BspWitness]] = None,
                     cap: int = DEFAULT_BLOCK_CAP,
                     ) -> Dict[int, Optional[BspWitness]]:
     """Witness (or None) per block id, excluding the ids in `skip`.
 
-    `known` carries witnesses from earlier rounds: refining other blocks
-    keeps a recorded coalition a union of blocks, so those witnesses are
-    reused rather than re-searched.  The other blocks read their witness
-    off one winning table of the block game, learned through `pg.gamma`
-    on unions of blocks; a union of old blocks stays a union of new ones,
-    so the shared memo carries every answer across splits.
+    The blocks read their witness off one winning table of the block
+    game, learned through `pg.gamma` on unions of blocks; a union of old
+    blocks stays a union of new ones, so the shared memo carries every
+    answer across splits.
     """
     nblocks = len(partition.blocks)
     if nblocks > cap:
@@ -181,15 +178,14 @@ def compute_has_bsp(pg: PayoffGame, partition: Partition,
             f"{nblocks} blocks exceed the witness-search cap of {cap}",
             guidance="raise --block-cap, start from fewer initial blocks, "
                      "or group states first")
-    known = known or {}
     ids = [bid for bid in partition.sorted_ids() if bid not in skip]
-    if any(bid not in known for bid in ids):
-        blocks = [partition.mask_of((bid,)) for bid in partition.sorted_ids()]
-        table = _winning_table(pg.gamma_of(blocks[::-1]), nblocks)
-        # built by the first block whose complement wins, then shared
-        layers = cache(partial(_layers, nblocks))
-    return {bid: known[bid] if bid in known
-            else find_witness(pg, partition, bid, table, layers)
+    if not ids:
+        return {}
+    blocks = [partition.mask_of((bid,)) for bid in partition.sorted_ids()]
+    table = _winning_table(pg.gamma_of(blocks[::-1]), nblocks)
+    # built by the first block whose complement wins, then shared
+    layers = cache(partial(_layers, nblocks))
+    return {bid: find_witness(pg, partition, bid, table, layers)
             for bid in ids}
 
 
@@ -198,13 +194,21 @@ def _rng_for(seed: int, iteration: int, purpose: int) -> random.Random:
     return random.Random((seed * 1_000_003 + iteration) * 31 + purpose)
 
 
+# frontier heuristic -> weights (a, b) of its score a*win + b*lose
+_FRONTIER_WEIGHTS = {"frontier-max": (1, 1), "frontier-losing": (0, 1),
+                     "frontier-winning": (1, 0)}
+
+
 def refine_block(pg: PayoffGame, partition: Partition, witness: BspWitness,
                  config: HeuristicsConfig, iteration: int):
     """Split one player off the witness block per the configured heuristic.
 
-    Frontier variants pick a state from the frontier (falling back to a
-    uniform pick from the region difference inside the block, which is
-    never empty); the player owning the chosen state is split off.
+    The pool is the sorted frontier; for `random`, or when the frontier
+    is empty, it is the sorted region difference inside the block, which
+    is never empty.  `frontier-first` takes the pool's first state, the
+    weighted frontier heuristics the state of highest score (lowest index
+    on ties), and every other case a seeded draw.  The player owning the
+    chosen state is split off.
     Returns (chosen state, frontier states, new singleton id, rest id).
     """
     block_states = pg.flatten(partition.mask_of((witness.block_id,)))
@@ -213,26 +217,15 @@ def refine_block(pg: PayoffGame, partition: Partition, witness: BspWitness,
     counts = witness.frontier_counts
     fr = frozenset(counts)
     how = config.refine
-    if how == "random":
-        chosen = _rng_for(config.rng_seed, iteration, 1).choice(
-            sorted(delta_in_block))
-    elif not fr:
-        if how == "frontier-first":
-            chosen = min(delta_in_block)
-        else:
-            chosen = _rng_for(config.rng_seed, iteration, 1).choice(
-                sorted(delta_in_block))
-    elif how == "frontier-random":
-        chosen = _rng_for(config.rng_seed, iteration, 1).choice(sorted(fr))
-    elif how == "frontier-first":
-        chosen = min(fr)
-    elif how == "frontier-max":
-        chosen = max(sorted(fr),
-                     key=lambda s: (counts[s][0] + counts[s][1], -s))
-    elif how == "frontier-losing":
-        chosen = max(sorted(fr), key=lambda s: (counts[s][1], -s))
-    else:  # frontier-winning
-        chosen = max(sorted(fr), key=lambda s: (counts[s][0], -s))
+    pool = sorted(fr if fr and how != "random" else delta_in_block)
+    if how == "frontier-first":
+        chosen = pool[0]
+    elif fr and how in _FRONTIER_WEIGHTS:
+        a, b = _FRONTIER_WEIGHTS[how]
+        chosen = max(pool, key=lambda s: (a * counts[s][0] + b * counts[s][1],
+                                          -s))
+    else:
+        chosen = _rng_for(config.rng_seed, iteration, 1).choice(pool)
     player = next(p for p in sorted(partition.blocks[witness.block_id])
                   if chosen in pg.players.members[p])
     single_id, rest_id = partition.split(witness.block_id,
@@ -240,21 +233,21 @@ def refine_block(pg: PayoffGame, partition: Partition, witness: BspWitness,
     return chosen, fr, single_id, rest_id
 
 
+# select heuristic -> the size of a witness it refines first, smallest first
+_SELECT_SIZE = {"max-delta": lambda w: -len(w.delta),
+                "min-delta": lambda w: len(w.delta),
+                "min-frontier": lambda w: len(w.frontier_counts)}
+
+
 def select_blocks(candidates: Dict[int, BspWitness],
                   config: HeuristicsConfig, iteration: int) -> int:
-    """The id of the one non-singleton witness block to refine next."""
-    if not candidates:
-        raise InputError("no candidate blocks")
-    ids = sorted(candidates)
-    how = config.select
-    if how == "random":
-        return _rng_for(config.rng_seed, iteration, 2).choice(ids)
-    if how == "max-delta":
-        return max(ids, key=lambda b: (len(candidates[b].delta), -b))
-    if how == "min-delta":
-        return min(ids, key=lambda b: (len(candidates[b].delta), b))
-    # min-frontier
-    return min(ids, key=lambda b: (len(candidates[b].frontier_counts), b))
+    """The id of the one non-singleton witness block to refine next: a
+    seeded draw, or the smallest (size, block id)."""
+    if config.select == "random":
+        return _rng_for(config.rng_seed, iteration, 2).choice(
+            sorted(candidates))
+    size = _SELECT_SIZE[config.select]
+    return min(candidates, key=lambda b: (size(candidates[b]), b))
 
 
 class IterationRecord(NamedTuple):
@@ -266,7 +259,7 @@ class IterationRecord(NamedTuple):
     partition: Dict[int, Tuple[str, ...]]
     witnesses: Dict[int, Tuple[int, ...]]
     selected: Optional[int] = None
-    delta: Tuple[str, ...] = ()
+    delta_size: int = 0
     frontier: Tuple[str, ...] = ()
     split_state: Optional[str] = None
 
@@ -288,7 +281,9 @@ def refine_loop(pg: PayoffGame, config: HeuristicsConfig,
     the players with positive responsibility.
 
     Singleton blocks are skipped while the loop runs and settled in one
-    final pass; witnesses found earlier are carried across iterations.
+    final pass.  `known` holds the witnesses of the blocks with more than
+    one player; refining other blocks keeps a recorded coalition a union
+    of blocks, so a witness is carried until its block is split.
     """
     players = list(range(len(pg.players)))
     if not players:
@@ -305,10 +300,10 @@ def refine_loop(pg: PayoffGame, config: HeuristicsConfig,
     iteration = 0
     while True:
         iteration += 1
-        singles = [bid for bid, b in partition.blocks.items() if len(b) == 1]
-        found = compute_has_bsp(pg, partition, skip=singles, known=known,
-                                cap=cap)
-        for bid, w in found.items():
+        skip = [bid for bid, b in partition.blocks.items()
+                if len(b) == 1 or bid in known]
+        for bid, w in compute_has_bsp(pg, partition, skip=skip,
+                                      cap=cap).items():
             if w is not None:
                 known[bid] = w
         record = IterationRecord(
@@ -317,22 +312,19 @@ def refine_loop(pg: PayoffGame, config: HeuristicsConfig,
                        for bid, members in partition.snapshot().items()},
             witnesses={bid: partition.ids_within(w.coalition)
                        for bid, w in sorted(known.items())})
-        candidates = {bid: w for bid, w in known.items()
-                      if len(partition.blocks[bid]) > 1}
-        if not candidates:
+        if not known:
             trace.append(record)
             break
-        selected = select_blocks(candidates, config, iteration)
-        witness = candidates[selected]
+        selected = select_blocks(known, config, iteration)
+        witness = known.pop(selected)
         chosen, fr, _, _ = refine_block(
             pg, partition, witness, config, iteration)
         trace.append(record._replace(
             selected=selected,
-            delta=tuple(state_names[s] for s in sorted(witness.delta)),
+            delta_size=len(witness.delta),
             frontier=tuple(state_names[s] for s in sorted(fr)),
             split_state=state_names[chosen]))
-        known.pop(selected, None)
-    final = compute_has_bsp(pg, partition, known=known, cap=cap)
+    final = compute_has_bsp(pg, partition, cap=cap)
     witnesses = {bid: w for bid, w in final.items() if w is not None}
     responsible = set()
     for bid in witnesses:

@@ -3,7 +3,9 @@
 import argparse
 import gc
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -23,6 +25,9 @@ from respgame.model import require_valid_run
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 DOCS = Path(__file__).resolve().parent.parent / "docs"
+SRC = Path(__file__).resolve().parent.parent / "src"
+RUN_CLI = ("import sys; from respgame.cli import run_cli; "
+           "sys.exit(run_cli(sys.argv[1:]))")
 
 
 def run(capsys, *argv):
@@ -329,6 +334,35 @@ def test_group_by_module_pipeline(capsys):
                        "--group-by-module")
     assert code == 0
     assert "left" in out and "right" in out
+
+
+@pytest.mark.skipif(not Path("/dev/stdin").exists(),
+                    reason="the platform has no /dev/stdin")
+@pytest.mark.parametrize("model, flags", [
+    ("engraving_demo.json", ()),
+    ("toggle.prism", ("--objective", "safety", "--target-label", "both")),
+])
+def test_a_model_piped_into_dev_stdin_is_read_once(capsys, model, flags):
+    """A pipe can be read only once: the format is told from the same text
+    that is parsed."""
+    path = MODELS / model
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    piped = subprocess.run(
+        [sys.executable, "-c", RUN_CLI, "analyze", "/dev/stdin", *flags],
+        input=path.read_bytes(), env=env, capture_output=True, timeout=120)
+    code, out, err = run(capsys, "analyze", str(path), *flags)
+    assert (piped.returncode, piped.stdout.decode(), piped.stderr.decode()) \
+        == (code, out, err)
+    assert code == 0 and out
+
+
+def test_a_document_after_many_blank_lines_is_still_explicit(capsys,
+                                                            tmp_path):
+    model = MODELS / "engraving_demo.json"
+    padded = tmp_path / "padded.json"
+    padded.write_text("\n" * 5000 + model.read_text())
+    assert run(capsys, "analyze", str(padded)) == \
+        run(capsys, "analyze", str(model))
 
 
 def test_state_cap_flag(capsys):

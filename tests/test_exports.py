@@ -162,10 +162,10 @@ def test_trace_with_empty_and_null_fields_matches_reference():
     trace = [
         IterationRecord(1, {0: ("a", "b")}, {}),
         IterationRecord(2, {1: ("a",), 2: ("b",)}, {1: (2,), 2: ()},
-                        selected=1, delta=("s0", "s1"), frontier=(),
+                        selected=1, delta_size=2, frontier=(),
                         split_state=None),
         IterationRecord(3, {}, {5: (1, 2)}, selected=None,
-                        delta=(), frontier=("s1", "s0"), split_state="s1"),
+                        delta_size=0, frontier=("s1", "s0"), split_state="s1"),
     ]
     refinement = RefinementResult(frozenset({0, 1}), trace, {})
     text = records_document(report, refinement)
