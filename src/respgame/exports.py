@@ -10,7 +10,7 @@ from typing import Optional
 
 from .games import arena_to_dot, build_game
 from .refinement import RefinementResult
-from .shapley import STATE_PLAYERS, PayoffGame, ResponsibilityReport
+from .shapley import PayoffGame, ResponsibilityReport
 
 REPORT_SCHEMA = "respgame-report-v1"
 
@@ -176,10 +176,8 @@ def dot_document(pg: PayoffGame, report: ResponsibilityReport) -> str:
     positives = set()
     for name, value in zip(report.names, report.values):
         states = name_to_states.get(name)
-        if states is None:
-            if report.player_kind != STATE_PLAYERS:
-                continue
-            states = (pg.ts.index_of(name),)  # zero row for a pruned state
+        if states is None:  # the zero row of a pruned state
+            states = (pg.ts.index_of(name),)
         for s in states:
             values[s] = str(value)
             if value > 0:

@@ -7,7 +7,7 @@ from typing import Iterable, List, NamedTuple, Optional
 
 from .errors import InputError, no_deadline
 from .model import (BUECHI, REACHABILITY, SAFETY, LassoRun, Objective,
-                    TransitionSystem, predecessors)
+                    TransitionSystem)
 
 OPTIMISTIC = "optimistic"
 PESSIMISTIC = "pessimistic"
@@ -35,8 +35,6 @@ class Engraved(Sequence):
         return len(self.base)
 
     def __getitem__(self, s):
-        if isinstance(s, slice) or s < 0:
-            return tuple(self)[s]
         if s in self.forced and s not in self.owners:
             return self.forced[s]
         return self.base[s]
@@ -56,32 +54,24 @@ class GameArena:
     `sat` holds the indices controlled by the player trying to satisfy the
     objective; every other state belongs to the opponent.  `preds` are the
     predecessor lists of the graph: of `succ` itself, or, when `succ` is an
-    engraved view, those of the model it was engraved from, shared by every
-    arena on it.  Without them the arena builds its own from `succ`.
+    engraved view, those of the model it was engraved from.
 
-    A view is kept only when its `owners` is `sat` itself, so that the cut
-    follows ownership: a state is cut down to its run edge exactly when it
-    is a run state outside `sat`, and no cut state is Sat's.  The attractor
-    relies on this to skip the edges engraving cut without reading a
-    successor list.  A view engraved for another owner set is
-    materialised, with predecessor lists of its own.
+    A view must be engraved for `sat` itself, so that a state is cut down
+    to its run edge exactly when it is a run state outside `sat`, and no
+    cut state is Sat's; the attractor relies on this.
     """
 
-    __slots__ = ("names", "initial", "succ", "sat", "_preds")
+    __slots__ = ("names", "initial", "succ", "sat", "preds")
 
-    def __init__(self, names, initial, succ, sat, preds=None):
+    def __init__(self, names, initial, succ, sat, preds):
         self.names = names
         self.initial = initial
         self.sat = frozenset(sat)
         if isinstance(succ, Engraved) and succ.owners is not self.sat:
-            succ, preds = tuple(succ), None
+            raise ValueError("an engraved view must be engraved for the "
+                             "arena's own Sat states")
         self.succ = succ
-        self._preds = preds
-
-    def preds(self):
-        if self._preds is None:
-            self._preds = predecessors(self.succ)
-        return self._preds
+        self.preds = preds
 
     def __len__(self):
         return len(self.names)
@@ -160,20 +150,16 @@ def attractor(arena: GameArena, target, for_sat: bool, alive=None,
     of `target` with a predecessor outside it, so that each state outside
     still counts all of its successors inside.
 
-    On an engraved view the predecessor lists are the model's, so they
-    keep the edges engraving cut.  Ownership is tested first: a Sat state
-    is never cut (see `GameArena`), and a state outside `sat` that the
-    run forces has one successor, its run edge, so an edge p -> s from it
-    counts only when s is that successor.  The loop reads the model's
-    lists and `run.forced` directly, and a list only to count an
-    opponent state's successors.
+    On an engraved view the predecessor lists keep the edges engraving
+    cut.  A Sat state is never cut (see `GameArena`), and a run state
+    outside `sat` counts an edge p -> s only when s is its run edge.
     """
     succ = arena.succ
     if isinstance(succ, Engraved):
         base, forced = succ.base, succ.forced
     else:
         base, forced = succ, {}
-    preds = arena.preds()
+    preds = arena.preds
     sat = arena.sat
     attr = set(target)
     if until in attr:

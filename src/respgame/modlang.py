@@ -14,7 +14,7 @@ import re
 from itertools import product
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .errors import InputError, StateCapExceeded, no_deadline, read_text
+from .errors import InputError, StateCapExceeded, no_deadline
 from .model import TransitionSystem
 
 DEFAULT_STATE_CAP = 10_000_000
@@ -796,7 +796,3 @@ def expand_program(prog: ModuleLangProgram,
 
     return ExpandedModel(ts, variables, order, holding("label", prog.labels),
                          holding("owner", prog.owners))
-
-
-def load_program(path) -> ModuleLangProgram:
-    return parse_program(read_text(path))

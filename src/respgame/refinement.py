@@ -138,14 +138,13 @@ def find_witness(pg: PayoffGame, partition: Partition, block_id: int,
                  ) -> Optional[BspWitness]:
     """Read one block's block-switching pair off the block game's table.
 
-    `table` is the winning table of the game whose player i is the i-th
-    block of `partition` from the end of its sorted ids, and `layers()`
-    returns that game's coalitions by size (`_layers`).  The coalition is
-    the full complement of the block if that loses, and otherwise the
-    numerically largest switching coalition of the lowest non-empty size:
-    with blocks numbered from the end, the first switching coalition of
-    the other blocks by size and then in lexicographic order.  None means
-    no pair exists under the current partition.
+    `table` is the block table (`_block_table`), and `layers()` returns
+    that game's coalitions by size (`_layers`).  The coalition is the full
+    complement of the block if that loses, and otherwise the numerically
+    largest switching coalition of the lowest non-empty size: with blocks
+    numbered from the end, the first switching coalition of the other
+    blocks by size and then in lexicographic order.  None means no pair
+    exists under the current partition.
     """
     ids = partition.sorted_ids()[::-1]
     m = len(ids)
@@ -161,30 +160,40 @@ def find_witness(pg: PayoffGame, partition: Partition, block_id: int,
         bid for i, bid in enumerate(ids) if coalition >> i & 1))
 
 
+def _check_cap(partition: Partition, cap: int) -> None:
+    if len(partition.blocks) > cap:
+        raise BlockCapExceeded(
+            f"{len(partition.blocks)} blocks exceed the witness-search cap "
+            f"of {cap}",
+            guidance="raise --block-cap, start from fewer initial blocks, "
+                     "or group states first")
+
+
+def _block_table(pg: PayoffGame, partition: Partition, cap: int) -> int:
+    """Winning table of the block game, whose player i is the i-th block
+    of `partition` from the end of its sorted ids, learned through
+    `pg.gamma` on unions of blocks; a union of old blocks stays a union of
+    new ones, so the shared memo carries every answer across splits."""
+    _check_cap(partition, cap)
+    masks = [partition.mask_of((bid,))
+             for bid in partition.sorted_ids()[::-1]]
+    return _winning_table(pg.gamma_of(masks), len(masks))
+
+
 def compute_has_bsp(pg: PayoffGame, partition: Partition,
                     skip: Sequence[int] = (),
                     cap: int = DEFAULT_BLOCK_CAP,
                     ) -> Dict[int, Optional[BspWitness]]:
-    """Witness (or None) per block id, excluding the ids in `skip`.
-
-    The blocks read their witness off one winning table of the block
-    game, learned through `pg.gamma` on unions of blocks; a union of old
-    blocks stays a union of new ones, so the shared memo carries every
-    answer across splits.
-    """
-    nblocks = len(partition.blocks)
-    if nblocks > cap:
-        raise BlockCapExceeded(
-            f"{nblocks} blocks exceed the witness-search cap of {cap}",
-            guidance="raise --block-cap, start from fewer initial blocks, "
-                     "or group states first")
+    """Witness (or None) per block id, excluding the ids in `skip`, all
+    read off one block table (`_block_table`), which is learned only when
+    some block is left to search."""
     ids = [bid for bid in partition.sorted_ids() if bid not in skip]
     if not ids:
+        _check_cap(partition, cap)
         return {}
-    blocks = [partition.mask_of((bid,)) for bid in partition.sorted_ids()]
-    table = _winning_table(pg.gamma_of(blocks[::-1]), nblocks)
+    table = _block_table(pg, partition, cap)
     # built by the first block whose complement wins, then shared
-    layers = cache(partial(_layers, nblocks))
+    layers = cache(partial(_layers, len(partition.blocks)))
     return {bid: find_witness(pg, partition, bid, table, layers)
             for bid in ids}
 
@@ -267,7 +276,6 @@ class IterationRecord(NamedTuple):
 class RefinementResult(NamedTuple):
     responsible: frozenset  # player positions
     trace: List[IterationRecord]
-    witnesses: Dict[int, BspWitness]
 
     @property
     def split_count(self) -> int:
@@ -277,17 +285,18 @@ class RefinementResult(NamedTuple):
 def refine_loop(pg: PayoffGame, config: HeuristicsConfig,
                 cap: int = DEFAULT_BLOCK_CAP) -> RefinementResult:
     """Refine a seeded random initial partition until every witness block
-    is a singleton; the members of the final witness blocks are exactly
-    the players with positive responsibility.
+    is a singleton; the members of the final blocks with a switching
+    coalition are exactly the players with positive responsibility.
 
-    Singleton blocks are skipped while the loop runs and settled in one
-    final pass.  `known` holds the witnesses of the blocks with more than
-    one player; refining other blocks keeps a recorded coalition a union
-    of blocks, so a witness is carried until its block is split.
+    Singleton blocks are skipped while the loop runs and settled by the
+    final partition's block table, which builds no witness.  `known` holds
+    the witnesses of the blocks with more than one player; refining other
+    blocks keeps a recorded coalition a union of blocks, so a witness is
+    carried until its block is split.
     """
     players = list(range(len(pg.players)))
     if not players:
-        return RefinementResult(frozenset(), [], {})
+        return RefinementResult(frozenset(), [])
     names = pg.players.names
     state_names = pg.ts.names
     rng = _rng_for(config.rng_seed, 0, 0)
@@ -324,12 +333,12 @@ def refine_loop(pg: PayoffGame, config: HeuristicsConfig,
             delta_size=len(witness.delta),
             frontier=tuple(state_names[s] for s in sorted(fr)),
             split_state=state_names[chosen]))
-    final = compute_has_bsp(pg, partition, cap=cap)
-    witnesses = {bid: w for bid, w in final.items() if w is not None}
-    responsible = set()
-    for bid in witnesses:
-        responsible |= partition.blocks[bid]
-    return RefinementResult(frozenset(responsible), trace, witnesses)
+    table = _block_table(pg, partition, cap)
+    ids = partition.sorted_ids()[::-1]
+    responsible = frozenset().union(*(
+        partition.blocks[bid] for p, bid in enumerate(ids)
+        if _swings(table, p, len(ids))))
+    return RefinementResult(responsible, trace)
 
 
 def responsibility_via_refinement(pg: PayoffGame, config: HeuristicsConfig,

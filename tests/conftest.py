@@ -11,7 +11,8 @@ from respgame import (BUECHI, PARITY, REACHABILITY, SAFETY, FORWARD,
                       OPTIMISTIC, PESSIMISTIC, AnalysisTimeout, LassoRun,
                       NoViolation, Objective, TransitionSystem,
                       find_violating_run, violates)
-from respgame.model import require_valid_run
+from respgame.games import GameArena
+from respgame.model import predecessors, require_valid_run
 
 
 class Budget:
@@ -52,6 +53,12 @@ def system(names, edges):
         succ[s].add(t)
     return TransitionSystem(names, 0,
                             succ=[tuple(sorted(ends)) for ends in succ])
+
+
+def own_arena(names, initial, succ, sat) -> GameArena:
+    """An arena on the successor lists `succ`, with predecessor lists of
+    its own."""
+    return GameArena(names, initial, succ, sat, predecessors(succ))
 
 
 def engraving_example():

@@ -694,10 +694,11 @@ def test_shared_model_flags_parse_and_print_as_per_command_flags(
 def test_refine_solves_only_the_first_pruning_game(capsys, monkeypatch,
                                                    tmp_path):
     # pruning solves W(0) cold and seeds W(all states) from it, and the
-    # payoff game reads both off the pruning result.  The two witnesses
-    # read the regions of the empty and the grand coalition, which are
-    # those bounds, and of one other coalition, solved from the seed; so
-    # the only cold solve is the first pruning game
+    # payoff game reads both off the pruning result.  The loop's one
+    # witness reads the regions of the empty and the grand coalition,
+    # which are those bounds, and the fixpoint reads the final block table
+    # without building a witness; so the pruning games are the only
+    # solves, and the first is the only cold one
     model = tmp_path / "clouds6.json"
     model.write_text(serialize_explicit(generate("clouds", 6)))
     solve = respgame.games.solve
@@ -713,7 +714,7 @@ def test_refine_solves_only_the_first_pruning_game(capsys, monkeypatch,
             monkeypatch.setattr(module, "solve", counting)
     code, out, _ = run(capsys, "refine", str(model), "--format", "records")
     assert code == 0 and json.loads(out)["players"]
-    assert [bool(seeded) for seeded in calls] == [False, True, True]
+    assert [bool(seeded) for seeded in calls] == [False, True]
 
 
 @pytest.fixture

@@ -167,7 +167,7 @@ def test_trace_with_empty_and_null_fields_matches_reference():
         IterationRecord(3, {}, {5: (1, 2)}, selected=None,
                         delta_size=0, frontier=("s1", "s0"), split_state="s1"),
     ]
-    refinement = RefinementResult(frozenset({0, 1}), trace, {})
+    refinement = RefinementResult(frozenset({0, 1}), trace)
     text = records_document(report, refinement)
     assert text == reference_document(report, refinement)
     records = json.loads(text)["trace"]

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import (engraving_example, enumerate_strategies, instances,
-                      parity_jump_example, random_objective,
+                      own_arena, parity_jump_example, random_objective,
                       random_total_system, recurrence_example,
                       reference_engrave, reference_lists, refinement_example,
                       system, _play_outcome)
@@ -62,7 +62,7 @@ def test_built_arenas_solve_as_arenas_over_the_reference_lists(kind):
                 game = build_game(ts, obj, run, coalition, mode)
                 lists = reference_lists(ts, run, coalition, mode)
                 assert list(game.arena.succ) == list(lists)
-                ref = Game(GameArena(ts.names, ts.initial, lists,
+                ref = Game(own_arena(ts.names, ts.initial, lists,
                                      game.arena.sat), obj)
                 region = solve(ref)
                 assert solve(game) == region, (mode, mask)
@@ -72,11 +72,11 @@ def test_built_arenas_solve_as_arenas_over_the_reference_lists(kind):
 
 
 @pytest.mark.parametrize("kind", [SAFETY, REACHABILITY, BUECHI, PARITY])
-def test_an_arena_on_a_view_engraved_for_other_owners_solves_as_its_lists(
-        kind):
-    # the attractor reads the cut off ownership, so an arena whose owners
-    # are not the view's own (the swapped players, an equal set that is
-    # another object, a random set) must still solve as the copied lists
+def test_an_arena_takes_a_view_engraved_for_its_own_sat_states_only(kind):
+    # the attractor reads the cut off ownership, so an arena on a view
+    # engraved for its Sat states solves as the copied lists, and any
+    # other owner set (the swapped players, an equal set that is another
+    # object, a random set) is refused
     rng = random.Random(len(kind))
     for ts, obj, run, _ in instances(83 + len(kind), 60, max_states=7,
                                      kind=kind):
@@ -84,14 +84,14 @@ def test_an_arena_on_a_view_engraved_for_other_owners_solves_as_its_lists(
         coalition = frozenset(s for s in range(n) if rng.random() < 0.5)
         view = engrave(ts.succ, run, coalition)
         lists = reference_engrave(ts.succ, run, coalition)
-        owner_sets = (coalition, frozenset(range(n)) - coalition,
-                      set(coalition),
-                      {s for s in range(n) if rng.random() < 0.5})
-        for sat in owner_sets:
-            arena = GameArena(ts.names, ts.initial, view, sat, ts.preds())
-            own = GameArena(ts.names, ts.initial, lists, sat)
-            assert list(arena.succ) == list(lists)
-            assert solve(Game(arena, obj)) == solve(Game(own, obj)), sat
+        arena = GameArena(ts.names, ts.initial, view, coalition, ts.preds())
+        own = own_arena(ts.names, ts.initial, lists, coalition)
+        assert list(arena.succ) == list(lists)
+        assert solve(Game(arena, obj)) == solve(Game(own, obj))
+        for sat in (frozenset(range(n)) - coalition, set(coalition),
+                    {s for s in range(n) if rng.random() < 0.5}):
+            with pytest.raises(ValueError):
+                GameArena(ts.names, ts.initial, view, sat, ts.preds())
 
 
 def test_build_game_reads_no_successor_list():
@@ -142,7 +142,7 @@ def test_optimistic_empty_coalition_full_run_coverage():
 
 
 def test_attractor_chain():
-    arena = GameArena(("a", "b", "c"), 0, ((1,), (2,), (2,)),
+    arena = own_arena(("a", "b", "c"), 0, ((1,), (2,), (2,)),
                       frozenset({0, 1, 2}))
     assert attractor(arena, {2}, for_sat=True) == {0, 1, 2}
 
@@ -150,7 +150,7 @@ def test_attractor_chain():
 def test_attractor_opponent_choice_blocks():
     # b belongs to the opponent and can escape to d, so nothing upstream
     # of the target joins
-    arena = GameArena(("a", "b", "c", "d"), 0, ((1,), (2, 3), (2,), (3,)),
+    arena = own_arena(("a", "b", "c", "d"), 0, ((1,), (2, 3), (2,), (3,)),
                       frozenset({0, 2, 3}))
     assert attractor(arena, {2}, for_sat=True) == {2}
 
@@ -196,7 +196,7 @@ def _random_games(seed, count, max_states=9, kind=None):
         ts = random_total_system(rng, max_states)
         obj = random_objective(rng, ts, kind)
         coalition = frozenset(s for s in range(len(ts)) if rng.random() < 0.5)
-        arena = GameArena(ts.names, ts.initial, ts.succ, coalition)
+        arena = own_arena(ts.names, ts.initial, ts.succ, coalition)
         made += 1
         yield Game(arena, obj)
 
@@ -210,7 +210,7 @@ def dual_game(game: Game) -> Game:
     the determinacy test below cross-checks `solve`.
     """
     arena = game.arena
-    swapped = GameArena(arena.names, arena.initial, arena.succ,
+    swapped = own_arena(arena.names, arena.initial, arena.succ,
                         frozenset(range(len(arena))) - arena.sat)
     obj = game.objective
     if obj.kind == SAFETY:
@@ -285,8 +285,8 @@ def test_arenas_on_shared_predecessor_lists_solve_as_on_their_own(kind):
             coalition = {s for s in range(len(ts)) if mask >> s & 1}
             game = build_game(ts, obj, run, coalition, mode)
             arena = game.arena
-            assert arena.preds() is ts.preds()
-            own = GameArena(arena.names, arena.initial, arena.succ,
+            assert arena.preds is ts.preds()
+            own = own_arena(arena.names, arena.initial, arena.succ,
                             arena.sat)
             region = solve(game)
             assert region == solve(Game(own, obj)), (mode, mask)
@@ -311,7 +311,7 @@ def test_attractor_stopped_at_a_state_holds_it_as_the_full_one_does(kind):
 
 
 def test_attractor_stops_once_the_state_joins():
-    arena = GameArena(("a", "b", "c", "d"), 0, ((1,), (2,), (3,), (3,)),
+    arena = own_arena(("a", "b", "c", "d"), 0, ((1,), (2,), (3,), (3,)),
                       frozenset())
     assert attractor(arena, {3}, for_sat=True) == {0, 1, 2, 3}
     assert attractor(arena, {3}, for_sat=True, until=2) == {2, 3}

@@ -64,6 +64,7 @@ TOGGLE_OBJECTIVES = {
                        "--group-by-module"),
     "safety": ("--objective", "safety", "--target-label", "both"),
     "parity": ("--objective", "parity", "--colour", "both=2"),
+    "parity-odd": ("--objective", "parity", "--colour", "both=1"),
 }
 
 

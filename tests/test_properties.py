@@ -7,7 +7,7 @@ from unittest import mock
 import hypothesis.strategies as st
 from hypothesis import assume, given, settings
 
-from conftest import system
+from conftest import own_arena, system
 from respgame import model
 from respgame import (BUECHI, MODES, OPTIMISTIC, PARITY, REACHABILITY,
                       SAFETY, NoViolation, Objective, PayoffGame, PlayerSet,
@@ -15,7 +15,7 @@ from respgame import (BUECHI, MODES, OPTIMISTIC, PARITY, REACHABILITY,
                       find_violating_run, game_value, oracle_shapley,
                       positivity_buechi_opt_all, shapley_exact, solve,
                       violates)
-from respgame.games import Game, GameArena, attractor
+from respgame.games import Game, attractor
 from respgame.model import require_valid_run
 
 
@@ -82,7 +82,7 @@ def test_attractor_monotone_in_target(ts, bits_a, bits_b):
     small = {s for s in range(n) if (bits_a >> s) & 1}
     extra = {s for s in range(n) if (bits_b >> s) & 1}
     sat = frozenset(range(0, n, 2))
-    arena = GameArena(ts.names, ts.initial, ts.succ, sat)
+    arena = own_arena(ts.names, ts.initial, ts.succ, sat)
     assert (attractor(arena, small, for_sat=True)
             <= attractor(arena, small | extra, for_sat=True))
 
@@ -94,7 +94,7 @@ def test_safety_region_shrinks_with_larger_avoid_set(ts, bits_a, bits_b):
     n = len(ts)
     small = frozenset(s for s in range(n) if (bits_a >> s) & 1)
     big = small | frozenset(s for s in range(n) if (bits_b >> s) & 1)
-    arena = GameArena(ts.names, ts.initial, ts.succ,
+    arena = own_arena(ts.names, ts.initial, ts.succ,
                       frozenset(range(0, n, 2)))
     win_small = solve(Game(arena, Objective(SAFETY, target=small)))
     win_big = solve(Game(arena, Objective(SAFETY, target=big)))
@@ -174,8 +174,8 @@ def test_value_queries_and_shared_predecessors_match_the_full_solve(inst,
         value = int(ts.initial in region)
         assert pg.gamma(mask) == game_value(game) == value
         arena = game.arena
-        own = GameArena(arena.names, arena.initial, arena.succ, arena.sat)
-        assert own.preds() is not arena.preds()
+        own = own_arena(arena.names, arena.initial, arena.succ, arena.sat)
+        assert own.preds is not arena.preds
         assert solve(Game(own, obj)) == region
 
 

@@ -1,13 +1,14 @@
 """Partition refinement: witnesses, frontiers, heuristics, the full loop."""
 
 import random
+from itertools import combinations
 from unittest import mock
 
 import pytest
 
 from conftest import (Budget, refinement_example, decoy_frontier_example,
-                      empty_frontier_example, instances, is_switching_pair,
-                      spy_everywhere, system)
+                      empty_frontier_example, instances, spy_everywhere,
+                      system)
 
 from respgame import games, refinement
 from respgame import (PESSIMISTIC, REACHABILITY, SAFETY, AnalysisTimeout,
@@ -271,22 +272,51 @@ def test_fixpoint_witnesses_are_switching_pairs():
 
 
 def _assert_final_witnesses(pg, result):
-    # rebuild the final partition from the last trace record
-    last = result.trace[-1] if result.trace else None
-    if last is None:
-        return
+    # every witness a trace record lists is a switching pair of its block
+    # under that record's partition, and the responsible players are the
+    # final blocks with a switching coalition of other final blocks, each
+    # of them a singleton
     name_to_pos = {n: i for i, n in enumerate(pg.players.names)}
-    blocks = {bid: frozenset(name_to_pos[n] for n in members)
-              for bid, members in last.partition.items()}
-    for bid, w in result.witnesses.items():
-        block = blocks[bid]
-        if len(block) != 1:
-            continue
-        if bid in last.witnesses:
-            # the recorded block ids make up exactly the witness mask
-            assert w.coalition == sum(1 << p for cb in last.witnesses[bid]
-                                      for p in blocks[cb])
-        assert is_switching_pair(pg, w.coalition, next(iter(block)))
+    blocks = {}
+    for rec in result.trace:
+        blocks = {bid: sum(1 << name_to_pos[n] for n in members)
+                  for bid, members in rec.partition.items()}
+        for bid, ids in rec.witnesses.items():
+            coalition = sum(blocks[cb] for cb in ids)
+            assert pg.gamma(coalition) == 0
+            assert pg.gamma(coalition | blocks[bid]) == 1
+    switching = 0
+    for bid, block in blocks.items():
+        others = [m for other, m in blocks.items() if other != bid]
+        if any(pg.gamma(c) == 0 and pg.gamma(c | block) == 1
+               for k in range(len(others) + 1)
+               for c in map(sum, combinations(others, k))):
+            assert block & (block - 1) == 0, "a responsible block of many"
+            switching |= block
+    assert result.responsible == {p for p in range(len(pg.players))
+                                  if switching >> p & 1}
+
+
+def test_the_fixpoint_solves_no_region():
+    # the loop solves the two regions of each witness it discovers, and the
+    # fixpoint reads the final block table alone
+    cases = [(_full_pg(*refinement_example(), PESSIMISTIC), cfg)
+             for cfg in (HeuristicsConfig(rng_seed=7, refine="frontier-first"),
+                         HeuristicsConfig(initial_blocks=3, rng_seed=14))]
+    for i, (ts, obj, run, mode) in enumerate(instances(19, 40, max_states=8)):
+        pg = PayoffGame(ts, obj, run, mode, prune_dummies(ts, obj, run, mode))
+        cases.append((pg, HeuristicsConfig(initial_blocks=1 + i % 3,
+                                           rng_seed=i)))
+    region = PayoffGame.region
+    responsible = 0
+    for pg, config in cases:
+        with mock.patch.object(PayoffGame, "region", autospec=True,
+                               side_effect=region) as spy:
+            result = refine_loop(pg, config)
+        discovered = {bid for rec in result.trace for bid in rec.witnesses}
+        assert spy.call_count == 2 * len(discovered)
+        responsible += bool(result.responsible)
+    assert responsible > 10
 
 
 def test_safety_reach_witness_frontiers_nonempty():

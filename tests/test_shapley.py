@@ -309,7 +309,7 @@ def test_gamma_values_on_arenas_sharing_the_model_predecessor_lists():
                 expected += (2 if lost else 32) + 2 + 32
         # every game on the predecessor lists built once for ts
         assert 0 < len(arenas) == expected
-        assert all(arena.preds() is ts.preds() for arena in arenas)
+        assert all(arena.preds is ts.preds() for arena in arenas)
         assert built.call_count == 1
 
 

@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import own_arena
 from respgame import (BUECHI, PARITY, SAFETY, ExplicitModelDoc,
                       HeuristicsConfig, InputError, LassoRun, Objective,
                       PlayerSet, ResponsibilityReport, cli, parse_program)
-from respgame.games import Game, GameArena
+from respgame.games import Game
 from respgame.grouping import BY_LABEL, EXPLICIT_LIST, GroupingSpec
 from respgame.modlang import ModuleDef, Token, VarDecl
 
@@ -60,6 +61,45 @@ def test_every_exported_name_is_used_by_another_module():
         if not any((module, name) in used
                    for user, used in uses.items() if user != module))
     assert not unused, f"exported but used by no other module: {unused}"
+
+
+def _code_names(nodes):
+    """Identifiers the code in `nodes` names: variables, attributes and
+    imported names."""
+    names = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+            elif isinstance(sub, ast.alias):
+                names.add(sub.name)
+    return names
+
+
+def test_every_function_and_class_is_named_outside_its_definition():
+    """Code that only tests reach is dead to every command: each
+    module-level function and class must be named by the rest of its
+    module, by another module (a re-export in `__init__.py` does not
+    count), by the benchmark or by the README."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in SRC.glob("*.py")}
+    elsewhere = set()
+    for text in [(ROOT / "README.md").read_text()] + [
+            path.read_text() for path in (ROOT / "perfbench").glob("*.py")]:
+        elsewhere.update(re.findall(r"\w+", text))
+    unnamed = []
+    for module, tree in sorted(trees.items()):
+        others = [t for m, t in trees.items()
+                  if m not in (module, "__init__")]
+        named = elsewhere | _code_names(others)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                rest = [n for n in tree.body if n is not node]
+                if node.name not in named | _code_names(rest):
+                    unnamed.append(f"{module}.{node.name}")
+    assert not unnamed, f"named by no command, module or document: {unnamed}"
 
 
 def test_readme_library_example(capsys, monkeypatch):
@@ -154,7 +194,7 @@ def _frozen_records():
     """(maker, record) pairs: the maker builds a fresh record each call and
     `record` is of the same class but differs in one field; one pair or
     two per immutable record class."""
-    arena = GameArena(("a",), 0, ((0,),), ())
+    arena = own_arena(("a",), 0, ((0,),), ())
     target = frozenset([1])
     return [
         (lambda: Objective(SAFETY, target=target),

@@ -23,8 +23,9 @@ from respgame import refinement
 from respgame.exports import render_trace_text
 from respgame.explicit import build_system
 from respgame.generators import generate
-from respgame.refinement import (DEFAULT_BLOCK_CAP, Partition, _witness,
-                                 compute_has_bsp)
+from respgame.refinement import (DEFAULT_BLOCK_CAP, Partition, _block_table,
+                                 _witness, compute_has_bsp)
+from respgame.shapley import _swings
 
 
 def reference_find_witness(pg, partition, block_id):
@@ -50,12 +51,24 @@ def reference_find_witness(pg, partition, block_id):
     return None
 
 
-def reference_compute_has_bsp(pg, partition, skip=(), known=None,
+def reference_compute_has_bsp(pg, partition, skip=(),
                               cap=DEFAULT_BLOCK_CAP):
-    known = known or {}
-    return {bid: known[bid] if bid in known
-            else reference_find_witness(pg, partition, bid)
+    return {bid: reference_find_witness(pg, partition, bid)
             for bid in partition.sorted_ids() if bid not in skip}
+
+
+def reference_final_table(pg, partition, cap=DEFAULT_BLOCK_CAP):
+    """The block table the fixpoint reads, after the enumeration's final
+    pass: `pg` counts that pass's games, and the table, learned on a
+    payoff game of its own, must give a switching coalition to exactly
+    the blocks the pass found a witness for."""
+    found = reference_compute_has_bsp(pg, partition)
+    twin = PayoffGame(pg.ts, pg.objective, pg.run, pg.mode, pg.players)
+    table = _block_table(twin, partition, cap)
+    ids = partition.sorted_ids()[::-1]
+    assert {bid for bid, w in found.items() if w is not None} == {
+        bid for p, bid in enumerate(ids) if _swings(table, p, len(ids))}
+    return table
 
 
 def _random_partition(rng, n):
@@ -108,9 +121,12 @@ def test_refinement_traces_equal_enumeration_with_no_more_games():
         ref = PayoffGame(*problem)
         got = refine_loop(pg, config)
         with mock.patch.object(refinement, "compute_has_bsp",
-                               reference_compute_has_bsp):
+                               reference_compute_has_bsp), \
+                mock.patch.object(refinement, "_block_table",
+                                  reference_final_table):
             want = refine_loop(ref, config)
         assert render_trace_text(got.trace) == render_trace_text(want.trace)
         assert got.responsible == want.responsible
-        assert got.witnesses == want.witnesses
+        assert ([r.witnesses for r in got.trace]
+                == [r.witnesses for r in want.trace])
         assert pg.games_solved <= ref.games_solved, (problem[0].names, config)
