@@ -9,7 +9,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BlockCapExceeded, InputError, PlayerCapExceeded
 from .shapley import (DEFAULT_SHAPLEY_CAP, PayoffGame, ResponsibilityReport,
-                      _layers, _swings, _winning_table, shapley_values)
+                      _layers, _swings, shapley_values)
 
 SELECT_HEURISTICS = ("random", "max-delta", "min-delta", "min-frontier")
 REFINE_HEURISTICS = ("random", "frontier-random", "frontier-first",
@@ -172,12 +172,12 @@ def _check_cap(partition: Partition, cap: int) -> None:
 def _block_table(pg: PayoffGame, partition: Partition, cap: int) -> int:
     """Winning table of the block game, whose player i is the i-th block
     of `partition` from the end of its sorted ids, learned through
-    `pg.gamma` on unions of blocks; a union of old blocks stays a union of
-    new ones, so the shared memo carries every answer across splits."""
+    `pg.table_of` on unions of blocks.  A union of old blocks stays a union
+    of new ones, so the boundary `pg` carries from earlier passes presets
+    the table, and only coalitions it leaves open are queried."""
     _check_cap(partition, cap)
-    masks = [partition.mask_of((bid,))
-             for bid in partition.sorted_ids()[::-1]]
-    return _winning_table(pg.gamma_of(masks), len(masks))
+    return pg.table_of([partition.mask_of((bid,))
+                        for bid in partition.sorted_ids()[::-1]])
 
 
 def compute_has_bsp(pg: PayoffGame, partition: Partition,
@@ -293,6 +293,12 @@ def refine_loop(pg: PayoffGame, config: HeuristicsConfig,
     the witnesses of the blocks with more than one player; refining other
     blocks keeps a recorded coalition a union of blocks, so a witness is
     carried until its block is split.
+
+    A split of B into B1 and B2 can change the answer only of coalitions
+    holding exactly one half.  The loop settles the extreme ones, each
+    half alone and then its complement, into `pg`'s carried boundary
+    (`PayoffGame.settle`), which presets the next block table.  A split
+    past the cap refuses before settling.
     """
     players = list(range(len(pg.players)))
     if not players:
@@ -326,8 +332,13 @@ def refine_loop(pg: PayoffGame, config: HeuristicsConfig,
             break
         selected = select_blocks(known, config, iteration)
         witness = known.pop(selected)
-        chosen, fr, _, _ = refine_block(
+        chosen, fr, single_id, rest_id = refine_block(
             pg, partition, witness, config, iteration)
+        _check_cap(partition, cap)
+        for bid in (single_id, rest_id):
+            half = partition.mask_of((bid,))
+            pg.settle(half)
+            pg.settle(pg.full_mask() ^ half)
         trace.append(record._replace(
             selected=selected,
             delta_size=len(witness.delta),
@@ -348,8 +359,8 @@ def responsibility_via_refinement(pg: PayoffGame, config: HeuristicsConfig,
     """Exact values via refinement: identify the responsible players, then
     compute exact Shapley values with them as the whole player universe
     (removing null players leaves the other values unchanged).  Their game
-    is played through `pg`, so the value phase shares the witness search's
-    memo and the report counts that one memo."""
+    is played through `pg.table_of`, so the boundary that the witness
+    search carried presets it, and the report counts that one memo."""
     result = refine_loop(pg, config, cap=block_cap)
     responsible = sorted(result.responsible)
     if len(responsible) > shapley_cap:
@@ -361,7 +372,7 @@ def responsibility_via_refinement(pg: PayoffGame, config: HeuristicsConfig,
     values = [Fraction(0)] * len(pg.players)
     n = len(responsible)
     if n:
-        table = _winning_table(pg.gamma_of([1 << p for p in responsible]), n)
+        table = pg.table_of([1 << p for p in responsible])
         for p, value in zip(responsible, shapley_values(table, n)):
             values[p] = value
     report = ResponsibilityReport(pg.players.kind, pg.mode, pg.players.names,

@@ -80,6 +80,14 @@ class PayoffGame:
     (`_bounds`), as are the grand and the empty coalition's regions.
     Every other coalition's game goes to `game_value` or `solve` with the
     bounds' seed and border, whatever the objective kind.
+
+    `winners` and `losers` carry answers across the tables of `table_of`
+    and the coalitions of `settle`, which the refinement loop asks as it
+    splits blocks: the minimal winning and maximal losing coalitions among
+    them.  By monotonicity they decide every coalition above a winner or
+    below a loser.  `gamma` alone neither reads nor extends them, so
+    `shapley_exact`, which fills its table through `gamma`, queries the
+    same coalitions in the same order as without them.
     """
 
     def __init__(self, ts: TransitionSystem, objective: Objective,
@@ -93,6 +101,8 @@ class PayoffGame:
         self.deadline = deadline
         self.memo: Dict[int, int] = {}
         self.memo_hits = 0
+        self.winners: List[int] = []
+        self.losers: List[int] = []
 
     @property
     def games_solved(self) -> int:
@@ -192,11 +202,56 @@ class PayoffGame:
     def full_mask(self) -> int:
         return (1 << len(self.players)) - 1
 
-    def gamma_of(self, masks: Sequence[int]) -> Callable[[int], int]:
-        """gamma of the game whose player i is the disjoint coalition
-        `masks[i]` of this one; the two games share the memo."""
-        return lambda mask: self.gamma(sum(
-            m for i, m in enumerate(masks) if mask >> i & 1))
+    def settle(self, mask: int) -> None:
+        """Carry gamma of the coalition `mask`, solving it unless the
+        boundary decides it already: a carried winner inside it, or a
+        carried loser containing it."""
+        if not (any(not w & ~mask for w in self.winners)
+                or any(not mask & ~lose for lose in self.losers)):
+            self._carry(mask, self.gamma(mask))
+
+    def _carry(self, mask: int, value: int) -> None:
+        """Add an answer the boundary did not decide; it drops the carried
+        winners above it or losers below it, which it now implies."""
+        if value:
+            self.winners = [w for w in self.winners if mask & ~w]
+            self.winners.append(mask)
+        else:
+            self.losers = [lose for lose in self.losers if lose & ~mask]
+            self.losers.append(mask)
+
+    def table_of(self, masks: Sequence[int]) -> int:
+        """Winning table (`_winning_table`) of the game whose player i is
+        the disjoint coalition `masks[i]` of this one.
+
+        The two games share the memo, and the carried boundary presets the
+        fill: a carried winner inside the union of `masks` wins as the
+        players it meets, and a carried loser loses as the players inside
+        it.  So a coalition the boundary decides is neither solved nor
+        counted as a memo hit.  The fill's new answers join the boundary.
+        `deadline` is called once even when the boundary decides the whole
+        table.
+        """
+        self.deadline()
+        union = sum(masks)
+
+        def players_meeting(coalition: int) -> int:
+            return sum(1 << i for i, m in enumerate(masks) if m & coalition)
+
+        def players_inside(coalition: int) -> int:
+            return sum(1 << i for i, m in enumerate(masks)
+                       if not m & ~coalition)
+
+        def gamma(mask: int) -> int:
+            coalition = sum(m for i, m in enumerate(masks) if mask >> i & 1)
+            value = self.gamma(coalition)
+            self._carry(coalition, value)
+            return value
+
+        return _winning_table(
+            gamma, len(masks),
+            [players_meeting(w) for w in self.winners if not w & ~union],
+            [players_inside(lose) for lose in self.losers])
 
 
 class ResponsibilityReport(NamedTuple):
@@ -250,22 +305,30 @@ def _layers(n: int) -> List[int]:
     return layers
 
 
-def _winning_table(gamma: Callable[[int], int], n: int) -> int:
+def _winning_table(gamma: Callable[[int], int], n: int,
+                   winners: Sequence[int] = (),
+                   losers: Sequence[int] = ()) -> int:
     """Bitset of the coalitions of n players that the monotone game `gamma`
     wins, by a boundary fill.
 
-    `win` is kept up-closed and `lose` down-closed.  Each round queries a
-    coalition still unknown (the grand coalition first, then the lowest
-    unknown mask), then shrinks a winning one to a minimal winning
-    coalition, or grows a losing one to a maximal losing coalition, one
-    player at a time.  Only unknown coalitions are ever queried and every
-    answer is propagated to its whole up-set or down-set, so each round
-    finds a boundary coalition not known before: at most (n+1) * (|minimal
-    winning| + |maximal losing|) queries, and never more than 2^n.
+    `win` is kept up-closed and `lose` down-closed, starting from the
+    up-sets of `winners` and the down-sets of `losers`, coalitions whose
+    answer is already known.  Each round queries a coalition still
+    unknown (the grand coalition if it is, else the lowest unknown mask),
+    then shrinks a winning one to a minimal winning coalition, or grows a
+    losing one to a maximal losing coalition, one player at a time.  Only
+    unknown coalitions are ever queried and every answer is propagated to
+    its whole up-set or down-set, so each round finds a boundary coalition
+    not known before: at most (n+1) * (|minimal winning| + |maximal
+    losing|) queries, and never more than 2^n.
     """
     full = (1 << n) - 1
     everything = (1 << (1 << n)) - 1
     win = lose = 0
+    for mask in winners:
+        win |= _subsets(full ^ mask) << mask
+    for mask in losers:
+        lose |= _subsets(mask)
 
     def query(mask: int) -> bool:
         nonlocal win, lose
@@ -275,8 +338,9 @@ def _winning_table(gamma: Callable[[int], int], n: int) -> int:
         lose |= _subsets(mask)
         return False
 
-    mask = full
-    while True:
+    unknown = everything & ~(win | lose)
+    mask = full if unknown >> full & 1 else _lowest(unknown)
+    while unknown:
         if query(mask):
             for p in range(n):
                 smaller = mask & ~(1 << p)
@@ -292,9 +356,13 @@ def _winning_table(gamma: Callable[[int], int], n: int) -> int:
                 if lose >> larger & 1 or not query(larger):
                     mask = larger
         unknown = everything & ~(win | lose)
-        if not unknown:
-            return win
-        mask = (unknown & -unknown).bit_length() - 1
+        mask = _lowest(unknown)
+    return win
+
+
+def _lowest(bits: int) -> int:
+    """The lowest coalition in the bitset `bits`; -1 if it is empty."""
+    return (bits & -bits).bit_length() - 1
 
 
 def _swings(win: int, p: int, n: int) -> int:

@@ -246,6 +246,33 @@ def test_refine_timeout_inside_witness_search(capsys, tmp_path):
     assert time.monotonic() - start < 5
 
 
+@pytest.mark.parametrize("family, size, flags", [
+    *(("frontier-stress-reach", 25,
+       ("--select", "random", "--refine", "random", "--seed", str(seed)))
+      for seed in range(3)),
+    ("frontier-stress-safety", 40, ("--seed", "2"))])
+def test_refusal_at_the_block_cap_solves_only_new_coalitions(
+        capsys, tmp_path, family, size, flags):
+    # relearning the whole block table on every pass solved 301 games
+    # before this refusal; carrying answers across splits solves 92
+    model = tmp_path / "model.json"
+    run(capsys, "generate", "--family", family, "--size", str(size),
+        "-o", str(model))
+    loaded = []
+    load = respgame.cli._load_model
+
+    def keep(*args, **kwargs):
+        loaded.append(load(*args, **kwargs))
+        return loaded[-1]
+
+    with mock.patch.object(respgame.cli, "_load_model", keep):
+        code, out, err = run(capsys, "refine", str(model), "--no-values",
+                             *flags)
+    assert code == 1 and not out
+    assert "25 blocks exceed the witness-search cap of 24" in err
+    assert loaded[0].games_solved <= 92
+
+
 def test_run_search_timeout_refusal(capsys):
     # the run search spends the budget, so the players are never chosen
     with mock.patch.object(respgame.cli, "_players_from_flags",

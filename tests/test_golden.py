@@ -6,7 +6,8 @@ in any output byte fails with a diff.  The corpus covers every model in
 `models/` and each generator family at size 6, and every pair of
 refinement heuristics on two generated models.
 
-To write the files again after a deliberate output change:
+To write the files again after a deliberate output change, which prints
+each case file it writes or deletes:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
@@ -141,15 +142,23 @@ def test_output_matches_the_golden_file(case, generated):
 
 
 def write_corpus() -> None:
+    """Write every case file whose transcript changed, delete the files of
+    cases no longer in the corpus, and print the name of each."""
     GOLDEN.mkdir(exist_ok=True)
-    for old in GOLDEN.glob("*.txt"):
-        old.unlink()
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
         generate_models(directory)
-        for case, argv in cases(directory).items():
-            (GOLDEN / f"{case}.txt").write_text(transcript(argv),
-                                                encoding="utf-8")
+        corpus = cases(directory)
+        for old in sorted(GOLDEN.glob("*.txt")):
+            if old.stem not in corpus:
+                old.unlink()
+                print(f"deleted {old.name}")
+        for case, argv in sorted(corpus.items()):
+            path = GOLDEN / f"{case}.txt"
+            text = transcript(argv)
+            if not path.exists() or path.read_text(encoding="utf-8") != text:
+                path.write_text(text, encoding="utf-8")
+                print(f"wrote {path.name}")
 
 
 if __name__ == "__main__":

@@ -414,3 +414,39 @@ def test_size_layers_are_built_at_most_once_per_pass():
         assert built.call_count == min(readers, 1)
         passes_sharing += readers >= 2
     assert passes_sharing >= 5
+
+
+def test_no_coalition_an_earlier_block_table_decided_is_solved_again():
+    # every union of a learned table's blocks stays a union of later
+    # blocks, so its answer is carried: later passes, and the value phase
+    # over the responsible singletons, solve only coalitions that split a
+    # block of every earlier table
+    learn = refinement._block_table
+    gamma = PayoffGame.gamma
+    checked = valued = 0
+    for i, (ts, obj, run, mode) in enumerate(instances(23, 60, max_states=9)):
+        pg = PayoffGame(ts, obj, run, mode, prune_dummies(ts, obj, run, mode))
+        tables, solved = [], []
+
+        def table(pg_, partition, cap):
+            learned = learn(pg_, partition, cap)
+            tables.append([partition.mask_of((bid,))
+                           for bid in partition.sorted_ids()])
+            return learned
+
+        def spy(self, mask):
+            if mask not in self.memo:
+                solved.append((len(tables), mask))
+            return gamma(self, mask)
+
+        with mock.patch.object(refinement, "_block_table", table), \
+                mock.patch.object(PayoffGame, "gamma", spy):
+            report, _ = responsibility_via_refinement(
+                pg, HeuristicsConfig(initial_blocks=1 + i % 3, rng_seed=i))
+        for k, mask in solved:
+            for blocks in tables[:k]:
+                assert mask != sum(b for b in blocks if b & mask)
+                checked += 1
+        assert pg.memo_hits == 0
+        valued += any(report.values)
+    assert checked > 100 and valued > 20

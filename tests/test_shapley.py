@@ -500,3 +500,35 @@ def test_shapley_values_equal_the_per_size_fraction_sum(n):
     for _ in range(8):
         win = _random_monotone_table(rng, n)
         assert shapley.shapley_values(win, n) == _per_size_values(win, n)
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_known_answers_preset_the_fill_and_are_never_queried(n):
+    # answers already known, such as those refinement carries across
+    # splits, leave the table unchanged and spare every coalition they
+    # decide by monotonicity
+    rng = random.Random(40 + n)
+    preset = 0
+    for _ in range(25):
+        win = _random_monotone_table(rng, n)
+        density = rng.random()
+        winners = [m for m in range(1 << n)
+                   if win >> m & 1 and rng.random() < density]
+        losers = [m for m in range(1 << n)
+                  if not win >> m & 1 and rng.random() < density]
+        asked = []
+
+        def gamma(mask):
+            asked.append(mask)
+            return win >> mask & 1
+
+        assert shapley._winning_table(gamma, n) == win
+        assert asked[0] == (1 << n) - 1
+        asked.clear()
+        assert shapley._winning_table(gamma, n, winners, losers) == win
+        assert len(set(asked)) == len(asked)
+        assert not [m for m in asked
+                    if any(not w & ~m for w in winners)
+                    or any(not m & ~lose for lose in losers)]
+        preset += bool(winners or losers)
+    assert preset >= 10
