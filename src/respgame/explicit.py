@@ -208,4 +208,9 @@ def build_system(doc: ExplicitModelDoc):
 
 
 def load_explicit(path) -> ExplicitModelDoc:
+    """Parse the explicit model document in the file `path`.
+
+    No command calls it: the CLI reads a model file once and parses the
+    text.  It stays only because the `TRACED` list in
+    `perfbench/tracer.py` names it."""
     return parse_explicit(read_text(path))

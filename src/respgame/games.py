@@ -17,11 +17,13 @@ MODES = (OPTIMISTIC, PESSIMISTIC, FORWARD)
 
 
 class Engraved(Sequence):
-    """Read-only view of an engraved graph's successor lists (`engrave`).
+    """Read-only view of an engraved graph's successor lists (`engrave`),
+    and the one successor representation of every arena.
 
     A run state outside `owners` has only its run edge, `forced[s]`; every
-    other state has the model's own tuple `base[s]`.  Indexing reads one
-    entry; iterating materialises every list.
+    other state has the model's own tuple `base[s]`.  A view with no
+    `forced` state cuts nothing: it is the forward-mode graph.  Indexing
+    reads one entry; iterating materialises every list.
     """
 
     __slots__ = ("base", "forced", "owners")
@@ -49,16 +51,16 @@ class Engraved(Sequence):
 
 
 class GameArena:
-    """Two-player ownership partition over a (possibly engraved) graph.
+    """Two-player ownership partition over an engraved graph.
 
     `sat` holds the indices controlled by the player trying to satisfy the
-    objective; every other state belongs to the opponent.  `preds` are the
-    predecessor lists of the graph: of `succ` itself, or, when `succ` is an
-    engraved view, those of the model it was engraved from.
+    objective; every other state belongs to the opponent.  `succ` is an
+    `Engraved` view, and `preds` are the predecessor lists of its `base`,
+    the graph it was engraved from, so they keep the edges it cut.
 
-    A view must be engraved for `sat` itself, so that a state is cut down
-    to its run edge exactly when it is a run state outside `sat`, and no
-    cut state is Sat's; the attractor relies on this.
+    The view must be engraved for `sat` itself, so that a state is cut
+    down to its run edge exactly when it is a run state outside `sat`, and
+    no cut state is Sat's; the attractor relies on this.
     """
 
     __slots__ = ("names", "initial", "succ", "sat", "preds")
@@ -67,7 +69,7 @@ class GameArena:
         self.names = names
         self.initial = initial
         self.sat = frozenset(sat)
-        if isinstance(succ, Engraved) and succ.owners is not self.sat:
+        if succ.owners is not self.sat:
             raise ValueError("an engraved view must be engraved for the "
                              "arena's own Sat states")
         self.succ = succ
@@ -108,18 +110,18 @@ def build_game(ts: TransitionSystem, obj: Objective, run: Optional[LassoRun],
     Optimistic: engraved graph, Sat additionally controls every state off
     the run; a caller building many games passes `off_run_states(ts, run)`
     as `off_run` so that it is not recomputed for each.  Forward: original
-    graph (no engraving), Sat = coalition.  Every arena shares the
-    predecessor lists of `ts`, and no successor list is read: the engraved
-    graph is a view engraved for Sat's states, which cuts the same run
-    states as the coalition does.
+    graph, as a view that cuts no state, Sat = coalition.  Every arena
+    shares the predecessor lists of `ts`, and no successor list is read:
+    the engraved graph is a view engraved for Sat's states, which cuts the
+    same run states as the coalition does.
     """
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
     coalition = frozenset(coalition)
     if mode == FORWARD:
-        arena = GameArena(ts.names, ts.initial, ts.succ, coalition,
-                          ts.preds())
-        return Game(arena, obj)
+        succ = Engraved(ts.succ, {}, coalition)
+        return Game(GameArena(ts.names, ts.initial, succ, coalition,
+                              ts.preds()), obj)
     if run is None:
         raise InputError(f"{mode} mode requires a counterexample run")
     sat = coalition
@@ -154,11 +156,7 @@ def attractor(arena: GameArena, target, for_sat: bool, alive=None,
     cut.  A Sat state is never cut (see `GameArena`), and a run state
     outside `sat` counts an edge p -> s only when s is its run edge.
     """
-    succ = arena.succ
-    if isinstance(succ, Engraved):
-        base, forced = succ.base, succ.forced
-    else:
-        base, forced = succ, {}
+    base, forced = arena.succ.base, arena.succ.forced
     preds = arena.preds
     sat = arena.sat
     attr = set(target)

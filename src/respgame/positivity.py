@@ -8,7 +8,7 @@ from .errors import no_deadline
 from .games import OPTIMISTIC, build_game, engrave, solve
 from .model import (BUECHI, REACHABILITY, LassoRun, Objective,
                     TransitionSystem, _sccs)
-from .shapley import PayoffGame, PlayerSet
+from .shapley import PayoffGame, PlayerSet, bits
 
 
 def positivity_reach_opt(ts: TransitionSystem, target, run: LassoRun,
@@ -37,14 +37,6 @@ def positivity_reach_opt(ts: TransitionSystem, target, run: LassoRun,
         return frozenset()
     return frozenset(ts.names[s] for s in run.states()
                      if not won.isdisjoint(ts.succ[s]))
-
-
-def bits(mask: int):
-    """The positions of the set bits of `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class RhoOrder(NamedTuple):

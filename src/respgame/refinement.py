@@ -9,7 +9,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import BlockCapExceeded, InputError, PlayerCapExceeded
 from .shapley import (DEFAULT_SHAPLEY_CAP, PayoffGame, ResponsibilityReport,
-                      _layers, _swings, shapley_values)
+                      _layers, _swings, bits, shapley_values)
 
 SELECT_HEURISTICS = ("random", "max-delta", "min-delta", "min-frontier")
 REFINE_HEURISTICS = ("random", "frontier-random", "frontier-first",
@@ -40,18 +40,18 @@ class HeuristicsConfig(_HeuristicsFields):
 
 
 class Partition:
-    """Disjoint non-empty blocks of player positions covering the universe.
+    """Disjoint non-empty blocks of player positions covering the universe,
+    each a player bitmask: a union of blocks is the sum of their masks.
 
     Block ids are stable: a split retires the old id and mints two fresh
     ones, so trace records stay unambiguous across iterations.
     """
 
-    def __init__(self, blocks: Sequence[frozenset]):
-        self.blocks: Dict[int, frozenset] = {}
+    def __init__(self, blocks: Sequence[int]):
+        self.blocks: Dict[int, int] = {}
         self._next = 0
-        seen = set()
+        seen = 0
         for b in blocks:
-            b = frozenset(b)
             if not b:
                 raise InputError("empty block")
             if b & seen:
@@ -60,10 +60,9 @@ class Partition:
             self.blocks[self._next] = b
             self._next += 1
 
-    def split(self, block_id: int, part: frozenset) -> Tuple[int, int]:
+    def split(self, block_id: int, part: int) -> Tuple[int, int]:
         b = self.blocks.pop(block_id)
-        part = frozenset(part)
-        rest = b - part
+        rest = b & ~part
         if not part or not rest:
             raise InputError("split must produce two non-empty blocks")
         a_id, b_id = self._next, self._next + 1
@@ -75,62 +74,53 @@ class Partition:
     def sorted_ids(self) -> List[int]:
         return sorted(self.blocks)
 
-    def mask_of(self, ids) -> int:
-        """Player bitmask of the union of the blocks `ids`."""
-        mask = 0
-        for bid in ids:
-            for p in self.blocks[bid]:
-                mask |= 1 << p
-        return mask
-
     def ids_within(self, mask: int) -> Tuple[int, ...]:
         """Sorted ids of the blocks inside `mask`; for a union of blocks,
         exactly the blocks it is made of."""
         return tuple(bid for bid in self.sorted_ids()
-                     if not self.mask_of((bid,)) & ~mask)
-
-    def snapshot(self) -> Dict[int, Tuple[int, ...]]:
-        return {bid: tuple(sorted(b)) for bid, b in sorted(self.blocks.items())}
+                     if not self.blocks[bid] & ~mask)
 
 
 class BspWitness(NamedTuple):
-    """Concrete block-switching pair with both winning regions.
+    """Concrete block-switching pair, cut down to what refinement reads.
 
     gamma of the player mask `coalition` is 0 and flips to 1 once
-    `block_id` joins.  The winning regions hold state indices; `delta` is
-    their difference, which meets the block's states for all four
-    objective classes.  `frontier_counts` maps each frontier state to its
-    successors in the smaller winning region and in the larger game's
-    losing region.
+    `block_id` joins.  `delta_size` counts the states of the difference
+    of the two winning regions, and `inside` holds, sorted, those of its
+    states that lie in the block; for all four objective classes it is
+    never empty.  `frontier_counts` maps each frontier state, a state of
+    `inside` with a successor outside the difference, to its successors
+    in the smaller winning region and in the larger game's losing
+    region.
     """
 
     block_id: int
     coalition: int
-    win_with: frozenset
-    win_without: frozenset
+    delta_size: int
+    inside: Tuple[int, ...]
     frontier_counts: Dict[int, Tuple[int, int]]
-
-    @property
-    def delta(self) -> frozenset:
-        return self.win_with - self.win_without
 
 
 def _witness(pg: PayoffGame, partition: Partition, block_id: int,
              coalition: int) -> BspWitness:
     """Solve both games of the pair through `pg.region`, which reads them
-    off the bounds or seeds them like gamma.  The frontier reads the model's successor lists: every
-    block state is Sat's in the larger game, so engraving cut none."""
-    block = partition.mask_of((block_id,))
-    win_without = pg.region(coalition)
-    win_with = pg.region(coalition | block)
-    delta = win_with - win_without
+    off the bounds or seeds them like gamma, and keep the size of their
+    difference and its states in the block.  The frontier reads the
+    model's successor lists: every block state is Sat's in the larger
+    game, so engraving cut none."""
+    block = partition.blocks[block_id]
+    smaller = pg.region(coalition)
+    larger = pg.region(coalition | block)
+    delta = larger - smaller
+    inside = tuple(sorted(delta & pg.flatten(block)))
+    assert inside, "region difference misses the block"
     counts = {}
-    for s in sorted(delta & pg.flatten(block)):
+    for s in inside:
         succ = pg.ts.succ[s]
         if any(t not in delta for t in succ):
-            counts[s] = (sum(1 for t in succ if t in win_without),
-                         sum(1 for t in succ if t not in win_with))
-    return BspWitness(block_id, coalition, win_with, win_without, counts)
+            counts[s] = (sum(1 for t in succ if t in smaller),
+                         sum(1 for t in succ if t not in larger))
+    return BspWitness(block_id, coalition, len(delta), inside, counts)
 
 
 def find_witness(pg: PayoffGame, partition: Partition, block_id: int,
@@ -156,8 +146,8 @@ def find_witness(pg: PayoffGame, partition: Partition, block_id: int,
     if not swings >> coalition & 1:
         lowest = next(swings & layer for layer in layers() if swings & layer)
         coalition = lowest.bit_length() - 1
-    return _witness(pg, partition, block_id, partition.mask_of(
-        bid for i, bid in enumerate(ids) if coalition >> i & 1))
+    return _witness(pg, partition, block_id,
+                    sum(partition.blocks[ids[i]] for i in bits(coalition)))
 
 
 def _check_cap(partition: Partition, cap: int) -> None:
@@ -176,7 +166,7 @@ def _block_table(pg: PayoffGame, partition: Partition, cap: int) -> int:
     of new ones, so the boundary `pg` carries from earlier passes presets
     the table, and only coalitions it leaves open are queried."""
     _check_cap(partition, cap)
-    return pg.table_of([partition.mask_of((bid,))
+    return pg.table_of([partition.blocks[bid]
                         for bid in partition.sorted_ids()[::-1]])
 
 
@@ -213,20 +203,18 @@ def refine_block(pg: PayoffGame, partition: Partition, witness: BspWitness,
     """Split one player off the witness block per the configured heuristic.
 
     The pool is the sorted frontier; for `random`, or when the frontier
-    is empty, it is the sorted region difference inside the block, which
-    is never empty.  `frontier-first` takes the pool's first state, the
-    weighted frontier heuristics the state of highest score (lowest index
-    on ties), and every other case a seeded draw.  The player owning the
-    chosen state is split off.
+    is empty, it is the witness's `inside`, the sorted region difference
+    within the block, which is never empty.  `frontier-first` takes the
+    pool's first state, the weighted frontier heuristics the state of
+    highest score (lowest index on ties), and every other case a seeded
+    draw.  The player owning the chosen state, one bit of the block's
+    mask, is split off.
     Returns (chosen state, frontier states, new singleton id, rest id).
     """
-    block_states = pg.flatten(partition.mask_of((witness.block_id,)))
-    delta_in_block = witness.delta & block_states
-    assert delta_in_block, "region difference misses the block"
     counts = witness.frontier_counts
     fr = frozenset(counts)
     how = config.refine
-    pool = sorted(fr if fr and how != "random" else delta_in_block)
+    pool = sorted(fr) if fr and how != "random" else witness.inside
     if how == "frontier-first":
         chosen = pool[0]
     elif fr and how in _FRONTIER_WEIGHTS:
@@ -235,16 +223,15 @@ def refine_block(pg: PayoffGame, partition: Partition, witness: BspWitness,
                                           -s))
     else:
         chosen = _rng_for(config.rng_seed, iteration, 1).choice(pool)
-    player = next(p for p in sorted(partition.blocks[witness.block_id])
+    player = next(p for p in bits(partition.blocks[witness.block_id])
                   if chosen in pg.players.members[p])
-    single_id, rest_id = partition.split(witness.block_id,
-                                         frozenset([player]))
+    single_id, rest_id = partition.split(witness.block_id, 1 << player)
     return chosen, fr, single_id, rest_id
 
 
 # select heuristic -> the size of a witness it refines first, smallest first
-_SELECT_SIZE = {"max-delta": lambda w: -len(w.delta),
-                "min-delta": lambda w: len(w.delta),
+_SELECT_SIZE = {"max-delta": lambda w: -w.delta_size,
+                "min-delta": lambda w: w.delta_size,
                 "min-frontier": lambda w: len(w.frontier_counts)}
 
 
@@ -288,11 +275,12 @@ def refine_loop(pg: PayoffGame, config: HeuristicsConfig,
     is a singleton; the members of the final blocks with a switching
     coalition are exactly the players with positive responsibility.
 
-    Singleton blocks are skipped while the loop runs and settled by the
-    final partition's block table, which builds no witness.  `known` holds
-    the witnesses of the blocks with more than one player; refining other
-    blocks keeps a recorded coalition a union of blocks, so a witness is
-    carried until its block is split.
+    Blocks are player masks.  Singleton blocks, the masks of one bit, are
+    skipped while the loop runs and settled by the final partition's
+    block table, which builds no witness.  `known` holds the witnesses of
+    the blocks with more than one player; refining other blocks keeps a
+    recorded coalition a union of blocks, so a witness is carried until
+    its block is split.
 
     A split of B into B1 and B2 can change the answer only of coalitions
     holding exactly one half.  The loop settles the extreme ones, each
@@ -306,25 +294,26 @@ def refine_loop(pg: PayoffGame, config: HeuristicsConfig,
     names = pg.players.names
     state_names = pg.ts.names
     rng = _rng_for(config.rng_seed, 0, 0)
-    drawn: Dict[int, List[int]] = {}
+    drawn: Dict[int, int] = {}
     for p in players:
-        drawn.setdefault(rng.randrange(config.initial_blocks), []).append(p)
-    partition = Partition([frozenset(drawn[b]) for b in sorted(drawn)])
+        b = rng.randrange(config.initial_blocks)
+        drawn[b] = drawn.get(b, 0) | 1 << p
+    partition = Partition([drawn[b] for b in sorted(drawn)])
     trace: List[IterationRecord] = []
     known: Dict[int, BspWitness] = {}
     iteration = 0
     while True:
         iteration += 1
         skip = [bid for bid, b in partition.blocks.items()
-                if len(b) == 1 or bid in known]
+                if b & (b - 1) == 0 or bid in known]
         for bid, w in compute_has_bsp(pg, partition, skip=skip,
                                       cap=cap).items():
             if w is not None:
                 known[bid] = w
         record = IterationRecord(
             index=iteration,
-            partition={bid: tuple(names[p] for p in members)
-                       for bid, members in partition.snapshot().items()},
+            partition={bid: tuple(names[p] for p in bits(b))
+                       for bid, b in sorted(partition.blocks.items())},
             witnesses={bid: partition.ids_within(w.coalition)
                        for bid, w in sorted(known.items())})
         if not known:
@@ -336,19 +325,19 @@ def refine_loop(pg: PayoffGame, config: HeuristicsConfig,
             pg, partition, witness, config, iteration)
         _check_cap(partition, cap)
         for bid in (single_id, rest_id):
-            half = partition.mask_of((bid,))
+            half = partition.blocks[bid]
             pg.settle(half)
             pg.settle(pg.full_mask() ^ half)
         trace.append(record._replace(
             selected=selected,
-            delta_size=len(witness.delta),
+            delta_size=witness.delta_size,
             frontier=tuple(state_names[s] for s in sorted(fr)),
             split_state=state_names[chosen]))
     table = _block_table(pg, partition, cap)
     ids = partition.sorted_ids()[::-1]
-    responsible = frozenset().union(*(
+    responsible = frozenset(bits(sum(
         partition.blocks[bid] for p, bid in enumerate(ids)
-        if _swings(table, p, len(ids))))
+        if _swings(table, p, len(ids)))))
     return RefinementResult(responsible, trace)
 
 

@@ -274,24 +274,32 @@ class ResponsibilityReport(NamedTuple):
         return dict(zip(self.names, self.values))
 
 
-def _subsets(mask: int) -> int:
-    """Bitset (bit s for coalition mask s) of every subset of `mask`."""
-    bits = 1
+def bits(mask: int):
+    """The positions of the set bits of `mask`, lowest first."""
     while mask:
         low = mask & -mask
-        bits |= bits << low
+        yield low.bit_length() - 1
         mask ^= low
-    return bits
+
+
+def _subsets(mask: int) -> int:
+    """Bitset (bit s for coalition mask s) of every subset of `mask`."""
+    out = 1
+    while mask:
+        low = mask & -mask
+        out |= out << low
+        mask ^= low
+    return out
 
 
 def _without(p: int, n: int) -> int:
     """Bitset of the coalitions of n players that do not contain p."""
-    bits = (1 << (1 << p)) - 1
+    out = (1 << (1 << p)) - 1
     width = 2 << p
     while width < 1 << n:
-        bits |= bits << width
+        out |= out << width
         width <<= 1
-    return bits
+    return out
 
 
 def _layers(n: int) -> List[int]:
@@ -360,9 +368,9 @@ def _winning_table(gamma: Callable[[int], int], n: int,
     return win
 
 
-def _lowest(bits: int) -> int:
-    """The lowest coalition in the bitset `bits`; -1 if it is empty."""
-    return (bits & -bits).bit_length() - 1
+def _lowest(table: int) -> int:
+    """The lowest coalition in the bitset `table`; -1 if it is empty."""
+    return (table & -table).bit_length() - 1
 
 
 def _swings(win: int, p: int, n: int) -> int:

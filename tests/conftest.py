@@ -11,7 +11,7 @@ from respgame import (BUECHI, PARITY, REACHABILITY, SAFETY, FORWARD,
                       OPTIMISTIC, PESSIMISTIC, AnalysisTimeout, LassoRun,
                       NoViolation, Objective, TransitionSystem,
                       find_violating_run, violates)
-from respgame.games import GameArena
+from respgame.games import Engraved, GameArena
 from respgame.model import predecessors, require_valid_run
 
 
@@ -55,10 +55,18 @@ def system(names, edges):
                             succ=[tuple(sorted(ends)) for ends in succ])
 
 
+def mask(positions) -> int:
+    """The bitmask of `positions`, as the package keeps a coalition, a
+    refinement block or a set of run states."""
+    return sum(1 << p for p in positions)
+
+
 def own_arena(names, initial, succ, sat) -> GameArena:
-    """An arena on the successor lists `succ`, with predecessor lists of
-    its own."""
-    return GameArena(names, initial, succ, sat, predecessors(succ))
+    """An arena on the successor lists `succ`, wrapped in a view that cuts
+    no state, with predecessor lists of its own."""
+    sat = frozenset(sat)
+    return GameArena(names, initial, Engraved(succ, {}, sat), sat,
+                     predecessors(succ))
 
 
 def engraving_example():

@@ -123,8 +123,8 @@ def test_criterion_3_refinement_worked_example():
 def test_criterion_3_frontier_sequence():
     # Step three: B = {s0,s1,s2,s4,s5,s7,s8,s9,bad}, {s3}, {s6}.  {s3} wins
     # alone (s3 -> s4 <-> s7), so B's witness coalitions are () and {s6};
-    # the popcount-ordered search returns () first.  Then win_without =
-    # {s4,s7}, win_with = {s0,s1,s2,s4,s7,s8} and delta & B = {s0,s1,s2,s8}.
+    # the popcount-ordered search returns () first.  Then W(()) = {s4,s7},
+    # W(B) = {s0,s1,s2,s4,s7,s8} and delta & B = {s0,s1,s2,s8}.
     # s2 -> s3 and s8 -> {s7,s9} leave delta, so the frontier is {s2,s8}
     # (coalition {s6} would give {s8}; no witness gives {s2}).
     _ts, _report_, result, _elapsed = _run_worked_example()
@@ -233,7 +233,7 @@ def test_criterion_6_structural_properties():
         if not len(players):
             continue
         pg = PayoffGame(ts, obj, run, mode, players)
-        part = Partition([frozenset(range(len(players)))])
+        part = Partition([(1 << len(players)) - 1])
         w = compute_has_bsp(pg, part)[0]
         if w is None:
             continue

@@ -73,7 +73,7 @@ def _first_witness(doc, mode=PESSIMISTIC):
     ts, obj, run = build_system(doc)
     players = prune_dummies(ts, obj, run, mode)
     pg = PayoffGame(ts, obj, run, mode, players)
-    part = Partition([frozenset(range(len(players)))])
+    part = Partition([(1 << len(players)) - 1])
     w = compute_has_bsp(pg, part)[0]
     return ts, players, pg, part, w
 
@@ -92,8 +92,10 @@ def test_stress_frontier_shape(family, kind):
     # the frontier has k states reaching the smaller winning region and k
     # reaching the losing region of the larger game; the responsibility-
     # bearing kind carries the pivotal state, the other side is pure decoy
-    losing = frozenset(range(len(ts))) - w.win_with
-    to_win = {s for s in fr if any(t in w.win_without for t in ts.succ[s])}
+    smaller = pg.region(w.coalition)
+    losing = frozenset(range(len(ts))) - pg.region(w.coalition
+                                                   | part.blocks[0])
+    to_win = {s for s in fr if any(t in smaller for t in ts.succ[s])}
     to_lose = {s for s in fr if any(t in losing for t in ts.succ[s])}
     if kind == REACHABILITY:
         bearing, decoys = to_win, to_lose - to_win

@@ -5,8 +5,8 @@ from unittest import mock
 
 import pytest
 
-from conftest import (Budget, recurrence_example, instances, spy_everywhere,
-                      system)
+from conftest import (Budget, recurrence_example, instances, mask,
+                      spy_everywhere, system)
 
 from respgame import (BUECHI, OPTIMISTIC, REACHABILITY, AnalysisTimeout,
                       LassoRun, Objective, PayoffGame, PlayerSet,
@@ -15,8 +15,9 @@ from respgame import (BUECHI, OPTIMISTIC, REACHABILITY, AnalysisTimeout,
                       positivity_reach_opt, shapley_exact, solve)
 from respgame.explicit import build_system
 from respgame.games import engrave
-from respgame.positivity import (BuechiSearch, bits, positivity_buechi_opt,
+from respgame.positivity import (BuechiSearch, positivity_buechi_opt,
                                  rho_order)
+from respgame.shapley import bits
 
 
 def test_positivity_reach_clouds_instance():
@@ -234,10 +235,6 @@ def _reference_order(ts, run, target):
             {s: None if i is None else seq[i] for s, i in down_f.items()})
 
 
-def _mask(states):
-    return sum(1 << s for s in states)
-
-
 def test_rho_order_masks_match_graph_search():
     cases = [recurrence_example()]
     cases += [inst[:3] for inst in instances(53, 80, max_states=9,
@@ -245,11 +242,11 @@ def test_rho_order_masks_match_graph_search():
     for ts, obj, run in cases:
         order = rho_order(ts, run, obj.target)
         leq, down, down_f = _reference_order(ts, run, obj.target)
-        assert order.leq == {s: _mask(up) for s, up in leq.items()}
-        assert order.geq == {t: _mask(s for s in leq if t in leq[s])
+        assert order.leq == {s: mask(up) for s, up in leq.items()}
+        assert order.geq == {t: mask(s for s in leq if t in leq[s])
                              for t in leq}
         assert order.down == down and order.down_f == down_f
-        assert order.detours == _mask(s for s in down_f
+        assert order.detours == mask(s for s in down_f
                                       if down_f[s] is not None)
         for s in leq:
             for t in leq:
@@ -285,10 +282,10 @@ def _reference_masks(order):
     the state, and the states at or above it that jump strictly below it."""
     closes, skips = {}, {}
     for top in order.pos:
-        closes[top] = _mask(s for s in bits(order.detours)
+        closes[top] = mask(s for s in bits(order.detours)
                             if order.leq[order.down_f[s]] >> top & 1)
         below = order.geq[top] & ~order.leq[top]
-        skips[top] = _mask(s for s in bits(order.leq[top])
+        skips[top] = mask(s for s in bits(order.leq[top])
                            if below >> order.down[s] & 1)
     return closes, skips
 
@@ -324,7 +321,7 @@ def _probed_solo(ts, target, run):
     """The run states that win alone, one game per state."""
     pg = PayoffGame(ts, Objective(BUECHI, target=frozenset(target)), run,
                     OPTIMISTIC, PlayerSet.of_states(ts, range(len(ts))))
-    return _mask(s for s in run.states() if pg.gamma(1 << s) == 1)
+    return mask(s for s in run.states() if pg.gamma(1 << s) == 1)
 
 
 def test_rho_order_solo_matches_single_state_games():
@@ -362,7 +359,7 @@ def test_rho_order_solo_on_each_way_to_win_alone(edges, target, prefix,
     ts = system([f"s{i}" for i in range(1 + max(map(max, edges)))], edges)
     run = LassoRun(prefix, loop)
     order = rho_order(ts, run, target)
-    assert order.solo == _mask(solo) == _probed_solo(ts, target, run)
+    assert order.solo == mask(solo) == _probed_solo(ts, target, run)
 
 
 def test_rho_order_solo_is_not_closes():

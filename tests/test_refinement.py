@@ -7,8 +7,8 @@ from unittest import mock
 import pytest
 
 from conftest import (Budget, refinement_example, decoy_frontier_example,
-                      empty_frontier_example, instances, spy_everywhere,
-                      system)
+                      empty_frontier_example, instances, mask,
+                      spy_everywhere, system)
 
 from respgame import games, refinement
 from respgame import (PESSIMISTIC, REACHABILITY, SAFETY, AnalysisTimeout,
@@ -29,12 +29,12 @@ def _full_pg(ts, obj, run, mode):
 def test_witness_on_single_block_partition():
     ts, obj, run = refinement_example()
     pg = _full_pg(ts, obj, run, PESSIMISTIC)
-    part = Partition([frozenset(range(11))])
+    part = Partition([mask(range(11))])
     found = compute_has_bsp(pg, part)
     w = found[0]
     assert w is not None and w.coalition == 0
-    assert w.win_without == frozenset({4, 7})
-    assert w.win_with == frozenset(range(9))
+    assert pg.region(w.coalition) == frozenset({4, 7})
+    assert pg.region(w.coalition | part.blocks[0]) == frozenset(range(9))
 
 
 def test_final_partition_witness_pairs():
@@ -42,16 +42,16 @@ def test_final_partition_witness_pairs():
     # switching pairs, with the expected partner coalitions
     ts, obj, run = refinement_example()
     pg = _full_pg(ts, obj, run, PESSIMISTIC)
-    part = Partition([frozenset(range(11))])
+    part = Partition([mask(range(11))])
     for state in (3, 6, 2, 8):
-        target_block = next(bid for bid, b in part.blocks.items() if state in b)
-        part.split(target_block, frozenset([state]))
+        target_block = next(bid for bid, b in part.blocks.items()
+                            if b >> state & 1)
+        part.split(target_block, 1 << state)
     found = compute_has_bsp(pg, part)
     with_witness = {bid: w for bid, w in found.items() if w is not None}
-    blocks = {bid: set(part.blocks[bid]) for bid in with_witness}
     as_names = {}
     for bid, w in with_witness.items():
-        members = frozenset(ts.names[s] for s in part.blocks[bid])
+        members = frozenset(ts.names[s] for s in pg.flatten(part.blocks[bid]))
         coalition = frozenset(ts.names[s] for s in pg.flatten(w.coalition))
         as_names[members] = coalition
     assert as_names == {
@@ -66,14 +66,14 @@ def test_no_witnesses_when_objective_unwinnable():
     ts = system(["a", "island"], [(0, 0), (1, 1)])
     obj = Objective(REACHABILITY, target=frozenset({1}))
     pg = _full_pg(ts, obj, LassoRun((), (0,)), PESSIMISTIC)
-    part = Partition([frozenset({0}), frozenset({1})])
+    part = Partition([mask({0}), mask({1})])
     assert all(w is None for w in compute_has_bsp(pg, part).values())
 
 
 def test_block_cap_refusal():
     ts, obj, run = refinement_example()
     pg = _full_pg(ts, obj, run, PESSIMISTIC)
-    part = Partition([frozenset([i]) for i in range(11)])
+    part = Partition([1 << i for i in range(11)])
     with pytest.raises(BlockCapExceeded):
         compute_has_bsp(pg, part, cap=4)
 
@@ -81,7 +81,7 @@ def test_block_cap_refusal():
 def test_frontier_worked_example_step_one():
     ts, obj, run = refinement_example()
     pg = _full_pg(ts, obj, run, PESSIMISTIC)
-    part = Partition([frozenset(range(11))])
+    part = Partition([mask(range(11))])
     w = compute_has_bsp(pg, part)[0]
     assert frozenset(w.frontier_counts) == frozenset({3, 6, 8})
 
@@ -92,19 +92,19 @@ def test_frontier_worked_example_step_three():
     # s8 -> {s7, s9} both leave the region difference
     ts, obj, run = refinement_example()
     pg = _full_pg(ts, obj, run, PESSIMISTIC)
-    part = Partition([frozenset(range(11)) - {3, 6}, frozenset({3}),
-                      frozenset({6})])
+    part = Partition([mask(set(range(11)) - {3, 6}), mask({3}), mask({6})])
     w = compute_has_bsp(pg, part)[0]
     assert w is not None and w.coalition == 0
-    assert w.win_with == frozenset({0, 1, 2, 4, 7, 8})
-    assert w.win_without == frozenset({4, 7})
+    assert pg.region(w.coalition | part.blocks[0]) == frozenset(
+        {0, 1, 2, 4, 7, 8})
+    assert pg.region(w.coalition) == frozenset({4, 7})
     assert frozenset(w.frontier_counts) == frozenset({2, 8})
 
 
 def test_frontier_contains_null_state():
     ts, obj, run = decoy_frontier_example()
     pg = _full_pg(ts, obj, run, PESSIMISTIC)
-    part = Partition([frozenset(range(4))])
+    part = Partition([mask(range(4))])
     w = compute_has_bsp(pg, part)[0]
     assert frozenset(w.frontier_counts) == frozenset({1, 2})
     # s2 sits in the frontier yet carries no responsibility
@@ -114,7 +114,7 @@ def test_frontier_contains_null_state():
 def test_frontier_empty_for_buechi_instance():
     ts, obj, run = empty_frontier_example()
     pg = _full_pg(ts, obj, run, PESSIMISTIC)
-    part = Partition([frozenset(range(4))])
+    part = Partition([mask(range(4))])
     w = compute_has_bsp(pg, part)[0]
     assert w is not None
     assert frozenset(w.frontier_counts) == frozenset()
@@ -128,25 +128,26 @@ def test_frontier_empty_for_buechi_instance():
 def test_refine_block_lowest_index_choice():
     ts, obj, run = refinement_example()
     pg = _full_pg(ts, obj, run, PESSIMISTIC)
-    part = Partition([frozenset(range(11))])
+    part = Partition([mask(range(11))])
     w = compute_has_bsp(pg, part)[0]
     chosen, fr, single_id, rest_id = refine_block(
         pg, part, w, HeuristicsConfig(refine="frontier-first"), 1)
     assert chosen == 3 and fr == frozenset({3, 6, 8})
-    assert part.blocks[single_id] == frozenset({3})
-    assert part.blocks[rest_id] == frozenset(range(11)) - {3}
+    assert part.blocks[single_id] == mask({3})
+    assert part.blocks[rest_id] == mask(set(range(11)) - {3})
 
 
 def test_refine_block_two_member_block():
     # either choice leaves two singletons
     ts, obj, run = decoy_frontier_example()
     pg = _full_pg(ts, obj, run, PESSIMISTIC)
-    part = Partition([frozenset({1, 2}), frozenset({0, 3})])
+    part = Partition([mask({1, 2}), mask({0, 3})])
     w = compute_has_bsp(pg, part)[0]
     assert w is not None
     chosen, _fr, single_id, rest_id = refine_block(
         pg, part, w, HeuristicsConfig(refine="frontier-random", rng_seed=1), 1)
-    assert len(part.blocks[single_id]) == len(part.blocks[rest_id]) == 1
+    assert part.blocks[single_id].bit_count() == 1
+    assert part.blocks[rest_id].bit_count() == 1
 
 
 def test_refinement_settles_despite_null_frontier_state():
@@ -162,10 +163,10 @@ def test_refinement_settles_despite_null_frontier_state():
 def test_select_blocks_heuristics():
     ts, obj, run = refinement_example()
     pg = _full_pg(ts, obj, run, PESSIMISTIC)
-    part = Partition([frozenset({0, 1, 2, 3, 4}), frozenset({5, 6, 7, 8, 9, 10})])
+    part = Partition([mask({0, 1, 2, 3, 4}), mask({5, 6, 7, 8, 9, 10})])
     found = {bid: w for bid, w in compute_has_bsp(pg, part).items()
              if w is not None}
-    big = {bid: len(found[bid].delta) for bid in found}
+    big = {bid: found[bid].delta_size for bid in found}
     cfg = HeuristicsConfig(select="max-delta")
     pick = select_blocks(found, cfg, 1)
     assert big[pick] == max(big.values())
@@ -327,7 +328,7 @@ def test_safety_reach_witness_frontiers_nonempty():
         if not len(players):
             continue
         pg = PayoffGame(ts, obj, run, mode, players)
-        part = Partition([frozenset(range(len(players)))])
+        part = Partition([mask(range(len(players)))])
         w = compute_has_bsp(pg, part)[0]
         if w is None:
             continue
@@ -343,7 +344,7 @@ def test_frontier_contains_a_responsible_state():
         if not len(players):
             continue
         pg = PayoffGame(ts, obj, run, mode, players)
-        part = Partition([frozenset(range(len(players)))])
+        part = Partition([mask(range(len(players)))])
         w = compute_has_bsp(pg, part)[0]
         if w is None:
             continue
@@ -402,7 +403,7 @@ def test_size_layers_are_built_at_most_once_per_pass():
     for ts, obj, run, mode in instances(17, 150, max_states=8):
         n = len(ts)
         labels = [rng.randrange(rng.randint(2, min(n, 5))) for _ in range(n)]
-        part = Partition([frozenset(p for p in range(n) if labels[p] == b)
+        part = Partition([mask(p for p in range(n) if labels[p] == b)
                           for b in sorted(set(labels))])
         pg = _full_pg(ts, obj, run, mode)
         with mock.patch.object(refinement, "_layers",
@@ -410,7 +411,8 @@ def test_size_layers_are_built_at_most_once_per_pass():
             found = compute_has_bsp(pg, part)
         ids = part.sorted_ids()
         readers = sum(1 for bid, w in found.items() if w is not None and
-                      w.coalition != part.mask_of(i for i in ids if i != bid))
+                      w.coalition != sum(part.blocks[i] for i in ids
+                                         if i != bid))
         assert built.call_count == min(readers, 1)
         passes_sharing += readers >= 2
     assert passes_sharing >= 5
@@ -430,7 +432,7 @@ def test_no_coalition_an_earlier_block_table_decided_is_solved_again():
 
         def table(pg_, partition, cap):
             learned = learn(pg_, partition, cap)
-            tables.append([partition.mask_of((bid,))
+            tables.append([partition.blocks[bid]
                            for bid in partition.sorted_ids()])
             return learned
 

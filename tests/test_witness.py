@@ -14,7 +14,7 @@ import random
 from itertools import combinations
 from unittest import mock
 
-from conftest import instances
+from conftest import instances, mask
 
 from respgame import (BUECHI, FORWARD, OPTIMISTIC, PARITY, PESSIMISTIC,
                       REACHABILITY, SAFETY, HeuristicsConfig, PayoffGame,
@@ -29,9 +29,9 @@ from respgame.shapley import _swings
 
 
 def reference_find_witness(pg, partition, block_id):
-    masks = [partition.mask_of((bid,)) for bid in partition.sorted_ids()
+    masks = [partition.blocks[bid] for bid in partition.sorted_ids()
              if bid != block_id]
-    block = partition.mask_of((block_id,))
+    block = partition.blocks[block_id]
     rest = sum(masks)
     if pg.gamma(rest | block) == 0:
         return None
@@ -73,7 +73,7 @@ def reference_final_table(pg, partition, cap=DEFAULT_BLOCK_CAP):
 
 def _random_partition(rng, n):
     labels = [rng.randrange(rng.randint(1, min(n, 5))) for _ in range(n)]
-    return Partition([frozenset(p for p in range(n) if labels[p] == b)
+    return Partition([mask(p for p in range(n) if labels[p] == b)
                       for b in sorted(set(labels))])
 
 
