@@ -87,10 +87,6 @@ class TransitionSystem:
     def num_edges(self) -> int:
         return sum(len(ts) for ts in self.succ)
 
-    def __repr__(self):
-        return (f"TransitionSystem({len(self.names)} states, "
-                f"{self.num_edges()} transitions, initial={self.names[self.initial]})")
-
 
 def _look_up(index: Dict[str, int], name, where: str = "") -> int:
     try:

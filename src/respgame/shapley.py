@@ -264,9 +264,6 @@ class ResponsibilityReport(NamedTuple):
     games_solved: int = 0
     memo_hits: int = 0
 
-    def value_of(self, name: str) -> Fraction:
-        return self.values[self.names.index(name)]
-
     def positivity(self) -> frozenset:
         return frozenset(n for n, v in zip(self.names, self.values) if v > 0)
 
@@ -292,16 +289,6 @@ def _subsets(mask: int) -> int:
     return out
 
 
-def _without(p: int, n: int) -> int:
-    """Bitset of the coalitions of n players that do not contain p."""
-    out = (1 << (1 << p)) - 1
-    width = 2 << p
-    while width < 1 << n:
-        out |= out << width
-        width <<= 1
-    return out
-
-
 def _layers(n: int) -> List[int]:
     """layers[k] is the bitset of the coalitions of n players of size k."""
     layers = [1]
@@ -324,14 +311,18 @@ def _winning_table(gamma: Callable[[int], int], n: int,
     answer is already known.  Each round queries a coalition still
     unknown (the grand coalition if it is, else the lowest unknown mask),
     then shrinks a winning one to a minimal winning coalition, or grows a
-    losing one to a maximal losing coalition, one player at a time.  Only
-    unknown coalitions are ever queried and every answer is propagated to
-    its whole up-set or down-set, so each round finds a boundary coalition
-    not known before: at most (n+1) * (|minimal winning| + |maximal
-    losing|) queries, and never more than 2^n.
+    losing one to a maximal losing coalition, one player at a time.  A
+    shrink candidate is never known to win: the round starts at an
+    unknown coalition, so by up-closure none of its subsets is known to
+    win, and the shrink adds winners only at or above its current mask.
+    By the mirror argument a grow candidate is never known to lose.  So
+    a step that skips the candidates known the other way queries only
+    unknown coalitions, and as every answer is propagated to its whole
+    up-set or down-set, each round finds a boundary coalition not known
+    before: at most (n+1) * (|minimal winning| + |maximal losing|)
+    queries, and never more than 2^n.
     """
     full = (1 << n) - 1
-    everything = (1 << (1 << n)) - 1
     win = lose = 0
     for mask in winners:
         win |= _subsets(full ^ mask) << mask
@@ -346,37 +337,29 @@ def _winning_table(gamma: Callable[[int], int], n: int,
         lose |= _subsets(mask)
         return False
 
-    unknown = everything & ~(win | lose)
-    mask = full if unknown >> full & 1 else _lowest(unknown)
-    while unknown:
+    known = win | lose
+    mask = (full if not known >> full & 1
+            else ((known + 1) & ~known).bit_length() - 1)
+    while mask <= full:
         if query(mask):
-            for p in range(n):
+            for p in bits(mask):
                 smaller = mask & ~(1 << p)
-                if smaller == mask or lose >> smaller & 1:
-                    continue
-                if win >> smaller & 1 or query(smaller):
+                if not lose >> smaller & 1 and query(smaller):
                     mask = smaller
         else:
-            for p in range(n):
+            for p in bits(full ^ mask):
                 larger = mask | 1 << p
-                if larger == mask or win >> larger & 1:
-                    continue
-                if lose >> larger & 1 or not query(larger):
+                if not win >> larger & 1 and not query(larger):
                     mask = larger
-        unknown = everything & ~(win | lose)
-        mask = _lowest(unknown)
+        known = win | lose
+        mask = ((known + 1) & ~known).bit_length() - 1
     return win
-
-
-def _lowest(table: int) -> int:
-    """The lowest coalition in the bitset `table`; -1 if it is empty."""
-    return (table & -table).bit_length() - 1
 
 
 def _swings(win: int, p: int, n: int) -> int:
     """Bitset of the coalitions m of the table `win` of n players that lack
     p, lose, and win once p joins: p's switching coalitions."""
-    return (win >> (1 << p)) & ~win & _without(p, n)
+    return (win >> (1 << p)) & ~win & _subsets(((1 << n) - 1) ^ 1 << p)
 
 
 def shapley_values(win: int, n: int) -> Tuple[Fraction, ...]:

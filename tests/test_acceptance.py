@@ -110,7 +110,7 @@ def test_criterion_3_refinement_worked_example():
     checks.append(splits == ["s3", "s6", "s2", "s8"])
     responsible = {ts.names[p] for p in result.responsible}
     checks.append(responsible == {"s2", "s3", "s6", "s8"})
-    values = {n: report.value_of(n) for n in ("s2", "s3", "s6", "s8")}
+    values = {n: report.as_dict()[n] for n in ("s2", "s3", "s6", "s8")}
     checks.append(values == {"s2": Fraction(5, 12), "s3": Fraction(5, 12),
                              "s6": Fraction(1, 12), "s8": Fraction(1, 12)})
     checks.append(elapsed < 1.0)
@@ -193,10 +193,10 @@ def test_criterion_5_oracle_equivalence_values():
             HeuristicsConfig(rng_seed=i))
         oracle = oracle_shapley(ts, obj, run, mode)
         for name in ts.names:
-            want = oracle.value_of(name)
-            got_direct = (direct.value_of(name)
+            want = oracle.as_dict()[name]
+            got_direct = (direct.as_dict()[name]
                           if name in players.names else Fraction(0))
-            got_refined = (refined.value_of(name)
+            got_refined = (refined.as_dict()[name]
                            if name in players.names else Fraction(0))
             mismatches += (want != got_direct) + (want != got_refined)
     elapsed = time.monotonic() - t0
@@ -331,6 +331,6 @@ def test_criterion_9_parity_smoke():
     v1 = game_value(build_game(ts, obj, run, {0, 1, 3, 4}, OPTIMISTIC))
     v2 = game_value(build_game(ts, obj, run, {0, 1, 4}, OPTIMISTIC))
     oracle = oracle_shapley(ts, obj, run, OPTIMISTIC)
-    ok = v1 == 1 and v2 == 0 and oracle.value_of("s3") > 0
+    ok = v1 == 1 and v2 == 0 and oracle.as_dict()["s3"] > 0
     _report(9, "parity forward-jump necessity", ok,
             f"gamma(with jump state)={v1}, gamma(without)={v2}")

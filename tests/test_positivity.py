@@ -100,9 +100,9 @@ def test_values_reach_equal_share():
                 [(0, 1), (0, 2), (1, 2), (1, 3), (2, 2), (3, 3)])
     run = LassoRun((0, 1), (3,))
     rep = _exact_reach_opt(ts, {2}, run)
-    assert rep.value_of("s0") == Fraction(1, 2)
-    assert rep.value_of("a") == Fraction(1, 2)
-    assert rep.value_of("f") == 0 and rep.value_of("sink") == 0
+    assert rep.as_dict()["s0"] == Fraction(1, 2)
+    assert rep.as_dict()["a"] == Fraction(1, 2)
+    assert rep.as_dict()["f"] == 0 and rep.as_dict()["sink"] == 0
     assert rep.values == _equal_shares(ts, {2}, run)
 
 
@@ -110,7 +110,7 @@ def test_values_reach_clouds():
     doc = generate("clouds", 3)
     ts, obj, run = build_system(doc)
     rep = _exact_reach_opt(ts, obj.target, run)
-    assert rep.value_of("crit") == 1
+    assert rep.as_dict()["crit"] == 1
     assert sum(rep.values, Fraction(0)) == 1
     assert rep.values == _equal_shares(ts, obj.target, run)
 

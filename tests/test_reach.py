@@ -42,8 +42,6 @@ UNREACHED = {
     "model.LassoRun.__hash__":
         "test_surface.py::test_formerly_frozen_records_compare_and_hash_"
         "by_value",
-    "model.TransitionSystem.__repr__":
-        "how a system prints in a failing assertion or a debugger",
     "model.TransitionSystem.num_edges":
         "test_modlang.py::test_toggle_expands_to_four_states; the "
         "benchmark tracer counts expanded edges with it",
@@ -64,8 +62,6 @@ UNREACHED = {
     "shapley.ResponsibilityReport.positivity":
         "test_shapley.py::test_report_accessors; the benchmark's checks "
         "read it",
-    "shapley.ResponsibilityReport.value_of":
-        "test_shapley.py::test_report_accessors",
     "shapley.oracle_shapley":
         "test_shapley.py::test_oracle_empty_player_set; the reference the "
         "tests and the benchmark's checks compare values with",
@@ -97,7 +93,12 @@ def defined_functions():
 
 
 def called_functions():
-    """(file, first line) of every Python function the corpus calls."""
+    """(file, first line) of every Python function the corpus calls.
+
+    CPython unsets a profiler whose callback raises, as it does when a
+    case nests calls past the recursion limit, and every later call would
+    go unrecorded.  So the profiler is set around each case and must
+    still be set when the case ends."""
     called = set()
 
     def profile(frame, event, _arg):
@@ -105,15 +106,19 @@ def called_functions():
             code = frame.f_code
             called.add((code.co_filename, code.co_firstlineno))
 
-    with tempfile.TemporaryDirectory() as tmp:
-        directory = Path(tmp)
+    def recorded(name, run, *args):
         sys.setprofile(profile)
         try:
-            generate_models(directory)
-            for argv in cases(directory).values():
-                transcript(argv)
+            run(*args)
+            assert sys.getprofile() is profile, f"profiler unset in {name}"
         finally:
             sys.setprofile(None)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        recorded("model generation", generate_models, directory)
+        for name, argv in cases(directory).items():
+            recorded(name, transcript, argv)
     return {(Path(name).resolve(), line) for name, line in called}
 
 

@@ -362,7 +362,7 @@ def test_values_via_refinement_match_oracle():
         report, _ = responsibility_via_refinement(pg, HeuristicsConfig(rng_seed=4))
         oracle = oracle_shapley(ts, obj, run, mode)
         for name in report.names:
-            assert report.value_of(name) == oracle.value_of(name)
+            assert report.as_dict()[name] == oracle.as_dict()[name]
 
 
 def test_refinement_trace_deterministic():

@@ -185,7 +185,7 @@ def test_pruning_preserves_values():
         pruned = shapley_exact(PayoffGame(ts, obj, run, mode, players))
         full = oracle_shapley(ts, obj, run, mode)
         for name in players.names:
-            assert pruned.value_of(name) == full.value_of(name)
+            assert pruned.as_dict()[name] == full.as_dict()[name]
 
 
 def test_efficiency_sums_to_full_gamma():
@@ -217,10 +217,10 @@ def test_optimistic_reachability_values_all_equal():
 def test_threshold_examples():
     ts, obj, run = recurrence_example()
     opt = shapley_exact(_pg(ts, obj, run, OPTIMISTIC))
-    assert opt.value_of("s2") > Fraction(1, 2)
-    assert not opt.value_of("s2") > Fraction(1)
+    assert opt.as_dict()["s2"] > Fraction(1, 2)
+    assert not opt.as_dict()["s2"] > Fraction(1)
     pes = shapley_exact(_pg(ts, obj, run, PESSIMISTIC))
-    assert not pes.value_of("s0") > Fraction(1, 12)  # strict comparison
+    assert not pes.as_dict()["s0"] > Fraction(1, 12)  # strict comparison
 
 
 def test_oracle_matches_exact_on_examples():
@@ -264,7 +264,6 @@ def test_report_accessors():
     ts, obj, run = recurrence_example()
     rep = shapley_exact(_pg(ts, obj, run, OPTIMISTIC))
     assert rep.positivity() == {"s0", "s1", "s2"}
-    assert rep.value_of("s3") == 0
     assert rep.as_dict()["s2"] == Fraction(2, 3)
 
 
@@ -532,3 +531,79 @@ def test_known_answers_preset_the_fill_and_are_never_queried(n):
                     or any(not m & ~lose for lose in losers)]
         preset += bool(winners or losers)
     assert preset >= 10
+
+
+def _reference_fill(gamma, n, winners=(), losers=()):
+    """The boundary fill with all four membership tests, kept as the
+    reference for `shapley._winning_table`.  Returns the table and how
+    often the shrink step's known-winning test or the grow step's
+    known-losing test held."""
+    subsets = shapley._subsets
+    held = 0
+    full = (1 << n) - 1
+    everything = (1 << (1 << n)) - 1
+    win = lose = 0
+    for mask in winners:
+        win |= subsets(full ^ mask) << mask
+    for mask in losers:
+        lose |= subsets(mask)
+
+    def query(mask):
+        nonlocal win, lose
+        if gamma(mask):
+            win |= subsets(full ^ mask) << mask
+            return True
+        lose |= subsets(mask)
+        return False
+
+    def lowest(table):
+        return (table & -table).bit_length() - 1
+
+    unknown = everything & ~(win | lose)
+    mask = full if unknown >> full & 1 else lowest(unknown)
+    while unknown:
+        if query(mask):
+            for p in range(n):
+                smaller = mask & ~(1 << p)
+                if smaller == mask or lose >> smaller & 1:
+                    continue
+                held += win >> smaller & 1
+                if win >> smaller & 1 or query(smaller):
+                    mask = smaller
+        else:
+            for p in range(n):
+                larger = mask | 1 << p
+                if larger == mask or win >> larger & 1:
+                    continue
+                held += lose >> larger & 1
+                if lose >> larger & 1 or not query(larger):
+                    mask = larger
+        unknown = everything & ~(win | lose)
+        mask = lowest(unknown)
+    return win, held
+
+
+@pytest.mark.parametrize("n", range(0, 10))
+def test_fill_asks_the_reference_fills_coalitions_in_its_order(n):
+    # the reference's known-winning shrink test and known-losing grow test
+    # never hold, so the fill that drops them asks exactly the same
+    rng = random.Random(70 + n)
+    for trial in range(40):
+        win = _random_monotone_table(rng, n)
+        winners = losers = ()
+        if trial % 2:
+            density = rng.random()
+            winners = [m for m in range(1 << n)
+                       if win >> m & 1 and rng.random() < density]
+            losers = [m for m in range(1 << n)
+                      if not win >> m & 1 and rng.random() < density]
+        reference, asked = [], []
+
+        def asking(log):
+            return lambda mask: log.append(mask) or win >> mask & 1
+
+        assert _reference_fill(asking(reference), n,
+                               winners, losers) == (win, 0)
+        assert shapley._winning_table(asking(asked), n,
+                                      winners, losers) == win
+        assert asked == reference

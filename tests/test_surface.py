@@ -140,6 +140,27 @@ def test_no_module_imports_dataclasses():
     assert not importers
 
 
+def test_every_module_level_import_is_read():
+    # a deletion can leave behind the last import of what it deleted
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in read:
+                    unread.append(f"{path.stem}: {bound}")
+    assert not unread, f"imported but never read: {unread}"
+
+
 def test_no_tracked_file_matches_the_ignore_rules():
     """Build and run artifacts are ignored, so none may be committed."""
     if not (ROOT / ".git").exists():
