@@ -8,8 +8,8 @@ everything else is imported from its submodule."""
 from .errors import (AnalysisTimeout, BlockCapExceeded, InputError,
                      PlayerCapExceeded, RefusalError, StateCapExceeded)
 from .explicit import ExplicitModelDoc, build_system, serialize_explicit
-from .games import (FORWARD, MODES, OPTIMISTIC, PESSIMISTIC, arena_to_dot,
-                    build_game, engrave, game_value, solve)
+from .games import (FORWARD, MODES, OPTIMISTIC, PESSIMISTIC, build_game,
+                    engrave, game_value, solve)
 from .generators import generate
 from .grouping import GroupingSpec, resolve_grouping
 from .model import (BUECHI, OBJECTIVE_KINDS, PARITY, REACHABILITY, SAFETY,

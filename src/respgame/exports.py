@@ -8,7 +8,6 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from operator import itemgetter, not_
 from typing import Optional
 
-from .games import arena_to_dot, build_game
 from .refinement import RefinementResult
 from .shapley import PayoffGame, ResponsibilityReport
 
@@ -146,40 +145,64 @@ def records_document(report: ResponsibilityReport,
 
 
 def render_trace_text(trace) -> str:
-    """Human-oriented refinement trace; structure matches docs/trace.md."""
+    """Human-oriented refinement trace; structure matches docs/trace.md.
+    Blocks, witnesses and frontier names in the order of `trace_records`."""
     lines = []
-    for rec in trace_records(trace):
-        lines.append(f"iteration {rec['index']}")
-        for bid, members in rec["partition"].items():
-            mark = " *" if rec["selected"] is not None and \
-                str(rec["selected"]) == bid else ""
+    for rec in trace:
+        lines.append(f"iteration {rec.index}")
+        for bid, members in sorted(rec.partition.items()):
+            mark = " *" if bid == rec.selected else ""
             lines.append(f"  block {bid}{mark}: {{{', '.join(members)}}}")
-        if rec["witnesses"]:
-            pairs = ", ".join(f"{bid} <- {c}"
-                              for bid, c in rec["witnesses"].items())
+        if rec.witnesses:
+            pairs = ", ".join(f"{bid} <- {sorted(c)}"
+                              for bid, c in sorted(rec.witnesses.items()))
             lines.append(f"  witnesses: {pairs}")
-        if rec["split"] is not None:
-            lines.append(f"  delta size {rec['delta_size']}, "
-                         f"frontier {{{', '.join(rec['frontier'])}}}, "
-                         f"split {rec['split']}")
+        if rec.split_state is not None:
+            lines.append(f"  delta size {rec.delta_size}, "
+                         f"frontier {{{', '.join(sorted(rec.frontier))}}}, "
+                         f"split {rec.split_state}")
         else:
             lines.append("  all witness blocks singleton; stopping")
     return "\n".join(lines) + "\n"
 
 
+def _dot_escape(text: str) -> str:
+    """`text` for the inside of a quoted DOT string: a backslash and a
+    quote escaped, a newline written as DOT's `\\n` line break."""
+    return (text.replace("\\", "\\\\").replace('"', '\\"')
+            .replace("\n", "\\n"))
+
+
 def dot_document(pg: PayoffGame, report: ResponsibilityReport) -> str:
-    """Arena DOT annotated with values; positive players highlighted."""
-    game = build_game(pg.ts, pg.objective, pg.run,
-                      frozenset(range(len(pg.ts))), pg.mode)
+    """The model as DOT, annotated with values; positive players
+    highlighted.  Attribute contract in docs/dot.md.
+
+    It draws the full-coalition arena, which is the model itself: the full
+    coalition owns every state, so every node is a box, and engraving cuts
+    no edge.  The report has a row for every player and every pruned
+    state, so every state has a value."""
+    ts = pg.ts
     name_to_states = dict(zip(pg.players.names, pg.players.members))
     values = {}
-    positives = set()
     for name, value in zip(report.names, report.values):
         states = name_to_states.get(name)
         if states is None:  # the zero row of a pruned state
-            states = (pg.ts.index_of(name),)
+            states = (ts.index_of(name),)
         for s in states:
-            values[s] = str(value)
-            if value > 0:
-                positives.add(s)
-    return arena_to_dot(game, run=pg.run, values=values, positives=positives)
+            values[s] = value
+    run_edges = set(pg.run.edges()) if pg.run is not None else set()
+    lines = ["digraph arena {", "  rankdir=LR;"]
+    for s, name in enumerate(ts.names):
+        attrs = [f'label="{_dot_escape(name)}\\n{values[s]}"', "shape=box"]
+        if s == ts.initial:
+            attrs.append("penwidth=2")
+        if values[s] > 0:
+            attrs += ("style=filled", "fillcolor=gold")
+        lines.append(f'  n{s} [{", ".join(attrs)}];')
+    for s, t in ts.edges():
+        if (s, t) in run_edges:
+            lines.append(f'  n{s} -> n{t} [color=red, style=bold, run="1"];')
+        else:
+            lines.append(f"  n{s} -> n{t};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import Iterable, List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional
 
 from .errors import InputError, no_deadline
 from .model import (BUECHI, REACHABILITY, SAFETY, LassoRun, Objective,
@@ -53,30 +53,25 @@ class Engraved(Sequence):
 class GameArena:
     """Two-player ownership partition over an engraved graph.
 
-    `sat` holds the indices controlled by the player trying to satisfy the
-    objective; every other state belongs to the opponent.  `succ` is an
-    `Engraved` view, and `preds` are the predecessor lists of its `base`,
-    the graph it was engraved from, so they keep the edges it cut.
-
-    The view must be engraved for `sat` itself, so that a state is cut
-    down to its run edge exactly when it is a run state outside `sat`, and
-    no cut state is Sat's; the attractor relies on this.
+    `succ` is an `Engraved` view; its `owners`, shared as `sat`, are the
+    indices controlled by the player trying to satisfy the objective, and
+    every other state belongs to the opponent.  So a state is cut down to
+    its run edge exactly when it is a run state outside `sat`, and no cut
+    state is Sat's; the attractor relies on this.  `preds` are the
+    predecessor lists of the view's `base`, the graph it was engraved
+    from, so they keep the edges it cut.
     """
 
-    __slots__ = ("names", "initial", "succ", "sat", "preds")
+    __slots__ = ("initial", "succ", "sat", "preds")
 
-    def __init__(self, names, initial, succ, sat, preds):
-        self.names = names
+    def __init__(self, initial, succ, preds):
         self.initial = initial
-        self.sat = frozenset(sat)
-        if succ.owners is not self.sat:
-            raise ValueError("an engraved view must be engraved for the "
-                             "arena's own Sat states")
         self.succ = succ
+        self.sat = succ.owners
         self.preds = preds
 
     def __len__(self):
-        return len(self.names)
+        return len(self.succ)
 
 
 class Game(NamedTuple):
@@ -98,39 +93,30 @@ def engrave(succ, run: LassoRun, coalition) -> Engraved:
     return Engraved(succ, run.forced, coalition)
 
 
-def off_run_states(ts: TransitionSystem, run: LassoRun) -> frozenset:
-    return frozenset(range(len(ts))) - run.states()
-
-
 def build_game(ts: TransitionSystem, obj: Objective, run: Optional[LassoRun],
-               coalition, mode: str, off_run=None) -> Game:
+               coalition, mode: str) -> Game:
     """Assemble the arena for a coalition in the given mode.
 
     Pessimistic: engraved graph, Sat controls exactly the coalition.
     Optimistic: engraved graph, Sat additionally controls every state off
-    the run; a caller building many games passes `off_run_states(ts, run)`
-    as `off_run` so that it is not recomputed for each.  Forward: original
-    graph, as a view that cuts no state, Sat = coalition.  Every arena
-    shares the predecessor lists of `ts`, and no successor list is read:
-    the engraved graph is a view engraved for Sat's states, which cuts the
-    same run states as the coalition does.
+    the run (`TransitionSystem.off_run`, made once per run).  Forward:
+    original graph, as a view that cuts no state, Sat = coalition.  Every
+    arena shares the predecessor lists of `ts`, and no successor list is
+    read: the engraved graph is a view engraved for Sat's states, which
+    cuts the same run states as the coalition does.
     """
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}")
-    coalition = frozenset(coalition)
+    sat = frozenset(coalition)
     if mode == FORWARD:
-        succ = Engraved(ts.succ, {}, coalition)
-        return Game(GameArena(ts.names, ts.initial, succ, coalition,
-                              ts.preds()), obj)
-    if run is None:
+        succ = Engraved(ts.succ, {}, sat)
+    elif run is None:
         raise InputError(f"{mode} mode requires a counterexample run")
-    sat = coalition
-    if mode == OPTIMISTIC:
-        if off_run is None:
-            off_run = off_run_states(ts, run)
-        sat = coalition | off_run
-    succ = engrave(ts.succ, run, sat)
-    return Game(GameArena(ts.names, ts.initial, succ, sat, ts.preds()), obj)
+    else:
+        if mode == OPTIMISTIC:
+            sat |= ts.off_run(run)
+        succ = engrave(ts.succ, run, sat)
+    return Game(GameArena(ts.initial, succ, ts.preds()), obj)
 
 
 def attractor(arena: GameArena, target, for_sat: bool, alive=None,
@@ -299,7 +285,7 @@ class Bounds(NamedTuple):
 
 def solve_bounds(ts: TransitionSystem, obj: Objective,
                  run: Optional[LassoRun], mode: str, full_states: frozenset,
-                 deadline=no_deadline, off_run=None) -> Bounds:
+                 deadline=no_deadline) -> Bounds:
     """Sat's winning regions when Sat controls no state, W(0), and when it
     controls `full_states`, W(full), the second seeded from the first.
 
@@ -316,7 +302,7 @@ def solve_bounds(ts: TransitionSystem, obj: Objective,
     """
     def game(states):
         deadline()
-        return build_game(ts, obj, run, states, mode, off_run)
+        return build_game(ts, obj, run, states, mode)
 
     if obj.kind not in (REACHABILITY, SAFETY):
         return Bounds(solve(game(frozenset())), solve(game(full_states)),
@@ -330,34 +316,3 @@ def solve_bounds(ts: TransitionSystem, obj: Objective,
     if reach:
         return Bounds(first, second, seed, border)
     return Bounds(second, first, seed, border)
-
-
-def arena_to_dot(game: Game, run: Optional[LassoRun] = None,
-                 values: Optional[dict] = None,
-                 positives: Optional[Iterable[int]] = None) -> str:
-    """DOT rendering of an arena; see docs/dot.md for the attribute contract."""
-    arena = game.arena
-    positives = set(positives or ())
-    run_edges = set(run.edges()) if run is not None else set()
-    lines = ["digraph arena {"]
-    lines.append('  rankdir=LR;')
-    for s in range(len(arena)):
-        shape = "box" if s in arena.sat else "ellipse"
-        label = arena.names[s]
-        if values is not None and s in values:
-            label += "\\n" + str(values[s])
-        attrs = [f'label="{label}"', f'shape={shape}']
-        if s == arena.initial:
-            attrs.append('penwidth=2')
-        if s in positives:
-            attrs.append('style=filled')
-            attrs.append('fillcolor=gold')
-        lines.append(f'  n{s} [{", ".join(attrs)}];')
-    for s, ts in enumerate(arena.succ):
-        for t in ts:
-            if (s, t) in run_edges:
-                lines.append(f'  n{s} -> n{t} [color=red, style=bold, run="1"];')
-            else:
-                lines.append(f'  n{s} -> n{t};')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -34,7 +34,7 @@ class TransitionSystem:
     the caller has built already, so a load keeps one.
     """
 
-    __slots__ = ("names", "initial", "succ", "_index", "_preds")
+    __slots__ = ("names", "initial", "succ", "_index", "_preds", "_off_run")
 
     def __init__(self, names: Sequence[str], initial: int, *,
                  succ: Sequence[Tuple[int, ...]],
@@ -63,6 +63,7 @@ class TransitionSystem:
         self.succ = succ
         self._index = index
         self._preds = None
+        self._off_run = None
 
     def __len__(self) -> int:
         return len(self.names)
@@ -78,6 +79,17 @@ class TransitionSystem:
         if self._preds is None:
             self._preds = predecessors(self.succ)
         return self._preds
+
+    def off_run(self, run: "LassoRun") -> frozenset:
+        """The states off `run`, which Sat owns in every optimistic game;
+        made for the last run asked about and kept until another run
+        object is.  Runs are compared by identity: hashing one reads it
+        whole."""
+        cached = self._off_run
+        if cached is None or cached[0] is not run:
+            cached = self._off_run = (
+                run, frozenset(range(len(self))) - run.states())
+        return cached[1]
 
     def edges(self):
         for s, ts in enumerate(self.succ):

@@ -157,26 +157,8 @@ def rho_order(ts: TransitionSystem, run: LassoRun, target=()) -> RhoOrder:
                     {s: leq[s] & below[r] for s, r in rank.items()}, solo)
 
 
-class BuechiSearch(NamedTuple):
-    """What the searches over one system, target and run share: the
-    coalition game with its memo, and `order`, which holds the run order,
-    the jump targets, the exclusion masks and the states that win alone,
-    all from one SCC pass up front.
-    """
-
-    pg: PayoffGame
-    order: RhoOrder
-
-    @staticmethod
-    def of(ts: TransitionSystem, target, run: LassoRun,
-           deadline=no_deadline) -> "BuechiSearch":
-        obj = Objective(BUECHI, target=frozenset(target))
-        pg = PayoffGame(ts, obj, run, OPTIMISTIC,
-                        PlayerSet.of_states(ts, range(len(ts))), deadline)
-        return BuechiSearch(pg, rho_order(ts, run, target))
-
-
-def positivity_buechi_opt(search: BuechiSearch, state: int) -> bool:
+def positivity_buechi_opt(pg: PayoffGame, order: RhoOrder,
+                          state: int) -> bool:
     """Decide positive optimistic responsibility under a Buechi objective.
 
     Polynomial search over the shapes a minimal winning coalition can take:
@@ -185,9 +167,10 @@ def positivity_buechi_opt(search: BuechiSearch, state: int) -> bool:
     candidate coalition is assembled maximally, as a mask of state
     players, and tested with one game solve.  Candidates never include a
     state that wins alone: it would mask whether `state` itself is
-    pivotal.
+    pivotal.  `pg` is the optimistic Buechi game of state players, and
+    `order`, from one SCC pass up front, holds the run order, the jump
+    targets, the exclusion masks and the states that win alone.
     """
-    order, pg = search.order, search.pg
     if state not in order.pos:
         return False
     solo = order.solo
@@ -226,9 +209,9 @@ def positivity_buechi_opt_all(ts: TransitionSystem, target, run: LassoRun,
                               deadline=no_deadline) -> frozenset:
     """Positivity set for the whole system (names), from searches that
     share one coalition game, its memo and the states that win alone."""
-    search = BuechiSearch.of(ts, target, run, deadline)
-    out = set()
-    for s in range(len(ts)):
-        if positivity_buechi_opt(search, s):
-            out.add(ts.names[s])
-    return frozenset(out)
+    target = frozenset(target)
+    pg = PayoffGame(ts, Objective(BUECHI, target=target), run, OPTIMISTIC,
+                    PlayerSet.of_states(ts, range(len(ts))), deadline)
+    order = rho_order(ts, run, target)
+    return frozenset(ts.names[s] for s in range(len(ts))
+                     if positivity_buechi_opt(pg, order, s))

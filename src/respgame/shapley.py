@@ -11,7 +11,7 @@ from typing import (Callable, Dict, List, NamedTuple, Optional, Sequence,
 
 from .errors import PlayerCapExceeded, no_deadline
 from .games import (OPTIMISTIC, Bounds, Game, build_game, game_value,
-                    off_run_states, solve, solve_bounds)
+                    solve, solve_bounds)
 from .model import LassoRun, Objective, TransitionSystem
 
 STATE_PLAYERS = "states"
@@ -131,7 +131,7 @@ class PayoffGame:
     def game(self, mask: int) -> Game:
         """The engraved game in which Sat controls the coalition `mask`."""
         return build_game(self.ts, self.objective, self.run,
-                          self.flatten(mask), self.mode, self.off_run)
+                          self.flatten(mask), self.mode)
 
     def gamma(self, mask: int) -> int:
         self.deadline()
@@ -188,16 +188,7 @@ class PayoffGame:
                     self.objective, self.run, self.mode):
                 return bounds
         return solve_bounds(self.ts, self.objective, self.run, self.mode,
-                            self.flatten(self.full_mask()), self.deadline,
-                            self.off_run)
-
-    @cached_property
-    def off_run(self) -> Optional[frozenset]:
-        """The states off the run in optimistic mode, once per game rather
-        than per coalition; None in the other modes, which do not read it."""
-        if self.mode != OPTIMISTIC or self.run is None:
-            return None
-        return off_run_states(self.ts, self.run)
+                            self.flatten(self.full_mask()), self.deadline)
 
     def full_mask(self) -> int:
         return (1 << len(self.players)) - 1

@@ -61,11 +61,10 @@ def mask(positions) -> int:
     return sum(1 << p for p in positions)
 
 
-def own_arena(names, initial, succ, sat) -> GameArena:
+def own_arena(initial, succ, sat) -> GameArena:
     """An arena on the successor lists `succ`, wrapped in a view that cuts
     no state, with predecessor lists of its own."""
-    sat = frozenset(sat)
-    return GameArena(names, initial, Engraved(succ, {}, sat), sat,
+    return GameArena(initial, Engraved(succ, {}, frozenset(sat)),
                      predecessors(succ))
 
 

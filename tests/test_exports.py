@@ -1,5 +1,5 @@
-"""The records document and the table: their exact bytes, their row order
-and `positive`."""
+"""The records document, the table and the DOT document: their exact
+bytes, their row order, `positive` and the DOT attributes."""
 
 import json
 import random
@@ -12,7 +12,7 @@ import pytest
 
 from respgame import exports
 from respgame.cli import run_cli
-from respgame.explicit import serialize_explicit
+from respgame.explicit import build_system, parse_explicit, serialize_explicit
 from respgame.exports import records_document, render_table
 from respgame.generators import generate
 from respgame.refinement import IterationRecord, RefinementResult
@@ -261,3 +261,66 @@ def test_doc_examples_are_what_the_tool_prints(capsys, tmp_path):
             for arg in command.split()[1:]]
     assert run_cli(argv) == 0
     assert capsys.readouterr().out == example
+
+
+def _analyze(capsys, *argv) -> str:
+    assert run_cli(["analyze", *argv]) == 0
+    return capsys.readouterr().out
+
+
+_DOT_NODE = re.compile(r'^  n(\d+) \[label="((?:[^"\\\n]|\\.)*)", (.*)\];$',
+                       re.M)
+
+
+@pytest.mark.parametrize("mode", ("optimistic", "pessimistic", "forward"))
+def test_dot_document_draws_the_model_with_its_values(capsys, mode):
+    # the full coalition owns every state, so every node is a box and the
+    # edges are the model's own, in its order; the run's edges are red
+    path = str(MODELS / "engraving_demo.json")
+    ts, _obj, run = build_system(parse_explicit(Path(path).read_text()))
+    records = json.loads(_analyze(capsys, path, "--mode", mode,
+                                  "--format", "records"))
+    positive = {p["name"] for p in records["players"] if p["positive"]}
+    dot = _analyze(capsys, path, "--mode", mode, "--format", "dot")
+    nodes = _DOT_NODE.findall(dot)
+    assert [int(s) for s, _, _ in nodes] == list(range(len(ts)))
+    attrs = [rest.split(", ") for _, _, rest in nodes]
+    assert all(a[0] == "shape=box" for a in attrs)
+    assert sum("penwidth=2" in a for a in attrs) == 1
+    assert "penwidth=2" in attrs[ts.initial]
+    gold = {ts.names[s] for s, a in enumerate(attrs) if "fillcolor=gold" in a}
+    assert gold == positive and positive
+    edges = re.findall(r"^  n(\d+) -> n(\d+)(.*);$", dot, re.M)
+    assert [(int(s), int(t)) for s, t, _ in edges] == list(ts.edges())
+    red = [(int(s), int(t)) for s, t, a in edges if 'run="1"' in a]
+    assert red == sorted(run.edges())
+    assert dot.count('run="1"') == len(run.sequence())
+
+
+def _unescape(text: str) -> str:
+    return re.sub(r"\\(.)", lambda m: "\n" if m.group(1) == "n"
+                  else m.group(1), text)
+
+
+def test_dot_labels_escape_quotes_backslashes_and_newlines(capsys,
+                                                           tmp_path):
+    names = ['s"0', "a\\b", "new\nline", "plain"]
+    doc = {"states": names, "initial": names[0],
+           "transitions": [[names[0], names[1]], [names[0], names[2]],
+                           [names[1], names[3]], [names[2], names[3]],
+                           [names[3], names[3]]],
+           "objective": {"kind": "safety", "target": [names[3]]},
+           "run": {"prefix": names[:2], "loop": names[3:]}}
+    path = tmp_path / "quoted.json"
+    path.write_text(json.dumps(doc))
+    dot = _analyze(capsys, str(path), "--format", "dot")
+    nodes = _DOT_NODE.findall(dot)
+    assert len(nodes) == len(names)
+    # one node per line: a name's newline is written as an escape
+    assert len(dot.splitlines()) == 3 + len(names) + len(doc["transitions"])
+    records = json.loads(_analyze(capsys, str(path), "--format", "records"))
+    value = {p["name"]: Fraction(p["numerator"], p["denominator"])
+             for p in records["players"]}
+    for (s, label, _), name in zip(nodes, names):
+        assert _unescape(label) == f"{name}\n{value[name]}"
+    assert '"s\\"0\\n' in dot and '"a\\\\b\\n' in dot

@@ -1,6 +1,7 @@
 """Engraving, arena construction and the four game solvers."""
 
 import random
+from unittest import mock
 
 import pytest
 
@@ -12,8 +13,8 @@ from conftest import (engraving_example, enumerate_strategies, instances,
 
 from respgame import (BUECHI, FORWARD, MODES, OPTIMISTIC, PARITY,
                       PESSIMISTIC, REACHABILITY, SAFETY, LassoRun, Objective,
-                      PayoffGame, PlayerSet, arena_to_dot, build_game,
-                      engrave, game_value, solve)
+                      PayoffGame, PlayerSet, build_game, engrave,
+                      game_value, solve)
 from respgame.games import Game, GameArena, attractor
 
 
@@ -62,8 +63,7 @@ def test_built_arenas_solve_as_arenas_over_the_reference_lists(kind):
                 game = build_game(ts, obj, run, coalition, mode)
                 lists = reference_lists(ts, run, coalition, mode)
                 assert list(game.arena.succ) == list(lists)
-                ref = Game(own_arena(ts.names, ts.initial, lists,
-                                     game.arena.sat), obj)
+                ref = Game(own_arena(ts.initial, lists, game.arena.sat), obj)
                 region = solve(ref)
                 assert solve(game) == region, (mode, mask)
                 assert game_value(game) == int(ts.initial in region)
@@ -73,10 +73,8 @@ def test_built_arenas_solve_as_arenas_over_the_reference_lists(kind):
 
 @pytest.mark.parametrize("kind", [SAFETY, REACHABILITY, BUECHI, PARITY])
 def test_an_arena_takes_a_view_engraved_for_its_own_sat_states_only(kind):
-    # the attractor reads the cut off ownership, so an arena on a view
-    # engraved for its Sat states solves as the copied lists, and any
-    # other owner set (the swapped players, an equal set that is another
-    # object, a random set) is refused
+    # the attractor reads the cut off ownership, so an arena's Sat states
+    # are its view's owners, and it solves as the copied lists
     rng = random.Random(len(kind))
     for ts, obj, run, _ in instances(83 + len(kind), 60, max_states=7,
                                      kind=kind):
@@ -84,14 +82,19 @@ def test_an_arena_takes_a_view_engraved_for_its_own_sat_states_only(kind):
         coalition = frozenset(s for s in range(n) if rng.random() < 0.5)
         view = engrave(ts.succ, run, coalition)
         lists = reference_engrave(ts.succ, run, coalition)
-        arena = GameArena(ts.names, ts.initial, view, coalition, ts.preds())
-        own = own_arena(ts.names, ts.initial, lists, coalition)
+        arena = GameArena(ts.initial, view, ts.preds())
+        own = own_arena(ts.initial, lists, coalition)
+        assert arena.sat is view.owners and len(arena) == n
         assert list(arena.succ) == list(lists)
         assert solve(Game(arena, obj)) == solve(Game(own, obj))
-        for sat in (frozenset(range(n)) - coalition, set(coalition),
-                    {s for s in range(n) if rng.random() < 0.5}):
-            with pytest.raises(ValueError):
-                GameArena(ts.names, ts.initial, view, sat, ts.preds())
+
+
+def test_built_arenas_share_their_sat_states_with_their_view():
+    for ts, obj, run, _ in instances(89, 40, max_states=7):
+        for mode in MODES:
+            for coalition in ((), {0}, range(len(ts))):
+                arena = build_game(ts, obj, run, coalition, mode).arena
+                assert arena.sat is arena.succ.owners, mode
 
 
 def test_build_game_reads_no_successor_list():
@@ -142,16 +145,14 @@ def test_optimistic_empty_coalition_full_run_coverage():
 
 
 def test_attractor_chain():
-    arena = own_arena(("a", "b", "c"), 0, ((1,), (2,), (2,)),
-                      frozenset({0, 1, 2}))
+    arena = own_arena(0, ((1,), (2,), (2,)), frozenset({0, 1, 2}))
     assert attractor(arena, {2}, for_sat=True) == {0, 1, 2}
 
 
 def test_attractor_opponent_choice_blocks():
     # b belongs to the opponent and can escape to d, so nothing upstream
     # of the target joins
-    arena = own_arena(("a", "b", "c", "d"), 0, ((1,), (2, 3), (2,), (3,)),
-                      frozenset({0, 2, 3}))
+    arena = own_arena(0, ((1,), (2, 3), (2,), (3,)), frozenset({0, 2, 3}))
     assert attractor(arena, {2}, for_sat=True) == {2}
 
 
@@ -196,7 +197,7 @@ def _random_games(seed, count, max_states=9, kind=None):
         ts = random_total_system(rng, max_states)
         obj = random_objective(rng, ts, kind)
         coalition = frozenset(s for s in range(len(ts)) if rng.random() < 0.5)
-        arena = own_arena(ts.names, ts.initial, ts.succ, coalition)
+        arena = own_arena(ts.initial, ts.succ, coalition)
         made += 1
         yield Game(arena, obj)
 
@@ -210,7 +211,7 @@ def dual_game(game: Game) -> Game:
     the determinacy test below cross-checks `solve`.
     """
     arena = game.arena
-    swapped = own_arena(arena.names, arena.initial, arena.succ,
+    swapped = own_arena(arena.initial, arena.succ,
                         frozenset(range(len(arena))) - arena.sat)
     obj = game.objective
     if obj.kind == SAFETY:
@@ -286,8 +287,7 @@ def test_arenas_on_shared_predecessor_lists_solve_as_on_their_own(kind):
             game = build_game(ts, obj, run, coalition, mode)
             arena = game.arena
             assert arena.preds is ts.preds()
-            own = own_arena(arena.names, arena.initial, arena.succ,
-                            arena.sat)
+            own = own_arena(arena.initial, arena.succ, arena.sat)
             region = solve(game)
             assert region == solve(Game(own, obj)), (mode, mask)
             assert game_value(game) == int(ts.initial in region)
@@ -311,8 +311,7 @@ def test_attractor_stopped_at_a_state_holds_it_as_the_full_one_does(kind):
 
 
 def test_attractor_stops_once_the_state_joins():
-    arena = own_arena(("a", "b", "c", "d"), 0, ((1,), (2,), (3,), (3,)),
-                      frozenset())
+    arena = own_arena(0, ((1,), (2,), (3,), (3,)), frozenset())
     assert attractor(arena, {3}, for_sat=True) == {0, 1, 2, 3}
     assert attractor(arena, {3}, for_sat=True, until=2) == {2, 3}
     assert attractor(arena, {3}, for_sat=True, until=3) == {3}
@@ -337,11 +336,20 @@ def test_optimistic_opponent_has_no_choices():
                 assert len(game.arena.succ[s]) == 1
 
 
-def test_dot_export_shapes_and_run_edges():
-    ts, obj, run = engraving_example()
-    game = build_game(ts, obj, run, {4}, PESSIMISTIC)
-    dot = arena_to_dot(game, run=run, values={4: "1/2"}, positives={4})
-    assert "shape=box" in dot and "shape=ellipse" in dot
-    assert dot.count('run="1"') == len(run.prefix) + len(run.loop)
-    assert "fillcolor=gold" in dot
-    assert "1/2" in dot
+def test_off_run_states_are_made_once_per_run():
+    # the optimistic games of one payoff game read the states off the run
+    # from the system, which makes them on the first game only
+    for ts, obj, run, _ in instances(97, 20, max_states=7):
+        expected = frozenset(range(len(ts))) - run.states()
+        with mock.patch.object(LassoRun, "states", autospec=True,
+                               side_effect=LassoRun.states) as states:
+            pg = PayoffGame(ts, obj, run, OPTIMISTIC,
+                            PlayerSet.of_states(ts, range(len(ts))))
+            for mask in range(1 << len(ts)):
+                pg.gamma(mask)
+                pg.region(mask)
+            assert ts.off_run(run) == expected
+            assert states.call_count == 1
+        assert ts.off_run(run) is ts.off_run(run)
+        other = LassoRun(run.prefix, run.loop)
+        assert ts.off_run(other) == expected

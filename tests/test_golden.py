@@ -3,8 +3,9 @@
 Each case runs one command in-process through `run_cli` and compares its
 exit code, stdout and stderr with `tests/golden/<case>.txt`, so a change
 in any output byte fails with a diff.  The corpus covers every model in
-`models/` and each generator family at size 6, and every pair of
-refinement heuristics on two generated models.
+`models/` and each generator family at size 6, every pair of refinement
+heuristics on two generated models, and one case for each refusal and
+each flag that the others leave unrun.
 
 To write the files again after a deliberate output change, which prints
 each case file it writes or deletes:
@@ -14,6 +15,7 @@ each case file it writes or deletes:
 
 import contextlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -68,6 +70,44 @@ TOGGLE_OBJECTIVES = {
     "parity-odd": ("--objective", "parity", "--colour", "both=1"),
 }
 
+# the grouping file that `generate_models` writes beside the documents,
+# for engraving_demo.json
+GROUPS = {"start": ["s0"], "middle": ["s1", "s2"],
+          "rest": ["s3", "s4", "s5", "bad"]}
+
+
+def single_cases(generated: Path):
+    """Case id -> argv of the refusals (exit 1) and of the flags that the
+    case families leave unrun."""
+    demo = str(MODELS / "engraving_demo.json")
+    return {
+        "refused-analyze-player-cap": (
+            "analyze", str(generated / "exp-coalitions-6.json"),
+            "--player-cap", "3"),
+        "refused-refine-block-cap": (
+            "refine", str(generated / "frontier-stress-reach-6.json"),
+            "--block-cap", "1", "--initial-blocks", "2"),
+        "refused-oracle-cap": ("oracle", demo, "--oracle-cap", "1"),
+        "refused-state-cap": (
+            "analyze", str(MODELS / "clouds.prism"), "--objective",
+            "reachability", "--target-label", "crit", "--state-cap", "5"),
+        "refused-refine-player-cap": (
+            "refine", str(MODELS / "refinement_demo.json"), "--player-cap",
+            "0", "--seed", "7"),
+        "toggle_prism-safety-group-by-label-analyze": (
+            "analyze", str(MODELS / "toggle.prism"), "--objective", "safety",
+            "--target-label", "both", "--group-by-label", "both"),
+        "engraving_demo-groups-file-analyze": (
+            "analyze", demo, "--groups", str(generated / "groups.json")),
+        "engraving_demo-no-prune-oracle": ("oracle", demo, "--no-prune"),
+        "engraving_demo-forward-find-run-analyze-dot": (
+            "analyze", demo, "--mode", "forward", "--find-run", "--format",
+            "dot"),
+        "engraving_demo-run-override-analyze": (
+            "analyze", demo, "--run-prefix", "s0,s1,s3,s5", "--run-loop",
+            "bad"),
+    }
+
 
 def cases(generated: Path):
     """Case id -> argv; generated models are read from `generated`."""
@@ -100,16 +140,20 @@ def cases(generated: Path):
                 out[f"{family}-{size}-refine-{select}-{refine}"] = (
                     "refine", str(generated / f"{family}-{size}.json"),
                     *HEURISTIC_FLAGS, "--select", select, "--refine", refine)
+    out.update(single_cases(generated))
     return out
 
 
 def generate_models(directory: Path) -> None:
     """Write each generator family's size-6 document, and the heuristic
-    models, into `directory` as `<family>-<size>.json`."""
+    models, into `directory` as `<family>-<size>.json`, and `GROUPS` as
+    `groups.json`."""
     for family, size in ({(f, 6) for f in FAMILIES} | set(HEURISTIC_MODELS)):
         code = run_cli(["generate", "--family", family, "--size", str(size),
                         "-o", str(directory / f"{family}-{size}.json")])
         assert code == 0, family
+    (directory / "groups.json").write_text(json.dumps(GROUPS),
+                                           encoding="utf-8")
 
 
 def transcript(argv) -> str:

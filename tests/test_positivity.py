@@ -15,8 +15,7 @@ from respgame import (BUECHI, OPTIMISTIC, REACHABILITY, AnalysisTimeout,
                       positivity_reach_opt, shapley_exact, solve)
 from respgame.explicit import build_system
 from respgame.games import engrave
-from respgame.positivity import (BuechiSearch, positivity_buechi_opt,
-                                 rho_order)
+from respgame.positivity import positivity_buechi_opt, rho_order
 from respgame.shapley import bits
 
 
@@ -150,9 +149,11 @@ def test_rho_order_jump_targets():
 
 def test_buechi_positivity_examples():
     ts, obj, run = recurrence_example()
-    search = BuechiSearch.of(ts, obj.target, run)
-    assert positivity_buechi_opt(search, 1)
-    assert not positivity_buechi_opt(search, 4)
+    pg = PayoffGame(ts, obj, run, OPTIMISTIC,
+                    PlayerSet.of_states(ts, range(len(ts))))
+    order = rho_order(ts, run, obj.target)
+    assert positivity_buechi_opt(pg, order, 1)
+    assert not positivity_buechi_opt(pg, order, 4)
     assert positivity_buechi_opt_all(ts, obj.target, run) == {"s0", "s1", "s2"}
 
 

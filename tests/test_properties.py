@@ -82,7 +82,7 @@ def test_attractor_monotone_in_target(ts, bits_a, bits_b):
     small = {s for s in range(n) if (bits_a >> s) & 1}
     extra = {s for s in range(n) if (bits_b >> s) & 1}
     sat = frozenset(range(0, n, 2))
-    arena = own_arena(ts.names, ts.initial, ts.succ, sat)
+    arena = own_arena(ts.initial, ts.succ, sat)
     assert (attractor(arena, small, for_sat=True)
             <= attractor(arena, small | extra, for_sat=True))
 
@@ -94,8 +94,7 @@ def test_safety_region_shrinks_with_larger_avoid_set(ts, bits_a, bits_b):
     n = len(ts)
     small = frozenset(s for s in range(n) if (bits_a >> s) & 1)
     big = small | frozenset(s for s in range(n) if (bits_b >> s) & 1)
-    arena = own_arena(ts.names, ts.initial, ts.succ,
-                      frozenset(range(0, n, 2)))
+    arena = own_arena(ts.initial, ts.succ, frozenset(range(0, n, 2)))
     win_small = solve(Game(arena, Objective(SAFETY, target=small)))
     win_big = solve(Game(arena, Objective(SAFETY, target=big)))
     assert win_big <= win_small
@@ -174,7 +173,7 @@ def test_value_queries_and_shared_predecessors_match_the_full_solve(inst,
         value = int(ts.initial in region)
         assert pg.gamma(mask) == game_value(game) == value
         arena = game.arena
-        own = own_arena(arena.names, arena.initial, arena.succ, arena.sat)
+        own = own_arena(arena.initial, arena.succ, arena.sat)
         assert own.preds is not arena.preds
         assert solve(Game(own, obj)) == region
 

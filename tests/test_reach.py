@@ -23,20 +23,13 @@ PACKAGE = Path(respgame.__file__).resolve().parent
 UNREACHED = {
     "cli._Deadline.__init__": "test_cli.py::test_analyze_timeout_refusal",
     "cli._Deadline.__call__": "test_cli.py::test_analyze_timeout_refusal",
-    "cli._non_negative.parse":
-        "test_cli.py::test_negative_flag_values_are_usage_errors",
-    "cli._split_names": "test_cli.py::test_run_override_validated",
     "cli.main": "the console script of pyproject.toml; the corpus calls "
                 "run_cli, which holds all of it but the exit",
-    "errors.RefusalError.__init__":
-        "test_cli.py::test_analyze_timeout_refusal",
     "explicit.ExplicitModelDoc.__eq__":
         "test_explicit.py::test_roundtrip_is_fixpoint",
     "explicit.load_explicit":
         "test_explicit.py::test_parse_shipped_recurrence_model; stays for "
         "the benchmark tracer's TRACED list",
-    "grouping.load_grouping_file":
-        "test_cli.py::test_grouping_members_must_be_state_names",
     "model.LassoRun.__eq__":
         "test_model.py::test_find_violating_run_safety_example",
     "model.LassoRun.__hash__":
@@ -55,16 +48,12 @@ UNREACHED = {
         "test_modlang.py::test_formula_macro_and_constants",
     "modlang._needs": "test_modlang.py::test_guard_error_text",
     "modlang._too_deep": "test_cli.py::test_deep_nesting_is_an_input_error",
-    "modlang.expand_program.over_cap": "test_modlang.py::test_state_cap",
     "shapley.ResponsibilityReport.as_dict":
         "test_shapley.py::test_report_accessors; the README's library "
         "example and the benchmark's checks read it",
     "shapley.ResponsibilityReport.positivity":
         "test_shapley.py::test_report_accessors; the benchmark's checks "
         "read it",
-    "shapley.oracle_shapley":
-        "test_shapley.py::test_oracle_empty_player_set; the reference the "
-        "tests and the benchmark's checks compare values with",
 }
 
 

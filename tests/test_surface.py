@@ -215,7 +215,7 @@ def _frozen_records():
     """(maker, record) pairs: the maker builds a fresh record each call and
     `record` is of the same class but differs in one field; one pair or
     two per immutable record class."""
-    arena = own_arena(("a",), 0, ((0,),), ())
+    arena = own_arena(0, ((0,),), ())
     target = frozenset([1])
     return [
         (lambda: Objective(SAFETY, target=target),
