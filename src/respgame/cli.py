@@ -14,8 +14,8 @@ from .errors import (AnalysisTimeout, InputError, RefusalError, no_deadline,
 from .explicit import parse_explicit, serialize_explicit
 from .games import FORWARD, MODES, OPTIMISTIC, PESSIMISTIC
 from .generators import FAMILIES, generate
-from .grouping import (BY_LABEL, BY_MODULE, EXPLICIT_LIST, GroupingSpec,
-                       load_grouping_file, resolve_grouping)
+from .grouping import (BY_LABEL, BY_MODULE, GroupingSpec, load_grouping_file,
+                       resolve_grouping)
 from .model import (BUECHI, OBJECTIVE_KINDS, PARITY, REACHABILITY,
                     LassoRun, NoViolation, Objective, find_violating_run,
                     require_valid_run, violates)
@@ -142,8 +142,33 @@ class _Deadline:
             raise AnalysisTimeout(f"timeout after {self.seconds} s")
 
 
-def _split_names(text):
-    return [part for part in (text or "").split(",") if part]
+def _listed_states(ts, text):
+    """The states of a `--run-prefix`/`--run-loop` value.
+
+    Names are separated by commas, but a program's state names hold
+    commas themselves, so each state is the longest run of parts, from
+    where the last one ended, that joins into a name `ts` knows; empty
+    parts are skipped.  A part that starts no known name is an unknown
+    state."""
+    parts = (text or "").split(",")
+    widest = 1 + max(name.count(",") for name in ts.names)
+    states = []
+    i = 0
+    while i < len(parts):
+        if not parts[i]:
+            i += 1
+            continue
+        j = min(len(parts), i + widest)
+        while True:
+            try:
+                states.append(ts.index_of(",".join(parts[i:j])))
+                break
+            except InputError:
+                if j == i + 1:
+                    raise
+                j -= 1
+        i = j
+    return tuple(states)
 
 
 def _load_model(args, unpruned=()) -> PayoffGame:
@@ -154,14 +179,17 @@ def _load_model(args, unpruned=()) -> PayoffGame:
     labels = {}
     owners = {}
     doc_run = None
-    group_doc = None
+    doc_players = None
     # read once, so a pipe works too; an explicit document is a JSON
     # object, and no program starts with "{"
     text = read_text(args.model)
     if text.lstrip().startswith("{"):
         doc = parse_explicit(text)
         ts, objective, doc_run = doc.system
-        group_doc = doc.groups
+        if doc.groups is not None:
+            doc_players = PlayerSet.of_blocks(list(doc.groups), doc.blocks)
+        # the system holds all that is read of the document from here on
+        del doc
     else:
         expanded = expand_program(parse_program(text), args.state_cap,
                                   deadline)
@@ -169,12 +197,13 @@ def _load_model(args, unpruned=()) -> PayoffGame:
         labels = expanded.labels
         owners = expanded.owners
         objective = None
+    del text
     objective = _objective_from_flags(args, ts, labels, objective)
     if objective is None:
         raise InputError("no objective: pass --objective/--target flags")
     run = _run_from_flags(args, ts, objective, doc_run, deadline)
     players = _players_from_flags(args, ts, objective, run, labels, owners,
-                                  group_doc, deadline,
+                                  doc_players, deadline,
                                   objective.kind not in unpruned)
     return PayoffGame(ts, objective, run, args.mode, players, deadline)
 
@@ -224,9 +253,8 @@ def _run_from_flags(args, ts, objective, doc_run, deadline):
     if args.run_prefix is not None and args.run_loop is None:
         raise InputError("--run-prefix needs --run-loop")
     if args.run_loop is not None:
-        prefix = tuple(ts.index_of(s) for s in _split_names(args.run_prefix))
-        loop = tuple(ts.index_of(s) for s in _split_names(args.run_loop))
-        run = LassoRun(prefix, loop)
+        run = LassoRun(_listed_states(ts, args.run_prefix),
+                       _listed_states(ts, args.run_loop))
         require_valid_run(ts, run)
     elif args.find_run:
         run = None
@@ -241,8 +269,8 @@ def _run_from_flags(args, ts, objective, doc_run, deadline):
     return run
 
 
-def _players_from_flags(args, ts, objective, run, labels, owners, group_doc,
-                        deadline, prune):
+def _players_from_flags(args, ts, objective, run, labels, owners,
+                        doc_players, deadline, prune):
     grouping = None
     if args.groups:
         grouping = load_grouping_file(args.groups)
@@ -251,8 +279,8 @@ def _players_from_flags(args, ts, objective, run, labels, owners, group_doc,
     elif args.group_by_label:
         grouping = GroupingSpec(BY_LABEL,
                                 label_names=tuple(args.group_by_label))
-    elif group_doc:
-        grouping = GroupingSpec(EXPLICIT_LIST, blocks=group_doc)
+    elif doc_players is not None:
+        return doc_players  # the document's groups, checked on loading
     if grouping is not None:
         return resolve_grouping(grouping, ts, labels=labels, owners=owners)
     if args.no_prune or not prune:

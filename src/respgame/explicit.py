@@ -21,10 +21,13 @@ class ExplicitModelDoc:
 
     Kept deliberately close to the wire format so parse -> serialize ->
     parse is a fixpoint.  The fields may be assigned after construction.
-    `system` is not part of the document: it is the `build_system` result
-    that `parse_explicit` made while validating, so a loader need not
-    build it again.  It is None for a document made in code, is not
-    updated when a field changes, and is left out of equality.
+    `system` and `blocks` are not part of the document: `system` is the
+    `build_system` result that `parse_explicit` made while validating, so
+    a loader need not build it again, and `blocks` holds the member index
+    sets of `groups`, in their order, that `build_system` checked and kept
+    (None without groups), so a loader need not check them again.  Both
+    are None until then, are not updated when a field changes, and are
+    left out of equality.
     """
 
     _FIELDS = ("states", "initial", "transitions", "objective_kind", "target",
@@ -47,6 +50,7 @@ class ExplicitModelDoc:
         self.run_loop = run_loop
         self.groups = groups
         self.system = None
+        self.blocks = None
 
     def __eq__(self, other):
         if other.__class__ is not ExplicitModelDoc:
@@ -167,7 +171,8 @@ def build_system(doc: ExplicitModelDoc):
     name -> index dict that the system keeps: an unknown name, a missing
     colour, a deadlock, an invalid run or groups that do not partition the
     states are InputErrors, also in a document made in code.  A repeated
-    transition gives one edge.
+    transition gives one edge.  The groups' member index sets are kept in
+    `doc.blocks`.
     """
     index = {name: i for i, name in enumerate(doc.states)}
     if len(index) != len(doc.states):
@@ -202,8 +207,8 @@ def build_system(doc: ExplicitModelDoc):
             tuple(resolve(s, "run prefix") for s in doc.run_prefix or ()),
             tuple(resolve(s, "run loop") for s in doc.run_loop))
         require_valid_run(ts, run)
-    if doc.groups is not None:
-        _partition(doc.groups, resolve, ts.names)
+    doc.blocks = (None if doc.groups is None
+                  else _partition(doc.groups, resolve, ts.names))
     return ts, obj, run
 
 

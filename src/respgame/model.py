@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from itertools import chain
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError, no_deadline
 
@@ -32,45 +32,68 @@ class TransitionSystem:
     models are rejected at construction with a listing of the offending
     states.  `index`, when given, is the name -> index dict of `names` that
     the caller has built already, so a load keeps one.
+
+    With `name_of`, `names` holds one key per state instead, such as a
+    program's valuations, and the name of state s is `name_of(names[s])`.
+    Those names are formed, and the name -> index dict behind `index_of`
+    built, the first time `names` or `index_of` is read, so an analysis
+    that reads neither formats no name.  They are not checked for
+    duplicates: the caller gives keys whose names are unique by
+    construction, as an expansion's distinct valuations give distinct
+    `var=value` listings.
     """
 
-    __slots__ = ("names", "initial", "succ", "_index", "_preds", "_off_run")
+    __slots__ = ("_names", "_name_of", "initial", "succ", "_index", "_preds",
+                 "_off_run")
 
-    def __init__(self, names: Sequence[str], initial: int, *,
+    def __init__(self, names: Sequence, initial: int, *,
                  succ: Sequence[Tuple[int, ...]],
-                 index: Optional[Dict[str, int]] = None):
+                 index: Optional[Dict[str, int]] = None,
+                 name_of: Optional[Callable[[object], str]] = None):
         names = tuple(names)
         n = len(names)
-        if index is None:
+        if index is None and name_of is None:
             index = {name: i for i, name in enumerate(names)}
             if len(index) != n:
                 dupes = sorted(m for m, k in Counter(names).items() if k > 1)
                 raise InputError(f"duplicate state names: {', '.join(dupes)}")
+        self._names = names
+        self._name_of = name_of
         if not 0 <= initial < n:
             raise InputError(f"initial state index {initial} out of range")
         succ = tuple(succ)
         if len(succ) != n:
             raise InputError(f"{len(succ)} successor lists for {n} states")
         if not all(succ):
-            dead = [names[s] for s, ends in enumerate(succ) if not ends]
+            dead = [self.names[s] for s, ends in enumerate(succ) if not ends]
             raise InputError(
                 "deadlocked states (no outgoing transition): " + ", ".join(dead))
         if (min(chain.from_iterable(succ)) < 0
                 or max(chain.from_iterable(succ)) >= n):
             raise InputError(f"successor index out of range 0..{n - 1}")
-        self.names = names
         self.initial = initial
         self.succ = succ
         self._index = index
         self._preds = None
         self._off_run = None
 
+    @property
+    def names(self) -> Tuple[str, ...]:
+        """The display name of each state, formed on first read when the
+        system was given `name_of`."""
+        if self._name_of is not None:
+            self._names = tuple(map(self._name_of, self._names))
+            self._name_of = None
+        return self._names
+
     def __len__(self) -> int:
-        return len(self.names)
+        return len(self.succ)
 
     def index_of(self, name: str, where: str = "") -> int:
         """The index of state `name`; an unknown or non-string name is an
         InputError, naming `where` when it is given."""
+        if self._index is None:
+            self._index = {name: i for i, name in enumerate(self.names)}
         return _look_up(self._index, name, where)
 
     def preds(self) -> tuple:

@@ -560,8 +560,10 @@ def _parse_command(p: _Parser, module_name, local_vars) -> Command:
 class ExpandedModel(NamedTuple):
     """Explicit reachable state space of a program.
 
-    State names are canonical `var=value` listings in declaration order;
-    numbering is breadth-first discovery order from the initial valuation.
+    State names are canonical `var=value` listings in declaration order,
+    formed from the valuations when `ts.names` or `ts.index_of` is first
+    read; numbering is breadth-first discovery order from the initial
+    valuation.
     """
 
     ts: TransitionSystem
@@ -770,7 +772,7 @@ def expand_program(prog: ModuleLangProgram,
                 row.append(t)
             succ.append(tuple(sorted(set(row))))
         frontier = next_frontier
-    ts = TransitionSystem(map(name_of, order), 0, succ=succ)
+    ts = TransitionSystem(order, 0, succ=succ, name_of=name_of)
 
     def holding(what, exprs):
         """The states where each expression of `exprs` holds."""

@@ -54,8 +54,8 @@ class PlayerSet(_PlayerFields):
     @staticmethod
     def of_states(ts: TransitionSystem, indices: Sequence[int]) -> "PlayerSet":
         indices = tuple(sorted(indices))
-        return PlayerSet(STATE_PLAYERS,
-                         tuple(ts.names[i] for i in indices),
+        names = ts.names
+        return PlayerSet(STATE_PLAYERS, tuple(names[i] for i in indices),
                          tuple(frozenset([i]) for i in indices))
 
     @staticmethod

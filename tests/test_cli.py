@@ -18,6 +18,7 @@ from conftest import spy_everywhere
 import respgame.cli
 import respgame.explicit
 import respgame.games
+import respgame.grouping
 import respgame.shapley
 from respgame import HeuristicsConfig, generate, serialize_explicit
 from respgame.cli import build_parser, run_cli
@@ -327,6 +328,36 @@ def test_document_run_validated_once(capsys):
             mock.patch.object(respgame.cli, "require_valid_run", spy):
         code, _, _ = run(capsys, "analyze",
                          str(MODELS / "recurrence_demo.json"))
+    assert code == 0 and spy.call_count == 1
+
+
+def test_program_run_flags_take_comma_joined_state_names(capsys):
+    # every state name of toggle.prism is comma-joined, so the parts of a
+    # flag are joined into the longest name the model knows
+    toggle = ("analyze", str(MODELS / "toggle.prism"), "--objective",
+              "reachability", "--target-label", "both")
+    found = run(capsys, *toggle)
+    given = run(capsys, *toggle, "--run-loop",
+                "a=false,b=false,a=true,b=false")
+    assert given == found and found[0] == 0
+    code, out, err = run(capsys, *toggle, "--run-loop", "a=false,c=true")
+    assert (code, out, err) == (2, "", "error: unknown state 'a=false'\n")
+    code, out, err = run(capsys, *toggle, "--run-prefix",
+                         "a=false,b=false,,a=true", "--run-loop",
+                         "a=true,b=false")
+    assert (code, out, err) == (2, "", "error: unknown state 'a=true'\n")
+
+
+def test_explicit_run_flags_report_the_first_unknown_part(capsys):
+    code, out, err = run(capsys, "analyze",
+                         str(MODELS / "recurrence_demo.json"),
+                         "--run-prefix", "s0,,zz,s1", "--run-loop", "yy")
+    assert (code, out, err) == (2, "", "error: unknown state 'zz'\n")
+
+
+def test_document_groups_are_partition_checked_once(capsys):
+    with spy_everywhere(respgame.grouping, "_partition") as spy:
+        code, _, _ = run(capsys, "analyze", str(MODELS / "groups_demo.json"))
     assert code == 0 and spy.call_count == 1
 
 

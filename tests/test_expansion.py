@@ -11,14 +11,16 @@ the same error with the same text.
 
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from respgame import InputError, StateCapExceeded, parse_program
+from respgame.cli import run_cli
 from respgame.generators import lab_program_text
 from respgame.modlang import (DEFAULT_STATE_CAP, ExpandedModel, _Compiler,
-                              _shown, expand_program)
+                              _Pieces, _shown, expand_program)
 from conftest import system
 from test_fuzz import programs
 
@@ -404,3 +406,72 @@ owner counter = x >= 0;
     expanded = expand_program(prog)
     assert expanded.labels["top"] == {500}
     assert calls == {"label 'top'": 501, "owner 'counter'": 501}
+
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+# the lab programs and every program model of the golden corpus
+NAMED = {**{f"lab-{n}": lab_program_text(n, bug=True) for n in (2, 3, 4)},
+         **{path.name: path.read_text(encoding="utf-8")
+            for path in sorted(MODELS.glob("*.prism"))}}
+
+
+def _pieces_made(monkeypatch):
+    """Every `var=value` piece a state name is made of, as it is made; a
+    formatted name makes at least one, since each expansion starts with
+    no piece."""
+    made = []
+    missing = _Pieces.__missing__
+
+    def counting(self, value):
+        made.append((self.prefix, value))
+        return missing(self, value)
+
+    monkeypatch.setattr(_Pieces, "__missing__", counting)
+    return made
+
+
+def _unknown(ts, name, where):
+    with pytest.raises(InputError) as exc:
+        ts.index_of(name, where)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("model", sorted(NAMED))
+def test_names_formed_on_first_read_equal_the_eager_names(model):
+    eager = reference_expand(parse_program(NAMED[model])).ts
+    by_index, by_names = (expand_program(parse_program(NAMED[model])).ts
+                          for _ in range(2))
+    # the index is built first in one system, the names in the other
+    assert [by_index.index_of(name) for name in eager.names] \
+        == list(range(len(eager)))
+    assert by_names.names == by_index.names == eager.names
+    assert all(by_names.index_of(name) == s
+               for s, name in enumerate(eager.names))
+    for name in ("nope", eager.names[0] + ",", 7, None):
+        for where in ("", "run loop"):
+            expected = _unknown(eager, name, where)
+            assert _unknown(by_index, name, where) == expected
+            assert _unknown(by_names, name, where) == expected
+
+
+def test_size_and_edge_count_format_no_name(monkeypatch):
+    made = _pieces_made(monkeypatch)
+    ts = expand_program(parse_program(lab_program_text(4, bug=True))).ts
+    assert (len(ts), ts.num_edges()) == (3083, 7512) and made == []
+    assert ts.names[0].startswith("clean_left=1,inf_left=1,")
+    assert made
+
+
+@pytest.mark.parametrize("analysers", [2, 3, 4])
+def test_grouped_lab_analysis_formats_no_state_name(monkeypatch, tmp_path,
+                                                    capsys, analysers):
+    # the target is a label, the run is searched, the players are owner
+    # blocks and the table prints block names: no state name is read
+    made = _pieces_made(monkeypatch)
+    path = tmp_path / "lab.prism"
+    path.write_text(lab_program_text(analysers, bug=True), encoding="utf-8")
+    code = run_cli(["analyze", str(path), "--objective", "reachability",
+                    "--target-label", "success", "--group-by-module"])
+    assert code == 0 and "analyser2" in capsys.readouterr().out
+    assert made == []

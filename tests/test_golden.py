@@ -94,6 +94,11 @@ def single_cases(generated: Path):
         "refused-refine-player-cap": (
             "refine", str(MODELS / "refinement_demo.json"), "--player-cap",
             "0", "--seed", "7"),
+        "toggle_prism-safety-run-override-analyze": (
+            "analyze", str(MODELS / "toggle.prism"), "--objective", "safety",
+            "--target-label", "both", "--run-prefix",
+            "a=false,b=false,a=true,b=false", "--run-loop",
+            "a=true,b=true,a=false,b=true"),
         "toggle_prism-safety-group-by-label-analyze": (
             "analyze", str(MODELS / "toggle.prism"), "--objective", "safety",
             "--target-label", "both", "--group-by-label", "both"),
