@@ -312,6 +312,16 @@ def _winning_table(gamma: Callable[[int], int], n: int,
     up-set or down-set, each round finds a boundary coalition not known
     before: at most (n+1) * (|minimal winning| + |maximal losing|)
     queries, and never more than 2^n.
+
+    Only a round that starts at the grand coalition shrinks.  Every
+    other round starts at the lowest unknown coalition u.  Each proper
+    subset of u is numerically smaller, so it is known, and none is
+    known to win, since `win` is up-closed and u would then be known.
+    So every proper subset of u is known to lose, a winning u is
+    minimal, and its shrink would test known losers only.  The lowest
+    unknown coalition is the lowest zero bit of `win | lose`, found with
+    positive integers only; it is `full + 1` once every coalition is
+    known.
     """
     full = (1 << n) - 1
     win = lose = 0
@@ -328,22 +338,22 @@ def _winning_table(gamma: Callable[[int], int], n: int,
         lose |= _subsets(mask)
         return False
 
+    if not (win | lose) >> full & 1 and query(full):
+        mask = full
+        for p in bits(full):
+            smaller = mask & ~(1 << p)
+            if not lose >> smaller & 1 and query(smaller):
+                mask = smaller
     known = win | lose
-    mask = (full if not known >> full & 1
-            else ((known + 1) & ~known).bit_length() - 1)
+    mask = (known ^ (known + 1)).bit_length() - 1
     while mask <= full:
-        if query(mask):
-            for p in bits(mask):
-                smaller = mask & ~(1 << p)
-                if not lose >> smaller & 1 and query(smaller):
-                    mask = smaller
-        else:
+        if not query(mask):
             for p in bits(full ^ mask):
                 larger = mask | 1 << p
                 if not win >> larger & 1 and not query(larger):
                     mask = larger
         known = win | lose
-        mask = ((known + 1) & ~known).bit_length() - 1
+        mask = (known ^ (known + 1)).bit_length() - 1
     return win
 
 

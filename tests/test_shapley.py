@@ -534,12 +534,14 @@ def test_known_answers_preset_the_fill_and_are_never_queried(n):
 
 
 def _reference_fill(gamma, n, winners=(), losers=()):
-    """The boundary fill with all four membership tests, kept as the
-    reference for `shapley._winning_table`.  Returns the table and how
-    often the shrink step's known-winning test or the grow step's
-    known-losing test held."""
+    """The boundary fill with all four membership tests and a shrink in
+    every winning round, kept as the reference for
+    `shapley._winning_table`.  Returns the table, how often the shrink
+    step's known-winning test or the grow step's known-losing test held,
+    and how many shrink candidates not known to lose it met in winning
+    rounds that started at the lowest unknown coalition."""
     subsets = shapley._subsets
-    held = 0
+    held = open_below = 0
     full = (1 << n) - 1
     everything = (1 << (1 << n)) - 1
     win = lose = 0
@@ -562,12 +564,14 @@ def _reference_fill(gamma, n, winners=(), losers=()):
     unknown = everything & ~(win | lose)
     mask = full if unknown >> full & 1 else lowest(unknown)
     while unknown:
+        at_lowest = mask == lowest(unknown)
         if query(mask):
             for p in range(n):
                 smaller = mask & ~(1 << p)
                 if smaller == mask or lose >> smaller & 1:
                     continue
                 held += win >> smaller & 1
+                open_below += at_lowest
                 if win >> smaller & 1 or query(smaller):
                     mask = smaller
         else:
@@ -580,13 +584,15 @@ def _reference_fill(gamma, n, winners=(), losers=()):
                     mask = larger
         unknown = everything & ~(win | lose)
         mask = lowest(unknown)
-    return win, held
+    return win, held, open_below
 
 
 @pytest.mark.parametrize("n", range(0, 10))
 def test_fill_asks_the_reference_fills_coalitions_in_its_order(n):
     # the reference's known-winning shrink test and known-losing grow test
-    # never hold, so the fill that drops them asks exactly the same
+    # never hold, and a winning round that starts at the lowest unknown
+    # coalition meets only known losers below it, so the fill that drops
+    # those tests and that shrink asks exactly the same
     rng = random.Random(70 + n)
     for trial in range(40):
         win = _random_monotone_table(rng, n)
@@ -603,7 +609,54 @@ def test_fill_asks_the_reference_fills_coalitions_in_its_order(n):
             return lambda mask: log.append(mask) or win >> mask & 1
 
         assert _reference_fill(asking(reference), n,
-                               winners, losers) == (win, 0)
+                               winners, losers) == (win, 0, 0)
         assert shapley._winning_table(asking(asked), n,
                                       winners, losers) == win
         assert asked == reference
+
+
+@pytest.fixture(scope="module", params=[7, 8])
+def exp_coalitions_table(request):
+    """Player count and winning table of `analyze` on exp-coalitions of the
+    given size (15 and 17 players), filled once by the reference."""
+    ts, obj, run = build_system(generate("exp-coalitions", request.param))
+    players = prune_dummies(ts, obj, run, PESSIMISTIC)
+    pg = PayoffGame(ts, obj, run, PESSIMISTIC, players)
+    n = len(players)
+    assert n == 2 * request.param + 1
+    return n, _reference_fill(pg.gamma, n)[0]
+
+
+def test_fill_replays_the_reference_fill_on_exp_coalitions(
+        exp_coalitions_table):
+    n, win = exp_coalitions_table
+    reference, asked = [], []
+
+    def asking(log):
+        return lambda mask: log.append(mask) or win >> mask & 1
+
+    assert _reference_fill(asking(reference), n) == (win, 0, 0)
+    assert shapley._winning_table(asking(asked), n) == win
+    assert asked == reference
+
+
+def test_fill_shrinks_in_its_first_round_only(exp_coalitions_table,
+                                              monkeypatch):
+    # a pass (one call of `bits`) follows the query that starts its round:
+    # a shrink after a winning one, a grow after a losing one
+    n, win = exp_coalitions_table
+    answers, passes = [], []
+
+    def gamma(mask):
+        answers.append(win >> mask & 1)
+        return answers[-1]
+
+    def spy(mask, bits=shapley.bits):
+        passes.append((mask, answers[-1]))
+        return bits(mask)
+
+    monkeypatch.setattr(shapley, "bits", spy)
+    assert shapley._winning_table(gamma, n) == win
+    losing_rounds = sum(not won for _, won in passes)
+    assert len(passes) <= 1 + losing_rounds
+    assert passes[0] == ((1 << n) - 1, 1)
