@@ -311,7 +311,7 @@ def solve_bounds(ts: TransitionSystem, obj: Objective,
     first = solve(game(frozenset() if reach else full_states))
     seed = first if reach else frozenset(range(len(ts))) - first
     preds = ts.preds()
-    border = [s for s in seed if any(p not in seed for p in preds[s])]
+    border = [s for s in seed if not seed.issuperset(preds[s])]
     second = solve(game(full_states if reach else frozenset()), seed, border)
     if reach:
         return Bounds(first, second, seed, border)

@@ -312,77 +312,98 @@ def _reachable(succ, source: int, allowed=None):
     return seen
 
 
-def _sccs(succ, allowed, deadline=no_deadline):
+def _sccs(succ, allowed, deadline=no_deadline, roots=None):
     """Tarjan over the subgraph induced by `allowed`; returns state -> scc id.
 
-    Components are numbered as they complete, so every edge leads to an
-    equal or smaller id, and the result lists the states component by
-    component in that order.  `deadline` is called before each state is
-    numbered.
+    The depth-first search starts from each of `roots`, allowed states, in
+    turn, by default from every allowed state in index order, and numbers
+    only the allowed states it reaches; `allowed` is read by membership
+    only.  Components are numbered as they complete, so every edge leads
+    to an equal or smaller id, and the result lists the states component
+    by component in that order, each component in reverse numbering
+    order.  `deadline` is called before each state is numbered.
+
+    `low[v]` is the least number v is known to reach through states on
+    the stack until v's component completes, and `done` from then on,
+    above every number.  A state is on the stack exactly when it is
+    numbered and has no component, so an edge into a finished component
+    never lowers a link and no on-stack set is kept (Pearce, A
+    space-efficient algorithm for finding strongly connected components,
+    IPL 116(1), 2016).  A component of one state is finished without a
+    slice of the stack.
     """
-    allowed = set(allowed)
-    index = {}
     low = {}
-    on_stack = set()
-    stack = []
-    work = []
+    low_of = low.get
     comp = {}
+    stack = []
+    # the suspended frames: (state, its number, its stack position, the
+    # iterator over its successors); the running frame is held in locals,
+    # with its link in `lv`
+    work = []
+    done = len(succ)
     ncomp = 0
-
-    def number(v):
-        deadline()
-        index[v] = low[v] = len(index)
-        stack.append(v)
-        on_stack.add(v)
-        work.append((v, iter([t for t in succ[v] if t in allowed])))
-
-    for v in sorted(allowed):
-        if v in index:
+    for root in sorted(allowed) if roots is None else roots:
+        if root in low:
             continue
-        number(v)
-        while work:
-            node, it = work[-1]
+        deadline()
+        low[root] = lv = num = len(low)
+        v, pos, it = root, len(stack), iter(succ[root])
+        stack.append(root)
+        while True:
             for w in it:
-                if w not in index:
-                    number(w)
-                    break
-                if w in on_stack:
-                    low[node] = min(low[node], index[w])
+                lw = low_of(w)
+                if lw is None:
+                    if w in allowed:
+                        low[v] = lv
+                        work.append((v, num, pos, it))
+                        deadline()
+                        low[w] = lv = num = len(low)
+                        v, pos, it = w, len(stack), iter(succ[w])
+                        stack.append(w)
+                        break
+                elif lw < lv:
+                    lv = lw
             else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp[w] = ncomp
-                        if w == node:
-                            break
+                if lv == num:
+                    if pos == len(stack) - 1:
+                        stack.pop()
+                        comp[v] = ncomp
+                        low[v] = done
+                    else:
+                        members = stack[pos:]
+                        del stack[pos:]
+                        members.reverse()
+                        comp.update(dict.fromkeys(members, ncomp))
+                        low.update(dict.fromkeys(members, done))
                     ncomp += 1
+                    if not work:
+                        break
+                    v, num, pos, it = work.pop()
+                    lv = low[v]
+                else:
+                    low[v] = lv
+                    v, num, pos, it = work.pop()
+                    lv = min(lv, low[v])
     return comp
 
 
-def _cycle_finder(succ, allowed, deadline=no_deadline):
-    """Shortest cycles inside `allowed`, from one Tarjan pass over it.
+def _cycle_finder(succ, comp):
+    """Shortest cycles within the components of the SCC map `comp`.
 
-    Returns `cycle(state)` for states in `allowed`: the shortest cycle
-    through `state` within its SCC as [state, ..., last], or None when
-    `state` lies on no cycle.  Ties go to the lowest first successor.
-    `deadline` is handed to the Tarjan pass.
+    Returns `cycle(state)` for states in `comp`: the shortest cycle
+    through `state` within its component as [state, ..., last], or None
+    when `state` lies on no cycle.  Ties go to the lowest first successor.
+    `cycle` lists a component's members only when it searches it.
     """
-    comp = _sccs(succ, allowed, deadline)
-    members = {}
-    for s, c in comp.items():
-        members.setdefault(c, set()).add(s)
+    sizes = Counter(comp.values())
 
     def cycle(state):
         if state in succ[state]:
             return [state]
-        scc = members[comp[state]]
-        if len(scc) == 1:
+        cid = comp[state]
+        if sizes[cid] == 1:
             return None
+        scc = {s for s, c in comp.items() if c == cid}
         # every successor inside the SCC has a path back within it
         back = min((_bfs_path(succ, t, {state}, allowed=scc)
                     for t in succ[state] if t in scc), key=len)
@@ -444,9 +465,11 @@ def find_violating_run(ts: TransitionSystem, obj: Objective,
         # an entire run avoiding the target: cycle reachable within S \ F
         if ts.initial in obj.target:
             raise NoViolation("the initial state is already in the target")
-        allowed = set(range(n)) - set(obj.target)
-        reach = _reachable(succ, ts.initial, allowed=allowed)
-        find_cycle = _cycle_finder(succ, reach, deadline)
+        # one pass from the initial state numbers exactly the states it
+        # reaches without entering the target
+        reach = _sccs(succ, set(range(n)).difference(obj.target), deadline,
+                      (ts.initial,))
+        find_cycle = _cycle_finder(succ, reach)
         for w in sorted(reach):
             cycle = find_cycle(w)
             if cycle is not None:
@@ -461,6 +484,8 @@ def find_violating_run(ts: TransitionSystem, obj: Objective,
     if obj.kind == BUECHI:
         colours = [2 if s in obj.target else 1 for s in range(n)]
         none = "every reachable cycle meets the target set"
+    # the SCC of a reachable state within an allowed set is reachable too,
+    # so each pass numbers only the reachable states
     reach = _reachable(succ, ts.initial)
     finders = {}
     for w in sorted(reach):
@@ -468,8 +493,8 @@ def find_violating_run(ts: TransitionSystem, obj: Objective,
         if c % 2 == 0:
             continue
         if c not in finders:
-            finders[c] = _cycle_finder(
-                succ, {s for s in range(n) if colours[s] <= c}, deadline)
+            finders[c] = _cycle_finder(succ, _sccs(
+                succ, {s for s in reach if colours[s] <= c}, deadline))
         cycle = finders[c](w)
         if cycle is not None:
             path = _bfs_path(succ, ts.initial, {w})

@@ -280,6 +280,16 @@ def _subsets(mask: int) -> int:
     return out
 
 
+def _bitset(masks: Sequence[int], n: int) -> int:
+    """Bitset (bit s for coalition mask s) of the coalitions `masks` of n
+    players, set in a byte buffer: or-ing in one bit at a time would copy
+    the 2^n-bit integer per mask."""
+    buf = bytearray(((1 << n) + 7) >> 3)
+    for mask in masks:
+        buf[mask >> 3] |= 1 << (mask & 7)
+    return int.from_bytes(buf, "little")
+
+
 def _layers(n: int) -> List[int]:
     """layers[k] is the bitset of the coalitions of n players of size k."""
     layers = [1]
@@ -325,10 +335,14 @@ def _winning_table(gamma: Callable[[int], int], n: int,
     """
     full = (1 << n) - 1
     win = lose = 0
-    for mask in winners:
-        win |= _subsets(full ^ mask) << mask
-    for mask in losers:
-        lose |= _subsets(mask)
+    if winners or losers:
+        # close the presets in one pass per player: a coalition lacking
+        # player i passes a win up to itself plus i, and a loss down from it
+        win, lose = _bitset(winners, n), _bitset(losers, n)
+        for i in range(n):
+            lacking, step = _subsets(full ^ 1 << i), 1 << i
+            win |= (win & lacking) << step
+            lose |= (lose >> step) & lacking
 
     def query(mask: int) -> bool:
         nonlocal win, lose

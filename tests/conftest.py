@@ -215,6 +215,56 @@ def instances(seed: int, count: int, max_states: int = 9, kind=None,
         yield inst
 
 
+def reference_sccs(succ, allowed, deadline=lambda: None, roots=None):
+    """Tarjan over the subgraph induced by `allowed`, with an on-stack set
+    and a filtered successor list per state: the reference `_sccs` must
+    equal, dict order included.  The search starts from each of `roots` in
+    turn, by default every allowed state in index order; `deadline` is
+    called before each state is numbered."""
+    allowed = set(allowed)
+    index = {}
+    low = {}
+    on_stack = set()
+    stack = []
+    work = []
+    comp = {}
+    ncomp = 0
+
+    def number(v):
+        deadline()
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        work.append((v, iter([t for t in succ[v] if t in allowed])))
+
+    for v in sorted(allowed) if roots is None else roots:
+        if v in index:
+            continue
+        number(v)
+        while work:
+            node, it = work[-1]
+            for w in it:
+                if w not in index:
+                    number(w)
+                    break
+                if w in on_stack:
+                    low[node] = min(low[node], index[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp[w] = ncomp
+                        if w == node:
+                            break
+                    ncomp += 1
+    return comp
+
+
 def all_simple_lassos(ts: TransitionSystem):
     """Every simple lasso run of the system, by exhaustive path search."""
     succ = ts.succ

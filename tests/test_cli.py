@@ -22,6 +22,7 @@ import respgame.grouping
 import respgame.shapley
 from respgame import HeuristicsConfig, generate, serialize_explicit
 from respgame.cli import build_parser, run_cli
+from respgame.generators import FAMILIES, lab_program_text
 from respgame.model import require_valid_run
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -236,12 +237,13 @@ def test_analyze_timeout_refusal(capsys, tmp_path):
 
 
 def test_refine_timeout_inside_witness_search(capsys, tmp_path):
-    # learning the block game's table over 21 blocks runs for about a second
-    model = tmp_path / "exp10.json"
-    run(capsys, "generate", "--family", "exp-coalitions", "--size", "10",
+    # learning the block game's table over 23 blocks runs for about two
+    # seconds
+    model = tmp_path / "exp11.json"
+    run(capsys, "generate", "--family", "exp-coalitions", "--size", "11",
         "-o", str(model))
     start = time.monotonic()
-    code, _, err = run(capsys, "refine", str(model), "--initial-blocks", "21",
+    code, _, err = run(capsys, "refine", str(model), "--initial-blocks", "23",
                        "--no-values", "--timeout-s", "0.2")
     assert code == 1 and "timeout" in err
     assert time.monotonic() - start < 5
@@ -392,6 +394,56 @@ def test_group_by_module_pipeline(capsys):
                        "--group-by-module")
     assert code == 0
     assert "left" in out and "right" in out
+
+
+def _positive_set(out: str) -> set:
+    """The positive players a command prints: the `yes` rows of an
+    `analyze` table, or the braces of `refine --no-values` and
+    `positivity`.  Names hold no space, so ", " parts them."""
+    if out.endswith("}\n"):
+        inside = out[out.index("{") + 1:-2]
+        return set(inside.split(", ")) if inside else set()
+    return {line.rsplit(None, 3)[0] for line in out.splitlines()
+            if line.endswith(" yes")}
+
+
+# (family, size, flags, modes): a small instance of each generator family,
+# whose centrifuge-analog size counts analysers, and the two-analyser lab
+# program, whose 83 state players after pruning exceed the exact-Shapley
+# cap outside optimistic mode
+ALL_MODES = ("optimistic", "pessimistic", "forward")
+LAB_FLAGS = ("--objective", "reachability", "--target-label", "success")
+CROSS_CHECKS = [
+    *((family, 2 if family == "centrifuge-analog" else 4, (), ALL_MODES)
+      for family in FAMILIES),
+    ("lab", 2, LAB_FLAGS, ("optimistic",)),
+    ("lab", 2, LAB_FLAGS + ("--group-by-module",), ALL_MODES),
+]
+
+
+@pytest.mark.parametrize("family, size, flags, modes", CROSS_CHECKS)
+def test_analyze_refine_and_positivity_agree(capsys, tmp_path, family, size,
+                                             flags, modes):
+    # three routes to one positivity set: exact values, the refinement, and
+    # `positivity`, which takes the polynomial search for optimistic
+    # reachability and Buechi on state players and the refinement otherwise
+    if family == "lab":
+        path = tmp_path / "lab.prism"
+        path.write_text(lab_program_text(size, bug=True), encoding="utf-8")
+    else:
+        path = tmp_path / "model.json"
+        path.write_text(serialize_explicit(generate(family, size)),
+                        encoding="utf-8")
+    for mode in modes:
+        found = []
+        for command in (("analyze",), ("refine", "--no-values"),
+                        ("positivity",)):
+            code, out, err = run(capsys, command[0], str(path), *flags,
+                                 "--mode", mode, *command[1:])
+            assert (code, err) == (0, ""), (mode, command)
+            found.append(_positive_set(out))
+        assert found[0], mode
+        assert found[1] == found[0] and found[2] == found[0], mode
 
 
 @pytest.mark.skipif(not Path("/dev/stdin").exists(),

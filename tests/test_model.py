@@ -14,6 +14,7 @@ from respgame import (BUECHI, PARITY, REACHABILITY, SAFETY, AnalysisTimeout,
                       TransitionSystem, expand_program, find_violating_run,
                       parse_program, violates)
 from respgame.explicit import parse_explicit
+from respgame.generators import lab_program_text
 from respgame.model import require_valid_run
 
 
@@ -224,20 +225,50 @@ def test_found_cycle_stays_inside_the_allowed_set():
         assert run == LassoRun((), (0, 1, 2, 4))
 
 
-def test_run_search_makes_one_scc_pass_on_the_lab_program(monkeypatch):
-    from respgame import expand_program, model, parse_program
-    from respgame.generators import lab_program_text
+def lab_search(analysers):
+    """The lab program with `analysers` analysers, expanded, and the
+    objective of reaching a `success` state."""
+    expanded = expand_program(parse_program(
+        lab_program_text(analysers, bug=True)))
+    return expanded.ts, Objective(REACHABILITY,
+                                  target=expanded.labels["success"])
 
-    expanded = expand_program(parse_program(lab_program_text(4, bug=True)))
-    calls = []
+
+@pytest.mark.parametrize("analysers, lasso", [
+    # the lasso of the per-candidate search, which made 236 SCC passes on
+    # lab 4
+    (4, LassoRun((0, 3, 23, 86), (236,))),
+    (8, LassoRun((0, 3, 43, 206), (648,))),
+])
+def test_run_search_makes_one_scc_pass_on_the_lab_program(monkeypatch,
+                                                          analysers, lasso):
+    from respgame import model
+
+    ts, obj = lab_search(analysers)
+    numbered = []
     sccs = model._sccs
-    monkeypatch.setattr(model, "_sccs",
-                        lambda *args: calls.append(args) or sccs(*args))
-    obj = Objective(REACHABILITY, target=expanded.labels["success"])
-    run = find_violating_run(expanded.ts, obj)
-    assert len(calls) == 1
-    # the lasso of the per-candidate search, which made 236 SCC passes here
-    assert run == LassoRun((0, 3, 23, 86), (236,))
+
+    def counted(*args):
+        comp = sccs(*args)
+        numbered.append(len(comp))
+        return comp
+
+    monkeypatch.setattr(model, "_sccs", counted)
+    assert find_violating_run(ts, obj) == lasso
+    # the pass numbers exactly the states reachable off the target
+    off_target = set(range(len(ts))) - obj.target
+    assert numbered == [len(model._reachable(ts.succ, ts.initial,
+                                             allowed=off_target))]
+
+
+def refuses_one_call_short(ts, obj, run):
+    """`find_violating_run` finds `run` under a call-counting budget, and
+    refuses when the budget is one call short of what it spent."""
+    spent = Budget()
+    assert find_violating_run(ts, obj, spent) == run
+    assert spent.calls >= 1
+    with pytest.raises(AnalysisTimeout):
+        find_violating_run(ts, obj, Budget(spent.calls - 1))
 
 
 @pytest.mark.parametrize("kind", [REACHABILITY, BUECHI, PARITY])
@@ -253,13 +284,12 @@ def test_run_search_stops_within_its_budget(kind):
             run = find_violating_run(ts, obj)
         except NoViolation:
             continue
-        spent = Budget()
-        assert find_violating_run(ts, obj, spent) == run
-        assert spent.calls >= 1
-        with pytest.raises(AnalysisTimeout):
-            find_violating_run(ts, obj, Budget(spent.calls - 1))
+        refuses_one_call_short(ts, obj, run)
         checked += 1
     assert checked > 10
+    if kind == REACHABILITY:
+        ts, obj = lab_search(4)
+        refuses_one_call_short(ts, obj, find_violating_run(ts, obj))
 
 
 def reference_buechi_run(ts, obj):
@@ -267,10 +297,10 @@ def reference_buechi_run(ts, obj):
     search: the first reachable non-target state, in index order, that lies
     on a cycle avoiding the target."""
     from respgame.model import _bfs_path, _canonical_lasso, _cycle_finder, \
-        _reachable
+        _reachable, _sccs
     allowed = set(range(len(ts))) - set(obj.target)
     reach = _reachable(ts.succ, ts.initial)
-    find_cycle = _cycle_finder(ts.succ, allowed)
+    find_cycle = _cycle_finder(ts.succ, _sccs(ts.succ, allowed))
     for w in sorted(reach & allowed):
         cycle = find_cycle(w)
         if cycle is not None:

@@ -7,7 +7,7 @@ from unittest import mock
 import hypothesis.strategies as st
 from hypothesis import assume, given, settings
 
-from conftest import own_arena, system
+from conftest import Budget, own_arena, reference_sccs, system
 from respgame import model
 from respgame import (BUECHI, MODES, OPTIMISTIC, PARITY, REACHABILITY,
                       SAFETY, NoViolation, Objective, PayoffGame, PlayerSet,
@@ -193,13 +193,29 @@ def test_buechi_positivity_search_matches_the_oracle(ts, data):
             == oracle_shapley(ts, obj, run, OPTIMISTIC).positivity())
 
 
+@given(total_systems(max_states=14), st.data())
+@settings(max_examples=400, deadline=None)
+def test_sccs_match_the_reference_tarjan(ts, data):
+    n = len(ts)
+    allowed = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1),
+                                min_size=1))
+    roots = data.draw(st.none() | st.lists(st.sampled_from(sorted(allowed)),
+                                           min_size=1, max_size=3))
+    spent, reference_spent = Budget(), Budget()
+    comp = model._sccs(ts.succ, allowed, spent, roots)
+    expected = reference_sccs(ts.succ, allowed, reference_spent, roots)
+    assert list(comp.items()) == list(expected.items())
+    # one deadline call per numbered state
+    assert spent.calls == reference_spent.calls == len(comp)
+
+
 def _reference_cycle_through(succ, state, allowed):
     """The per-candidate cycle search: one SCC pass for every call."""
     allowed = set(allowed)
     starts = [t for t in succ[state] if t in allowed]
     if state in starts:
         return [state]
-    comp = model._sccs(succ, allowed)
+    comp = reference_sccs(succ, allowed)
     cid = comp.get(state)
     if cid is None:
         return None
