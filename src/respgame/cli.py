@@ -79,7 +79,8 @@ def _add_model_flags(sub):
 
 _HEURISTICS = HeuristicsConfig()
 
-# flags beyond the model flags; each command gets only those it reads
+# flags beyond the model flags; each command gets only those it reads.  A
+# key holds a flag's spellings, separated by spaces
 _OWN_FLAGS = {
     "--player-cap": dict(type=_non_negative(int),
                          default=DEFAULT_SHAPLEY_CAP),
@@ -97,39 +98,12 @@ _OWN_FLAGS = {
                         help="stop after the positivity set (table format)"),
     "--minimal-coalitions": dict(
         action="store_true", help="also count minimal winning coalitions"),
+    "--family": dict(choices=FAMILIES, required=True),
+    "--size": dict(type=int, default=0),
+    "--clean": dict(action="store_true",
+                    help="centrifuge-analog only: omit the injected bug"),
+    "-o --output": dict(metavar="FILE"),
 }
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="respgame",
-        description="Backward responsibility values for lasso counterexamples "
-                    "in finite transition systems.")
-    subs = parser.add_subparsers(dest="command", required=True)
-    # declared once and shared by the four commands that read a model
-    model_flags = argparse.ArgumentParser(add_help=False)
-    _add_model_flags(model_flags)
-    for name, helptext, own in (
-            ("analyze", "exact Shapley responsibility for every player",
-             ("--player-cap", "--format")),
-            ("positivity", "the set of players with positive responsibility",
-             ("--block-cap", "--seed")),
-            ("refine", "positivity (and values) via partition refinement",
-             ("--player-cap", "--block-cap", "--seed", "--format",
-              "--initial-blocks", "--select", "--refine", "--explain",
-              "--no-values")),
-            ("oracle", "brute-force reference computation",
-             ("--oracle-cap", "--minimal-coalitions"))):
-        sub = subs.add_parser(name, help=helptext, parents=[model_flags])
-        for flag in own:
-            sub.add_argument(flag, **_OWN_FLAGS[flag])
-    gen = subs.add_parser("generate", help="emit a benchmark model document")
-    gen.add_argument("--family", choices=FAMILIES, required=True)
-    gen.add_argument("--size", type=int, default=0)
-    gen.add_argument("--clean", action="store_true",
-                     help="centrifuge-analog only: omit the injected bug")
-    gen.add_argument("-o", "--output", metavar="FILE")
-    return parser
 
 
 class _Deadline:
@@ -391,13 +365,70 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+# command -> (handler, help line, whether it reads a model, its own flags);
+# a command that reads a model takes the model flags before its own
 _COMMANDS = {
-    "analyze": _cmd_analyze,
-    "positivity": _cmd_positivity,
-    "refine": _cmd_refine,
-    "oracle": _cmd_oracle,
-    "generate": _cmd_generate,
+    "analyze": (_cmd_analyze,
+                "exact Shapley responsibility for every player", True,
+                ("--player-cap", "--format")),
+    "positivity": (_cmd_positivity,
+                   "the set of players with positive responsibility", True,
+                   ("--block-cap", "--seed")),
+    "refine": (_cmd_refine,
+               "positivity (and values) via partition refinement", True,
+               ("--player-cap", "--block-cap", "--seed", "--format",
+                "--initial-blocks", "--select", "--refine", "--explain",
+                "--no-values")),
+    "oracle": (_cmd_oracle, "brute-force reference computation", True,
+               ("--oracle-cap", "--minimal-coalitions")),
+    "generate": (_cmd_generate, "emit a benchmark model document", False,
+                 ("--family", "--size", "--clean", "-o --output")),
 }
+
+
+def _add_command_flags(parser, name):
+    _, _, reads_model, own = _COMMANDS[name]
+    if reads_model:
+        _add_model_flags(parser)
+    for flag in own:
+        parser.add_argument(*flag.split(), **_OWN_FLAGS[flag])
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, as `respgame --help` shows them."""
+    parser = argparse.ArgumentParser(
+        prog="respgame",
+        description="Backward responsibility values for lasso counterexamples "
+                    "in finite transition systems.")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (_, helptext, _, _) in _COMMANDS.items():
+        _add_command_flags(subs.add_parser(name, help=helptext), name)
+    return parser
+
+
+def _command_parser(name) -> argparse.ArgumentParser:
+    """The parser of one command, as `build_parser` makes its subparser."""
+    parser = argparse.ArgumentParser(prog=f"respgame {name}")
+    _add_command_flags(parser, name)
+    return parser
+
+
+def _parse_args(argv):
+    """The namespace of `argv`, as `build_parser` parses it.
+
+    A command named first is parsed by its own parser alone, since the
+    other commands' parsers would cost every invocation time that no
+    analysis needs.  The full parser is built only when the top level has
+    to speak: no command, an unknown one, `-h` before any, or arguments
+    the command does not take, which the top level reports with its own
+    usage."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def run_cli(argv=None) -> int:
@@ -416,9 +447,9 @@ def run_cli(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except NoViolation as exc:
         sys.stdout.write(f"nothing to explain: {exc}\n")
         return 0

@@ -781,14 +781,29 @@ _ARGV_TABLE = [
     ["refine", "m.json", "--timeout-s", "nan"],
     ["positivity", "m.json", "--player-cap", "3"],
     ["oracle"],
+    ["analyze", "--mode", "optimistic"],
+    ["analyze", "--", "m.json"],
+    ["analyze", "m.json", "--mod", "optimistic"],
+    ["generate", "--family", "clouds"],
+    ["analyze", "m.json", "--help"],
+    # the top level reports a flag the named command does not take, unless
+    # the command's own parser fails first
+    ["analyze", "m.json", "--bogus"],
+    ["refine", "--bogus", "m.json"],
+    ["generate", "--family", "clouds", "--bogus", "--size"],
+    # no command, or `-h` before it, or an unknown one
+    [],
+    ["-h", "analyze"],
+    ["export", "m.json"],
 ]
 
 
-def _parsed(parser, argv, capsys):
+def _parsed(parse, argv, capsys):
     try:
-        return vars(parser.parse_args(argv))
+        return vars(parse(argv))
     except SystemExit as exc:
-        return exc.code, capsys.readouterr().err
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
 
 
 def test_shared_model_flags_parse_and_print_as_per_command_flags(
@@ -796,9 +811,47 @@ def test_shared_model_flags_parse_and_print_as_per_command_flags(
     monkeypatch.setenv("COLUMNS", "100")
     shared, reference = build_parser(), _reference_parser()
     assert _help_texts(shared) == _help_texts(reference)
+    subs = next(a for a in reference._actions if a.choices).choices
+    assert list(subs) == list(respgame.cli._COMMANDS)
+    for name, sub in subs.items():
+        own = respgame.cli._command_parser(name)
+        assert (own.format_help(), own.format_usage()) == (
+            sub.format_help(), sub.format_usage()), name
     for argv in _ARGV_TABLE:
-        assert _parsed(shared, argv, capsys) == _parsed(
-            reference, argv, capsys), argv
+        expected = _parsed(reference.parse_args, argv, capsys)
+        assert _parsed(shared.parse_args, argv, capsys) == expected, argv
+        # as `run_cli` parses: a fresh parser, and argv not changed
+        given = list(argv)
+        assert _parsed(respgame.cli._parse_args, given, capsys) == expected, \
+            argv
+        assert given == argv
+
+
+def test_an_invocation_builds_only_its_own_commands_parser(monkeypatch,
+                                                           tmp_path):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    demo = str(MODELS / "recurrence_demo.json")
+    for argv in (["analyze", demo], ["positivity", demo], ["refine", demo],
+                 ["oracle", demo],
+                 ["generate", "--family", "clouds", "--size", "2", "-o",
+                  str(tmp_path / "clouds.json")]):
+        built.clear()
+        assert run_cli(argv) == 0, argv
+        assert built == [f"respgame {argv[0]}"], argv
+    full = ["respgame"] + [f"respgame {name}"
+                           for name in respgame.cli._COMMANDS]
+    for argv in (["--help"], []):
+        built.clear()
+        with pytest.raises(SystemExit):
+            run_cli(argv)
+        assert built == full, argv
 
 
 def test_refine_solves_only_the_first_pruning_game(capsys, monkeypatch,
@@ -865,7 +918,8 @@ def test_collector_setting_is_restored_on_every_exit(capsys, tmp_path,
         seen.append(gc.isenabled())
         raise RuntimeError("escapes")
 
-    monkeypatch.setitem(respgame.cli._COMMANDS, "analyze", failing)
+    monkeypatch.setitem(respgame.cli._COMMANDS, "analyze",
+                        (failing, *respgame.cli._COMMANDS["analyze"][1:]))
     with pytest.raises(RuntimeError, match="escapes"):
         run_cli(["analyze", demo])
     assert seen == [False]  # the command itself ran with the collector off
